@@ -1,0 +1,250 @@
+"""Fomin-Zelevinsky seeds, matrix mutation and finite-type atlases.
+
+The atlas side is the ground truth for every bijection test: it enumerates
+the full cluster pattern of an exchange matrix by breadth-first mutation and
+collects the set of cluster variables as exact Laurent polynomials.
+"""
+from __future__ import annotations
+
+from collections import deque
+from typing import Dict, List, Sequence, Set, Tuple
+
+from .laurent import LaurentPoly, lp_div_exact, LaurentError
+
+IntMatrix = Tuple[Tuple[int, ...], ...]
+
+
+class ClusterError(ValueError):
+    pass
+
+
+class NotFiniteTypeError(ClusterError):
+    pass
+
+
+def _freeze(b: Sequence[Sequence[int]]) -> IntMatrix:
+    return tuple(tuple(int(x) for x in row) for row in b)
+
+
+class ExchangeMatrix:
+    """A sign-skew-symmetric integer matrix with zero diagonal."""
+
+    __slots__ = ("n", "b")
+
+    def __init__(self, b: Sequence[Sequence[int]]):
+        b = _freeze(b)
+        n = len(b)
+        if any(len(row) != n for row in b):
+            raise ClusterError("exchange matrix must be square")
+        for i in range(n):
+            if b[i][i] != 0:
+                raise ClusterError("exchange matrix must have zero diagonal")
+            for j in range(n):
+                if (b[i][j] > 0) != (b[j][i] < 0) and not (b[i][j] == 0 and b[j][i] == 0):
+                    raise ClusterError("matrix is not sign-skew-symmetric")
+        self.n = n
+        self.b = b
+
+    def __eq__(self, other):
+        return isinstance(other, ExchangeMatrix) and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.b)
+
+    def __repr__(self):
+        return f"ExchangeMatrix({list(map(list, self.b))})"
+
+
+def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Matrix mutation in direction k (1-based); involutive."""
+    n = B.n
+    if not 1 <= k <= n:
+        raise ClusterError(f"mutation direction {k} out of range")
+    k0 = k - 1
+    b = B.b
+    new = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == k0 or j == k0:
+                new[i][j] = -b[i][j]
+            else:
+                s = 1 if b[i][k0] > 0 else (-1 if b[i][k0] < 0 else 0)
+                new[i][j] = b[i][j] + s * max(b[i][k0] * b[k0][j], 0)
+    return ExchangeMatrix(new)
+
+
+def cartan_counterpart(B: ExchangeMatrix) -> IntMatrix:
+    """Generalized Cartan matrix: 2 on the diagonal, -|b_ij| off it."""
+    n = B.n
+    return tuple(
+        tuple(2 if i == j else -abs(B.b[i][j]) for j in range(n)) for i in range(n)
+    )
+
+
+def type_c_cartan(n: int) -> IntMatrix:
+    """The type-C Cartan matrix in the labelling used here.
+
+    Vertex 1 is the long (weight two) vertex, followed by the simply laced
+    chain; concretely the doubled entry sits at position (2, 1).
+    """
+    if n < 2:
+        raise ClusterError("type C needs rank at least 2")
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
+    for i in range(n - 1):
+        a[i][i + 1] = -1
+        a[i + 1][i] = -1
+    a[1][0] = -2
+    return _freeze(a)
+
+
+def _permutations(items):
+    items = list(items)
+    if not items:
+        yield ()
+        return
+    for i, x in enumerate(items):
+        for rest in _permutations(items[:i] + items[i + 1 :]):
+            yield (x,) + rest
+
+
+def matrices_equal_up_to_permutation(a: IntMatrix, b: IntMatrix) -> bool:
+    n = len(a)
+    if len(b) != n:
+        return False
+    for perm in _permutations(range(n)):
+        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)):
+            return True
+    return False
+
+
+class Seed:
+    """An exchange matrix together with a labelled cluster of Laurent polynomials."""
+
+    __slots__ = ("matrix", "cluster")
+
+    def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly]):
+        cluster = tuple(cluster)
+        if len(cluster) != matrix.n:
+            raise ClusterError("cluster size must match matrix rank")
+        if len({c.canonical_text() for c in cluster}) != len(cluster):
+            raise ClusterError("cluster entries must be pairwise distinct")
+        self.matrix = matrix
+        self.cluster = cluster
+
+    @classmethod
+    def initial(cls, matrix: ExchangeMatrix) -> "Seed":
+        n = matrix.n
+        return cls(matrix, [LaurentPoly.variable(n, i) for i in range(1, n + 1)])
+
+    def canonical(self) -> "Seed":
+        """Sort the cluster by canonical text and permute the matrix along."""
+        order = sorted(range(len(self.cluster)), key=lambda i: self.cluster[i].canonical_text())
+        b = self.matrix.b
+        new_b = [[b[order[i]][order[j]] for j in range(len(order))] for i in range(len(order))]
+        return Seed(ExchangeMatrix(new_b), [self.cluster[i] for i in order])
+
+    def key(self) -> tuple:
+        c = self.canonical()
+        return (c.matrix.b, tuple(p.canonical_text() for p in c.cluster))
+
+    def __eq__(self, other):
+        return isinstance(other, Seed) and self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+def mutate_seed(seed: Seed, k: int) -> Seed:
+    """Seed mutation in direction k (1-based).
+
+    The new variable is the exact quotient of the exchange binomial by the
+    old variable; the product identity x_k' * x_k = binomial is re-verified
+    after the division.
+    """
+    n = seed.matrix.n
+    if not 1 <= k <= n:
+        raise ClusterError(f"mutation direction {k} out of range")
+    k0 = k - 1
+    b = seed.matrix.b
+    pos = LaurentPoly.one(seed.cluster[0].nvars)
+    neg = LaurentPoly.one(seed.cluster[0].nvars)
+    for i in range(n):
+        e = b[i][k0]
+        if e > 0:
+            pos = pos * seed.cluster[i] ** e
+        elif e < 0:
+            neg = neg * seed.cluster[i] ** (-e)
+    binomial = pos + neg
+    try:
+        new_var = lp_div_exact(binomial, seed.cluster[k0])
+    except LaurentError as exc:
+        raise ClusterError("seed not on a cluster pattern") from exc
+    if new_var * seed.cluster[k0] != binomial:
+        raise ClusterError("seed not on a cluster pattern")
+    cluster = list(seed.cluster)
+    cluster[k0] = new_var
+    return Seed(mutate_matrix(seed.matrix, k), cluster)
+
+
+class ClusterAtlas:
+    """The full cluster pattern of a finite-type exchange matrix.
+
+    ``seeds`` holds one canonical representative per unordered seed;
+    ``variables`` is the set of all cluster variables; ``edges`` records the
+    mutation graph as (seed index, direction, seed index) triples.
+    """
+
+    __slots__ = ("seeds", "variables", "edges")
+
+    def __init__(self, seeds: List[Seed], variables: Set[LaurentPoly], edges):
+        self.seeds = seeds
+        self.variables = variables
+        self.edges = edges
+
+    def variable_texts(self) -> List[str]:
+        return sorted(p.canonical_text() for p in self.variables)
+
+    def to_json(self) -> dict:
+        return {
+            "seeds": [
+                {
+                    "b": [list(r) for r in s.matrix.b],
+                    "cluster": [p.canonical_text() for p in s.cluster],
+                }
+                for s in self.seeds
+            ],
+            "variables": self.variable_texts(),
+        }
+
+
+def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
+    """Breadth-first closure of the initial seed under all mutations.
+
+    Seeds are deduplicated by canonical form.  Raises NotFiniteTypeError when
+    more than ``cap`` seeds appear, which guards against non-finite input.
+    """
+    initial = Seed.initial(B).canonical()
+    index: Dict[tuple, int] = {initial.key(): 0}
+    seeds = [initial]
+    variables: Set[LaurentPoly] = set(initial.cluster)
+    edges = []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        seed = seeds[i]
+        for k in range(1, B.n + 1):
+            new = mutate_seed(seed, k).canonical()
+            key = new.key()
+            j = index.get(key)
+            if j is None:
+                if len(seeds) >= cap:
+                    raise NotFiniteTypeError("not finite type within cap")
+                j = len(seeds)
+                index[key] = j
+                seeds.append(new)
+                variables.update(new.cluster)
+                queue.append(j)
+            edges.append((i, k, j))
+    return ClusterAtlas(seeds, variables, edges)

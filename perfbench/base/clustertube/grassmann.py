@@ -1,0 +1,417 @@
+"""Euler characteristics of locally free submodule Grassmannians.
+
+The primary count enumerates coordinate subrepresentations of the string
+normal form: subsets of the string basis closed under the arrow actions
+whose loop-vertex part is a union of complete loop pairs.  An independent
+finite-field oracle counts actual subspace tuples over several primes,
+interpolates the counting polynomial and evaluates it at one; the two
+routes must agree wherever both run.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .endo import FinDimAlgebra
+from .tube import ConsistencyError
+from .amod import (
+    AModule,
+    DomainError,
+    apply_F,
+    is_locally_free,
+    loop_vertex,
+    rank_vector,
+    zero_module,
+)
+from .strings import StringBasis, string_normal_form
+
+
+class OracleError(RuntimeError):
+    pass
+
+
+RankVec = Tuple[int, ...]
+
+
+def _hat(algebra: FinDimAlgebra, e: Sequence[int]) -> RankVec:
+    """Dimension vector of a locally free module of rank vector e."""
+    lv = loop_vertex(algebra) - 1
+    return tuple(2 * x if v == lv else x for v, x in enumerate(e))
+
+
+def _indec_summand_forms(m: AModule) -> List[StringBasis]:
+    """String forms of the indecomposable summands of a functor image."""
+    if m.is_zero():
+        return []
+    if m.provenance is None:
+        return [string_normal_form(m)]
+    alg = m.algebra
+    forms = []
+    for x in m.provenance:
+        piece = apply_F(alg, x)
+        if piece.is_zero():
+            continue
+        forms.append(string_normal_form(piece))
+    return forms
+
+
+def _string_profile_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int]:
+    """Number of admissible coordinate subsets per vertex-dimension profile.
+
+    Admissible means closed under every action edge and, at the loop vertex,
+    a union of complete loop pairs; that is exactly the locally free
+    condition for a coordinate subspace.
+    """
+    lv = loop_vertex(algebra)
+    npos = len(sb.nodes)
+    loop_edges = [
+        (u, w) for (u, w, aidx) in sb.edges if algebra.arrows[aidx].is_loop
+    ]
+    counts: Dict[RankVec, int] = {}
+    for mask in range(1 << npos):
+        ok = True
+        for (u, w, aidx) in sb.edges:
+            if mask >> u & 1 and not mask >> w & 1:
+                ok = False
+                break
+        if not ok:
+            continue
+        for (u, w) in loop_edges:
+            if (mask >> u & 1) != (mask >> w & 1):
+                ok = False
+                break
+        if not ok:
+            continue
+        # nodes at the loop vertex must all sit on loop pairs
+        paired = {u for e in loop_edges for u in e}
+        for pos, v in enumerate(sb.nodes):
+            if v == lv and mask >> pos & 1 and pos not in paired:
+                ok = False
+                break
+        if not ok:
+            continue
+        profile = [0] * algebra.n
+        for pos, v in enumerate(sb.nodes):
+            if mask >> pos & 1:
+                profile[v - 1] += 1
+        key = tuple(profile)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _convolve(a: Dict[RankVec, int], b: Dict[RankVec, int]) -> Dict[RankVec, int]:
+    out: Dict[RankVec, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _profile_counts(m: AModule) -> Dict[RankVec, int]:
+    alg = m.algebra
+    total: Dict[RankVec, int] = {(0,) * alg.n: 1}
+    for sb in _indec_summand_forms(m):
+        total = _convolve(total, _string_profile_counts(alg, sb))
+    return total
+
+
+def chi_lf(m: AModule, e: Sequence[int]) -> int:
+    """Euler characteristic of the locally free submodule Grassmannian."""
+    if any(x < 0 for x in e):
+        raise DomainError("rank vectors are componentwise nonnegative")
+    if not is_locally_free(m):
+        raise DomainError("ambient module must be locally free")
+    counts = _profile_counts(m)
+    return counts.get(_hat(m.algebra, e), 0)
+
+
+class ChiTable:
+    """All Euler characteristics chi(e) for 0 <= e <= rank M."""
+
+    __slots__ = ("module", "rank", "entries")
+
+    def __init__(self, module: AModule, rank: RankVec, entries: Dict[RankVec, int]):
+        self.module = module
+        self.rank = rank
+        self.entries = dict(sorted(entries.items()))
+
+    def chi(self, e: Sequence[int]) -> int:
+        return self.entries.get(tuple(e), 0)
+
+    def to_json(self) -> dict:
+        module_ref = {"dims": list(self.module.dims), "rank": list(self.rank)}
+        if self.module.provenance is not None:
+            module_ref["object"] = [[x.a, x.b] for x in self.module.provenance]
+        return {
+            "module": module_ref,
+            "entries": [
+                {"e": list(e), "chi": c} for e, c in self.entries.items()
+            ],
+        }
+
+
+def chi_table(m: AModule) -> ChiTable:
+    """Tabulate chi over the full rank range, with basic sanity checks."""
+    alg = m.algebra
+    rank = rank_vector(m)
+    counts = _profile_counts(m)
+    lv = loop_vertex(alg) - 1
+    entries: Dict[RankVec, int] = {}
+    for profile, c in counts.items():
+        e = tuple(
+            x // 2 if v == lv else x for v, x in enumerate(profile)
+        )
+        if profile[lv] % 2:
+            raise ConsistencyError("admissible subset with odd loop-vertex dimension")
+        entries[e] = entries.get(e, 0) + c
+    zero = (0,) * alg.n
+    if entries.get(zero) != 1 or entries.get(rank) != 1:
+        raise ConsistencyError("chi table misses the zero or the full submodule")
+    for e, c in entries.items():
+        if c < 0 or any(x < 0 or x > r for x, r in zip(e, rank)):
+            raise ConsistencyError("chi table entry out of range")
+    return ChiTable(m, rank, entries)
+
+
+# -- finite-field oracle --------------------------------------------------------
+
+
+def _first_primes(k: int) -> List[int]:
+    primes = []
+    c = 2
+    while len(primes) < k:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _mod_rref(rows: List[List[int]], p: int) -> List[List[int]]:
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows
+    ncols = len(rows[0])
+    pr = 0
+    for pc in range(ncols):
+        piv = None
+        for i in range(pr, len(rows)):
+            if rows[i][pc] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[pr], rows[piv] = rows[piv], rows[pr]
+        inv = pow(rows[pr][pc], -1, p)
+        rows[pr] = [(x * inv) % p for x in rows[pr]]
+        for i in range(len(rows)):
+            if i != pr and rows[i][pc] % p:
+                f = rows[i][pc]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[pr])]
+        pr += 1
+        if pr == len(rows):
+            break
+    return [r for r in rows if any(x % p for x in r)]
+
+
+def _mod_rank(rows: List[List[int]], p: int) -> int:
+    return len(_mod_rref(rows, p))
+
+
+def _subspaces(dim: int, ambient: int, p: int) -> Iterable[List[List[int]]]:
+    """All dim-dimensional subspaces of F_p^ambient as canonical RREF bases."""
+    if dim == 0:
+        yield []
+        return
+    if dim > ambient:
+        return
+    from itertools import combinations
+
+    for pivots in combinations(range(ambient), dim):
+        # free RREF entries: non-pivot columns to the right of each pivot
+        free_positions = []
+        for r, pc in enumerate(pivots):
+            for c in range(pc + 1, ambient):
+                if c in pivots:
+                    continue
+                free_positions.append((r, c))
+        for values in product(range(p), repeat=len(free_positions)):
+            rows = [[0] * ambient for _ in range(dim)]
+            for r, pc in enumerate(pivots):
+                rows[r][pc] = 1
+            for (r, c), val in zip(free_positions, values):
+                rows[r][c] = val
+            yield rows
+
+
+def _in_rowspace(rows: List[List[int]], vec: List[int], p: int) -> bool:
+    if not any(x % p for x in vec):
+        return True
+    if not rows:
+        return False
+    return _mod_rank(rows + [vec], p) == _mod_rank(rows, p)
+
+
+def _count_points(m: AModule, ehat: RankVec, e_loop: int, p: int) -> int:
+    """Number of F_p-points: arrow-stable subspace tuples of dimension ehat
+    whose loop-vertex part is free over F_p[x]/(x^2)."""
+    alg = m.algebra
+    lv = loop_vertex(alg) - 1
+    loop = alg.loop_arrow()
+    mats = {
+        a.idx: [[int(x) for x in row] for row in m.mats[a.idx].rows]
+        for a in alg.arrows
+    }
+    for a in alg.arrows:
+        for row in m.mats[a.idx].rows:
+            for x in row:
+                if x.denominator != 1:
+                    raise OracleError("oracle needs an integral normal form")
+    spaces = [list(_subspaces(ehat[v], m.dims[v], p)) for v in range(alg.n)]
+    count = 0
+    for choice in product(*spaces):
+        ok = True
+        for a in alg.arrows:
+            i, j = a.src - 1, a.tgt - 1
+            mat = mats[a.idx]
+            for w in choice[j]:
+                img = [sum(mat[r][c] * w[c] for c in range(m.dims[j])) % p for r in range(m.dims[i])]
+                if not _in_rowspace(choice[i], img, p):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        # loop-vertex freeness: the loop action on the subspace has rank e_loop
+        basis = choice[lv]
+        mat = mats[loop.idx]
+        images = [
+            [sum(mat[r][c] * w[c] for c in range(m.dims[lv])) % p for r in range(m.dims[lv])]
+            for w in basis
+        ]
+        if _mod_rank(images, p) != e_loop:
+            continue
+        count += 1
+    return count
+
+
+def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]] = None) -> int:
+    """Finite-field point-count oracle for chi.
+
+    Counts points over each prime, interpolates the counting polynomial and
+    evaluates at one.  The interpolated degree must respect the ambient
+    Grassmannian dimension bound; otherwise the oracle is inconclusive.
+    """
+    if any(x < 0 for x in e):
+        raise DomainError("rank vectors are componentwise nonnegative")
+    if not is_locally_free(m):
+        raise DomainError("ambient module must be locally free")
+    alg = m.algebra
+    forms = _indec_summand_forms(m)
+    canonical = [sb.module for sb in forms]
+    if canonical:
+        from .amod import direct_sum
+
+        work = direct_sum(canonical)
+    else:
+        work = zero_module(alg)
+    ehat = _hat(alg, e)
+    lv = loop_vertex(alg) - 1
+    degree_bound = sum(d * (md - d) for d, md in zip(ehat, work.dims))
+    if any(d > md for d, md in zip(ehat, work.dims)):
+        return 0
+    if primes is None:
+        primes = _first_primes(degree_bound + 2)
+    primes = list(primes)
+    if len(primes) <= degree_bound:
+        raise OracleError(
+            f"oracle inconclusive: need more than {degree_bound} primes"
+        )
+    points = [(p, _count_points(work, ehat, e[lv], p)) for p in primes]
+    # Lagrange interpolation through all sample points
+    coeffs = _interpolate(points)
+    if len(coeffs) - 1 > degree_bound:
+        raise OracleError("oracle inconclusive: interpolation degree exceeds bound")
+    value = sum(coeffs)  # evaluation at q = 1
+    if value.denominator != 1:
+        raise OracleError("oracle inconclusive: non-integral value at one")
+    return int(value)
+
+
+def _interpolate(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
+    """Coefficients (low degree first) of the polynomial through the points."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            # multiply basis by (x - xj)
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] -= c * xj
+                new[k + 1] += c
+            basis = new
+            denom *= xi - xj
+        for k, c in enumerate(basis):
+            coeffs[k] += Fraction(yi) * c / denom
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+# -- the Auslander-Reiten recursion ----------------------------------------------
+
+
+def verify_ar_recursion(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
+    """Check the factorization of chi along an AR sequence 0->L->M->N->0
+    ending in a tau-rigid module: every fibre of the span map is an affine
+    space except the empty one over (0, N)."""
+    alg = l_mod.algebra
+    for mod in (l_mod, m_mod, n_mod):
+        if not mod.is_zero() and not is_locally_free(mod):
+            raise DomainError("the recursion applies to locally free modules")
+    if tuple(
+        lm + nm for lm, nm in zip(l_mod.dims, n_mod.dims)
+    ) != m_mod.dims:
+        raise DomainError("dimension vectors are not additive; not exact")
+    table_l = _profile_counts(l_mod)
+    table_n = _profile_counts(n_mod)
+    table_m = _profile_counts(m_mod)
+    rank_n = _hat(alg, rank_vector(n_mod)) if not n_mod.is_zero() else (0,) * alg.n
+    expected = _convolve(table_l, table_n)
+    expected[rank_n] = expected.get(rank_n, 0) - 1
+    expected = {k: v for k, v in expected.items() if v}
+    return expected == {k: v for k, v in table_m.items() if v}
+
+
+def ar_sequences_ending_at_tau_rigid(algebra: FinDimAlgebra):
+    """AR sequences of the module category ending in tau-rigid modules.
+
+    These are the functor images of the tube AR triangles whose end terms
+    avoid the shifted summands; yields (L, M, N, end_object) with M given as
+    the direct sum of the middle functor images.
+    """
+    from .amod import direct_sum
+    from .tube import all_rigid_indecs
+
+    tube = algebra.tube
+    t = algebra.t
+    sigma_t = {tube.tau(s) for s in t.summands}
+    plain_t = set(t.summands)
+    for x in all_rigid_indecs(tube):
+        if x in sigma_t or x in plain_t:
+            continue
+        n_mod = apply_F(algebra, x)
+        l_obj = tube.tau(x)
+        l_mod = apply_F(algebra, l_obj)
+        middles = []
+        up = tube.indec(x.a - 1, x.b + 1)
+        middles.append(apply_F(algebra, up))
+        if x.b > 1:
+            middles.append(apply_F(algebra, tube.indec(x.a, x.b - 1)))
+        m_mod = direct_sum(middles)
+        yield l_mod, m_mod, n_mod, x

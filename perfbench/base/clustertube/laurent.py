@@ -1,0 +1,242 @@
+"""Integer-coefficient Laurent polynomials in n commuting variables.
+
+Terms are keyed by exponent vectors in Z^n.  The canonical text form sorts
+terms lexicographically by exponent vector, so equality, hashing and
+serialization are all deterministic.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, Iterable, Sequence, Tuple
+
+Exponent = Tuple[int, ...]
+
+
+class LaurentError(ValueError):
+    pass
+
+
+class LaurentPoly:
+    """A Laurent polynomial sum_e c_e * x^e with integer coefficients c_e.
+
+    Instances are immutable; zero coefficients are never stored.
+    """
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: Dict[Exponent, int]):
+        clean = {}
+        for e, c in terms.items():
+            if len(e) != nvars:
+                raise LaurentError("exponent vector length mismatch")
+            if c:
+                clean[tuple(int(x) for x in e)] = int(c)
+        self.nvars = nvars
+        self.terms = dict(sorted(clean.items()))
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def zero(cls, nvars: int) -> "LaurentPoly":
+        return cls(nvars, {})
+
+    @classmethod
+    def one(cls, nvars: int) -> "LaurentPoly":
+        return cls(nvars, {(0,) * nvars: 1})
+
+    @classmethod
+    def monomial(cls, nvars: int, exponent: Sequence[int], coeff: int = 1) -> "LaurentPoly":
+        return cls(nvars, {tuple(int(x) for x in exponent): coeff})
+
+    @classmethod
+    def variable(cls, nvars: int, i: int) -> "LaurentPoly":
+        """The generator x_i, with 1-based index i."""
+        if not 1 <= i <= nvars:
+            raise LaurentError(f"variable index {i} out of range")
+        e = [0] * nvars
+        e[i - 1] = 1
+        return cls.monomial(nvars, e)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _check(self, other: "LaurentPoly"):
+        if self.nvars != other.nvars:
+            raise LaurentError("mixing polynomials with different variable counts")
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        self._check(other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return LaurentPoly(self.nvars, terms)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        self._check(other)
+        terms: Dict[Exponent, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return LaurentPoly(self.nvars, terms)
+
+    def __pow__(self, k: int) -> "LaurentPoly":
+        if k < 0:
+            raise LaurentError("negative powers are not defined here")
+        result = LaurentPoly.one(self.nvars)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def scalar(self, c: int) -> "LaurentPoly":
+        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def shift(self, exponent: Sequence[int]) -> "LaurentPoly":
+        """Multiply by the monomial x^exponent."""
+        d = tuple(int(x) for x in exponent)
+        return LaurentPoly(
+            self.nvars, {tuple(a + b for a, b in zip(e, d)): c for e, c in self.terms.items()}
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_one(self) -> bool:
+        return self.terms == {(0,) * self.nvars: 1}
+
+    # -- structure ---------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, LaurentPoly)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, tuple(self.terms.items())))
+
+    def canonical_text(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in self.terms.items():
+            sign = "+" if c > 0 else "-"
+            parts.append(f"{sign}{abs(c)}*x^({','.join(str(k) for k in e)})")
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"LaurentPoly({self.canonical_text()})"
+
+    def to_json(self) -> list:
+        return [{"exp": list(e), "coeff": c} for e, c in self.terms.items()]
+
+    @classmethod
+    def from_json(cls, nvars: int, data: Iterable[dict]) -> "LaurentPoly":
+        terms: Dict[Exponent, int] = {}
+        for item in data:
+            e = tuple(int(x) for x in item["exp"])
+            terms[e] = terms.get(e, 0) + int(item["coeff"])
+        return cls(nvars, terms)
+
+
+def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:
+    """The vector d with p = f(x)/prod x_i^{d_i}, f divisible by no x_i.
+
+    Equivalently d_i is minus the minimal exponent of x_i over the terms.
+    """
+    if p.is_zero():
+        raise LaurentError("undefined denominator")
+    mins = [min(e[i] for e in p.terms) for i in range(p.nvars)]
+    return tuple(-m for m in mins)
+
+
+def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Exact quotient p / q in the Laurent ring.
+
+    Raises LaurentError when q does not divide p exactly or the quotient is
+    not integral.  Implemented as leading-term division in lexicographic
+    order after clearing the monomial denominators of both arguments.
+    """
+    if q.is_zero():
+        raise LaurentError("division by zero")
+    if p.is_zero():
+        return LaurentPoly.zero(p.nvars)
+    p._check(q)
+    dp = lp_denominator_vector(p)
+    dq = lp_denominator_vector(q)
+    # x^dp * p and x^dq * q are honest polynomials; divide those.
+    pp = {e: Fraction(c) for e, c in p.shift(dp).terms.items()}
+    qq = {e: Fraction(c) for e, c in q.shift(dq).terms.items()}
+    q_lead = max(qq)
+    quotient: Dict[Exponent, Fraction] = {}
+    while pp:
+        p_lead = max(pp)
+        t = tuple(a - b for a, b in zip(p_lead, q_lead))
+        if any(x < 0 for x in t):
+            raise LaurentError("not divisible")
+        coeff = pp[p_lead] / qq[q_lead]
+        quotient[t] = quotient.get(t, Fraction(0)) + coeff
+        for e, c in qq.items():
+            key = tuple(a + b for a, b in zip(t, e))
+            val = pp.get(key, Fraction(0)) - coeff * c
+            if val:
+                pp[key] = val
+            else:
+                pp.pop(key, None)
+    shift_back = tuple(b - a for a, b in zip(dp, dq))
+    terms: Dict[Exponent, int] = {}
+    for e, c in quotient.items():
+        if c.denominator != 1:
+            raise LaurentError("quotient has non-integer coefficients")
+        if c:
+            terms[tuple(a + b for a, b in zip(e, shift_back))] = int(c)
+    return LaurentPoly(p.nvars, terms)
+
+
+def _monomial_str(exponent: Sequence[int], var: str = "x") -> str:
+    parts = []
+    for i, k in enumerate(exponent, start=1):
+        if k == 0:
+            continue
+        parts.append(f"{var}{i}" if k == 1 else f"{var}{i}^{k}")
+    return "*".join(parts) if parts else "1"
+
+
+def pretty(p: LaurentPoly, var: str = "x") -> str:
+    """Numerator-over-monomial display, e.g. (x1^2+x2^2)/(x1*x3^2)."""
+    if p.is_zero():
+        return "0"
+    d = lp_denominator_vector(p)
+    num = p.shift(d)
+    extra = tuple(max(-k, 0) for k in d)
+    if any(extra):
+        num = num.shift(extra)
+    den = tuple(max(k, 0) for k in d)
+    terms = sorted(num.terms.items(), reverse=True)
+    chunks = []
+    for e, c in terms:
+        mono = _monomial_str(e, var)
+        if abs(c) == 1 and mono != "1":
+            body = mono
+        elif mono == "1":
+            body = str(abs(c))
+        else:
+            body = f"{abs(c)}*{mono}"
+        chunks.append(("-" if c < 0 else "+") + body)
+    num_str = "".join(chunks).lstrip("+")
+    if not any(den):
+        return num_str
+    den_str = _monomial_str(den, var)
+    if len(terms) > 1:
+        return f"({num_str})/({den_str})"
+    return f"{num_str}/({den_str})"
