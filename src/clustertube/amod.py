@@ -274,6 +274,10 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
     The vertex-i space carries the ordered basis of Hom(T_i, X), tube
     stratum before shift stratum within each summand of X; arrows act by
     precomposition with the chosen irreducible morphisms.
+
+    The result is memoised on ``algebra`` by the summand tuple of X, so
+    equal inputs (``x``, ``(x,)`` or ``(a, b)``) return the same shared
+    module for as long as the algebra lives; callers must not mutate it.
     """
     tube = algebra.tube
     t = algebra.t
@@ -281,6 +285,9 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
     for s in summands:
         if not in_pr_T(t, s):
             raise DomainError(f"{s} is not finitely presented by {t}")
+    cached = algebra._module_cache.get(summands)
+    if cached is not None:
+        return cached
     n = algebra.n
     bases: List[List[CHom]] = []
     vtags: List[Tuple[VertexTag, ...]] = []
@@ -316,9 +323,11 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
                 raise ConsistencyError("block scatter mismatch in apply_F")
             cols.append(tuple(col))
         mats.append(ExactMatrix.from_columns(cols, dims[i]))
-    return AModule(
+    module = AModule(
         algebra, dims, mats, provenance=summands, vtags=tuple(vtags)
     )
+    algebra._module_cache[summands] = module
+    return module
 
 
 def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
@@ -691,7 +700,11 @@ def b_matrix_from_euler_form(algebra: FinDimAlgebra) -> Tuple[Tuple[int, ...], .
 
 
 def _socle_generator_data(algebra: FinDimAlgebra):
-    """Per injective I_j: the socle vector used as the embedding target."""
+    """Per injective I_j: the socle vector used as the embedding target.
+
+    Built once per algebra and stored on it."""
+    if algebra._socle_data is not None:
+        return algebra._socle_data
     data = []
     for j in range(1, algebra.n + 1):
         inj = injective(algebra, j)
@@ -701,6 +714,7 @@ def _socle_generator_data(algebra: FinDimAlgebra):
             if len(soc[v]) != expect:
                 raise ConsistencyError(f"injective at {j} has unexpected socle")
         data.append((inj, soc[j - 1][0]))
+    algebra._socle_data = data
     return data
 
 
@@ -778,6 +792,10 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
     Computed through the minimal injective copresentation of Hom(T, X) and
     independently through the truncated Euler form against the simples; the
     two routes must agree.
+
+    The vector of each indecomposable summand is memoised on the tube by
+    (T.summands, summand), and only after the two routes agreed; the domain
+    check runs on every call.
     """
     tube = algebra.tube
     summands = _normalize_object(tube, x)
@@ -790,21 +808,29 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not (in_pr_T(algebra.t, s) and in_pr_sigma_T(algebra.t, s)):
             raise DomainError(f"{s} is outside the coindex domain")
-        mod = apply_F(algebra, s)
-        via_injectives = i_vector(mod)
-        via_euler = tuple(
-            euler_leq1(simple(algebra, i + 1), mod) for i in range(n)
-        )
-        if via_injectives != via_euler:
-            raise ConsistencyError(
-                f"coindex routes disagree on {s}: {via_injectives} vs {via_euler}"
+        key = (algebra.t.summands, s)
+        vec = tube._coindex_cache.get(key)
+        if vec is None:
+            mod = apply_F(algebra, s)
+            via_injectives = i_vector(mod)
+            via_euler = tuple(
+                euler_leq1(simple(algebra, i + 1), mod) for i in range(n)
             )
-        total = [a + b for a, b in zip(total, via_injectives)]
+            if via_injectives != via_euler:
+                raise ConsistencyError(
+                    f"coindex routes disagree on {s}: {via_injectives} vs {via_euler}"
+                )
+            vec = tube._coindex_cache[key] = via_injectives
+        total = [a + b for a, b in zip(total, vec)]
     return tuple(total)
 
 
 def index(algebra: FinDimAlgebra, x) -> tuple:
-    """Index of a tube object, via the truncated Euler form."""
+    """Index of a tube object, via the truncated Euler form.
+
+    The vector of each indecomposable summand is memoised on the tube by
+    (T.summands, summand); the domain check runs on every call.
+    """
     tube = algebra.tube
     summands = _normalize_object(tube, x)
     n = algebra.n
@@ -816,9 +842,12 @@ def index(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not in_pr_T(algebra.t, s):
             raise DomainError(f"{s} is outside the index domain")
-        mod = apply_F(algebra, s)
-        via_euler = tuple(
-            euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)
-        )
-        total = [a + b for a, b in zip(total, via_euler)]
+        key = (algebra.t.summands, s)
+        vec = tube._index_cache.get(key)
+        if vec is None:
+            mod = apply_F(algebra, s)
+            vec = tube._index_cache[key] = tuple(
+                euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)
+            )
+        total = [a + b for a, b in zip(total, vec)]
     return tuple(total)

@@ -54,7 +54,8 @@ _atlas_cache: Dict[tuple, ClusterAtlas] = {}
 
 
 def cached_atlas(b: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
-    key = b.b
+    """``enumerate_atlas(b, cap=cap)``, memoised by matrix and cap."""
+    key = (b.b, cap)
     if key not in _atlas_cache:
         _atlas_cache[key] = enumerate_atlas(b, cap=cap)
     return _atlas_cache[key]

@@ -138,7 +138,7 @@ def cmd_verify(config: RunConfig) -> int:
                     {"name": name, "ok": passed, "failures": nfail}
                     for name, passed, nfail in report.lines
                 ],
-                "failures": getattr(report, "failures", []),
+                "failures": report.failures,
             },
             sort_keys=True,
         )

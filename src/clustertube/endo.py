@@ -106,6 +106,11 @@ class FinDimAlgebra:
         self._choose_arrows()
         self._paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
         self._build_paths()
+        # Memo of the module layer (clustertube.amod), living as long as this
+        # algebra: functor images Hom(T, X) by summand tuple of X, and the
+        # socle data of the injectives.
+        self._module_cache: Dict[tuple, object] = {}
+        self._socle_data: Optional[list] = None
 
     # -- multiplication ------------------------------------------------------
 

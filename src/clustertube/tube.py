@@ -155,6 +155,10 @@ class Tube:
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
+        # index and coindex vectors of one indecomposable X with respect to a
+        # maximal rigid T, keyed by (T.summands, X); filled by clustertube.amod
+        self._index_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
+        self._coindex_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
 
     # -- objects -----------------------------------------------------------
 

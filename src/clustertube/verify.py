@@ -401,10 +401,10 @@ def check_tube_invariants(tube: Tube) -> List[str]:
 class SuiteReport:
     def __init__(self):
         self.lines: List[Tuple[str, bool, int]] = []
+        self.failures: List[str] = []
 
     def add(self, name: str, failures: List[str]):
         self.lines.append((name, not failures, len(failures)))
-        self.failures = getattr(self, "failures", [])
         self.failures.extend(f"{name}: {f}" for f in failures)
 
     @property

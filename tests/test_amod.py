@@ -1,5 +1,6 @@
 import pytest
 
+from clustertube import amod
 from clustertube.amod import (
     DomainError,
     apply_F,
@@ -20,7 +21,15 @@ from clustertube.amod import (
     tau_A,
     zero_module,
 )
-from clustertube.tube import Indec, all_rigid_indecs, b_matrix_multiplicities
+from clustertube.endo import build_endomorphism_algebra
+from clustertube.tube import (
+    ConsistencyError,
+    Indec,
+    MaximalRigid,
+    Tube,
+    all_rigid_indecs,
+    b_matrix_multiplicities,
+)
 
 
 def test_functor_kills_shifted_summands(cyclic_algebra, cyclic_t, tube3):
@@ -155,3 +164,64 @@ def test_functor_images_satisfy_relations(cyclic_algebra, tube3):
         apply_F(cyclic_algebra, x)
     for i in (1, 2):
         apply_F(cyclic_algebra, Indec(i, 4))
+
+
+# -- the module-layer memo ------------------------------------------------------
+# Each test builds its own Tube: index/coindex vectors are memoised per tube,
+# so a shared tube would carry entries over from earlier tests.
+
+
+def fresh_cyclic_algebra():
+    tube = Tube(3)
+    return build_endomorphism_algebra(
+        MaximalRigid(tube, (Indec(1, 3), Indec(3, 1), Indec(1, 1)))
+    )
+
+
+def test_apply_F_memo_shares_one_module_per_object():
+    alg = fresh_cyclic_algebra()
+    x = Indec(2, 2)
+    m = apply_F(alg, x)
+    assert apply_F(alg, (x,)) is m
+    assert apply_F(alg, (2, 2)) is m
+    assert projective(alg, 2) is apply_F(alg, alg.t.summands[1])
+    assert injective(alg, 2) is apply_F(alg, alg.tube.tau(alg.t.summands[1], 2))
+
+
+def test_domain_errors_survive_a_filled_memo():
+    alg = fresh_cyclic_algebra()
+    tube = alg.tube
+    for x in all_rigid_indecs(tube):
+        coindex(alg, x)
+        index(alg, x)
+    assert tube._coindex_cache and tube._index_cache
+    with pytest.raises(DomainError):
+        apply_F(alg, Indec(4, 4))
+    with pytest.raises(DomainError):
+        index(alg, Indec(4, 4))
+    with pytest.raises(DomainError):
+        coindex(alg, Indec(1, 6))
+
+
+def test_coindex_disagreement_is_never_memoised(monkeypatch):
+    alg = fresh_cyclic_algebra()
+    x = Indec(2, 2)
+    monkeypatch.setattr(amod, "i_vector", lambda m: (99, 99, 99))
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            coindex(alg, x)
+    assert (alg.t.summands, x) not in alg.tube._coindex_cache
+
+
+def test_memoised_index_and_coindex_match_a_new_tube():
+    alg = fresh_cyclic_algebra()
+    xs = all_rigid_indecs(alg.tube)
+    for x in xs:
+        coindex(alg, x)
+        index(alg, x)
+    # a second End(T) on the same tube reads the tube's memo
+    again = build_endomorphism_algebra(alg.t, check=False)
+    cold = fresh_cyclic_algebra()
+    for x in xs:
+        assert coindex(again, x) == coindex(cold, x)
+        assert index(again, x) == index(cold, x)

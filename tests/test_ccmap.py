@@ -2,7 +2,10 @@ import json
 import random
 from importlib import resources
 
+import pytest
+
 from clustertube.ccmap import CCMap, cached_atlas
+from clustertube.cluster import ExchangeMatrix, NotFiniteTypeError
 from clustertube.laurent import LaurentPoly
 from clustertube.tube import Indec, MaximalRigid, all_rigid_indecs, enumerate_maximal_rigid
 
@@ -136,3 +139,10 @@ def test_atlas_cache_reuse(cyclic_cc):
     a1 = cached_atlas(cyclic_cc.b)
     a2 = cached_atlas(cyclic_cc.b)
     assert a1 is a2
+
+
+def test_atlas_cache_honours_cap_on_a_hit():
+    b = ExchangeMatrix([[0, 1], [-2, 0]])
+    assert len(cached_atlas(b).seeds) == 6
+    with pytest.raises(NotFiniteTypeError):
+        cached_atlas(b, cap=3)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from clustertube.cli import run
+from clustertube.verify import SuiteReport
 
 
 def capture(capsys, argv):
@@ -113,6 +114,16 @@ def test_verify_json_format(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_suite_report_failures():
+    report = SuiteReport()
+    assert report.failures == []
+    report.add("first", [])
+    report.add("second", ["a", "b"])
+    report.add("third", ["c"])
+    assert report.failures == ["second: a", "second: b", "third: c"]
+    assert not report.ok
 
 
 def test_out_file(tmp_path, capsys):
