@@ -17,9 +17,9 @@ from importlib import resources
 from itertools import permutations
 from typing import List, Optional, Sequence
 
-from .cluster import enumerate_atlas, NotFiniteTypeError
-from .laurent import pretty
-from .tube import Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
+from .cluster import ClusterError, enumerate_atlas
+from .laurent import LaurentError, pretty
+from .tube import ConsistencyError, Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
 from .ccmap import CCMap
 from .verify import run_suite
 
@@ -273,7 +273,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--cap must be positive")
     try:
         return COMMANDS[config.command](config)
-    except NotFiniteTypeError as exc:
+    except (ClusterError, LaurentError, ConsistencyError) as exc:
+        # an input outside finite type, or an internal fault: not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -7,6 +7,8 @@ collects the set of cluster variables as exact Laurent polynomials.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import mul
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly, lp_div_exact, LaurentError
@@ -139,8 +141,14 @@ class Seed:
         return cls(matrix, [LaurentPoly.variable(n, i) for i in range(1, n + 1)])
 
     def canonical(self) -> "Seed":
-        """Sort the cluster by canonical text and permute the matrix along."""
-        order = sorted(range(len(self.cluster)), key=lambda i: self.cluster[i].canonical_text())
+        """Sort the cluster by canonical text and permute the matrix along.
+
+        A seed that is already in canonical order is returned as it is.
+        """
+        texts = [c.canonical_text() for c in self.cluster]
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        if order == list(range(len(order))):
+            return self
         b = self.matrix.b
         new_b = [[b[order[i]][order[j]] for j in range(len(order))] for i in range(len(order))]
         return Seed(ExchangeMatrix(new_b), [self.cluster[i] for i in order])
@@ -156,6 +164,11 @@ class Seed:
         return hash(self.key())
 
 
+def _product(factors: List[LaurentPoly], nvars: int) -> LaurentPoly:
+    """The product of the factors; the empty product is 1."""
+    return reduce(mul, factors) if factors else LaurentPoly.one(nvars)
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation in direction k (1-based).
 
@@ -168,15 +181,10 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
         raise ClusterError(f"mutation direction {k} out of range")
     k0 = k - 1
     b = seed.matrix.b
-    pos = LaurentPoly.one(seed.cluster[0].nvars)
-    neg = LaurentPoly.one(seed.cluster[0].nvars)
-    for i in range(n):
-        e = b[i][k0]
-        if e > 0:
-            pos = pos * seed.cluster[i] ** e
-        elif e < 0:
-            neg = neg * seed.cluster[i] ** (-e)
-    binomial = pos + neg
+    nvars = seed.cluster[0].nvars
+    pos = [seed.cluster[i] ** b[i][k0] for i in range(n) if b[i][k0] > 0]
+    neg = [seed.cluster[i] ** -b[i][k0] for i in range(n) if b[i][k0] < 0]
+    binomial = _product(pos, nvars) + _product(neg, nvars)
     try:
         new_var = lp_div_exact(binomial, seed.cluster[k0])
     except LaurentError as exc:
@@ -222,29 +230,38 @@ class ClusterAtlas:
 def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     """Breadth-first closure of the initial seed under all mutations.
 
-    Seeds are deduplicated by canonical form.  Raises NotFiniteTypeError when
-    more than ``cap`` seeds appear, which guards against non-finite input.
+    Seeds are deduplicated by canonical form.  Each exchange is computed once:
+    mutation is an involution, so when mutating seed i in direction k gives
+    seed j with the new variable at position k', the edge (j, k', i) is
+    recorded and looked up when seed j is expanded.  Raises
+    NotFiniteTypeError when more than ``cap`` seeds appear, which guards
+    against non-finite input.
     """
     initial = Seed.initial(B).canonical()
     index: Dict[tuple, int] = {initial.key(): 0}
     seeds = [initial]
     variables: Set[LaurentPoly] = set(initial.cluster)
     edges = []
+    reverse: Dict[Tuple[int, int], int] = {}
     queue = deque([0])
     while queue:
         i = queue.popleft()
         seed = seeds[i]
         for k in range(1, B.n + 1):
-            new = mutate_seed(seed, k).canonical()
-            key = new.key()
-            j = index.get(key)
+            j = reverse.pop((i, k), None)
             if j is None:
-                if len(seeds) >= cap:
-                    raise NotFiniteTypeError("not finite type within cap")
-                j = len(seeds)
-                index[key] = j
-                seeds.append(new)
-                variables.update(new.cluster)
-                queue.append(j)
+                mutated = mutate_seed(seed, k)
+                new = mutated.canonical()
+                key = new.key()
+                j = index.get(key)
+                if j is None:
+                    if len(seeds) >= cap:
+                        raise NotFiniteTypeError("not finite type within cap")
+                    j = len(seeds)
+                    index[key] = j
+                    seeds.append(new)
+                    variables.update(new.cluster)
+                    queue.append(j)
+                reverse[(j, new.cluster.index(mutated.cluster[k - 1]) + 1)] = i
             edges.append((i, k, j))
     return ClusterAtlas(seeds, variables, edges)

@@ -6,7 +6,7 @@ serialization are all deterministic.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import add, sub
 from typing import Dict, Iterable, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -19,10 +19,11 @@ class LaurentError(ValueError):
 class LaurentPoly:
     """A Laurent polynomial sum_e c_e * x^e with integer coefficients c_e.
 
-    Instances are immutable; zero coefficients are never stored.
+    Instances are immutable; zero coefficients are never stored.  The
+    canonical text is built on first use and kept.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_text")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, int]):
         clean = {}
@@ -30,9 +31,10 @@ class LaurentPoly:
             if len(e) != nvars:
                 raise LaurentError("exponent vector length mismatch")
             if c:
-                clean[tuple(int(x) for x in e)] = int(c)
+                clean[tuple(map(int, e))] = int(c)
         self.nvars = nvars
         self.terms = dict(sorted(clean.items()))
+        self._text = None
 
     # -- constructors ------------------------------------------------------
 
@@ -81,24 +83,24 @@ class LaurentPoly:
         terms: Dict[Exponent, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, terms)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise LaurentError("negative powers are not defined here")
-        result = LaurentPoly.one(self.nvars)
+        if k == 0:
+            return LaurentPoly.one(self.nvars)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
-
-    def scalar(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+            if not k:
+                return result
+            base = base * base
 
     def shift(self, exponent: Sequence[int]) -> "LaurentPoly":
         """Multiply by the monomial x^exponent."""
@@ -109,9 +111,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
 
     # -- structure ---------------------------------------------------------
 
@@ -126,13 +125,13 @@ class LaurentPoly:
         return hash((self.nvars, tuple(self.terms.items())))
 
     def canonical_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.terms.items():
-            sign = "+" if c > 0 else "-"
-            parts.append(f"{sign}{abs(c)}*x^({','.join(str(k) for k in e)})")
-        return "".join(parts)
+        if self._text is None:
+            parts = []
+            for e, c in self.terms.items():
+                sign = "+" if c > 0 else "-"
+                parts.append(f"{sign}{abs(c)}*x^({','.join(str(k) for k in e)})")
+            self._text = "".join(parts) or "0"
+        return self._text
 
     def __repr__(self):
         return f"LaurentPoly({self.canonical_text()})"
@@ -156,8 +155,7 @@ def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:
     """
     if p.is_zero():
         raise LaurentError("undefined denominator")
-    mins = [min(e[i] for e in p.terms) for i in range(p.nvars)]
-    return tuple(-m for m in mins)
+    return tuple(-min(column) for column in zip(*p.terms))
 
 
 def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -165,7 +163,11 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     Raises LaurentError when q does not divide p exactly or the quotient is
     not integral.  Implemented as leading-term division in lexicographic
-    order after clearing the monomial denominators of both arguments.
+    order after clearing the monomial denominators of both arguments.  The
+    leading exponent of the remainder strictly decreases, so each quotient
+    coefficient is set once, as one remainder coefficient over the leading
+    coefficient of q; an integral quotient therefore needs only exact integer
+    division, and the first inexact step proves the quotient non-integral.
     """
     if q.is_zero():
         raise LaurentError("division by zero")
@@ -175,32 +177,29 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     dp = lp_denominator_vector(p)
     dq = lp_denominator_vector(q)
     # x^dp * p and x^dq * q are honest polynomials; divide those.
-    pp = {e: Fraction(c) for e, c in p.shift(dp).terms.items()}
-    qq = {e: Fraction(c) for e, c in q.shift(dq).terms.items()}
+    pp = {tuple(map(add, e, dp)): c for e, c in p.terms.items()}
+    qq = {tuple(map(add, e, dq)): c for e, c in q.terms.items()}
     q_lead = max(qq)
-    quotient: Dict[Exponent, Fraction] = {}
+    q_coeff = qq[q_lead]
+    quotient: Dict[Exponent, int] = {}
     while pp:
         p_lead = max(pp)
-        t = tuple(a - b for a, b in zip(p_lead, q_lead))
+        t = tuple(map(sub, p_lead, q_lead))
         if any(x < 0 for x in t):
             raise LaurentError("not divisible")
-        coeff = pp[p_lead] / qq[q_lead]
-        quotient[t] = quotient.get(t, Fraction(0)) + coeff
+        coeff, rem = divmod(pp[p_lead], q_coeff)
+        if rem:
+            raise LaurentError("quotient has non-integer coefficients")
+        quotient[t] = coeff
         for e, c in qq.items():
-            key = tuple(a + b for a, b in zip(t, e))
-            val = pp.get(key, Fraction(0)) - coeff * c
+            key = tuple(map(add, t, e))
+            val = pp.get(key, 0) - coeff * c
             if val:
                 pp[key] = val
             else:
                 pp.pop(key, None)
-    shift_back = tuple(b - a for a, b in zip(dp, dq))
-    terms: Dict[Exponent, int] = {}
-    for e, c in quotient.items():
-        if c.denominator != 1:
-            raise LaurentError("quotient has non-integer coefficients")
-        if c:
-            terms[tuple(a + b for a, b in zip(e, shift_back))] = int(c)
-    return LaurentPoly(p.nvars, terms)
+    shift_back = tuple(map(sub, dq, dp))
+    return LaurentPoly(p.nvars, {tuple(map(add, e, shift_back)): c for e, c in quotient.items()})
 
 
 def _monomial_str(exponent: Sequence[int], var: str = "x") -> str:

@@ -1,8 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
+from clustertube import cluster
 from clustertube.cli import run
+from clustertube.cluster import ClusterError
+from clustertube.laurent import LaurentError
+from clustertube.tube import ConsistencyError
 from clustertube.verify import SuiteReport
 
 
@@ -55,6 +60,21 @@ def test_atlas_rank_two(capsys):
     assert code == 0
     assert "seeds: 6" in out
     assert "cluster variables: 6" in out
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["atlas", "--n", "4", "--format", "json"],
+         "454036e8b776f0013ea6c82097c6f92823e435f16fb14c18858b08e1023ce95b"),
+        (["atlas", "--n", "3"],
+         "f870e33b6b36b84eafcf9b313c082cbb52b3ad8b5cac5d8e9b8d8385b7b7a46c"),
+    ],
+)
+def test_atlas_golden_output(capsys, argv, digest):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cc_table_json(capsys):
@@ -131,3 +151,28 @@ def test_out_file(tmp_path, capsys):
     code = run(["cc-table", "--n", "2", "--object", "(1,2),(1,1)", "--out", str(path)])
     assert code == 0
     assert path.read_text().strip()
+
+
+def test_seed_cap_exits_one(capsys):
+    assert run(["atlas", "--n", "2", "--cap", "3"]) == 1
+    assert capsys.readouterr().err == "error: not finite type within cap\n"
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        # mutate_seed reports a failed division as a seed off the pattern
+        (LaurentError("not divisible"), "seed not on a cluster pattern"),
+        (ClusterError("broken exchange"), "broken exchange"),
+        (ConsistencyError("broken invariant"), "broken invariant"),
+    ],
+)
+def test_internal_errors_exit_one(capsys, monkeypatch, exc, message):
+    def failing_div(p, q):
+        raise exc
+
+    monkeypatch.setattr(cluster, "lp_div_exact", failing_div)
+    assert run(["atlas", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

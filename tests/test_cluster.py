@@ -1,5 +1,6 @@
 import pytest
 
+from clustertube import cluster
 from clustertube.cluster import (
     ClusterError,
     ExchangeMatrix,
@@ -13,9 +14,22 @@ from clustertube.cluster import (
     type_c_cartan,
 )
 from clustertube.laurent import LaurentPoly
-from clustertube.tube import enumerate_maximal_rigid
+from clustertube.tube import Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
 
+B_RANK_TWO = ExchangeMatrix([[0, 1], [-2, 0]])
 B_CYCLIC = ExchangeMatrix([[0, 1, -1], [-2, 0, 1], [2, -1, 0]])
+
+
+def stack_b_matrix(n):
+    """The exchange matrix of the stack object (1,n),(1,n-1),...,(1,1)."""
+    return b_matrix(MaximalRigid(Tube(n), tuple(Indec(1, b) for b in range(n, 0, -1))))
+
+
+ATLAS_MATRICES = {
+    "rank2": lambda: B_RANK_TWO,
+    "cyclic3": lambda: B_CYCLIC,
+    "stack4": lambda: stack_b_matrix(4),
+}
 
 
 def reference_mutation(b, k):
@@ -87,7 +101,7 @@ def test_seed_mutation_involutive():
 
 
 def test_atlas_rank_two_type_c():
-    atlas = enumerate_atlas(ExchangeMatrix([[0, 1], [-2, 0]]))
+    atlas = enumerate_atlas(B_RANK_TWO)
     assert len(atlas.variables) == 6
     assert len(atlas.seeds) == 6
 
@@ -126,8 +140,35 @@ def test_atlas_contains_type_c_vertex():
 
 
 def test_mutation_involutive_over_full_atlas():
-    atlas = enumerate_atlas(ExchangeMatrix([[0, 1], [-2, 0]]))
-    for seed in atlas.seeds:
-        for k in (1, 2):
-            assert mutate_seed(mutate_seed(seed, k), k) == seed
-            assert mutate_matrix(mutate_matrix(seed.matrix, k), k) == seed.matrix
+    for make in ATLAS_MATRICES.values():
+        B = make()
+        atlas = enumerate_atlas(B)
+        for seed in atlas.seeds:
+            for k in range(1, B.n + 1):
+                assert mutate_seed(mutate_seed(seed, k), k) == seed
+                assert mutate_matrix(mutate_matrix(seed.matrix, k), k) == seed.matrix
+
+
+@pytest.mark.parametrize("name", sorted(ATLAS_MATRICES))
+def test_atlas_computes_each_exchange_once(name, monkeypatch):
+    B = ATLAS_MATRICES[name]()
+    computed = []
+
+    def counting_mutate_seed(seed, k):
+        computed.append(k)
+        return mutate_seed(seed, k)
+
+    monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
+    atlas = enumerate_atlas(B)
+    seeds, n = atlas.seeds, B.n
+    assert len(atlas.edges) == n * len(seeds)
+    assert 2 * len(computed) == n * len(seeds)
+    # every edge, recomputed independently in both directions
+    edges = set(atlas.edges)
+    assert len(edges) == len(atlas.edges)
+    for i, k, j in atlas.edges:
+        assert mutate_seed(seeds[i], k) == seeds[j]
+        new_var = next(p for p in seeds[j].cluster if p not in seeds[i].cluster)
+        k_back = seeds[j].cluster.index(new_var) + 1
+        assert mutate_seed(seeds[j], k_back) == seeds[i]
+        assert (j, k_back, i) in edges

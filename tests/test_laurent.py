@@ -56,6 +56,33 @@ def test_exact_division_failure():
         lp_div_exact(mono((2, 0)) + mono((0, 2)), p)
 
 
+def test_exact_division_non_integral_quotient():
+    x1, x2 = mono((1, 0)), mono((0, 1))
+    with pytest.raises(LaurentError):
+        lp_div_exact(x1 + x2, mono((1, 0), 2) + mono((0, 1), 2))
+    with pytest.raises(LaurentError):
+        lp_div_exact(x1 + x2, mono((1, 0), -2) + x2)
+
+
+def test_exact_division_negative_leading_coefficient():
+    # the lex-leading term of q is -2*x1
+    q = mono((1, 0), -2) + mono((0, 1), 3)
+    p = mono((2, 0), 5) - mono((0, 1)) + mono((0, 0), 7)
+    assert lp_div_exact(p * q, q) == p
+    assert lp_div_exact(q * q, q) == q
+    assert lp_div_exact(-q, q) == -LaurentPoly.one(2)
+
+
+def test_exact_division_negative_exponents():
+    q = mono((-1, 1)) - mono((0, -2), 3)
+    p = mono((2, -1)) + mono((-3, 0), 4)
+    assert lp_div_exact(p * q, q) == p
+    assert lp_div_exact(p * q, p) == q
+    assert lp_div_exact(q, mono((-1, 1))) == LaurentPoly.one(2) - mono((1, -3), 3)
+    with pytest.raises(LaurentError):
+        lp_div_exact(p * q + mono((0, -5)), q)
+
+
 def test_canonical_text_and_json_roundtrip():
     p = mono((1, 0, -2)) - mono((0, 1, 0), 2)
     assert p.canonical_text() == "-2*x^(0,1,0)+1*x^(1,0,-2)"
@@ -85,3 +112,20 @@ def test_denominator_shift_rule(p, alpha):
     shifted = lp_denominator_vector(p.shift(alpha))
     base = lp_denominator_vector(p)
     assert shifted == tuple(b - a for b, a in zip(base, alpha))
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_exact_division_inverts_multiplication(p, q):
+    if q.is_zero():
+        return
+    assert lp_div_exact(p * q, q) == p
+
+
+@given(polys, polys)
+@settings(max_examples=60, deadline=None)
+def test_canonical_text_is_kept_and_matches_a_fresh_build(p, q):
+    for r in (p, q, p * q, p + q, p ** 2):
+        text = r.canonical_text()
+        assert r.canonical_text() is text
+        assert text == LaurentPoly(r.nvars, r.terms).canonical_text()
