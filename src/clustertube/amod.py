@@ -17,10 +17,11 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     coords_in_span,
+    intertwiner_basis,
     kernel_basis,
     rank as mat_rank,
 )
-from .endo import FinDimAlgebra
+from .endo import FinDimAlgebra, b_matrix_from_form
 from .tube import (
     CHom,
     ConsistencyError,
@@ -97,26 +98,8 @@ class AModule:
     def is_zero(self) -> bool:
         return self.total_dim == 0
 
-    def dim_vector(self) -> tuple:
-        return self.dims
-
     def same_data(self, other: "AModule") -> bool:
         return self.dims == other.dims and self.mats == other.mats
-
-    def to_json(self) -> dict:
-        out = {
-            "dims": list(self.dims),
-            "arrows": [
-                {
-                    "arrow": f"{a.src}->{a.tgt}",
-                    "matrix": [[str(x) for x in row] for row in self.mats[a.idx].rows],
-                }
-                for a in self.algebra.arrows
-            ],
-        }
-        if self.provenance is not None:
-            out["object"] = [[x.a, x.b] for x in self.provenance]
-        return out
 
 
 class ModMap:
@@ -385,53 +368,9 @@ def injective(algebra: FinDimAlgebra, i: int) -> AModule:
 
 
 def hom_A_basis(m: AModule, n_mod: AModule) -> List[ModMap]:
-    alg = m.algebra
-    shapes = [(n_mod.dims[v], m.dims[v]) for v in range(alg.n)]
-    offsets = []
-    total = 0
-    for r, c in shapes:
-        offsets.append(total)
-        total += r * c
-    if total == 0:
-        return []
-
-    def entry(v, i, j):
-        return offsets[v] + i * shapes[v][1] + j
-
-    rows = []
-    for a in alg.arrows:
-        i, j = a.src - 1, a.tgt - 1
-        am, an = m.mats[a.idx], n_mod.mats[a.idx]
-        # phi_i o am = an o phi_j, both maps M_j -> N_i
-        for r in range(n_mod.dims[i]):
-            for c in range(m.dims[j]):
-                row = [Fraction(0)] * total
-                for k in range(m.dims[i]):
-                    if am.rows[k][c]:
-                        row[entry(i, r, k)] += am.rows[k][c]
-                for k in range(n_mod.dims[j]):
-                    if an.rows[r][k]:
-                        row[entry(j, k, c)] -= an.rows[r][k]
-                if any(row):
-                    rows.append(row)
-    if rows:
-        kernel = kernel_basis(ExactMatrix(rows, ncols=total))
-    else:
-        kernel = [
-            tuple(Fraction(int(i == k)) for i in range(total)) for k in range(total)
-        ]
-    out = []
-    for vec in kernel:
-        mats = []
-        for (r, c), off in zip(shapes, offsets):
-            mats.append(
-                ExactMatrix(
-                    [list(vec[off + ri * c : off + (ri + 1) * c]) for ri in range(r)],
-                    ncols=c,
-                )
-            )
-        out.append(ModMap(m, n_mod, mats))
-    return out
+    # phi_i o M(alpha) = N(alpha) o phi_j for every arrow alpha: i -> j
+    arrows = [(a.tgt - 1, a.src - 1, m.mats[a.idx], n_mod.mats[a.idx]) for a in m.algebra.arrows]
+    return [ModMap(m, n_mod, mats) for mats in intertwiner_basis(m.dims, n_mod.dims, arrows)]
 
 
 def hom_A_dim(m: AModule, n_mod: AModule) -> int:
@@ -686,14 +625,7 @@ def b_matrix_from_euler_form(algebra: FinDimAlgebra) -> Tuple[Tuple[int, ...], .
     n = algebra.n
     simples = [simple(algebra, i + 1) for i in range(n)]
     leq1 = [[euler_leq1(simples[i], simples[j]) for j in range(n)] for i in range(n)]
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            anti = leq1[i][j] - leq1[j][i]
-            b[i][j] = 2 * anti if j == 0 else anti
-    return tuple(tuple(row) for row in b)
+    return b_matrix_from_form(n, lambda i, j: leq1[i][j])
 
 
 # -- injective copresentation and index/coindex ---------------------------------

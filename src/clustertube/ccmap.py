@@ -118,9 +118,6 @@ class CCMap:
         self._cache[key] = result
         return result
 
-    def cc_poly(self, x) -> LaurentPoly:
-        return self.cc(x).poly
-
     # -- verification reports ----------------------------------------------------
 
     def verify_bijection(self, cap: int = 10000) -> dict:

@@ -21,6 +21,7 @@ from .cluster import ClusterError, enumerate_atlas
 from .laurent import LaurentError, pretty
 from .tube import ConsistencyError, Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
 from .ccmap import CCMap
+from .grassmann import OracleError
 from .verify import run_suite
 
 
@@ -273,8 +274,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--cap must be positive")
     try:
         return COMMANDS[config.command](config)
-    except (ClusterError, LaurentError, ConsistencyError) as exc:
-        # an input outside finite type, or an internal fault: not a usage error
+    except (ClusterError, LaurentError, ConsistencyError, OracleError) as exc:
+        # an input outside finite type, an internal fault or an oracle that
+        # could not decide: not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

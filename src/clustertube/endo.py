@@ -10,10 +10,9 @@ three-cycles), are validated rather than assumed.
 from __future__ import annotations
 
 import hashlib
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import span_rank
+from .linalg import independent_units, span_rank
 from .tube import (
     CHom,
     ConsistencyError,
@@ -125,13 +124,6 @@ class FinDimAlgebra:
                 coords = chom_coords(self.tube, prod)
                 self.mult[(u, v)] = coords
 
-    def block_coords(self, i: int, j: int, f: CHom) -> tuple:
-        return chom_coords(self.tube, f)
-
-    def product_coords(self, u: int, v: int) -> Optional[tuple]:
-        """Coordinates of basis[u] o basis[v] in the (src_v -> tgt_u) block."""
-        return self.mult.get((u, v))
-
     def verify_associativity(self):
         """(f o g) o h = f o (g o h) on all composable basis triples."""
         for u, (i, j, f) in enumerate(self.basis):
@@ -179,26 +171,12 @@ class FinDimAlgebra:
     def _choose_arrows(self):
         """Lift a basis of rad/rad^2: one arrow per new class, preferring
         tube-stratum basis vectors (they come first in the block order)."""
-        idx = 0
         for i in range(self.n):
             for j in range(self.n):
-                rad = self.radical_indices(i, j)
-                if not rad:
-                    continue
                 off = self.block_offset[(i, j)]
-                span = [list(v) for v in self._rad_square_span(i, j)]
-                current = span_rank(span)
-                for u in rad:
-                    unit = [Fraction(0)] * self.block_dim[(i, j)]
-                    unit[u - off] = Fraction(1)
-                    new_rank = span_rank(span + [unit])
-                    if new_rank > current:
-                        span.append(unit)
-                        current = new_rank
-                        self.arrows.append(
-                            Arrow(idx, i + 1, j + 1, self.basis[u][2])
-                        )
-                        idx += 1
+                local = [u - off for u in self.radical_indices(i, j)]
+                for k in independent_units(self._rad_square_span(i, j), local, self.block_dim[(i, j)]):
+                    self.arrows.append(Arrow(len(self.arrows), i + 1, j + 1, self.basis[off + k][2]))
 
     def quiver(self) -> Quiver:
         return Quiver(self.n, [(a.src, a.tgt) for a in self.arrows])
@@ -336,14 +314,18 @@ def b_matrix_from_quiver(algebra: FinDimAlgebra) -> Tuple[Tuple[int, ...], ...]:
     loop_vertices = {s for s, t in q.arrows if s == t}
     if loop_vertices != {1}:
         raise ConsistencyError(f"expected the unique loop at vertex 1, got {loop_vertices}")
-    n = algebra.n
+    return b_matrix_from_form(algebra.n, lambda i, j: q.arrow_count(i + 1, j + 1))
+
+
+def b_matrix_from_form(n: int, form) -> Tuple[Tuple[int, ...], ...]:
+    """The matrix form(i, j) - form(j, i) off the diagonal (0-based vertices),
+    with the column of the loop vertex 0 doubled."""
     b = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            diff = q.arrow_count(i, j) - q.arrow_count(j, i)
-            b[i - 1][j - 1] = 2 * diff if j == 1 else diff
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                anti = form(i, j) - form(j, i)
+                b[i][j] = 2 * anti if j == 0 else anti
     return tuple(tuple(row) for row in b)
 
 

@@ -7,7 +7,7 @@ is integer or rational valued, so all matrix arithmetic here is done with
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 Vector = tuple  # tuple of Fraction
 
@@ -72,9 +72,6 @@ class ExactMatrix:
             [[_dot(r, c) for c in ot] for r in self.rows], ncols=other.ncols
         )
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self.mul(other)
-
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix sum")
@@ -97,14 +94,6 @@ class ExactMatrix:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(_dot(r, v) for r in self.rows)
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row count mismatch")
-        return ExactMatrix(
-            [r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols + other.ncols,
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.rows for x in r)
@@ -221,6 +210,93 @@ def span_rank(vectors: Iterable[Sequence]) -> int:
     if not vecs:
         return 0
     return rank(ExactMatrix(vecs))
+
+
+def independent_units(span: Iterable[Sequence], positions: Iterable[int], dim: int) -> List[int]:
+    """Greedy lift of a basis modulo a span.
+
+    Returns the positions p, in the given order, whose unit vector e_p of
+    length ``dim`` is independent of ``span`` and of the units kept before
+    it.  Every vector is reduced once against an incremental echelon basis.
+    """
+    echelon = []  # (pivot, row): 1 at the pivot, 0 at every earlier pivot
+
+    def insert(v) -> bool:
+        if len(v) != dim:
+            raise ValueError("vector length mismatch")
+        v = list(v)
+        for pc, row in echelon:
+            f = v[pc]
+            if f:
+                v = [x - f * y for x, y in zip(v, row)]
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        inv = 1 / Fraction(v[pc])
+        echelon.append((pc, [x * inv for x in v]))
+        return True
+
+    for v in span:
+        insert(v)
+    chosen = []
+    for p in positions:
+        unit = [0] * dim
+        unit[p] = 1
+        if insert(unit):
+            chosen.append(p)
+    return chosen
+
+
+def flatten_blocks(blocks: Iterable[ExactMatrix]) -> Vector:
+    """The entries of a sequence of matrices, block by block, row by row."""
+    return tuple(x for b in blocks for row in b.rows for x in row)
+
+
+def unflatten_blocks(flat: Sequence, shapes: Iterable[Tuple[int, int]]) -> tuple:
+    """Inverse of :func:`flatten_blocks` for blocks of the given (rows, cols)."""
+    blocks = []
+    pos = 0
+    for r, c in shapes:
+        blocks.append(ExactMatrix([flat[pos + i * c : pos + (i + 1) * c] for i in range(r)], ncols=c))
+        pos += r * c
+    return tuple(blocks)
+
+
+def intertwiner_basis(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) -> list:
+    """Basis of the families of maps phi_v: k^src_dims[v] -> k^tgt_dims[v]
+    with phi_t A = B phi_s for every arrow ``(s, t, A, B)``.
+
+    ``A`` maps the source space at s to the one at t, ``B`` does the same for
+    the target spaces.  Each basis element is a tuple of matrices, one per
+    vertex; the basis is the kernel basis of the stacked equations.
+    """
+    shapes = list(zip(tgt_dims, src_dims))
+    offsets = []
+    total = 0
+    for r, c in shapes:
+        offsets.append(total)
+        total += r * c
+    if total == 0:
+        return []
+    rows = []
+    for s, t, a, b in arrows:
+        # one equation per entry (r, c) of the two composites src_s -> tgt_t
+        for r in range(tgt_dims[t]):
+            for c in range(src_dims[s]):
+                row = [Fraction(0)] * total
+                for k in range(src_dims[t]):
+                    if a.rows[k][c]:
+                        row[offsets[t] + r * src_dims[t] + k] += a.rows[k][c]
+                for k in range(tgt_dims[s]):
+                    if b.rows[r][k]:
+                        row[offsets[s] + k * src_dims[s] + c] -= b.rows[r][k]
+                if any(row):
+                    rows.append(row)
+    if rows:
+        kernel = kernel_basis(ExactMatrix(rows, ncols=total))
+    else:
+        kernel = [tuple(Fraction(int(i == k)) for i in range(total)) for k in range(total)]
+    return [unflatten_blocks(vec, shapes) for vec in kernel]
 
 
 class QuotientSpace:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, rank as mat_rank
+from .linalg import ExactMatrix, flatten_blocks, rank as mat_rank, span_rank, unflatten_blocks
 from .endo import FinDimAlgebra
 from .tube import ConsistencyError
 from .amod import AModule, DomainError, ModMap, hom_A_basis
@@ -362,16 +362,6 @@ def _string_form_by_matching(m: AModule) -> StringBasis:
     raise NotStringModuleError("module matches no string module")
 
 
-def module_dump(m: AModule) -> dict:
-    """Serializable module data: dimensions, matrices, provenance, word."""
-    payload = m.to_json()
-    try:
-        payload["word"] = string_normal_form(m).word.display(m.algebra)
-    except (NotStringModuleError, DomainError):
-        pass
-    return payload
-
-
 def ar_quiver(algebra: FinDimAlgebra):
     """The Auslander-Reiten quiver of the module category.
 
@@ -380,8 +370,6 @@ def ar_quiver(algebra: FinDimAlgebra):
     maps, the radical of Hom(X, Y) modulo the span of all two-step radical
     compositions through the other indecomposables.
     """
-    from .linalg import span_rank
-
     words = enumerate_strings(algebra)
     modules = [string_module(algebra, w) for w in words]
     radical_bases = {}
@@ -389,11 +377,11 @@ def ar_quiver(algebra: FinDimAlgebra):
         for j, y in enumerate(modules):
             basis = hom_A_basis(x, y)
             if i != j:
-                radical_bases[(i, j)] = [_flatten_maps(phi.mats) for phi in basis]
+                radical_bases[(i, j)] = [flatten_blocks(phi.mats) for phi in basis]
                 continue
             # local endomorphism ring: each map is a scalar plus a nilpotent,
             # and the scalar is the trace divided by the total dimension
-            ident = _flatten_maps([ExactMatrix.identity(d) for d in x.dims])
+            ident = flatten_blocks(ExactMatrix.identity(d) for d in x.dims)
             total = x.total_dim
             rad = []
             for phi in basis:
@@ -402,7 +390,7 @@ def ar_quiver(algebra: FinDimAlgebra):
                     for v in range(algebra.n)
                     for r in range(x.dims[v])
                 ) / total
-                adjusted = [a - c * b for a, b in zip(_flatten_maps(phi.mats), ident)]
+                adjusted = [a - c * b for a, b in zip(flatten_blocks(phi.mats), ident)]
                 if any(adjusted):
                     rad.append(adjusted)
             radical_bases[(i, j)] = rad
@@ -415,34 +403,15 @@ def ar_quiver(algebra: FinDimAlgebra):
             square = []
             for k in range(len(modules)):
                 for v1 in radical_bases[(i, k)]:
-                    m1 = _unflatten_maps(modules[i], modules[k], v1)
+                    m1 = unflatten_blocks(v1, zip(modules[k].dims, modules[i].dims))
                     for v2 in radical_bases[(k, j)]:
-                        m2 = _unflatten_maps(modules[k], modules[j], v2)
+                        m2 = unflatten_blocks(v2, zip(modules[j].dims, modules[k].dims))
                         comp = [b.mul(a) for a, b in zip(m1, m2)]
-                        square.append(_flatten_maps(comp))
+                        square.append(flatten_blocks(comp))
             count = span_rank(rad + square) - span_rank(square)
             if count:
                 edges.append((i, j, count))
     return words, modules, edges
-
-
-def _flatten_maps(mats) -> list:
-    out = []
-    for m in mats:
-        for row in m.rows:
-            out.extend(row)
-    return out
-
-
-def _unflatten_maps(src: AModule, tgt: AModule, flat: list):
-    mats = []
-    pos = 0
-    for v in range(src.algebra.n):
-        r, c = tgt.dims[v], src.dims[v]
-        rows = [flat[pos + i * c : pos + (i + 1) * c] for i in range(r)]
-        pos += r * c
-        mats.append(ExactMatrix(rows, ncols=c))
-    return mats
 
 
 def ar_quiver_json(algebra: FinDimAlgebra) -> dict:

@@ -25,8 +25,11 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     coords_in_span,
-    kernel_basis,
-    span_rank,
+    flatten_blocks,
+    independent_units,
+    intertwiner_basis,
+    kernel_basis,  # unused here; perfbench/selftest.py traces a call through this module copy
+    unflatten_blocks,
 )
 
 
@@ -51,21 +54,6 @@ class Indec(NamedTuple):
 VertexMaps = Tuple[ExactMatrix, ...]  # one matrix per vertex, phi_v: X_v -> Y_v
 
 
-class NilRep:
-    """A nilpotent cyclic-quiver representation: dimensions and arrow maps."""
-
-    __slots__ = ("dims", "maps")
-
-    def __init__(self, dims: Sequence[int], maps: Sequence[ExactMatrix]):
-        self.dims = tuple(dims)
-        self.maps = tuple(maps)
-        p = len(self.dims)
-        for v in range(p):
-            m = self.maps[v]
-            if (m.nrows, m.ncols) != (self.dims[(v - 1) % p], self.dims[v]):
-                raise TubeError("arrow map shape mismatch")
-
-
 class ExtSpace:
     """Ext^1 between two tube objects via the standard two-term complex.
 
@@ -74,7 +62,7 @@ class ExtSpace:
     the canonical representatives supplied by :class:`QuotientSpace`.
     """
 
-    __slots__ = ("tube", "src", "tgt", "block_shapes", "offsets", "total", "quotient")
+    __slots__ = ("tube", "src", "tgt", "block_shapes", "total", "quotient")
 
     def __init__(self, tube: "Tube", src: Indec, tgt: Indec):
         self.tube = tube
@@ -83,65 +71,46 @@ class ExtSpace:
         p = tube.p
         xd = tube.indec_dims(src)
         yd = tube.indec_dims(tgt)
-        shapes = []
+        self.block_shapes = tuple((yd[(v - 1) % p], xd[v]) for v in range(p))
         offsets = []
         total = 0
-        for v in range(p):
-            shape = (yd[(v - 1) % p], xd[v])
-            shapes.append(shape)
+        for r, c in self.block_shapes:
             offsets.append(total)
-            total += shape[0] * shape[1]
-        self.block_shapes = tuple(shapes)
-        self.offsets = tuple(offsets)
+            total += r * c
         self.total = total
+        # The differential sends the unit E_rc of Hom(X_v, Y_v) to E_rc X_{v+1}
+        # in block v+1 (row r is row c of the arrow X_{v+1} -> X_v) and to
+        # -Y_v E_rc in block v (column c is minus column r of Y_v -> Y_{v-1}).
         spanning = []
-        xarr = [tube.arrow_matrix(src, v) for v in range(p)]
-        yarr = [tube.arrow_matrix(tgt, v) for v in range(p)]
         for v in range(p):
+            w = (v + 1) % p
+            xarr = tube.arrow_matrix(src, w).rows
+            yarr = tube.arrow_matrix(tgt, v).rows
             for r in range(yd[v]):
                 for c in range(xd[v]):
-                    unit = ExactMatrix(
-                        [
-                            [Fraction(int(i == r and j == c)) for j in range(xd[v])]
-                            for i in range(yd[v])
-                        ],
-                        ncols=xd[v],
-                    )
-                    image = [ExactMatrix.zero(*self.block_shapes[w]) for w in range(p)]
-                    w = (v + 1) % p
-                    image[w] = image[w].add(unit.mul(xarr[w]))
-                    image[v] = image[v].add(yarr[v].mul(unit).neg())
-                    spanning.append(self.flatten(tuple(image)))
+                    vec = [Fraction(0)] * total
+                    start = offsets[w] + r * xd[w]
+                    vec[start : start + xd[w]] = xarr[c]
+                    for i, row in enumerate(yarr):
+                        vec[offsets[v] + i * xd[v] + c] = -row[r]
+                    spanning.append(vec)
         self.quotient = QuotientSpace(total, spanning)
 
     @property
     def dim(self) -> int:
         return self.quotient.dim
 
-    def zero_blocks(self) -> Tuple[ExactMatrix, ...]:
-        return tuple(ExactMatrix.zero(*s) for s in self.block_shapes)
-
     def flatten(self, blocks: Sequence[ExactMatrix]) -> tuple:
-        flat: List[Fraction] = []
-        for b in blocks:
-            for row in b.rows:
-                flat.extend(row)
+        flat = flatten_blocks(blocks)
         if len(flat) != self.total:
             raise TubeError("block flattening mismatch")
-        return tuple(flat)
-
-    def unflatten(self, flat: Sequence) -> Tuple[ExactMatrix, ...]:
-        blocks = []
-        for (r, c), off in zip(self.block_shapes, self.offsets):
-            rows = [list(flat[off + i * c : off + (i + 1) * c]) for i in range(r)]
-            blocks.append(ExactMatrix(rows, ncols=c))
-        return tuple(blocks)
+        return flat
 
     def project(self, flat: Sequence) -> tuple:
         return self.quotient.project(flat)
 
     def lift(self, coords: Sequence) -> Tuple[ExactMatrix, ...]:
-        return self.unflatten(self.quotient.lift(coords))
+        return unflatten_blocks(self.quotient.lift(coords), self.block_shapes)
 
 
 class Tube:
@@ -173,10 +142,6 @@ class Tube:
     def tau(self, x: Indec, k: int = 1) -> Indec:
         return self.indec(x.a - k, x.b)
 
-    def sigma(self, x: Indec) -> Indec:
-        """Suspension; agrees with the translation on the cluster tube."""
-        return self.tau(x)
-
     def indec_dims(self, x: Indec) -> tuple:
         cached = self._dims_cache.get(x)
         if cached is None:
@@ -201,9 +166,6 @@ class Tube:
         ]
         return ExactMatrix(rows, ncols=len(src))
 
-    def nilrep(self, x: Indec) -> NilRep:
-        return NilRep(self.indec_dims(x), [self.arrow_matrix(x, v) for v in range(self.p)])
-
     def wing(self, top: Indec) -> List[Indec]:
         """All indecomposables in the triangle below ``top`` in the AR quiver."""
         out = []
@@ -217,59 +179,15 @@ class Tube:
     def hom_basis(self, x: Indec, y: Indec) -> List[VertexMaps]:
         key = (x, y)
         cached = self._hom_cache.get(key)
-        if cached is not None:
-            return cached
-        p = self.p
-        xd = self.indec_dims(x)
-        yd = self.indec_dims(y)
-        shapes = [(yd[v], xd[v]) for v in range(p)]
-        offsets = []
-        total = 0
-        for r, c in shapes:
-            offsets.append(total)
-            total += r * c
-        if total == 0:
-            self._hom_cache[key] = []
-            return []
-        xarr = [self.arrow_matrix(x, v) for v in range(p)]
-        yarr = [self.arrow_matrix(y, v) for v in range(p)]
-
-        def entry_index(v, i, j):
-            return offsets[v] + i * shapes[v][1] + j
-
-        rows = []
-        for v in range(p):
-            w = (v - 1) % p
-            # phi_w X_v = Y_v phi_v, one equation per (i, j)
-            for i in range(yd[w]):
-                for j in range(xd[v]):
-                    row = [Fraction(0)] * total
-                    for k in range(xd[w]):
-                        coeff = xarr[v].rows[k][j]
-                        if coeff:
-                            row[entry_index(w, i, k)] += coeff
-                    for k in range(yd[v]):
-                        coeff = yarr[v].rows[i][k]
-                        if coeff:
-                            row[entry_index(v, k, j)] -= coeff
-                    if any(row):
-                        rows.append(row)
-        if rows:
-            kernel = kernel_basis(ExactMatrix(rows, ncols=total))
-        else:
-            kernel = [
-                tuple(Fraction(int(i == k)) for i in range(total)) for k in range(total)
+        if cached is None:
+            # phi_{v-1} X_v = Y_v phi_v along every arrow v -> v - 1
+            arrows = [
+                (v, (v - 1) % self.p, self.arrow_matrix(x, v), self.arrow_matrix(y, v))
+                for v in range(self.p)
             ]
-        basis = []
-        for vec in kernel:
-            blocks = []
-            for (r, c), off in zip(shapes, offsets):
-                blocks.append(
-                    ExactMatrix([list(vec[off + i * c : off + (i + 1) * c]) for i in range(r)], ncols=c)
-                )
-            basis.append(tuple(blocks))
-        self._hom_cache[key] = basis
-        return basis
+            cached = intertwiner_basis(self.indec_dims(x), self.indec_dims(y), arrows)
+            self._hom_cache[key] = cached
+        return cached
 
     def hom_tube_dim(self, x: Indec, y: Indec) -> int:
         return len(self.hom_basis(x, y))
@@ -301,11 +219,6 @@ class Tube:
 
     # -- vertex-map utilities ----------------------------------------------
 
-    def zero_vmaps(self, x: Indec, y: Indec) -> VertexMaps:
-        xd = self.indec_dims(x)
-        yd = self.indec_dims(y)
-        return tuple(ExactMatrix.zero(yd[v], xd[v]) for v in range(self.p))
-
     def identity_vmaps(self, x: Indec) -> VertexMaps:
         return tuple(ExactMatrix.identity(d) for d in self.indec_dims(x))
 
@@ -326,48 +239,19 @@ class Tube:
     def vmaps_is_zero(self, f: VertexMaps) -> bool:
         return all(m.is_zero() for m in f)
 
-    def flatten_vmaps(self, f: VertexMaps) -> tuple:
-        flat: List[Fraction] = []
-        for m in f:
-            for row in m.rows:
-                flat.extend(row)
-        return tuple(flat)
-
     def hom_coords(self, x: Indec, y: Indec, f: VertexMaps) -> tuple:
         """Coordinates of a tube morphism in the cached basis of Hom(x, y)."""
         basis = self.hom_basis(x, y)
-        flat = self.flatten_vmaps(f)
+        flat = flatten_blocks(f)
         if not basis:
             if any(flat):
                 raise ConsistencyError("nonzero intertwiner outside the morphism space")
             return ()
-        cols = [self.flatten_vmaps(b) for b in basis]
+        cols = [flatten_blocks(b) for b in basis]
         coords = coords_in_span(cols, flat)
         if coords is None:
             raise ConsistencyError("intertwiner does not lie in the morphism space")
         return coords
-
-    # -- extension-class push/pull -------------------------------------------
-
-    def pull_class(self, x_new: Indec, x_old: Indec, y: Indec, coords, f: VertexMaps):
-        """Precompose a shift-stratum class (x_old -> y) with f: x_new -> x_old."""
-        space_old = self.dmor_space(x_old, y)
-        space_new = self.dmor_space(x_new, y)
-        blocks = space_old.lift(coords)
-        new_blocks = tuple(psi.mul(f[v]) for v, psi in enumerate(blocks))
-        return space_new.project(space_new.flatten(new_blocks))
-
-    def push_class(self, x: Indec, y_old: Indec, y_new: Indec, coords, g: VertexMaps):
-        """Postcompose a shift-stratum class (x -> y_old) with g: y_old -> y_new."""
-        space_old = self.dmor_space(x, y_old)
-        space_new = self.dmor_space(x, y_new)
-        blocks = space_old.lift(coords)
-        shifted = self.tau_vmaps(g, -1)  # map between the inverse translates
-        p = self.p
-        new_blocks = tuple(
-            shifted[(v - 1) % p].mul(blocks[v]) for v in range(p)
-        )
-        return space_new.project(space_new.flatten(new_blocks))
 
 
 class CHom:
@@ -479,12 +363,6 @@ class CHom:
                 d_acc[(i, k)] = coords
         t_clean = {k: vm for k, vm in t_acc.items() if not tube.vmaps_is_zero(vm)}
         return CHom(tube, other.src, self.tgt, t=t_clean, d=d_acc)
-
-    def t_part(self) -> "CHom":
-        return CHom(self.tube, self.src, self.tgt, t=dict(self.t))
-
-    def d_part(self) -> "CHom":
-        return CHom(self.tube, self.src, self.tgt, d=dict(self.d))
 
     def is_zero(self) -> bool:
         tube = self.tube
@@ -736,78 +614,41 @@ def _radical_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
     return [f for f in basis if not f.t]
 
 
-def minimal_right_approximation(tube: Tube, others: Sequence[Indec], z: Indec) -> ApproxResult:
-    """Minimal right approximation of z by sums of the given indecomposables.
+def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: str) -> ApproxResult:
+    """Minimal right (``side="right"``, sums of the others -> z) or left
+    (``side="left"``, z -> sums of the others) approximation of z.
 
-    The multiplicity of each summand equals the dimension of its slot in the
-    top of Hom(others, z) as a module over the endomorphism algebra of the
-    sum of the others; the component maps lift a basis of that top.
+    The multiplicity of each summand u equals the dimension of its slot in
+    the top of Hom(others, z), or of Hom(z, others), as a module over the
+    endomorphism algebra of the sum of the others; the component maps lift
+    a basis of that top modulo the compositions through radical maps.
     """
-    others = list(others)
+    if side not in ("right", "left"):
+        raise TubeError(f"unknown approximation side {side!r}")
+    right = side == "right"
+
+    def homs(u: Indec) -> List[CHom]:
+        return hom_c_basis(tube, u, z) if right else hom_c_basis(tube, z, u)
+
     middle: List[Indec] = []
     comps: List[CHom] = []
-    for i, u in enumerate(others):
-        basis = hom_c_basis(tube, u, z)
+    for u in others:
+        basis = homs(u)
         if not basis:
             continue
         radical_images = []
-        for j, w in enumerate(others):
-            target_basis = hom_c_basis(tube, w, z)
-            if not target_basis:
+        for w in others:
+            through = homs(w)
+            if not through:
                 continue
-            for r in _radical_basis(tube, u, w):
-                for h in target_basis:
-                    radical_images.append(chom_coords(tube, h.compose(r)))
-        dim = len(basis)
-        # deterministic greedy lift of a basis of Hom(u, z) modulo the
-        # radical part: keep the basis vectors whose classes are new
-        span = [list(v) for v in radical_images]
-        chosen: List[CHom] = []
-        current_rank = span_rank(span)
-        for idx in range(dim):
-            unit = [Fraction(int(t == idx)) for t in range(dim)]
-            new_rank = span_rank(span + [unit])
-            if new_rank > current_rank:
-                span.append(unit)
-                current_rank = new_rank
-                chosen.append(basis[idx])
-        for f in chosen:
+            for r in _radical_basis(tube, u, w) if right else _radical_basis(tube, w, u):
+                for h in through:
+                    radical_images.append(chom_coords(tube, h.compose(r) if right else r.compose(h)))
+        # deterministic greedy lift of a basis of Hom(u, z) or Hom(z, u)
+        # modulo the radical part: keep the basis vectors whose classes are new
+        for idx in independent_units(radical_images, range(len(basis)), len(basis)):
             middle.append(u)
-            comps.append(f)
-    return ApproxResult(tuple(middle), tuple(comps))
-
-
-def minimal_left_approximation(tube: Tube, z: Indec, others: Sequence[Indec]) -> ApproxResult:
-    """Minimal left approximation of z into sums of the given indecomposables."""
-    others = list(others)
-    middle: List[Indec] = []
-    comps: List[CHom] = []
-    for i, u in enumerate(others):
-        basis = hom_c_basis(tube, z, u)
-        if not basis:
-            continue
-        radical_images = []
-        for j, w in enumerate(others):
-            source_basis = hom_c_basis(tube, z, w)
-            if not source_basis:
-                continue
-            for r in _radical_basis(tube, w, u):
-                for h in source_basis:
-                    radical_images.append(chom_coords(tube, r.compose(h)))
-        dim = len(basis)
-        span = [list(v) for v in radical_images]
-        chosen: List[CHom] = []
-        current_rank = span_rank(span)
-        for idx in range(dim):
-            unit = [Fraction(int(t == idx)) for t in range(dim)]
-            new_rank = span_rank(span + [unit])
-            if new_rank > current_rank:
-                span.append(unit)
-                current_rank = new_rank
-                chosen.append(basis[idx])
-        for f in chosen:
-            middle.append(u)
-            comps.append(f)
+            comps.append(basis[idx])
     return ApproxResult(tuple(middle), tuple(comps))
 
 
@@ -838,8 +679,8 @@ def mutate_rigid(t: MaximalRigid, k: int) -> ExchangeData:
             f"expected exactly two completions of {others}, found {comps}"
         )
     new = next(c for c in comps if c != old)
-    right = minimal_right_approximation(tube, others, old)
-    left = minimal_left_approximation(tube, old, others)
+    right = minimal_approximation(tube, old, others, "right")
+    left = minimal_approximation(tube, old, others, "left")
     summands = list(t.summands)
     summands[k - 1] = new
     if new.b == tube.n:

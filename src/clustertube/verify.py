@@ -11,13 +11,15 @@ from __future__ import annotations
 from itertools import product
 from typing import List, Sequence, Tuple
 
-from .cluster import ExchangeMatrix, mutate_matrix
+from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
 from .tube import (
     CHom,
+    ConsistencyError,
     Indec,
     MaximalRigid,
     Tube,
+    TubeError,
     all_rigid_indecs,
     b_matrix,
     b_matrix_multiplicities,
@@ -45,6 +47,10 @@ from .grassmann import (
     verify_ar_recursion,
 )
 from .linalg import ExactMatrix
+
+# What a check reports as a failure line; any other exception is a bug in the
+# check itself and propagates.
+CHECK_ERRORS = (ConsistencyError, TubeError, ClusterError)
 
 
 def tau_orbit_representatives(tube: Tube) -> List[MaximalRigid]:
@@ -117,7 +123,7 @@ def check_b_matrix_compatibility(tube: Tube, ts: Sequence[MaximalRigid]) -> List
         algebra = build_endomorphism_algebra(t, check=False)
         try:
             b = b_matrix(t, cross_validate=True, algebra=algebra)
-        except Exception as exc:  # consistency failures carry the details
+        except CHECK_ERRORS as exc:  # failed checks carry the details
             failures.append(f"{t}: {exc}")
             continue
         for k in range(1, tube.n + 1):
@@ -137,7 +143,7 @@ def check_structure(tube: Tube, ts: Sequence[MaximalRigid],
         algebra = build_endomorphism_algebra(t, check=False)
         try:
             algebra.verify_relations()
-        except Exception as exc:
+        except CHECK_ERRORS as exc:
             failures.append(f"{t}: {exc}")
         q = gabriel_quiver(algebra)
         if len(q.loops()) != 1:
@@ -152,7 +158,7 @@ def check_structure(tube: Tube, ts: Sequence[MaximalRigid],
         if idx < associativity_for:
             try:
                 algebra.verify_associativity()
-            except Exception as exc:
+            except CHECK_ERRORS as exc:
                 failures.append(f"{t}: {exc}")
     return failures
 

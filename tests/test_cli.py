@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from clustertube import cluster
+from clustertube import cluster, verify
 from clustertube.cli import run
 from clustertube.cluster import ClusterError
+from clustertube.grassmann import OracleError
 from clustertube.laurent import LaurentError
 from clustertube.tube import ConsistencyError
 from clustertube.verify import SuiteReport
@@ -176,3 +177,12 @@ def test_internal_errors_exit_one(capsys, monkeypatch, exc, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_undecided_oracle_exits_one(capsys, monkeypatch):
+    def undecided(mod, e):
+        raise OracleError("oracle inconclusive")
+
+    monkeypatch.setattr(verify, "chi_lf_oracle_fq", undecided)
+    assert run(["verify", "--n", "2"]) == 1
+    assert capsys.readouterr().err == "error: oracle inconclusive\n"

@@ -102,34 +102,65 @@ def test_boundary_words_differ_by_loop_flip(linear_algebra, tube3):
         assert flip(w_over) == w_under.canonical()
 
 
-def test_sweep_rescales_non_unit_entries(cyclic_algebra):
-    # conjugating a basis vector scales the arrow entries; the sweep must
-    # still normalize the module and recover the same word
-    from fractions import Fraction
-
+def _conjugate_at_vertex_one(algebra, m, d, d_inv):
+    """The module m with its vertex-1 basis changed by d (d_inv its inverse)."""
     from clustertube.amod import AModule
-    from clustertube.linalg import ExactMatrix
 
-    m = apply_F(cyclic_algebra, Indec(1, 3))
-    d = ExactMatrix([[Fraction(5), 0], [0, 1]])
-    d_inv = ExactMatrix([[Fraction(1, 5), 0], [0, 1]])
     mats = []
-    for a in cyclic_algebra.arrows:
+    for a in algebra.arrows:
         mat = m.mats[a.idx]
         if a.src == 1:
             mat = d.mul(mat)
         if a.tgt == 1:
             mat = mat.mul(d_inv)
         mats.append(mat)
-    twisted = AModule(cyclic_algebra, m.dims, mats)
+    return AModule(algebra, m.dims, mats)
+
+
+def test_sweep_rescales_non_unit_entries(cyclic_algebra):
+    # conjugating a basis vector scales the arrow entries; the sweep must
+    # still normalize the module and recover the same word
+    from clustertube.linalg import ExactMatrix
+
+    m = apply_F(cyclic_algebra, Indec(1, 3))
+    d = ExactMatrix([[Fraction(5), 0], [0, 1]])
+    d_inv = ExactMatrix([[Fraction(1, 5), 0], [0, 1]])
+    twisted = _conjugate_at_vertex_one(cyclic_algebra, m, d, d_inv)
     sb = string_normal_form(twisted)
     assert sb.word == string_normal_form(m).word
     assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
 
 
-def test_matching_fallback_on_abstract_module(cyclic_algebra, tube3):
+def test_matching_fallback_on_abstract_module(cyclic_algebra, monkeypatch):
+    # a non-monomial change of basis at a two-dimensional vertex leaves a
+    # row with two nonzero entries, so the rescaling sweep cannot read the
+    # word and the normal form must come from isomorphism matching
+    from clustertube import strings
+    from clustertube.linalg import ExactMatrix
+
+    m = apply_F(cyclic_algebra, Indec(1, 3))
+    assert m.dims[0] == 2
+    d = ExactMatrix([[1, 1], [0, 1]])
+    d_inv = ExactMatrix([[1, -1], [0, 1]])
+    twisted = _conjugate_at_vertex_one(cyclic_algebra, m, d, d_inv)
+    calls = []
+    matching = strings._string_form_by_matching
+
+    def counted(module):
+        calls.append(module)
+        return matching(module)
+
+    monkeypatch.setattr(strings, "_string_form_by_matching", counted)
+    sb = string_normal_form(twisted)
+    assert calls == [twisted]
+    assert sb.word == string_normal_form(m).word
+    assert sb.iso.src is twisted
+    assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
+
+
+def test_normal_form_of_the_ar_translate(cyclic_algebra):
     # the AR translate comes back as a plain representation with no
-    # provenance; its normal form goes through isomorphism matching
+    # provenance; it still has a string normal form of its dimensions
     m = apply_F(cyclic_algebra, Indec(1, 2))
     t = tau_A(m)
     assert not t.is_zero()
