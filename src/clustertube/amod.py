@@ -10,7 +10,6 @@ loop vertex, and the index/coindex of tube objects.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -175,7 +174,7 @@ class ModMap:
             qs, qt = quotients[a.src - 1], quotients[a.tgt - 1]
             cols = []
             for c in range(qt.dim):
-                rep = qt.lift([Fraction(int(i == c)) for i in range(qt.dim)])
+                rep = qt.lift([int(i == c) for i in range(qt.dim)])
                 cols.append(qs.project(self.tgt.mats[a.idx].apply(rep)))
             mats.append(ExactMatrix.from_columns(cols, dims[a.src - 1]))
         cok = AModule(alg, dims, mats, check=False)
@@ -183,7 +182,7 @@ class ModMap:
         for v in range(alg.n):
             cols = [
                 quotients[v].project(
-                    [Fraction(int(i == j)) for i in range(self.tgt.dims[v])]
+                    [int(i == j) for i in range(self.tgt.dims[v])]
                 )
                 for j in range(self.tgt.dims[v])
             ]
@@ -211,7 +210,7 @@ def direct_sum(modules: Sequence[AModule]) -> AModule:
     dims = [sum(m.dims[v] for m in modules) for v in range(alg.n)]
     mats = []
     for a in alg.arrows:
-        rows: List[list] = [[Fraction(0)] * dims[a.tgt - 1] for _ in range(dims[a.src - 1])]
+        rows: List[list] = [[0] * dims[a.tgt - 1] for _ in range(dims[a.src - 1])]
         roff = 0
         coff = 0
         for m in modules:
@@ -296,7 +295,7 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
             target_summand = vtags[j][pos_j][0]
             coords = chom_coords(tube, comp)
             # scatter into the vertex-i coordinates: the block of this summand
-            col = [Fraction(0)] * dims[i]
+            col = [0] * dims[i]
             pos = 0
             for r, (ts, kind, li) in enumerate(vtags[i]):
                 if ts == target_summand:
@@ -331,7 +330,7 @@ def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
                 src_basis.append((s_idx, h))
         for s_idx, h in src_basis:
             # embed h as a morphism into the full sum, compose, then split
-            col = [Fraction(0)] * tgt.dims[i]
+            col = [0] * tgt.dims[i]
             for t_idx, y in enumerate(g.tgt):
                 block = g.block(s_idx, t_idx)
                 comp = block.compose(h)
@@ -405,7 +404,7 @@ def socle_basis(m: AModule) -> List[List[tuple]]:
         else:
             out.append(
                 [
-                    tuple(Fraction(int(i == k)) for i in range(m.dims[v]))
+                    tuple(int(i == k) for i in range(m.dims[v]))
                     for k in range(m.dims[v])
                 ]
             )
@@ -419,18 +418,12 @@ def act_element(m: AModule, src_vertex: int, tgt_vertex: int, coords, vec) -> tu
     the action is evaluated by writing the element as identity-plus-paths
     and composing the arrow matrices along each path.
     """
-    alg = m.algebra
     i, j = src_vertex, tgt_vertex  # 0-based
-    paths = alg.paths(i, j)
-    span = [list(c) for _, c in paths]
-    labels: List[Optional[tuple]] = [p for p, _ in paths]
-    if i == j:
-        span.append(list(alg.identity_coords(i)))
-        labels.append(None)
-    combo = coords_in_span(span, coords)
+    labels, solver = m.algebra.path_span(i, j)
+    combo = solver.coords(coords)
     if combo is None:
         raise ConsistencyError("element is not in the path span")
-    result = [Fraction(0)] * m.dims[i]
+    result = [0] * m.dims[i]
     for cf, label in zip(combo, labels):
         if not cf:
             continue
@@ -457,7 +450,7 @@ def projective_cover(m: AModule) -> CoverData:
     for v in range(alg.n):
         q = QuotientSpace(m.dims[v], rad[v])
         for c in q.nonpivots:
-            gens.append((v, tuple(Fraction(int(i == c)) for i in range(m.dims[v]))))
+            gens.append((v, tuple(int(i == c) for i in range(m.dims[v]))))
     summands = [projective(alg, v + 1) for v, _ in gens]
     p0 = direct_sum(summands) if summands else zero_module(alg)
     mats = []
@@ -468,7 +461,7 @@ def projective_cover(m: AModule) -> CoverData:
             dim_block = proj_mod.dims[u]
             for r in range(dim_block):
                 coords = tuple(
-                    Fraction(int(s == r)) for s in range(dim_block)
+                    int(s == r) for s in range(dim_block)
                 )
                 cols.append(act_element(m, u, v, coords, gen))
         mats.append(ExactMatrix.from_columns(cols, m.dims[u]))
@@ -513,7 +506,7 @@ def minimal_projective_presentation(m: AModule) -> PresentationData:
             # generator of the t-th block sits at vertex ut
             gen_offset = sum(pm.dims[u0] for pm in p1_mods[:t_idx])
             gen_local = alg.identity_coords(u0)
-            gen_vec = [Fraction(0)] * sum(pm.dims[u0] for pm in p1_mods)
+            gen_vec = [0] * sum(pm.dims[u0] for pm in p1_mods)
             for r, x in enumerate(gen_local):
                 gen_vec[gen_offset + r] = x
             img = psi.mats[u0].apply(gen_vec)
@@ -557,8 +550,8 @@ def tau_A(m: AModule) -> AModule:
         for t_idx, ut in enumerate(pres.p1_vertices):
             src_mod = i1_mods[t_idx]
             for r in range(src_mod.dims[u]):
-                col = [Fraction(0)] * col_offset_total
-                basis_vec = [Fraction(int(s == r)) for s in range(src_mod.dims[u])]
+                col = [0] * col_offset_total
+                basis_vec = [int(s == r) for s in range(src_mod.dims[u])]
                 for s_idx, vs in enumerate(pres.p0_vertices):
                     coords = pres.entries[s_idx][t_idx]
                     if not any(coords):
@@ -674,7 +667,7 @@ def injective_copresentation(m: AModule) -> Tuple[tuple, tuple]:
                     images = [phi.mats[w].apply(s2) for phi in hom_basis_v]
                     for coord in range(inj.dims[w]):
                         conditions.append([img[coord] for img in images])
-                        rhs.append(gen[coord] if hit else Fraction(0))
+                        rhs.append(gen[coord] if hit else 0)
             sol = coords_in_span([list(c) for c in zip(*conditions)], rhs) if conditions else None
             if sol is None:
                 raise ConsistencyError("socle embedding into injectives failed")

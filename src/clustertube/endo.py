@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import independent_units, span_rank
+from .linalg import SpanSolver, independent_units
 from .tube import (
     CHom,
     ConsistencyError,
@@ -104,6 +104,9 @@ class FinDimAlgebra:
         self._rad2_span: Dict[Tuple[int, int], list] = {}
         self._choose_arrows()
         self._paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
+        # per block: the path labels (None for the identity) and the solver
+        # for coordinates in their span
+        self._path_span: Dict[Tuple[int, int], Tuple[list, SpanSolver]] = {}
         self._build_paths()
         # Memo of the module layer (clustertube.amod), living as long as this
         # algebra: functor images Hom(T, X) by summand tuple of X, and the
@@ -260,19 +263,27 @@ class FinDimAlgebra:
         for i in range(self.n):
             for j in range(self.n):
                 dim = self.block_dim[(i, j)]
-                if dim == 0:
-                    continue
-                vecs = [list(c) for _, c in self._paths.get((i, j), [])]
+                labels = [p for p, _ in self._paths.get((i, j), [])]
+                vecs = [c for _, c in self._paths.get((i, j), [])]
                 if i == j:
-                    vecs.append(list(self._identity_coords[i]))
-                if span_rank(vecs) != dim:
+                    labels.append(None)
+                    vecs.append(self._identity_coords[i])
+                solver = SpanSolver(vecs, dim)
+                if solver.rank != dim:
                     raise ConsistencyError(
                         f"paths do not span Hom(T_{i+1}, T_{j+1})"
                     )
+                self._path_span[(i, j)] = (labels, solver)
 
     def paths(self, i: int, j: int) -> List[Tuple[tuple, tuple]]:
         """Spanning paths from vertex i to vertex j (0-based), with coordinates."""
         return self._paths.get((i, j), [])
+
+    def path_span(self, i: int, j: int) -> Tuple[list, SpanSolver]:
+        """The labels of the spanning paths from vertex i to vertex j
+        (0-based), then ``None`` for the identity when i == j, with the
+        solver for coordinates in their span."""
+        return self._path_span[(i, j)]
 
     def identity_coords(self, i: int) -> tuple:
         return self._identity_coords[i]

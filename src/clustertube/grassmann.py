@@ -9,11 +9,11 @@ routes must agree wherever both run.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import FinDimAlgebra
+from .linalg import exact_div
 from .tube import ConsistencyError
 from .amod import (
     AModule,
@@ -340,24 +340,25 @@ def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int
     return int(value)
 
 
-def _interpolate(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
-    """Coefficients (low degree first) of the polynomial through the points."""
-    coeffs = [Fraction(0)] * len(points)
+def _interpolate(points: Sequence[Tuple[int, int]]) -> list:
+    """Exact rational coefficients (low degree first) of the polynomial
+    through the points."""
+    coeffs = [0] * len(points)
     for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
+        basis = [1]
+        denom = 1
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
             # multiply basis by (x - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
+            new = [0] * (len(basis) + 1)
             for k, c in enumerate(basis):
                 new[k] -= c * xj
                 new[k + 1] += c
             basis = new
             denom *= xi - xj
         for k, c in enumerate(basis):
-            coeffs[k] += Fraction(yi) * c / denom
+            coeffs[k] += exact_div(yi * c, denom)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs

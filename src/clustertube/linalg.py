@@ -1,31 +1,60 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (Hom spaces, Ext cokernels, Euler characteristics)
-is integer or rational valued, so all matrix arithmetic here is done with
-``fractions.Fraction`` entries and no floating point is used anywhere.
+is integer or rational valued, and no floating point is used anywhere.
+
+Entry contract: an exact rational is stored as a plain ``int`` when it is
+integral and as a ``fractions.Fraction`` only when it is not (denominator
+> 1).  ``_frac`` is the one place that normalises outside input: every
+public function here runs the numbers it is given through it (except
+``unflatten_blocks``, whose input comes from this module), and everything
+it returns is normalised.  ``exact_div`` is the one division in the package;
+it divides two ``int``s with ``divmod``, so a quotient is an ``int``
+exactly when it is integral.  Most matrices here are 0/±1 with pivots ±1,
+so their entries never leave ``int``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-Vector = tuple  # tuple of Fraction
+Vector = tuple  # tuple of normalised entries: int, or Fraction with denominator > 1
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x):
+    """One exact rational in normal form: an ``int`` when integral, else a
+    ``Fraction``."""
+    if type(x) is int:
+        return x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b):
+    """The quotient a / b of two exact rationals, in normal form.
+
+    The only division in the package: ``int`` by ``int`` goes through
+    ``divmod`` and stays an ``int`` when the division is exact.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _frac(Fraction(a) / Fraction(b))
 
 
 class ExactMatrix:
-    """A dense matrix with exact rational entries.
+    """A dense matrix with exact rational entries in normal form.
 
-    Instances are treated as immutable: no method mutates ``self``.
+    Instances are treated as immutable: no method mutates ``self``.  The
+    public constructor normalises every entry; operations on matrices build
+    their results through ``_trusted``, which does no per-entry work.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        rows = [tuple(_frac(x) for x in r) for r in rows]
+        rows = tuple(tuple(map(_frac, r)) for r in rows)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -34,58 +63,72 @@ class ExactMatrix:
             width = 0 if ncols is None else ncols
         if ncols is not None and rows and width != ncols:
             raise ValueError("ncols mismatch")
-        self.rows = tuple(rows)
+        self.rows = rows
         self.nrows = len(rows)
         self.ncols = width
 
     @classmethod
+    def _trusted(cls, rows: tuple, ncols: int) -> "ExactMatrix":
+        """A matrix over a tuple of equal-length row tuples whose entries are
+        already in normal form; nothing is checked or converted."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        row = (Fraction(0),) * ncols
-        return cls([row] * nrows, ncols=ncols)
+        return cls._trusted(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)])
+        return cls._trusted(_unit_rows(n), n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "ExactMatrix":
-        cols = [tuple(_frac(x) for x in c) for c in cols]
+        cols = [tuple(map(_frac, c)) for c in cols]
         for c in cols:
             if len(c) != nrows:
                 raise ValueError("column length mismatch")
-        return cls([[c[i] for c in cols] for i in range(nrows)], ncols=len(cols))
+        rows = tuple(zip(*cols)) if cols else ((),) * nrows
+        return cls._trusted(rows, len(cols))
 
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return ExactMatrix._trusted(rows, self.nrows)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().rows
-        return ExactMatrix(
-            [[_dot(r, c) for c in ot] for r in self.rows], ncols=other.ncols
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        return ExactMatrix._trusted(
+            tuple(tuple(_dot(r, c) for c in cols) for r in self.rows), other.ncols
         )
 
     def add(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in matrix sum")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
+        return ExactMatrix._trusted(
+            tuple(
+                tuple(_normal(a + b) for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.rows, other.rows)
-            ],
-            ncols=self.ncols,
+            ),
+            self.ncols,
         )
 
     def scale(self, c) -> "ExactMatrix":
         c = _frac(c)
-        return ExactMatrix([[c * x for x in r] for r in self.rows], ncols=self.ncols)
+        if c == 1:
+            return self
+        if c == -1:
+            rows = tuple(tuple(-x for x in r) for r in self.rows)
+        else:
+            rows = tuple(tuple(_normal(c * x) for x in r) for r in self.rows)
+        return ExactMatrix._trusted(rows, self.ncols)
 
     def neg(self) -> "ExactMatrix":
         return self.scale(-1)
@@ -96,7 +139,7 @@ class ExactMatrix:
         return tuple(_dot(r, v) for r in self.rows)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -114,12 +157,53 @@ class ExactMatrix:
         return f"ExactMatrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def _dot(u: Sequence, v: Sequence) -> Fraction:
-    s = Fraction(0)
+def _unit_rows(n: int) -> tuple:
+    """The rows of the n x n identity: the unit vectors of length n."""
+    zeros = (0,) * n
+    return tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n))
+
+
+def _normal(x):
+    """Normal form of a sum or product of normalised entries: only a
+    ``Fraction`` result can have become integral."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
+def _dot(u: Sequence, v: Sequence):
+    s = 0
     for a, b in zip(u, v):
         if a and b:
             s += a * b
-    return s
+    return s if type(s) is int else _frac(s)
+
+
+def _reduce(v: list, echelon: Sequence[Tuple[int, list]]) -> list:
+    """Clear the pivot of each echelon row from ``v``, in order and in place.
+
+    An echelon row is (pivot, nonzero entries as (column, value) pairs) with
+    1 at its pivot and 0 at the pivots of the rows before it, so clearing the
+    rows in order leaves ``v`` zero at every pivot.  Returns the multiple of
+    each row that was subtracted.
+    """
+    factors = []
+    for pc, entries in echelon:
+        f = v[pc]
+        factors.append(f)
+        if f:
+            for j, y in entries:
+                x = v[j] - f * y
+                v[j] = x if type(x) is int else _normal(x)
+    return factors
+
+
+def _echelon_row(v: list, pc: int) -> list:
+    """The nonzero entries of v divided by its entry at pc, as (column, value)."""
+    lead = v[pc]
+    if lead == 1:
+        return [(j, x) for j, x in enumerate(v) if x]
+    if lead == -1:
+        return [(j, -x) for j, x in enumerate(v) if x]
+    return [(j, exact_div(x, lead)) for j, x in enumerate(v) if x]
 
 
 class RrefResult(NamedTuple):
@@ -141,24 +225,25 @@ def rref(m: ExactMatrix) -> RrefResult:
     for pc in range(ncols):
         pivot_row = None
         for i in range(pr, nrows):
-            if rows[i][pc] != 0:
+            if rows[i][pc]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        lead = rows[pr][pc]
-        if lead != 1:
-            rows[pr] = [x / lead for x in rows[pr]]
+        echelon = [(pc, _echelon_row(rows[pr], pc))]
+        prow = rows[pr] = [0] * ncols
+        for j, y in echelon[0][1]:
+            prow[j] = y
         for i in range(nrows):
-            if i != pr and rows[i][pc] != 0:
-                f = rows[i][pc]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+            if i != pr and rows[i][pc]:
+                _reduce(rows[i], echelon)
         pivots.append(pc)
         pr += 1
         if pr == nrows:
             break
-    return RrefResult(ExactMatrix(rows, ncols=ncols), tuple(pivots), len(pivots))
+    red = ExactMatrix._trusted(tuple(map(tuple, rows)), ncols)
+    return RrefResult(red, tuple(pivots), len(pivots))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -176,8 +261,8 @@ def kernel_basis(m: ExactMatrix) -> list:
     free = [j for j in range(m.ncols) if j not in pivot_set]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * m.ncols
-        v[fc] = Fraction(1)
+        v = [0] * m.ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red.rows[r][fc]
         basis.append(tuple(v))
@@ -188,11 +273,13 @@ def solve(m: ExactMatrix, b: Sequence) -> Optional[Vector]:
     """One solution of M x = b, or None if inconsistent."""
     if len(b) != m.nrows:
         raise ValueError("rhs length mismatch")
-    aug = ExactMatrix([list(r) + [_frac(x)] for r, x in zip(m.rows, b)])
+    aug = ExactMatrix._trusted(
+        tuple(r + (_frac(x),) for r, x in zip(m.rows, b)), m.ncols + 1
+    )
     red, pivots, rk = rref(aug)
     if m.ncols in pivots:
         return None
-    x = [Fraction(0)] * m.ncols
+    x = [0] * m.ncols
     for r, pc in enumerate(pivots):
         x[pc] = red.rows[r][m.ncols]
     return tuple(x)
@@ -203,6 +290,70 @@ def coords_in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Ve
     n = len(target)
     mat = ExactMatrix.from_columns(list(vectors), n) if vectors else ExactMatrix.zero(n, 0)
     return solve(mat, target)
+
+
+class SpanSolver:
+    """Coordinates in a family of vectors, from one stored echelon form.
+
+    ``coords(target)`` equals ``coords_in_span(vectors, target)``: a vector
+    that depends on the ones before it gets coefficient 0, as a free column
+    does in :func:`solve`, and a target outside the span gives None.  Each
+    vector is reduced once, on ``insert``, and each echelon row keeps its
+    expression in the vectors; a target then costs one pass over the rows.
+    """
+
+    __slots__ = ("dim", "size", "echelon", "combos")
+
+    def __init__(self, vectors: Iterable[Sequence], dim: int):
+        self.dim = dim
+        self.size = 0
+        self.echelon: List[Tuple[int, list]] = []
+        self.combos: List[list] = []  # echelon row r = sum of c * vectors[k] over (k, c)
+        for vec in vectors:
+            self.insert(vec)
+
+    def insert(self, vec: Sequence) -> bool:
+        """Append a vector to the family; True when it is independent of
+        the vectors before it."""
+        v = self._vector(vec)
+        k = self.size
+        self.size += 1
+        factors = _reduce(v, self.echelon)
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is None:
+            return False
+        combo = {k: 1}
+        for f, entries in zip(factors, self.combos):
+            if f:
+                for j, y in entries:
+                    combo[j] = _normal(combo.get(j, 0) - f * y)
+        lead = v[pc]
+        self.echelon.append((pc, _echelon_row(v, pc)))
+        self.combos.append([(j, exact_div(c, lead)) for j, c in combo.items() if c])
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.echelon)
+
+    def _vector(self, vec: Sequence) -> list:
+        v = list(map(_frac, vec))
+        if len(v) != self.dim:
+            raise ValueError("vector length mismatch")
+        return v
+
+    def coords(self, target: Sequence) -> Optional[Vector]:
+        v = self._vector(target)
+        factors = _reduce(v, self.echelon)
+        if any(v):
+            return None
+        out = [0] * self.size
+        for f, entries in zip(factors, self.combos):
+            if f:
+                for j, y in entries:
+                    x = out[j] + f * y
+                    out[j] = x if type(x) is int else _normal(x)
+        return tuple(out)
 
 
 def span_rank(vectors: Iterable[Sequence]) -> int:
@@ -217,34 +368,11 @@ def independent_units(span: Iterable[Sequence], positions: Iterable[int], dim: i
 
     Returns the positions p, in the given order, whose unit vector e_p of
     length ``dim`` is independent of ``span`` and of the units kept before
-    it.  Every vector is reduced once against an incremental echelon basis.
+    it.  Every vector is reduced once, as it is appended to a
+    :class:`SpanSolver`.
     """
-    echelon = []  # (pivot, row): 1 at the pivot, 0 at every earlier pivot
-
-    def insert(v) -> bool:
-        if len(v) != dim:
-            raise ValueError("vector length mismatch")
-        v = list(v)
-        for pc, row in echelon:
-            f = v[pc]
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        inv = 1 / Fraction(v[pc])
-        echelon.append((pc, [x * inv for x in v]))
-        return True
-
-    for v in span:
-        insert(v)
-    chosen = []
-    for p in positions:
-        unit = [0] * dim
-        unit[p] = 1
-        if insert(unit):
-            chosen.append(p)
-    return chosen
+    family = SpanSolver(span, dim)
+    return [p for p in positions if family.insert([int(j == p) for j in range(dim)])]
 
 
 def flatten_blocks(blocks: Iterable[ExactMatrix]) -> Vector:
@@ -253,11 +381,17 @@ def flatten_blocks(blocks: Iterable[ExactMatrix]) -> Vector:
 
 
 def unflatten_blocks(flat: Sequence, shapes: Iterable[Tuple[int, int]]) -> tuple:
-    """Inverse of :func:`flatten_blocks` for blocks of the given (rows, cols)."""
+    """Inverse of :func:`flatten_blocks` for blocks of the given (rows, cols).
+
+    ``flat`` must already be in normal form, as the entries of a matrix or a
+    vector returned from this module are.
+    """
+    flat = tuple(flat)
     blocks = []
     pos = 0
     for r, c in shapes:
-        blocks.append(ExactMatrix([flat[pos + i * c : pos + (i + 1) * c] for i in range(r)], ncols=c))
+        rows = tuple(flat[pos + i * c : pos + (i + 1) * c] for i in range(r))
+        blocks.append(ExactMatrix._trusted(rows, c))
         pos += r * c
     return tuple(blocks)
 
@@ -283,19 +417,23 @@ def intertwiner_basis(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) 
         # one equation per entry (r, c) of the two composites src_s -> tgt_t
         for r in range(tgt_dims[t]):
             for c in range(src_dims[s]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k in range(src_dims[t]):
-                    if a.rows[k][c]:
-                        row[offsets[t] + r * src_dims[t] + k] += a.rows[k][c]
+                    x = a.rows[k][c]
+                    if x:
+                        j = offsets[t] + r * src_dims[t] + k
+                        row[j] = _normal(row[j] + x)
                 for k in range(tgt_dims[s]):
-                    if b.rows[r][k]:
-                        row[offsets[s] + k * src_dims[s] + c] -= b.rows[r][k]
+                    x = b.rows[r][k]
+                    if x:
+                        j = offsets[s] + k * src_dims[s] + c
+                        row[j] = _normal(row[j] - x)
                 if any(row):
-                    rows.append(row)
+                    rows.append(tuple(row))
     if rows:
-        kernel = kernel_basis(ExactMatrix(rows, ncols=total))
+        kernel = kernel_basis(ExactMatrix._trusted(tuple(rows), total))
     else:
-        kernel = [tuple(Fraction(int(i == k)) for i in range(total)) for k in range(total)]
+        kernel = _unit_rows(total)
     return [unflatten_blocks(vec, shapes) for vec in kernel]
 
 
@@ -312,13 +450,15 @@ class QuotientSpace:
 
     def __init__(self, ambient_dim: int, spanning: Sequence[Sequence]):
         self.ambient_dim = ambient_dim
-        spanning = [tuple(_frac(x) for x in v) for v in spanning]
+        spanning = tuple(tuple(map(_frac, v)) for v in spanning)
         for v in spanning:
             if len(v) != ambient_dim:
                 raise ValueError("vector length mismatch")
         if spanning:
-            red, pivots, _ = rref(ExactMatrix(spanning))
-            self.red_rows = red.rows[: len(pivots)]
+            red, pivots, _ = rref(ExactMatrix._trusted(spanning, ambient_dim))
+            self.red_rows = tuple(
+                [(j, x) for j, x in enumerate(row) if x] for row in red.rows[: len(pivots)]
+            )
             self.pivots = pivots
         else:
             self.red_rows = ()
@@ -334,19 +474,16 @@ class QuotientSpace:
 
     def project(self, v: Sequence) -> Vector:
         """Coordinates of v's class in the canonical quotient basis."""
-        v = [_frac(x) for x in v]
+        v = list(map(_frac, v))
         if len(v) != self.ambient_dim:
             raise ValueError("vector length mismatch")
-        for row, pc in zip(self.red_rows, self.pivots):
-            f = v[pc]
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
+        _reduce(v, zip(self.pivots, self.red_rows))
         return tuple(v[j] for j in self.nonpivots)
 
     def lift(self, coords: Sequence) -> Vector:
         if len(coords) != self.dim:
             raise ValueError("coordinate length mismatch")
-        v = [Fraction(0)] * self.ambient_dim
+        v = [0] * self.ambient_dim
         for c, j in zip(coords, self.nonpivots):
             v[j] = _frac(c)
         return tuple(v)

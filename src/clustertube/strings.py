@@ -17,7 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import ExactMatrix, flatten_blocks, rank as mat_rank, span_rank, unflatten_blocks
+from .linalg import (
+    ExactMatrix,
+    exact_div,
+    flatten_blocks,
+    rank as mat_rank,
+    span_rank,
+    unflatten_blocks,
+)
 from .endo import FinDimAlgebra
 from .tube import ConsistencyError
 from .amod import AModule, DomainError, ModMap, hom_A_basis
@@ -159,11 +166,11 @@ def string_module(algebra: FinDimAlgebra, word: StringWord) -> AModule:
                 continue
             if not l.inverse:
                 # action sends position i to position i-1
-                entries[(index_at[i - 1], index_at[i])] = Fraction(1)
+                entries[(index_at[i - 1], index_at[i])] = 1
             else:
-                entries[(index_at[i], index_at[i - 1])] = Fraction(1)
+                entries[(index_at[i], index_at[i - 1])] = 1
         rows = [
-            [entries.get((r, c), Fraction(0)) for c in range(dims[a.tgt - 1])]
+            [entries.get((r, c), 0) for c in range(dims[a.tgt - 1])]
             for r in range(dims[a.src - 1])
         ]
         mats.append(ExactMatrix(rows, ncols=dims[a.tgt - 1]))
@@ -298,7 +305,7 @@ def string_normal_form(m: AModule) -> StringBasis:
     canonical_module = string_module(alg, word)
     # rescale the original basis so every edge entry becomes one, giving an
     # explicit isomorphism onto the canonical string module
-    scale = {order[0]: Fraction(1)}
+    scale = {order[0]: 1}
     edge_by_pair = {}
     for u, w, aidx, x, action_from_u in walk_edges:
         # absolute action direction: u -> w when action_from_u holds
@@ -310,7 +317,7 @@ def string_normal_form(m: AModule) -> StringBasis:
         # an action edge s -> t with entry x and scales phi(z) = s_z e_z
         # commutes with the unit canonical action exactly when x s_t = s_s
         if action_u_to_w:
-            scale[w] = scale[u] / x
+            scale[w] = exact_div(scale[u], x)
         else:
             scale[w] = x * scale[u]
     # build iso vertex maps: original basis vector -> scale * canonical basis vector
@@ -322,7 +329,7 @@ def string_normal_form(m: AModule) -> StringBasis:
         counters[v - 1] += 1
     iso_mats = []
     for v in range(alg.n):
-        mat = [[Fraction(0)] * m.dims[v] for _ in range(canonical_module.dims[v])]
+        mat = [[0] * m.dims[v] for _ in range(canonical_module.dims[v])]
         for pos, node_idx in enumerate(order):
             nv, nr = node_list[node_idx]
             if nv != v:
@@ -381,16 +388,18 @@ def ar_quiver(algebra: FinDimAlgebra):
                 continue
             # local endomorphism ring: each map is a scalar plus a nilpotent,
             # and the scalar is the trace divided by the total dimension
-            ident = flatten_blocks(ExactMatrix.identity(d) for d in x.dims)
-            total = x.total_dim
+            ident = [ExactMatrix.identity(d) for d in x.dims]
             rad = []
             for phi in basis:
-                c = sum(
+                trace = sum(
                     phi.mats[v].rows[r][r]
                     for v in range(algebra.n)
                     for r in range(x.dims[v])
-                ) / total
-                adjusted = [a - c * b for a, b in zip(flatten_blocks(phi.mats), ident)]
+                )
+                c = exact_div(trace, x.total_dim)
+                adjusted = flatten_blocks(
+                    mat.add(one.scale(-c)) for mat, one in zip(phi.mats, ident)
+                )
                 if any(adjusted):
                     rad.append(adjusted)
             radical_bases[(i, j)] = rad

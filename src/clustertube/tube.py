@@ -24,7 +24,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .linalg import (
     ExactMatrix,
     QuotientSpace,
-    coords_in_span,
+    SpanSolver,
     flatten_blocks,
     independent_units,
     intertwiner_basis,
@@ -88,7 +88,7 @@ class ExtSpace:
             yarr = tube.arrow_matrix(tgt, v).rows
             for r in range(yd[v]):
                 for c in range(xd[v]):
-                    vec = [Fraction(0)] * total
+                    vec = [0] * total
                     start = offsets[w] + r * xd[w]
                     vec[start : start + xd[w]] = xarr[c]
                     for i, row in enumerate(yarr):
@@ -122,6 +122,8 @@ class Tube:
         self.n = n
         self.p = n + 1
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
+        # the flattened Hom basis, reduced once for hom_coords
+        self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         # index and coindex vectors of one indecomposable X with respect to a
@@ -160,10 +162,7 @@ class Tube:
         """The arrow map X_v -> X_{v-1}: basis vector j goes to j - 1."""
         src = self.basis_positions(x, v)
         tgt = self.basis_positions(x, (v - 1) % self.p)
-        rows = [
-            [Fraction(int(js == jt + 1)) for js in src]
-            for jt in tgt
-        ]
+        rows = [[int(js == jt + 1) for js in src] for jt in tgt]
         return ExactMatrix(rows, ncols=len(src))
 
     def wing(self, top: Indec) -> List[Indec]:
@@ -241,14 +240,13 @@ class Tube:
 
     def hom_coords(self, x: Indec, y: Indec, f: VertexMaps) -> tuple:
         """Coordinates of a tube morphism in the cached basis of Hom(x, y)."""
-        basis = self.hom_basis(x, y)
-        flat = flatten_blocks(f)
-        if not basis:
-            if any(flat):
-                raise ConsistencyError("nonzero intertwiner outside the morphism space")
-            return ()
-        cols = [flatten_blocks(b) for b in basis]
-        coords = coords_in_span(cols, flat)
+        key = (x, y)
+        solver = self._hom_solver_cache.get(key)
+        if solver is None:
+            dim = sum(a * b for a, b in zip(self.indec_dims(x), self.indec_dims(y)))
+            solver = SpanSolver([flatten_blocks(b) for b in self.hom_basis(x, y)], dim)
+            self._hom_solver_cache[key] = solver
+        coords = solver.coords(flatten_blocks(f))
         if coords is None:
             raise ConsistencyError("intertwiner does not lie in the morphism space")
         return coords
@@ -307,7 +305,7 @@ class CHom:
 
     def scale(self, c) -> "CHom":
         t = {k: self.tube.scale_vmaps(vm, c) for k, vm in self.t.items()}
-        d = {k: tuple(Fraction(c) * x for x in coords) for k, coords in self.d.items()}
+        d = {k: tuple(c * x for x in coords) for k, coords in self.d.items()}
         return CHom(self.tube, self.src, self.tgt, t=t, d=d)
 
     def compose(self, other: "CHom") -> "CHom":
@@ -385,21 +383,22 @@ def hom_c_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
     out = [CHom.t_single(tube, x, y, vm) for vm in tube.hom_basis(x, y)]
     space = tube.dmor_space(x, y)
     for i in range(space.dim):
-        coords = tuple(Fraction(int(j == i)) for j in range(space.dim))
+        coords = tuple(int(j == i) for j in range(space.dim))
         out.append(CHom.d_single(tube, x, y, coords))
     return out
 
 
 def chom_coords(tube: Tube, f: CHom) -> tuple:
-    """Coordinates of a single-block morphism in the hom_c_basis ordering."""
+    """Coordinates of a single-block morphism in the hom_c_basis ordering,
+    as ``Fraction``s."""
     if len(f.src) != 1 or len(f.tgt) != 1:
         raise TubeError("coordinates are defined for single-block morphisms")
     x, y = f.src[0], f.tgt[0]
     t_vm = f.t.get((0, 0))
-    t_coords = tube.hom_coords(x, y, t_vm) if t_vm is not None else (Fraction(0),) * tube.hom_tube_dim(x, y)
+    t_coords = tube.hom_coords(x, y, t_vm) if t_vm is not None else (0,) * tube.hom_tube_dim(x, y)
     space = tube.dmor_space(x, y)
-    d_coords = f.d.get((0, 0), (Fraction(0),) * space.dim)
-    return tuple(t_coords) + tuple(d_coords)
+    d_coords = f.d.get((0, 0), (0,) * space.dim)
+    return tuple(map(Fraction, t_coords + tuple(d_coords)))
 
 
 def chom_from_coords(tube: Tube, x: Indec, y: Indec, coords: Sequence) -> CHom:

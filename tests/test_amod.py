@@ -3,6 +3,7 @@ import pytest
 from clustertube import amod
 from clustertube.amod import (
     DomainError,
+    act_element,
     apply_F,
     b_matrix_from_euler_form,
     coindex,
@@ -22,6 +23,7 @@ from clustertube.amod import (
     zero_module,
 )
 from clustertube.endo import build_endomorphism_algebra
+from clustertube.linalg import SpanSolver, coords_in_span
 from clustertube.tube import (
     ConsistencyError,
     Indec,
@@ -225,3 +227,30 @@ def test_memoised_index_and_coindex_match_a_new_tube():
     for x in xs:
         assert coindex(again, x) == coindex(cold, x)
         assert index(again, x) == index(cold, x)
+
+
+def test_path_span_solver_equals_coords_in_span(cyclic_algebra, linear_algebra):
+    for alg in (cyclic_algebra, linear_algebra):
+        for (i, j), dim in alg.block_dim.items():
+            labels, solver = alg.path_span(i, j)
+            span = [c for _, c in alg.paths(i, j)]
+            if i == j:
+                span.append(alg.identity_coords(i))
+            assert labels == [p for p, _ in alg.paths(i, j)] + ([None] if i == j else [])
+            for k in range(dim):
+                unit = tuple(int(r == k) for r in range(dim))
+                assert solver.coords(unit) == coords_in_span(span, unit)
+
+
+def test_act_element_rejects_an_element_outside_the_path_span(cyclic_algebra, monkeypatch):
+    alg = cyclic_algebra
+    m = projective(alg, 1)
+    labels, _ = alg.path_span(0, 0)
+    coords = alg.identity_coords(0)
+    vec = tuple(int(r == 0) for r in range(m.dims[0]))
+    assert act_element(m, 0, 0, coords, vec) == vec
+    # a solver over the paths alone, without the identity, cannot reach it
+    paths_only = SpanSolver([c for _, c in alg.paths(0, 0)], len(coords))
+    monkeypatch.setattr(alg, "path_span", lambda i, j: (labels[:-1], paths_only))
+    with pytest.raises(ConsistencyError):
+        act_element(m, 0, 0, coords, vec)

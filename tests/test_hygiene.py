@@ -41,3 +41,49 @@ def test_the_rule_sees_broad_handlers():
     )
     assert list(_broad_handlers(ast.parse(source))) == [
         (3, "except Exception"), (7, "bare except"), (11, "except BaseException")]
+
+
+def _floats_and_divisions(tree, allowed=()):
+    # every true division goes through linalg.exact_div, so a quotient of
+    # two ints can never turn into a float unnoticed
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in allowed
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "division"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno, "float()"
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            yield node.lineno, "float literal"
+
+
+def test_no_float_and_no_division_outside_exact_div():
+    package = Path(clustertube.__file__).parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(package.glob("*.py"))
+        for line, what in _floats_and_divisions(
+            ast.parse(path.read_text()), ("exact_div",) if path.name == "linalg.py" else ()
+        )
+    ]
+    assert found == []
+
+
+def test_the_rule_sees_floats_and_divisions():
+    source = (
+        "def exact_div(a, b):\n    return a / b\n"
+        "def mean(xs):\n    return sum(xs) / len(xs)\n"
+        "x = 1\nx /= 2\n"
+        "y = float(x)\n"
+        "z = 0.5\n"
+        "w = 7 // 2\n"
+    )
+    assert sorted(_floats_and_divisions(ast.parse(source), ("exact_div",))) == [
+        (4, "division"), (6, "division"), (7, "float()"), (8, "float literal")]
+    assert (2, "division") in _floats_and_divisions(ast.parse(source))

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from clustertube.linalg import (
     ExactMatrix,
     QuotientSpace,
+    SpanSolver,
     coords_in_span,
+    exact_div,
     flatten_blocks,
     independent_units,
     intertwiner_basis,
@@ -161,3 +163,189 @@ def test_intertwiner_basis_is_the_commutant():
     assert len(two) == 2
     assert all(phi0 == phi1 for phi0, phi1 in two)
     assert intertwiner_basis((0, 2), (3, 0), []) == []
+
+
+# -- the int-or-Fraction entry contract, checked against a Fraction reference --
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan over ``Fraction`` as ``rref`` was written before entries
+    became ints where integral: same pivot rule, every entry a Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(rows)
+    pivots = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((i for i in range(pr, nrows) if rows[i][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        lead = rows[pr][pc]
+        rows[pr] = [x / lead for x in rows[pr]]
+        for i in range(nrows):
+            if i != pr and rows[i][pc] != 0:
+                f = rows[i][pc]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
+
+
+def _reference_kernel(rows, ncols):
+    red, pivots = _reference_rref(rows, ncols)
+    basis = []
+    for fc in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_solve(rows, ncols, b):
+    red, pivots = _reference_rref([list(r) + [x] for r, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return tuple(x)
+
+
+def _is_normal(x):
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _all_normal(values):
+    return all(_is_normal(x) for x in values)
+
+
+rational_entries = st.one_of(
+    small_entries,
+    small_entries,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-4, 4).map(Fraction),  # integral Fractions must come back as ints
+)
+
+
+@st.composite
+def rational_rows(draw, max_rows=4, max_cols=4):
+    nrows = draw(st.integers(min_value=1, max_value=max_rows))
+    ncols = draw(st.integers(min_value=1, max_value=max_cols))
+    return draw(
+        st.lists(
+            st.lists(rational_entries, min_size=ncols, max_size=ncols),
+            min_size=nrows,
+            max_size=nrows,
+        )
+    )
+
+
+@given(rational_rows())
+@settings(max_examples=150, deadline=None)
+def test_rref_and_kernel_equal_the_fraction_reference(rows):
+    ncols = len(rows[0])
+    red, pivots, rk = rref(ExactMatrix(rows))
+    ref_rows, ref_pivots = _reference_rref(rows, ncols)
+    assert list(pivots) == ref_pivots and rk == len(ref_pivots)
+    assert [list(r) for r in red.rows] == ref_rows
+    assert all(_all_normal(r) for r in red.rows)
+    kernel = kernel_basis(ExactMatrix(rows))
+    assert kernel == _reference_kernel(rows, ncols)
+    assert all(_all_normal(v) for v in kernel)
+
+
+@given(rational_rows(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_and_coords_in_span_equal_the_fraction_reference(rows, data):
+    ncols = len(rows[0])
+    # half the targets are in the column span by construction
+    if data.draw(st.booleans()):
+        c = data.draw(st.lists(rational_entries, min_size=ncols, max_size=ncols))
+        b = [sum(Fraction(x) * y for x, y in zip(r, c)) for r in rows]
+    else:
+        b = data.draw(st.lists(rational_entries, min_size=len(rows), max_size=len(rows)))
+    expected = _reference_solve(rows, ncols, b)
+    got = solve(ExactMatrix(rows), b)
+    assert got == expected
+    cols = [tuple(r[j] for r in rows) for j in range(ncols)]
+    in_span = coords_in_span(cols, b)
+    solver = SpanSolver(cols, len(rows)).coords(b)
+    assert in_span == solver == expected
+    for result in (got, in_span, solver):
+        assert result is None or _all_normal(result)
+
+
+@given(rational_rows())
+@settings(max_examples=100, deadline=None)
+def test_public_constructor_equals_the_trusted_one(rows):
+    normal = tuple(tuple(x.numerator if type(x) is Fraction and x.denominator == 1 else x
+                         for x in r) for r in rows)
+    public = ExactMatrix(rows)
+    trusted = ExactMatrix._trusted(normal, len(rows[0]))
+    assert public == trusted
+    assert hash(public) == hash(trusted)
+    assert public.rows == normal
+    assert all(_all_normal(r) for r in public.rows)
+
+
+@st.composite
+def product_pairs(draw):
+    n, k, m = (draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+
+    def block(nrows, ncols):
+        row = st.lists(rational_entries, min_size=ncols, max_size=ncols)
+        return ExactMatrix(draw(st.lists(row, min_size=nrows, max_size=nrows)))
+
+    return block(n, k), block(k, m)
+
+
+@given(product_pairs())
+@settings(max_examples=100, deadline=None)
+def test_matrix_operations_return_normal_entries(pair):
+    a, b = pair
+    results = [a.transpose(), a.scale(Fraction(3, 2)), a.scale(-1), a.add(a.neg()),
+               a.add(a), a.mul(b), b.transpose().mul(a.transpose())]
+    for m in results:
+        assert all(_all_normal(r) for r in m.rows)
+    assert a.add(a.neg()).is_zero()
+    assert a.mul(b).transpose() == b.transpose().mul(a.transpose())
+    assert _all_normal(a.apply([Fraction(1, 2)] * a.ncols))
+
+
+@given(rational_entries, rational_entries.filter(bool))
+def test_exact_div_is_exact_and_normal(a, b):
+    q = exact_div(a, b)
+    assert q == Fraction(a) / Fraction(b)
+    assert _is_normal(q)
+
+
+def test_exact_div_keeps_ints_and_raises_on_zero():
+    assert exact_div(6, -3) == -2 and type(exact_div(6, -3)) is int
+    assert exact_div(1, 3) == Fraction(1, 3)
+    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3 and type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def test_span_solver_rejects_a_target_outside_the_span():
+    solver = SpanSolver([(1, 0, 1), (0, 1, 1), (1, 1, 2)], 3)
+    assert solver.rank == 2
+    # the third vector depends on the first two, so it gets coefficient 0
+    assert solver.coords((2, 3, 5)) == (2, 3, 0) == coords_in_span(
+        [(1, 0, 1), (0, 1, 1), (1, 1, 2)], (2, 3, 5))
+    assert solver.coords((0, 0, 1)) is None
+    assert SpanSolver([], 2).coords((0, 0)) == ()
+    assert SpanSolver([], 2).coords((0, 1)) is None
+    with pytest.raises(ValueError):
+        solver.coords((1, 0))
+
+
+def test_quotient_space_normalises_its_input():
+    q = QuotientSpace(2, [(Fraction(2), Fraction(2))])
+    assert q.pivots == (0,)
+    assert q.project((Fraction(3, 1), Fraction(1, 2))) == (Fraction(-5, 2),)
+    assert _all_normal(q.lift((Fraction(4, 2),))) and q.lift((Fraction(4, 2),)) == (0, 2)

@@ -1,12 +1,19 @@
 import itertools
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clustertube.amod import apply_F
+from clustertube.endo import build_endomorphism_algebra
+from clustertube.linalg import ExactMatrix, coords_in_span, flatten_blocks
 from clustertube.tube import (
     CHom,
+    ConsistencyError,
     Indec,
     MaximalRigid,
+    Tube,
     TubeError,
     all_rigid_indecs,
     b_matrix,
@@ -14,6 +21,7 @@ from clustertube.tube import (
     chom_coords,
     enumerate_maximal_rigid,
     hom_c_basis,
+    in_pr_T,
     is_rigid,
     is_rigid_set,
     mutate_at,
@@ -180,3 +188,79 @@ def test_mutation_direction_out_of_range(linear_t):
 def test_maximal_rigid_requires_long_summand(tube3):
     with pytest.raises(TubeError):
         MaximalRigid(tube3, (Indec(1, 2), Indec(1, 1), Indec(2, 1)))
+
+
+# -- one stored echelon form per Hom basis ---------------------------------------
+
+
+def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
+    stored = Tube.hom_coords
+    calls = []
+
+    def checked(tube, x, y, f):
+        coords = stored(tube, x, y, f)
+        basis = [flatten_blocks(b) for b in tube.hom_basis(x, y)]
+        assert coords == coords_in_span(basis, flatten_blocks(f))
+        calls.append((x, y))
+        return coords
+
+    monkeypatch.setattr(Tube, "hom_coords", checked)
+    tube = Tube(3)
+    for t in enumerate_maximal_rigid(3, tube):
+        algebra = build_endomorphism_algebra(t)
+        for k in range(1, 4):
+            mutate_rigid(t, k)
+        for x in all_rigid_indecs(tube):
+            if in_pr_T(t, x):
+                apply_F(algebra, x)
+    # 864 calls on 56 distinct (x, y) when this was written
+    assert len(calls) > 500 and len(set(calls)) > 40
+
+
+def test_hom_coords_rejects_a_map_outside_the_hom_space(tube3):
+    x = Indec(1, 2)  # one basis vector at each of the vertices 0 and 1
+    assert tube3.hom_coords(x, x, tube3.identity_vmaps(x)) == (1,)
+    # the identity at vertex 0 and zero at vertex 1 does not commute with
+    # the arrow 1 -> 0
+    one, zero = ExactMatrix.identity(1), ExactMatrix.zero(1, 1)
+    empty = ExactMatrix.zero(0, 0)
+    with pytest.raises(ConsistencyError):
+        tube3.hom_coords(x, x, (one, zero, empty, empty))
+    # an empty Hom space admits only the zero map
+    y = Indec(1, 1)  # the socle of x, not a quotient of it
+    assert tube3.hom_basis(x, y) == []
+    assert tube3.hom_coords(x, y, (zero, ExactMatrix.zero(0, 1), empty, empty)) == ()
+    with pytest.raises(ConsistencyError):
+        tube3.hom_coords(x, y, (one, ExactMatrix.zero(0, 1), empty, empty))
+
+
+# -- invariants beyond the exhaustive scope ----------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_maximal_rigid_count_is_the_type_c_cluster_count(n):
+    # Buan-Marsh-Vatne: as many maximal rigid objects as clusters of type C_n
+    assert len(enumerate_maximal_rigid(n)) == comb(2 * n, n)
+
+
+_TUBES = {n: Tube(n) for n in range(2, 9)}
+
+
+@st.composite
+def rigid_pairs(draw):
+    tube = _TUBES[draw(st.integers(min_value=2, max_value=8))]
+    x, y = (
+        tube.indec(draw(st.integers(1, tube.p)), draw(st.integers(1, tube.n)))
+        for _ in range(2)
+    )
+    return tube, x, y
+
+
+@given(rigid_pairs())
+@settings(max_examples=150, deadline=None)
+def test_ext_is_symmetric_and_hom_is_translation_invariant(case):
+    tube, x, y = case
+    # 2-Calabi-Yau: Ext^1(X, Y) and Ext^1(Y, X) are dual
+    assert tube.ext1_c_dim(x, y) == tube.ext1_c_dim(y, x)
+    for k in (1, 2, tube.p - 1):
+        assert tube.hom_c_dim(tube.tau(x, k), tube.tau(y, k)) == tube.hom_c_dim(x, y)
