@@ -62,15 +62,19 @@ def cached_atlas(b: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
 
 
 class CCMap:
-    """Character computations for one maximal rigid object."""
+    """Character computations for one maximal rigid object.
+
+    ``b``, if given, is taken as the exchange matrix of ``t`` unchecked;
+    otherwise it is computed and cross-validated on ``algebra``.
+    """
 
     def __init__(self, t: MaximalRigid, algebra: Optional[FinDimAlgebra] = None,
-                 cross_validate_b: bool = True):
+                 b: Optional[ExchangeMatrix] = None):
         self.t = t
         self.tube: Tube = t.tube
         self.n = self.tube.n
         self.algebra = algebra or build_endomorphism_algebra(t, check=False)
-        self.b = b_matrix(t, cross_validate=cross_validate_b, algebra=self.algebra)
+        self.b = b if b is not None else b_matrix(t, algebra=self.algebra)
         self._cache: Dict[tuple, CCResult] = {}
         self._sigma = {self.tube.tau(s): i for i, s in enumerate(t.summands)}
 

@@ -103,6 +103,9 @@ class FinDimAlgebra:
         self.arrows: List[Arrow] = []
         self._rad2_span: Dict[Tuple[int, int], list] = {}
         self._choose_arrows()
+        # the arrows never change, so the relations are found once
+        self._three_cycles = self._find_three_cycles()
+        self._relation_pairs: Optional[List[Tuple[Arrow, Arrow]]] = None
         self._paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
         # per block: the path labels (None for the identity) and the solver
         # for coordinates in their span
@@ -194,6 +197,9 @@ class FinDimAlgebra:
 
     def three_cycles(self) -> List[Tuple[Arrow, Arrow, Arrow]]:
         """Oriented three-cycles (alpha, beta, gamma) through distinct vertices."""
+        return self._three_cycles
+
+    def _find_three_cycles(self) -> List[Tuple[Arrow, Arrow, Arrow]]:
         cycles = []
         for a in self.arrows:
             for b in self.arrows:
@@ -213,11 +219,13 @@ class FinDimAlgebra:
 
     def relation_pairs(self) -> List[Tuple[Arrow, Arrow]]:
         """Pairs (first, second) whose length-two path second o first vanishes."""
-        loop = self.loop_arrow()
-        pairs = [(loop, loop)]
-        for a, b, c in self.three_cycles():
-            pairs.extend([(a, b), (b, c), (c, a)])
-        return pairs
+        if self._relation_pairs is None:
+            loop = self.loop_arrow()
+            pairs = [(loop, loop)]
+            for a, b, c in self._three_cycles:
+                pairs.extend([(a, b), (b, c), (c, a)])
+            self._relation_pairs = pairs
+        return self._relation_pairs
 
     def verify_relations(self):
         """Square of the loop and all length-two paths in three-cycles vanish."""

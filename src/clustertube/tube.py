@@ -125,6 +125,8 @@ class Tube:
         # the flattened Hom basis, reduced once for hom_coords
         self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
+        # shift-stratum spaces by (x, y), so a hit skips tau(y, -1)
+        self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         # index and coindex vectors of one indecomposable X with respect to a
         # maximal rigid T, keyed by (T.summands, X); filled by clustertube.amod
@@ -204,7 +206,11 @@ class Tube:
 
     def dmor_space(self, x: Indec, y: Indec) -> ExtSpace:
         """Shift-stratum morphisms x -> y, as Ext^1(x, tau^{-1} y)."""
-        return self.ext_space(x, self.tau(y, -1))
+        key = (x, y)
+        cached = self._dmor_cache.get(key)
+        if cached is None:
+            cached = self._dmor_cache[key] = self.ext_space(x, self.tau(y, -1))
+        return cached
 
     def dmor_dim(self, x: Indec, y: Indec) -> int:
         return self.dmor_space(x, y).dim
@@ -703,13 +709,16 @@ def mutate_at(t: MaximalRigid, summand: Indec) -> ExchangeData:
     return mutate_rigid(t, idx + 1)
 
 
-def b_matrix_multiplicities(t: MaximalRigid) -> Tuple[Tuple[int, ...], ...]:
-    """Exchange matrix from exchange-triangle middle-term multiplicities."""
+def b_matrix_multiplicities(t: MaximalRigid, triangles: Optional[Sequence[ExchangeData]] = None
+                            ) -> Tuple[Tuple[int, ...], ...]:
+    """Exchange matrix from exchange-triangle middle-term multiplicities;
+    ``triangles``, if given, are ``mutate_rigid(t, k)`` for k = 1..n."""
     tube = t.tube
     n = tube.n
+    if triangles is None:
+        triangles = [mutate_rigid(t, j) for j in range(1, n + 1)]
     cols = []
-    for j in range(1, n + 1):
-        data = mutate_rigid(t, j)
+    for data in triangles:
         col = []
         for i in range(n):
             ti = t.summands[i]
@@ -718,16 +727,18 @@ def b_matrix_multiplicities(t: MaximalRigid) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
 
-def b_matrix(t: MaximalRigid, cross_validate: bool = True, algebra=None):
+def b_matrix(t: MaximalRigid, cross_validate: bool = True, algebra=None,
+             triangles: Optional[Sequence[ExchangeData]] = None):
     """The skew-symmetrizable matrix attached to a maximal rigid object.
 
-    Computed from exchange-triangle multiplicities and, unless disabled,
+    Computed from exchange-triangle multiplicities (from ``triangles`` when
+    given, as in ``b_matrix_multiplicities``) and, unless disabled,
     cross-validated against the arrow-count rule on the endomorphism quiver
     and the antisymmetrized truncated Euler form on simples.
     """
     from .cluster import ExchangeMatrix
 
-    mult = b_matrix_multiplicities(t)
+    mult = b_matrix_multiplicities(t, triangles)
     if cross_validate:
         from .endo import b_matrix_from_quiver, build_endomorphism_algebra
         from .amod import b_matrix_from_euler_form

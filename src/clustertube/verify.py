@@ -8,14 +8,16 @@ translation equivariance makes that exhaustive.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
 from .tube import (
     CHom,
     ConsistencyError,
+    ExchangeData,
     Indec,
     MaximalRigid,
     Tube,
@@ -113,274 +115,297 @@ def _stack_chom(tube: Tube, middle: Sequence[Indec], comps: Sequence[CHom], targ
     return out
 
 
-# -- individual checks -----------------------------------------------------------
+# -- the per-object context -------------------------------------------------------
 
 
-def check_b_matrix_compatibility(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
-    """Triple-formula agreement and mutation compatibility of the matrix."""
-    failures = []
-    for t in ts:
-        algebra = build_endomorphism_algebra(t, check=False)
+class SuiteContext:
+    """What the checks of one maximal rigid object T share.
+
+    ``algebra`` is End(T), built once, and with it the functor-image memo
+    of the module layer.  ``triangles`` are T's exchange triangles
+    ``mutate_rigid(t, k)`` for k = 1..n, and ``cc_map`` is the character
+    map on End(T) and B_T; each is computed on first use and kept.
+    ``run_suite`` holds one context at a time and drops it before the next
+    T, so at most one End(T) is alive.
+    """
+
+    def __init__(self, t: MaximalRigid):
+        self.t = t
+        self.tube = t.tube
+        self.algebra = build_endomorphism_algebra(t, check=False)
+        self.b_failure: Optional[str] = None
+
+    @cached_property
+    def triangles(self) -> Tuple[ExchangeData, ...]:
+        return tuple(mutate_rigid(self.t, k) for k in range(1, self.tube.n + 1))
+
+    @cached_property
+    def cc_map(self) -> Optional[CCMap]:
+        """The character map, with B_T cross-validated once by its three
+        formulas; ``None`` if they disagree, with ``b_failure`` saying why."""
         try:
-            b = b_matrix(t, cross_validate=True, algebra=algebra)
+            b = b_matrix(self.t, cross_validate=True, algebra=self.algebra,
+                         triangles=self.triangles)
         except CHECK_ERRORS as exc:  # failed checks carry the details
-            failures.append(f"{t}: {exc}")
-            continue
-        for k in range(1, tube.n + 1):
-            mutated = mutate_rigid(t, k).mutated
-            expected = mutate_matrix(b, k)
-            got = ExchangeMatrix(b_matrix_multiplicities(mutated))
-            if got != expected:
-                failures.append(f"{t}: matrix mutation mismatch in direction {k}")
+            self.b_failure = f"{self.t}: {exc}"
+            return None
+        return CCMap(self.t, algebra=self.algebra, b=b)
+
+    def no_b_matrix(self) -> List[str]:
+        """The one failure line of a check that needs B_T when it has none."""
+        return [f"{self.t}: no exchange matrix, its formulas disagree"]
+
+
+# -- individual checks -----------------------------------------------------------
+#
+# Each check covers one maximal rigid object, given by its context, except
+# ``check_tube_invariants``, which covers the tube.
+
+
+def check_b_matrix_compatibility(ctx: SuiteContext) -> List[str]:
+    """Triple-formula agreement and mutation compatibility of the matrix."""
+    cm = ctx.cc_map
+    if cm is None:
+        return [ctx.b_failure]
+    failures = []
+    for k, data in enumerate(ctx.triangles, 1):
+        expected = mutate_matrix(cm.b, k)
+        got = ExchangeMatrix(b_matrix_multiplicities(data.mutated))
+        if got != expected:
+            failures.append(f"{ctx.t}: matrix mutation mismatch in direction {k}")
     return failures
 
 
-def check_structure(tube: Tube, ts: Sequence[MaximalRigid],
-                    associativity_for: int = 0) -> List[str]:
-    """Quiver shape, unique loop and defining relations for each object."""
+def check_structure(ctx: SuiteContext, associativity: bool = False) -> List[str]:
+    """Quiver shape, unique loop and defining relations, and associativity
+    of the multiplication table if asked."""
+    t, tube, algebra = ctx.t, ctx.tube, ctx.algebra
     failures = []
-    for idx, t in enumerate(ts):
-        algebra = build_endomorphism_algebra(t, check=False)
+    try:
+        algebra.verify_relations()
+    except CHECK_ERRORS as exc:
+        failures.append(f"{t}: {exc}")
+    q = gabriel_quiver(algebra)
+    if len(q.loops()) != 1:
+        failures.append(f"{t}: loop count {len(q.loops())}")
+    if not validate_Qn(q):
+        failures.append(f"{t}: quiver outside the admissible class")
+    expected_dim = sum(
+        tube.hom_c_dim(a, b) for a in t.summands for b in t.summands
+    )
+    if algebra.dim != expected_dim:
+        failures.append(f"{t}: algebra dimension {algebra.dim} != {expected_dim}")
+    if associativity:
         try:
-            algebra.verify_relations()
+            algebra.verify_associativity()
         except CHECK_ERRORS as exc:
             failures.append(f"{t}: {exc}")
-        q = gabriel_quiver(algebra)
-        if len(q.loops()) != 1:
-            failures.append(f"{t}: loop count {len(q.loops())}")
-        if not validate_Qn(q):
-            failures.append(f"{t}: quiver outside the admissible class")
-        expected_dim = sum(
-            tube.hom_c_dim(a, b) for a in t.summands for b in t.summands
-        )
-        if algebra.dim != expected_dim:
-            failures.append(f"{t}: algebra dimension {algebra.dim} != {expected_dim}")
-        if idx < associativity_for:
-            try:
-                algebra.verify_associativity()
-            except CHECK_ERRORS as exc:
-                failures.append(f"{t}: {exc}")
     return failures
 
 
-def check_bijection(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
-    failures = []
-    for t in ts:
-        cm = CCMap(t)
-        rep = cm.verify_bijection()
-        if not rep["ok"]:
-            failures.extend(f"{t}: {f}" for f in rep["failures"])
-    return failures
+def _cc_report(ctx: SuiteContext, report) -> List[str]:
+    """The failure lines of one of ``CCMap``'s verification reports."""
+    cm = ctx.cc_map
+    if cm is None:
+        return ctx.no_b_matrix()
+    return [f"{ctx.t}: {f}" for f in report(cm)["failures"]]
 
 
-def check_denominators(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
-    failures = []
-    for t in ts:
-        cm = CCMap(t)
-        rep = cm.verify_denominators()
-        if not rep["ok"]:
-            failures.extend(f"{t}: {f}" for f in rep["failures"])
-    return failures
+def check_bijection(ctx: SuiteContext) -> List[str]:
+    return _cc_report(ctx, CCMap.verify_bijection)
 
 
-def check_exchange_relations(tube: Tube) -> List[str]:
-    failures = []
-    for t in tau_orbit_representatives(tube):
-        cm = CCMap(t)
-        rep = cm.verify_exchange_relations()
-        if not rep["ok"]:
-            failures.extend(f"{t}: {f}" for f in rep["failures"])
-    return failures
+def check_denominators(ctx: SuiteContext) -> List[str]:
+    return _cc_report(ctx, CCMap.verify_denominators)
 
 
-def check_index_coindex(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
+def check_exchange_relations(ctx: SuiteContext) -> List[str]:
+    return _cc_report(ctx, CCMap.verify_exchange_relations)
+
+
+def check_index_coindex(ctx: SuiteContext) -> List[str]:
     """Index/coindex laws: the matrix identity, suspension antisymmetry,
     additivity along exchange and AR triangles, and the maximal locally
     free submodules and factors of projectives and injectives."""
+    from .amod import map_F
+    from .tube import in_pr_T, in_pr_sigma_T
+
+    t, tube, algebra = ctx.t, ctx.tube, ctx.algebra
+    if ctx.cc_map is None:
+        return ctx.no_b_matrix()
+    b = ctx.cc_map.b
     failures = []
     n = tube.n
-    for t in ts:
-        algebra = build_endomorphism_algebra(t, check=False)
-        b = b_matrix(t, cross_validate=False)
-        sigma_t = {tube.tau(s) for s in t.summands}
-        plain_t = set(t.summands)
-        for x in all_rigid_indecs(tube):
-            co = coindex(algebra, x)
-            ix = index(algebra, x)
-            mod = apply_F(algebra, x)
-            rank = rank_vector(mod) if not mod.is_zero() else (0,) * n
-            expected = tuple(
-                sum(b.b[i][j] * rank[j] for j in range(n)) for i in range(n)
-            )
-            if tuple(c - i for c, i in zip(co, ix)) != expected:
-                failures.append(f"{t}: coindex-index identity fails on {x}")
-            if index(algebra, x) != tuple(-c for c in coindex(algebra, tube.tau(x))):
-                failures.append(f"{t}: index vs suspended coindex fails on {x}")
-        # additivity along exchange triangles, conditioned on the functor
-        # image of the approximation being surjective resp. injective (the
-        # surjective clause can only fire on AR triangles, handled below:
-        # the identity of the replaced summand never factors through a
-        # radical approximation)
-        injective_fired = 0
-        for k in range(1, n + 1):
-            data = mutate_rigid(t, k)
-            from .amod import map_F
-
-            if data.right_middle:
-                g = _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
-                mid_mod = apply_F(algebra, data.right_middle)
-                f_right = map_F(algebra, g, src=mid_mod, tgt=apply_F(algebra, data.old))
-                if f_right.is_surjective():
-                    lhs = index(algebra, data.right_middle)
-                    rhs = tuple(
-                        a + c for a, c in zip(index(algebra, data.new), index(algebra, data.old))
-                    )
-                    if lhs != rhs:
-                        failures.append(f"{t}: index additivity fails at direction {k}")
-            if data.left_middle:
-                g = _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
-                mid_mod = apply_F(algebra, data.left_middle)
-                f_left = map_F(algebra, g, src=apply_F(algebra, data.old), tgt=mid_mod)
-                if f_left.is_injective():
-                    injective_fired += 1
-                    lhs = coindex(algebra, data.left_middle)
-                    rhs = tuple(
-                        a + c
-                        for a, c in zip(coindex(algebra, data.old), coindex(algebra, data.new))
-                    )
-                    if lhs != rhs:
-                        failures.append(f"{t}: coindex additivity fails at direction {k}")
-        if injective_fired == 0 and any(mutate_rigid(t, k).left_middle for k in range(1, n + 1)):
-            failures.append(f"{t}: coindex additivity hypothesis never fired")
-        # AR triangles: additivity off the shifted summands, the locally
-        # free submodule/factor descriptions at them
-        for x in all_rigid_indecs(tube):
-            middle_objs = [tube.indec(x.a - 1, x.b + 1)]
-            if x.b > 1:
-                middle_objs.append(tube.indec(x.a, x.b - 1))
-            from .tube import in_pr_T, in_pr_sigma_T
-
-            if not all(in_pr_T(t, y) and in_pr_sigma_T(t, y) for y in middle_objs):
-                continue
-            sigma_x = tube.tau(x)
-            if x not in sigma_t and sigma_x not in sigma_t:
-                lhs_i = index(algebra, tuple(middle_objs))
-                rhs_i = tuple(
-                    a + c for a, c in zip(index(algebra, x), index(algebra, sigma_x))
-                )
-                lhs_c = coindex(algebra, tuple(middle_objs))
-                rhs_c = tuple(
-                    a + c for a, c in zip(coindex(algebra, x), coindex(algebra, sigma_x))
-                )
-                if lhs_i != rhs_i or lhs_c != rhs_c:
-                    failures.append(f"{t}: AR additivity fails at {x}")
-            elif x in sigma_t:
-                k = next(i for i, s in enumerate(t.summands) if tube.tau(s) == x)
-                if k == 0:
-                    continue
-                mid = apply_F(algebra, tuple(middle_objs))
-                inj = injective(algebra, k + 1)
-                if not is_locally_free(mid):
-                    failures.append(f"{t}: injective factor not locally free at {k+1}")
-                    continue
-                expected_dims = tuple(
-                    d - int(v == k) for v, d in enumerate(inj.dims)
-                )
-                if mid.dims != expected_dims:
-                    failures.append(f"{t}: injective factor dimensions off at {k+1}")
-                if not exists_surjective_hom(inj, mid):
-                    failures.append(f"{t}: no surjection onto the factor at {k+1}")
-                expected_co = tuple(-b.b[i][k] for i in range(n))
-                if coindex(algebra, tuple(middle_objs)) != expected_co:
-                    failures.append(f"{t}: factor coindex off at {k+1}")
-            elif sigma_x in sigma_t:
-                k = next(i for i, s in enumerate(t.summands) if s == x)
-                if k == 0:
-                    continue
-                mid = apply_F(algebra, tuple(middle_objs))
-                proj = projective(algebra, k + 1)
-                if not is_locally_free(mid):
-                    failures.append(f"{t}: projective submodule not locally free at {k+1}")
-                    continue
-                expected_dims = tuple(
-                    d - int(v == k) for v, d in enumerate(proj.dims)
-                )
-                if mid.dims != expected_dims:
-                    failures.append(f"{t}: projective submodule dimensions off at {k+1}")
-                if not exists_injective_hom(mid, proj):
-                    failures.append(f"{t}: no embedding of the submodule at {k+1}")
-                lhs = coindex(algebra, t.summands[k])
+    sigma_t = {tube.tau(s) for s in t.summands}
+    for x in all_rigid_indecs(tube):
+        co = coindex(algebra, x)
+        ix = index(algebra, x)
+        mod = apply_F(algebra, x)
+        rank = rank_vector(mod) if not mod.is_zero() else (0,) * n
+        expected = tuple(
+            sum(b.b[i][j] * rank[j] for j in range(n)) for i in range(n)
+        )
+        if tuple(c - i for c, i in zip(co, ix)) != expected:
+            failures.append(f"{t}: coindex-index identity fails on {x}")
+        if index(algebra, x) != tuple(-c for c in coindex(algebra, tube.tau(x))):
+            failures.append(f"{t}: index vs suspended coindex fails on {x}")
+    # additivity along exchange triangles, conditioned on the functor
+    # image of the approximation being surjective resp. injective (the
+    # surjective clause can only fire on AR triangles, handled below:
+    # the identity of the replaced summand never factors through a
+    # radical approximation)
+    injective_fired = 0
+    for k, data in enumerate(ctx.triangles, 1):
+        if data.right_middle:
+            g = _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
+            mid_mod = apply_F(algebra, data.right_middle)
+            f_right = map_F(algebra, g, src=mid_mod, tgt=apply_F(algebra, data.old))
+            if f_right.is_surjective():
+                lhs = index(algebra, data.right_middle)
                 rhs = tuple(
-                    a + c
-                    for a, c in zip(
-                        coindex(algebra, tuple(middle_objs)),
-                        coindex(algebra, tube.tau(t.summands[k], 2)),
-                    )
+                    a + c for a, c in zip(index(algebra, data.new), index(algebra, data.old))
                 )
                 if lhs != rhs:
-                    failures.append(f"{t}: submodule coindex identity off at {k+1}")
+                    failures.append(f"{t}: index additivity fails at direction {k}")
+        if data.left_middle:
+            g = _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
+            mid_mod = apply_F(algebra, data.left_middle)
+            f_left = map_F(algebra, g, src=apply_F(algebra, data.old), tgt=mid_mod)
+            if f_left.is_injective():
+                injective_fired += 1
+                lhs = coindex(algebra, data.left_middle)
+                rhs = tuple(
+                    a + c
+                    for a, c in zip(coindex(algebra, data.old), coindex(algebra, data.new))
+                )
+                if lhs != rhs:
+                    failures.append(f"{t}: coindex additivity fails at direction {k}")
+    if injective_fired == 0 and any(data.left_middle for data in ctx.triangles):
+        failures.append(f"{t}: coindex additivity hypothesis never fired")
+    # AR triangles: additivity off the shifted summands, the locally
+    # free submodule/factor descriptions at them
+    for x in all_rigid_indecs(tube):
+        middle_objs = [tube.indec(x.a - 1, x.b + 1)]
+        if x.b > 1:
+            middle_objs.append(tube.indec(x.a, x.b - 1))
+        if not all(in_pr_T(t, y) and in_pr_sigma_T(t, y) for y in middle_objs):
+            continue
+        sigma_x = tube.tau(x)
+        if x not in sigma_t and sigma_x not in sigma_t:
+            lhs_i = index(algebra, tuple(middle_objs))
+            rhs_i = tuple(
+                a + c for a, c in zip(index(algebra, x), index(algebra, sigma_x))
+            )
+            lhs_c = coindex(algebra, tuple(middle_objs))
+            rhs_c = tuple(
+                a + c for a, c in zip(coindex(algebra, x), coindex(algebra, sigma_x))
+            )
+            if lhs_i != rhs_i or lhs_c != rhs_c:
+                failures.append(f"{t}: AR additivity fails at {x}")
+        elif x in sigma_t:
+            k = next(i for i, s in enumerate(t.summands) if tube.tau(s) == x)
+            if k == 0:
+                continue
+            mid = apply_F(algebra, tuple(middle_objs))
+            inj = injective(algebra, k + 1)
+            if not is_locally_free(mid):
+                failures.append(f"{t}: injective factor not locally free at {k+1}")
+                continue
+            expected_dims = tuple(
+                d - int(v == k) for v, d in enumerate(inj.dims)
+            )
+            if mid.dims != expected_dims:
+                failures.append(f"{t}: injective factor dimensions off at {k+1}")
+            if not exists_surjective_hom(inj, mid):
+                failures.append(f"{t}: no surjection onto the factor at {k+1}")
+            expected_co = tuple(-b.b[i][k] for i in range(n))
+            if coindex(algebra, tuple(middle_objs)) != expected_co:
+                failures.append(f"{t}: factor coindex off at {k+1}")
+        elif sigma_x in sigma_t:
+            k = next(i for i, s in enumerate(t.summands) if s == x)
+            if k == 0:
+                continue
+            mid = apply_F(algebra, tuple(middle_objs))
+            proj = projective(algebra, k + 1)
+            if not is_locally_free(mid):
+                failures.append(f"{t}: projective submodule not locally free at {k+1}")
+                continue
+            expected_dims = tuple(
+                d - int(v == k) for v, d in enumerate(proj.dims)
+            )
+            if mid.dims != expected_dims:
+                failures.append(f"{t}: projective submodule dimensions off at {k+1}")
+            if not exists_injective_hom(mid, proj):
+                failures.append(f"{t}: no embedding of the submodule at {k+1}")
+            lhs = coindex(algebra, t.summands[k])
+            rhs = tuple(
+                a + c
+                for a, c in zip(
+                    coindex(algebra, tuple(middle_objs)),
+                    coindex(algebra, tube.tau(t.summands[k], 2)),
+                )
+            )
+            if lhs != rhs:
+                failures.append(f"{t}: submodule coindex identity off at {k+1}")
     return failures
 
 
-def check_long_summand_lemmas(tube: Tube) -> List[str]:
+def check_long_summand_lemmas(ctx: SuiteContext) -> List[str]:
     """At the long summand: the doubled wing neighbours are the maximal
     locally free submodule of the projective and factor of the injective."""
+    t, tube, algebra = ctx.t, ctx.tube, ctx.algebra
     failures = []
     n = tube.n
-    for t in tau_orbit_representatives(tube):
-        algebra = build_endomorphism_algebra(t, check=False)
-        p1 = projective(algebra, 1)
-        i1 = injective(algebra, 1)
-        sub = apply_F(algebra, (Indec(1, n - 1), Indec(1, n - 1))) if n > 1 else zero_module(algebra)
-        fac = apply_F(algebra, (tube.indec(n + 1, n - 1), tube.indec(n + 1, n - 1)))
-        for mod, name in ((sub, "submodule"), (fac, "factor")):
-            if not is_locally_free(mod):
-                failures.append(f"{t}: long-summand {name} not locally free")
-        lv = 0
-        expected_sub = tuple(d - 2 * int(v == lv) for v, d in enumerate(p1.dims))
-        expected_fac = tuple(d - 2 * int(v == lv) for v, d in enumerate(i1.dims))
-        if sub.dims != expected_sub:
-            failures.append(f"{t}: long-summand submodule dimensions off")
-        if fac.dims != expected_fac:
-            failures.append(f"{t}: long-summand factor dimensions off")
-        if not exists_injective_hom(sub, p1):
-            failures.append(f"{t}: long-summand submodule does not embed")
-        if not exists_surjective_hom(i1, fac):
-            failures.append(f"{t}: long-summand factor is not a quotient")
+    p1 = projective(algebra, 1)
+    i1 = injective(algebra, 1)
+    sub = apply_F(algebra, (Indec(1, n - 1), Indec(1, n - 1))) if n > 1 else zero_module(algebra)
+    fac = apply_F(algebra, (tube.indec(n + 1, n - 1), tube.indec(n + 1, n - 1)))
+    for mod, name in ((sub, "submodule"), (fac, "factor")):
+        if not is_locally_free(mod):
+            failures.append(f"{t}: long-summand {name} not locally free")
+    lv = 0
+    expected_sub = tuple(d - 2 * int(v == lv) for v, d in enumerate(p1.dims))
+    expected_fac = tuple(d - 2 * int(v == lv) for v, d in enumerate(i1.dims))
+    if sub.dims != expected_sub:
+        failures.append(f"{t}: long-summand submodule dimensions off")
+    if fac.dims != expected_fac:
+        failures.append(f"{t}: long-summand factor dimensions off")
+    if not exists_injective_hom(sub, p1):
+        failures.append(f"{t}: long-summand submodule does not embed")
+    if not exists_surjective_hom(i1, fac):
+        failures.append(f"{t}: long-summand factor is not a quotient")
     return failures
 
 
-def check_ar_recursion(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
+def check_ar_recursion(ctx: SuiteContext) -> List[str]:
+    t = ctx.t
     failures = []
-    for t in ts:
-        algebra = build_endomorphism_algebra(t, check=False)
-        count = 0
-        for l_mod, m_mod, n_mod, end in ar_sequences_ending_at_tau_rigid(algebra):
-            if not is_tau_rigid(n_mod):
-                failures.append(f"{t}: end term at {end} is not rigid in the module sense")
-                continue
-            if not verify_ar_recursion(l_mod, m_mod, n_mod):
-                failures.append(f"{t}: recursion fails on the sequence ending at {end}")
-            count += 1
-        if count == 0:
-            failures.append(f"{t}: no AR sequences found")
+    count = 0
+    for l_mod, m_mod, n_mod, end in ar_sequences_ending_at_tau_rigid(ctx.algebra):
+        if not is_tau_rigid(n_mod):
+            failures.append(f"{t}: end term at {end} is not rigid in the module sense")
+            continue
+        if not verify_ar_recursion(l_mod, m_mod, n_mod):
+            failures.append(f"{t}: recursion fails on the sequence ending at {end}")
+        count += 1
+    if count == 0:
+        failures.append(f"{t}: no AR sequences found")
     return failures
 
 
-def check_chi_oracle(tube: Tube, ts: Sequence[MaximalRigid]) -> List[str]:
+def check_chi_oracle(ctx: SuiteContext) -> List[str]:
+    t = ctx.t
     failures = []
-    for t in ts:
-        algebra = build_endomorphism_algebra(t, check=False)
-        for x in all_rigid_indecs(tube):
-            mod = apply_F(algebra, x)
-            if mod.is_zero():
-                continue
-            rank = rank_vector(mod)
-            for e in product(*[range(r + 1) for r in rank]):
-                direct = chi_lf(mod, e)
-                oracle = chi_lf_oracle_fq(mod, e)
-                if direct != oracle:
-                    failures.append(f"{t}: chi mismatch at {x}, e={e}: {direct} vs {oracle}")
+    for x in all_rigid_indecs(ctx.tube):
+        mod = apply_F(ctx.algebra, x)
+        if mod.is_zero():
+            continue
+        rank = rank_vector(mod)
+        for e in product(*[range(r + 1) for r in rank]):
+            direct = chi_lf(mod, e)
+            oracle = chi_lf_oracle_fq(mod, e)
+            if direct != oracle:
+                failures.append(f"{t}: chi mismatch at {x}, e={e}: {direct} vs {oracle}")
     return failures
 
 
@@ -395,13 +420,16 @@ def check_tube_invariants(tube: Tube) -> List[str]:
                 failures.append(f"hom dimension not translation invariant at {x},{y}")
             if tube.ext1_c_dim(x, y) != tube.ext1_c_dim(y, x):
                 failures.append(f"symmetry of extensions fails at {x},{y}")
-    ts = enumerate_maximal_rigid(tube.n, tube)
-    known = {t.as_set() for t in ts}
-    for t in ts:
-        for k in range(1, n + 1):
-            if mutate_rigid(t, k).mutated.as_set() not in known:
-                failures.append(f"mutation leaves the enumerated set at {t}, {k}")
     return failures
+
+
+def check_mutation_closure(ctx: SuiteContext, known: Set[frozenset]) -> List[str]:
+    """Every mutation of T lands in the enumerated set ``known``."""
+    return [
+        f"mutation leaves the enumerated set at {ctx.t}, {k}"
+        for k, data in enumerate(ctx.triangles, 1)
+        if data.mutated.as_set() not in known
+    ]
 
 
 class SuiteReport:
@@ -434,25 +462,53 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     representatives (translation is an autoequivalence, so this is
     exhaustive up to relabelling) while matrix and structure checks stay
     exhaustive; n = 5 runs the structure checks only.
+
+    One loop over the maximal rigid objects: each T gets one context,
+    every check whose scope holds T runs on it, and the context is dropped
+    before the next T.  A scheduled check that visits no object fails.
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
-    reps = tau_orbit_representatives(tube)
-    report = SuiteReport()
-    report.add("tube invariants", check_tube_invariants(tube))
-    report.add(
-        "quiver shape and relations",
-        check_structure(tube, ts_all, associativity_for=min(len(ts_all), 3)),
-    )
+    reps = {t.summands for t in tau_orbit_representatives(tube)}
+    known = {t.as_set() for t in ts_all}
+    associative = {t.summands for t in ts_all[:3]}
+
+    def every(t: MaximalRigid) -> bool:
+        return True
+
+    def is_rep(t: MaximalRigid) -> bool:
+        return t.summands in reps
+
+    characters = every if n <= 3 else is_rep
+    # (report line, check on one context, scope), in report order
+    schedule = [
+        ("tube invariants", lambda ctx: check_mutation_closure(ctx, known), every),
+        ("quiver shape and relations",
+         lambda ctx: check_structure(ctx, associativity=ctx.t.summands in associative), every),
+    ]
     if n <= 4:
-        report.add("matrix formulas and mutation", check_b_matrix_compatibility(tube, ts_all))
-        scope = ts_all if n <= 3 else reps
-        report.add("character bijection", check_bijection(tube, scope))
-        report.add("denominator vectors", check_denominators(tube, scope))
-        report.add("exchange relations and walk", check_exchange_relations(tube))
-        report.add("index and coindex laws", check_index_coindex(tube, scope))
-        report.add("long-summand lemmas", check_long_summand_lemmas(tube))
-        report.add("AR recursion", check_ar_recursion(tube, reps))
+        schedule += [
+            ("matrix formulas and mutation", check_b_matrix_compatibility, every),
+            ("character bijection", check_bijection, characters),
+            ("denominator vectors", check_denominators, characters),
+            ("exchange relations and walk", check_exchange_relations, is_rep),
+            ("index and coindex laws", check_index_coindex, characters),
+            ("long-summand lemmas", check_long_summand_lemmas, is_rep),
+            ("AR recursion", check_ar_recursion, is_rep),
+        ]
     if n <= 3 and oracle:
-        report.add("finite-field chi oracle", check_chi_oracle(tube, ts_all if n == 2 else reps))
+        schedule.append(("finite-field chi oracle", check_chi_oracle, every if n == 2 else is_rep))
+    failures = {name: [] for name, _, _ in schedule}
+    visited = dict.fromkeys(failures, 0)
+    failures["tube invariants"] = check_tube_invariants(tube)
+    for t in ts_all:
+        ctx = SuiteContext(t)
+        for name, check, scope in schedule:
+            if scope(t):
+                visited[name] += 1
+                failures[name].extend(check(ctx))
+        del ctx
+    report = SuiteReport()
+    for name in failures:
+        report.add(name, failures[name] if visited[name] else ["visited no objects"])
     return report

@@ -14,6 +14,7 @@ import pytest
 from clustertube.cli import run as cli_run
 from clustertube.tube import Tube, enumerate_maximal_rigid
 from clustertube.verify import (
+    SuiteContext,
     check_ar_recursion,
     check_b_matrix_compatibility,
     check_bijection,
@@ -33,6 +34,15 @@ def tube_for(n: int) -> Tube:
     if n not in _tubes:
         _tubes[n] = Tube(n)
     return _tubes[n]
+
+
+def over(ts, check, **kwargs):
+    """Run a per-object check on each T in turn, each on its own suite
+    context, as ``run_suite`` does."""
+    failures = []
+    for t in ts:
+        failures += check(SuiteContext(t), **kwargs)
+    return failures
 
 
 def report(name: str, failures, elapsed: float):
@@ -58,7 +68,7 @@ def test_criterion_2_bijection(n, exhaustive, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube) if exhaustive else tau_orbit_representatives(tube)
-    failures = check_bijection(tube, ts)
+    failures = over(ts, check_bijection)
     with capsys.disabled():
         report(f"2 character bijection n={n} ({len(ts)} objects)", failures, time.time() - start)
 
@@ -68,7 +78,7 @@ def test_criterion_3_denominators(n, exhaustive, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube) if exhaustive else tau_orbit_representatives(tube)
-    failures = check_denominators(tube, ts)
+    failures = over(ts, check_denominators)
     with capsys.disabled():
         report(f"3 denominator vectors n={n}", failures, time.time() - start)
 
@@ -77,7 +87,7 @@ def test_criterion_3_denominators(n, exhaustive, capsys):
 def test_criterion_4_exchange_relations(n, capsys):
     start = time.time()
     tube = tube_for(n)
-    failures = check_exchange_relations(tube)
+    failures = over(tau_orbit_representatives(tube), check_exchange_relations)
     with capsys.disabled():
         report(f"4 exchange relations and walk n={n}", failures, time.time() - start)
 
@@ -87,7 +97,7 @@ def test_criterion_5_matrix_mutation_compatibility(n, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube)
-    failures = check_b_matrix_compatibility(tube, ts)
+    failures = over(ts, check_b_matrix_compatibility)
     with capsys.disabled():
         report(f"5 matrix formulas and mutation n={n} ({len(ts)} objects)", failures, time.time() - start)
 
@@ -97,7 +107,7 @@ def test_criterion_6_chi_oracle(n, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube)
-    failures = check_chi_oracle(tube, ts)
+    failures = over(ts, check_chi_oracle)
     with capsys.disabled():
         report(f"6 finite-field chi oracle n={n} ({len(ts)} objects)", failures, time.time() - start)
 
@@ -107,8 +117,8 @@ def test_criterion_7_index_coindex(n, exhaustive, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube) if exhaustive else tau_orbit_representatives(tube)
-    failures = check_index_coindex(tube, ts)
-    failures += check_long_summand_lemmas(tube)
+    failures = over(ts, check_index_coindex)
+    failures += over(tau_orbit_representatives(tube), check_long_summand_lemmas)
     with capsys.disabled():
         report(f"7 index/coindex laws n={n}", failures, time.time() - start)
 
@@ -118,7 +128,7 @@ def test_criterion_8_ar_recursion(n, exhaustive, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube) if exhaustive else tau_orbit_representatives(tube)
-    failures = check_ar_recursion(tube, ts)
+    failures = over(ts, check_ar_recursion)
     with capsys.disabled():
         report(f"8 AR recursion n={n}", failures, time.time() - start)
 
@@ -128,6 +138,7 @@ def test_criterion_9_structure_validation(n, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube)
-    failures = check_structure(tube, ts, associativity_for=min(len(ts), 3))
+    failures = over(ts[:3], check_structure, associativity=True)
+    failures += over(ts[3:], check_structure)
     with capsys.disabled():
         report(f"9 structure validation n={n} ({len(ts)} objects)", failures, time.time() - start)

@@ -1,3 +1,5 @@
+import pytest
+
 from clustertube.endo import (
     Quiver,
     b_matrix_from_quiver,
@@ -32,6 +34,39 @@ def test_algebra_dimension_formula(cyclic_algebra, cyclic_t, tube3):
 def test_associativity_checked(cyclic_algebra, linear_algebra):
     cyclic_algebra.verify_associativity()
     linear_algebra.verify_associativity()
+
+
+def _reference_three_cycles(algebra):
+    """The triple loop over the arrows that ``three_cycles`` once ran on
+    every call."""
+    cycles = []
+    for a in algebra.arrows:
+        for b in algebra.arrows:
+            for c in algebra.arrows:
+                if a.is_loop or b.is_loop or c.is_loop:
+                    continue
+                if (
+                    a.tgt == b.src
+                    and b.tgt == c.src
+                    and c.tgt == a.src
+                    and len({a.src, b.src, c.src}) == 3
+                    and a.idx <= b.idx
+                    and a.idx <= c.idx
+                ):
+                    cycles.append((a, b, c))
+    return cycles
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stored_relations_equal_the_triple_loop(n):
+    for t in enumerate_maximal_rigid(n):
+        algebra = build_endomorphism_algebra(t, check=False)
+        cycles = _reference_three_cycles(algebra)
+        assert algebra.three_cycles() == cycles
+        loop = algebra.loop_arrow()
+        expected = [(loop, loop)] + [p for a, b, c in cycles for p in ((a, b), (b, c), (c, a))]
+        assert algebra.relation_pairs() == expected
+        assert algebra.relation_pairs() is algebra.relation_pairs()
 
 
 def test_relations_hold(cyclic_algebra):

@@ -264,3 +264,13 @@ def test_ext_is_symmetric_and_hom_is_translation_invariant(case):
     assert tube.ext1_c_dim(x, y) == tube.ext1_c_dim(y, x)
     for k in (1, 2, tube.p - 1):
         assert tube.hom_c_dim(tube.tau(x, k), tube.tau(y, k)) == tube.hom_c_dim(x, y)
+
+
+def test_dmor_space_is_the_ext_space_at_the_inverse_translate():
+    tube = Tube(3)
+    rigids = all_rigid_indecs(tube)
+    for x in rigids:
+        for y in rigids:
+            space = tube.dmor_space(x, y)
+            assert space is tube.ext_space(x, tube.tau(y, -1))
+            assert tube.dmor_space(x, y) is space

@@ -1,6 +1,11 @@
+import gc
+import json
+import weakref
+
 import pytest
 
-from clustertube import verify
+from clustertube import amod, tube as tube_module, verify
+from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
 from clustertube.tube import ConsistencyError, Tube, enumerate_maximal_rigid
 
@@ -16,12 +21,12 @@ def _run_check(monkeypatch, site, exc):
     """Run the check behind one failure handler of ``verify`` with the
     call it guards replaced by one that raises ``exc``."""
     tube = Tube(2)
-    ts = enumerate_maximal_rigid(2, tube)[:1]
+    t = enumerate_maximal_rigid(2, tube)[0]
     if site == "b_matrix":
         monkeypatch.setattr(verify, "b_matrix", _raise(exc))
-        return ts[0], verify.check_b_matrix_compatibility(tube, ts)
+        return t, verify.check_b_matrix_compatibility(verify.SuiteContext(t))
     monkeypatch.setattr(FinDimAlgebra, site, _raise(exc))
-    return ts[0], verify.check_structure(tube, ts, associativity_for=1)
+    return t, verify.check_structure(verify.SuiteContext(t), associativity=True)
 
 
 SITES = ["b_matrix", "verify_relations", "verify_associativity"]
@@ -38,3 +43,100 @@ def test_bug_in_a_check_propagates(monkeypatch, site, exc_type):
 def test_consistency_error_is_a_failure_line(monkeypatch, site):
     t, failures = _run_check(monkeypatch, site, ConsistencyError("formulas disagree"))
     assert failures == [f"{t}: formulas disagree"]
+
+
+# -- one context per maximal rigid object -------------------------------------
+
+
+# End(T) sits in reference cycles (its modules point back at it), so only a
+# full collection frees it; at n = 4 the 70 collections would cost seconds,
+# and the liveness check runs at n = 3 only.
+@pytest.mark.parametrize("n, check_liveness", [(3, True), (4, False)])
+def test_one_context_per_object_and_one_alive_at_a_time(monkeypatch, n, check_liveness):
+    built = []  # (T, weak reference to its End(T))
+    build = verify.build_endomorphism_algebra
+
+    def counting_build(t, check=True):
+        if check_liveness:
+            gc.collect()
+            alive = [str(s) for s, ref in built if ref() is not None]
+            assert alive == [], f"End(T) still alive when the next one is built: {alive}"
+        algebra = build(t, check=check)
+        built.append((t, weakref.ref(algebra)))
+        return algebra
+
+    calls = {}  # (id(T), k) -> count, for the objects the suite built End(T) for
+    mutate = tube_module.mutate_rigid
+
+    def counting_mutate(t, k):
+        calls[(id(t), k)] = calls.get((id(t), k), 0) + 1
+        return mutate(t, k)
+
+    monkeypatch.setattr(verify, "build_endomorphism_algebra", counting_build)
+    monkeypatch.setattr(verify, "mutate_rigid", counting_mutate)
+    monkeypatch.setattr(tube_module, "mutate_rigid", counting_mutate)
+    report = verify.run_suite(n, oracle=False)
+    assert report.ok
+    ts = enumerate_maximal_rigid(n, Tube(n))
+    assert len(built) == len(ts) == {3: 20, 4: 70}[n]
+    assert [t.summands for t, _ in built] == [t.summands for t in ts]
+    own = [calls.get((id(t), k), 0) for t, _ in built for k in range(1, n + 1)]
+    assert own == [1] * (n * len(ts))
+
+
+def _representative(tube):
+    return verify.tau_orbit_representatives(tube)[0]
+
+
+def test_failed_matrix_cross_check_is_a_failed_verification(monkeypatch, capsys):
+    target = _representative(Tube(2))
+    euler = amod.b_matrix_from_euler_form
+
+    def negated_for_target(algebra):
+        b = euler(algebra)
+        if algebra.t.summands == target.summands:
+            assert any(any(row) for row in b)
+            return tuple(tuple(-x for x in row) for row in b)
+        return b
+
+    monkeypatch.setattr(amod, "b_matrix_from_euler_form", negated_for_target)
+    needs_b = ["character bijection", "denominator vectors",
+               "exchange relations and walk", "index and coindex laws"]
+    failed = ["matrix formulas and mutation"] + needs_b
+
+    assert run(["verify", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    lines = captured.out.splitlines()
+    assert lines[-1] == "FAILURES PRESENT"
+    for line in lines[:-1]:
+        status, name = line[:10].strip(), line[11:]
+        assert status == ("FAIL (1)" if name in failed else "PASS"), line
+
+    assert run(["verify", "--n", "2", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    payload = json.loads(captured.out)
+    assert not payload["ok"]
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == failed
+    matrix_line, *rest = payload["failures"]
+    assert matrix_line.startswith(
+        f"matrix formulas and mutation: {target}: exchange-matrix formulas disagree: ")
+    assert rest == [f"{name}: {target}: no exchange matrix, its formulas disagree"
+                    for name in needs_b]
+
+
+VACUOUS = {
+    2: ["exchange relations and walk", "long-summand lemmas", "AR recursion"],
+    3: ["exchange relations and walk", "long-summand lemmas", "AR recursion",
+        "finite-field chi oracle"],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_check_that_visits_no_object_fails(monkeypatch, n):
+    # without representatives, the checks scoped to them visit nothing
+    monkeypatch.setattr(verify, "tau_orbit_representatives", lambda tube: [])
+    report = verify.run_suite(n)
+    assert [name for name, passed, _ in report.lines if not passed] == VACUOUS[n]
+    assert report.failures == [f"{name}: visited no objects" for name in VACUOUS[n]]
