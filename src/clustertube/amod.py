@@ -40,17 +40,15 @@ class DomainError(TubeError):
     """Input outside the mathematical domain of an operation."""
 
 
-VertexTag = Tuple[int, str, int]  # (summand index, 't' | 'd', local index)
-
-
 class AModule:
     """A finite-dimensional right module as a quiver representation.
 
     ``mats[k]`` is the action of the k-th Gabriel arrow ``alpha: i -> j``,
     a matrix from the vertex-j space to the vertex-i space.  Modules coming
-    from the functor ``Hom(T, -)`` carry their provenance: the tube object
-    and, per vertex, tags recording the tube/shift stratum splitting of the
-    basis, which later drives the string normal form.
+    from the functor ``Hom(T, -)`` carry their provenance: the summands of
+    the tube object and, per vertex, one tag per basis vector, the index in
+    the provenance of the summand that vector belongs to.  ``map_F`` reads
+    the tags to place the images of a morphism's blocks.
     """
 
     __slots__ = ("algebra", "dims", "mats", "provenance", "vtags", "_cover")
@@ -61,7 +59,7 @@ class AModule:
         dims: Sequence[int],
         mats: Sequence[ExactMatrix],
         provenance: Optional[Tuple[Indec, ...]] = None,
-        vtags: Optional[Tuple[Tuple[VertexTag, ...], ...]] = None,
+        vtags: Optional[Tuple[Tuple[int, ...], ...]] = None,
         check: bool = True,
     ):
         self.algebra = algebra
@@ -202,7 +200,8 @@ def zero_module(algebra: FinDimAlgebra) -> AModule:
 
 
 def direct_sum(modules: Sequence[AModule]) -> AModule:
-    """Block-diagonal direct sum; provenance and tags concatenate."""
+    """Block-diagonal direct sum; provenance concatenates, and each tag is
+    shifted past the summands of the modules before its own."""
     modules = list(modules)
     if not modules:
         raise DomainError("empty direct sum needs an algebra; use zero_module")
@@ -225,15 +224,14 @@ def direct_sum(modules: Sequence[AModule]) -> AModule:
     if all(m.provenance is not None for m in modules):
         prov = tuple(x for m in modules for x in m.provenance)
     vtags = None
-    if all(m.vtags is not None for m in modules):
-        vtags = []
-        for v in range(alg.n):
-            tags = []
-            for s, m in enumerate(modules):
-                for (si, kind, li) in m.vtags[v]:
-                    tags.append((s, kind, li))
-            vtags.append(tuple(tags))
-        vtags = tuple(vtags)
+    if prov is not None and all(m.vtags is not None for m in modules):
+        offsets = [0]
+        for m in modules:
+            offsets.append(offsets[-1] + len(m.provenance))
+        vtags = tuple(
+            tuple(off + s for off, m in zip(offsets, modules) for s in m.vtags[v])
+            for v in range(alg.n)
+        )
     return AModule(alg, dims, mats, provenance=prov, vtags=vtags, check=False)
 
 
@@ -272,17 +270,14 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
         return cached
     n = algebra.n
     bases: List[List[CHom]] = []
-    vtags: List[Tuple[VertexTag, ...]] = []
+    vtags: List[Tuple[int, ...]] = []
     for i in range(n):
         basis_i: List[CHom] = []
-        tags_i: List[VertexTag] = []
+        tags_i: List[int] = []
         for s_idx, s in enumerate(summands):
             homs = hom_c_basis(tube, t.summands[i], s)
-            t_dim = tube.hom_tube_dim(t.summands[i], s)
-            for r, h in enumerate(homs):
-                basis_i.append(h)
-                kind = "t" if r < t_dim else "d"
-                tags_i.append((s_idx, kind, r if r < t_dim else r - t_dim))
+            basis_i.extend(homs)
+            tags_i.extend([s_idx] * len(homs))
         bases.append(basis_i)
         vtags.append(tuple(tags_i))
     dims = [len(b) for b in bases]
@@ -292,12 +287,12 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
         cols = []
         for pos_j, m in enumerate(bases[j]):
             comp = m.compose(a.rep)  # T_i -> X_s
-            target_summand = vtags[j][pos_j][0]
+            target_summand = vtags[j][pos_j]
             coords = chom_coords(tube, comp)
             # scatter into the vertex-i coordinates: the block of this summand
             col = [0] * dims[i]
             pos = 0
-            for r, (ts, kind, li) in enumerate(vtags[i]):
+            for r, ts in enumerate(vtags[i]):
                 if ts == target_summand:
                     col[r] = coords[pos]
                     pos += 1
@@ -336,7 +331,7 @@ def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
                 comp = block.compose(h)
                 coords = chom_coords(tube, comp)
                 pos = 0
-                for r, (ts, kind, li) in enumerate(tgt.vtags[i]):
+                for r, ts in enumerate(tgt.vtags[i]):
                     if ts == t_idx:
                         col[r] += coords[pos]
                         pos += 1
@@ -346,12 +341,18 @@ def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
 
 
 def simple(algebra: FinDimAlgebra, i: int) -> AModule:
-    """The simple module at vertex i (1-based)."""
-    dims = [int(v == i - 1) for v in range(algebra.n)]
-    mats = [
-        ExactMatrix.zero(dims[a.src - 1], dims[a.tgt - 1]) for a in algebra.arrows
-    ]
-    return AModule(algebra, dims, mats, check=False)
+    """The simple module at vertex i (1-based).
+
+    Built once per vertex and kept on ``algebra``, so its projective cover
+    is computed once; callers must not mutate it."""
+    cached = algebra._simples.get(i)
+    if cached is None:
+        dims = [int(v == i - 1) for v in range(algebra.n)]
+        mats = [
+            ExactMatrix.zero(dims[a.src - 1], dims[a.tgt - 1]) for a in algebra.arrows
+        ]
+        cached = algebra._simples[i] = AModule(algebra, dims, mats, check=False)
+    return cached
 
 
 def projective(algebra: FinDimAlgebra, i: int) -> AModule:

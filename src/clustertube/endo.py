@@ -112,10 +112,11 @@ class FinDimAlgebra:
         self._path_span: Dict[Tuple[int, int], Tuple[list, SpanSolver]] = {}
         self._build_paths()
         # Memo of the module layer (clustertube.amod), living as long as this
-        # algebra: functor images Hom(T, X) by summand tuple of X, and the
-        # socle data of the injectives.
+        # algebra: functor images Hom(T, X) by summand tuple of X, the socle
+        # data of the injectives, and the simples by vertex.
         self._module_cache: Dict[tuple, object] = {}
         self._socle_data: Optional[list] = None
+        self._simples: Dict[int, object] = {}
 
     # -- multiplication ------------------------------------------------------
 

@@ -445,30 +445,16 @@ def ar_quiver_json(algebra: FinDimAlgebra) -> dict:
 
 
 def _find_isomorphism(m: AModule, n_mod: AModule) -> Optional[ModMap]:
-    if m.dims != n_mod.dims:
-        return None
-    basis = hom_A_basis(m, n_mod)
-    if not basis:
-        return None if m.total_dim else ModMap(m, n_mod, [ExactMatrix.zero(0, 0)] * m.algebra.n)
+    """An isomorphism M -> N taken from the basis of Hom(M, N), or ``None``
+    if M and N are not isomorphic.
 
-    def is_iso(phi: ModMap) -> bool:
-        return all(mat_rank(mat) == mat.nrows == mat.ncols for mat in phi.mats)
-
-    for phi in basis:
-        if is_iso(phi):
-            return phi
-    # deterministic small-coefficient search; an isomorphism, if one exists,
-    # is generic in the morphism space
-    from itertools import product
-
-    for combo in product([0, 1, -1, 2, -2, 3], repeat=len(basis)):
-        if not any(combo):
-            continue
-        mats = [ExactMatrix.zero(n_mod.dims[v], m.dims[v]) for v in range(m.algebra.n)]
-        for cf, base in zip(combo, basis):
-            if cf:
-                mats = [acc.add(bm.scale(cf)) for acc, bm in zip(mats, base.mats)]
-        phi = ModMap(m, n_mod, mats)
-        if is_iso(phi):
+    For a string module N this is exact.  End(N) is local (Butler-Ringel,
+    Comm. Algebra 15, 1987), so if psi: M -> N is an isomorphism, the
+    non-isomorphisms in Hom(M, N) form the proper subspace psi o rad End(M).
+    A basis cannot lie inside a proper subspace, so some basis element is an
+    isomorphism.
+    """
+    for phi in hom_A_basis(m, n_mod):
+        if all(mat_rank(mat) == mat.nrows == mat.ncols for mat in phi.mats):
             return phi
     return None

@@ -26,20 +26,21 @@ from .tube import (
     b_matrix,
     b_matrix_multiplicities,
     enumerate_maximal_rigid,
+    in_pr_T,
+    in_pr_sigma_T,
+    minimal_approximation,
     mutate_rigid,
 )
 from .amod import (
-    AModule,
     apply_F,
     coindex,
-    hom_A_basis,
     index,
     injective,
     is_locally_free,
     is_tau_rigid,
+    map_F,
     projective,
     rank_vector,
-    zero_module,
 )
 from .ccmap import CCMap
 from .grassmann import (
@@ -48,7 +49,6 @@ from .grassmann import (
     chi_lf_oracle_fq,
     verify_ar_recursion,
 )
-from .linalg import ExactMatrix
 
 # What a check reports as a failure line; any other exception is a bug in the
 # check itself and propagates.
@@ -60,59 +60,31 @@ def tau_orbit_representatives(tube: Tube) -> List[MaximalRigid]:
     return [t for t in enumerate_maximal_rigid(tube.n, tube) if t.long == Indec(1, tube.n)]
 
 
-def _exists_hom_with(m: AModule, n_mod: AModule, predicate) -> bool:
-    """Search a homomorphism whose vertex maps satisfy the predicate."""
-    from .amod import ModMap
-
-    zero_map = ModMap(
-        m, n_mod, [ExactMatrix.zero(n_mod.dims[v], m.dims[v]) for v in range(m.algebra.n)]
-    )
-    if predicate(zero_map):
-        return True
-    basis = hom_A_basis(m, n_mod)
-    for phi in basis:
-        if predicate(phi):
-            return True
-    if not basis:
-        return False
-    for combo in product([0, 1, -1, 2, -2], repeat=len(basis)):
-        if not any(combo):
-            continue
-        mats = [ExactMatrix.zero(n_mod.dims[v], m.dims[v]) for v in range(m.algebra.n)]
-        for cf, base in zip(combo, basis):
-            if cf:
-                mats = [acc.add(bm.scale(cf)) for acc, bm in zip(mats, base.mats)]
-        if predicate(ModMap(m, n_mod, mats)):
-            return True
-    return False
-
-
-def exists_injective_hom(m: AModule, n_mod: AModule) -> bool:
-    return _exists_hom_with(m, n_mod, lambda phi: phi.is_injective())
-
-
-def exists_surjective_hom(m: AModule, n_mod: AModule) -> bool:
-    return _exists_hom_with(m, n_mod, lambda phi: phi.is_surjective())
-
-
 def _stack_chom(tube: Tube, middle: Sequence[Indec], comps: Sequence[CHom], target: Indec,
                 into_target: bool) -> CHom:
     """Assemble component morphisms into one block morphism."""
-    if into_target:
-        out = CHom.zero(tube, tuple(middle), (target,))
-        for i, comp in enumerate(comps):
-            if (0, 0) in comp.t:
-                out.t[(i, 0)] = comp.t[(0, 0)]
-            if (0, 0) in comp.d:
-                out.d[(i, 0)] = comp.d[(0, 0)]
-        return out
-    out = CHom.zero(tube, (target,), tuple(middle))
+    src, tgt = (tuple(middle), (target,)) if into_target else ((target,), tuple(middle))
+    out = CHom.zero(tube, src, tgt)
     for i, comp in enumerate(comps):
+        key = (i, 0) if into_target else (0, i)
         if (0, 0) in comp.t:
-            out.t[(0, i)] = comp.t[(0, 0)]
+            out.t[key] = comp.t[(0, 0)]
         if (0, 0) in comp.d:
-            out.d[(0, i)] = comp.d[(0, 0)]
+            out.d[key] = comp.d[(0, 0)]
     return out
+
+
+def _irreducible_maps(tube: Tube, x: Indec, middle: Sequence[Indec], into_x: bool) -> List[CHom]:
+    """The irreducible tube maps y -> x (``into_x``) or x -> y, one for each
+    y in ``middle``: the single basis element of its Hom space."""
+    comps = []
+    for y in middle:
+        src, tgt = (y, x) if into_x else (x, y)
+        basis = tube.hom_basis(src, tgt)
+        if len(basis) != 1:
+            raise ConsistencyError(f"Hom({src}, {tgt}) in the tube has dimension {len(basis)}, not 1")
+        comps.append(CHom.t_single(tube, src, tgt, basis[0]))
+    return comps
 
 
 # -- the per-object context -------------------------------------------------------
@@ -227,9 +199,6 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
     """Index/coindex laws: the matrix identity, suspension antisymmetry,
     additivity along exchange and AR triangles, and the maximal locally
     free submodules and factors of projectives and injectives."""
-    from .amod import map_F
-    from .tube import in_pr_T, in_pr_sigma_T
-
     t, tube, algebra = ctx.t, ctx.tube, ctx.algebra
     if ctx.cc_map is None:
         return ctx.no_b_matrix()
@@ -258,8 +227,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
     for k, data in enumerate(ctx.triangles, 1):
         if data.right_middle:
             g = _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
-            mid_mod = apply_F(algebra, data.right_middle)
-            f_right = map_F(algebra, g, src=mid_mod, tgt=apply_F(algebra, data.old))
+            f_right = map_F(algebra, g)
             if f_right.is_surjective():
                 lhs = index(algebra, data.right_middle)
                 rhs = tuple(
@@ -269,8 +237,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
                     failures.append(f"{t}: index additivity fails at direction {k}")
         if data.left_middle:
             g = _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
-            mid_mod = apply_F(algebra, data.left_middle)
-            f_left = map_F(algebra, g, src=apply_F(algebra, data.old), tgt=mid_mod)
+            f_left = map_F(algebra, g)
             if f_left.is_injective():
                 injective_fired += 1
                 lhs = coindex(algebra, data.left_middle)
@@ -316,7 +283,10 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             )
             if mid.dims != expected_dims:
                 failures.append(f"{t}: injective factor dimensions off at {k+1}")
-            if not exists_surjective_hom(inj, mid):
+            g = _stack_chom(tube, middle_objs, _irreducible_maps(tube, sigma_x, middle_objs, False),
+                            sigma_x, False)
+            onto = map_F(algebra, g)
+            if not (onto.commutes() and onto.is_surjective()):
                 failures.append(f"{t}: no surjection onto the factor at {k+1}")
             expected_co = tuple(-b.b[i][k] for i in range(n))
             if coindex(algebra, tuple(middle_objs)) != expected_co:
@@ -335,7 +305,9 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             )
             if mid.dims != expected_dims:
                 failures.append(f"{t}: projective submodule dimensions off at {k+1}")
-            if not exists_injective_hom(mid, proj):
+            g = _stack_chom(tube, middle_objs, _irreducible_maps(tube, x, middle_objs, True), x, True)
+            into = map_F(algebra, g)
+            if not (into.commutes() and into.is_injective()):
                 failures.append(f"{t}: no embedding of the submodule at {k+1}")
             lhs = coindex(algebra, t.summands[k])
             rhs = tuple(
@@ -358,7 +330,7 @@ def check_long_summand_lemmas(ctx: SuiteContext) -> List[str]:
     n = tube.n
     p1 = projective(algebra, 1)
     i1 = injective(algebra, 1)
-    sub = apply_F(algebra, (Indec(1, n - 1), Indec(1, n - 1))) if n > 1 else zero_module(algebra)
+    sub = apply_F(algebra, (Indec(1, n - 1), Indec(1, n - 1)))
     fac = apply_F(algebra, (tube.indec(n + 1, n - 1), tube.indec(n + 1, n - 1)))
     for mod, name in ((sub, "submodule"), (fac, "factor")):
         if not is_locally_free(mod):
@@ -370,10 +342,21 @@ def check_long_summand_lemmas(ctx: SuiteContext) -> List[str]:
         failures.append(f"{t}: long-summand submodule dimensions off")
     if fac.dims != expected_fac:
         failures.append(f"{t}: long-summand factor dimensions off")
-    if not exists_injective_hom(sub, p1):
-        failures.append(f"{t}: long-summand submodule does not embed")
-    if not exists_surjective_hom(i1, fac):
-        failures.append(f"{t}: long-summand factor is not a quotient")
+    # the embedding is the minimal right approximation of T_1 = (1, n) by
+    # its wing neighbour, the quotient the minimal left approximation of
+    # the injective's object (n, n); each has exactly two copies in its middle
+    for z, u, right, failure in (
+        (Indec(1, n), Indec(1, n - 1), True, "submodule does not embed"),
+        (tube.indec(n, n), tube.indec(n + 1, n - 1), False, "factor is not a quotient"),
+    ):
+        approx = minimal_approximation(tube, z, [u], "right" if right else "left")
+        if len(approx.middle) != 2:
+            failures.append(f"{t}: long-summand {failure}: "
+                            f"the approximation by {u} has multiplicity {len(approx.middle)}, not 2")
+            continue
+        f = map_F(algebra, _stack_chom(tube, approx.middle, approx.components, z, right))
+        if not (f.commutes() and (f.is_injective() if right else f.is_surjective())):
+            failures.append(f"{t}: long-summand {failure}")
     return failures
 
 

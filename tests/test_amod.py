@@ -15,6 +15,7 @@ from clustertube.amod import (
     injective,
     is_locally_free,
     is_tau_rigid,
+    map_F,
     projective,
     rank_vector,
     simple,
@@ -25,6 +26,7 @@ from clustertube.amod import (
 from clustertube.endo import build_endomorphism_algebra
 from clustertube.linalg import SpanSolver, coords_in_span
 from clustertube.tube import (
+    CHom,
     ConsistencyError,
     Indec,
     MaximalRigid,
@@ -147,6 +149,25 @@ def test_direct_sum_bookkeeping(cyclic_algebra):
         x + y
         for x, y in zip(coindex(cyclic_algebra, Indec(1, 1)), coindex(cyclic_algebra, Indec(2, 2)))
     )
+
+
+def test_direct_sum_tags_each_vector_with_its_own_summand(cyclic_algebra, tube3):
+    # a tag is the position of its vector's summand in the whole provenance,
+    # so map_F can place a morphism's blocks in a sum of sums
+    x, y, z = Indec(1, 1), Indec(1, 2), Indec(1, 3)
+    whole = apply_F(cyclic_algebra, (x, y, z))
+    for parts in (((x,), (y, z)), ((x, y), (z,))):
+        s = direct_sum([apply_F(cyclic_algebra, part) for part in parts])
+        assert s.provenance == whole.provenance == (x, y, z)
+        assert s.vtags == whole.vtags
+        assert s.same_data(whole)
+        ident = map_F(cyclic_algebra, CHom.identity(tube3, (x, y, z)), tgt=s)
+        assert ident.commutes() and ident.is_injective() and ident.is_surjective()
+
+
+def test_simples_are_built_once_per_vertex(cyclic_algebra):
+    for i in (1, 2, 3):
+        assert simple(cyclic_algebra, i) is simple(cyclic_algebra, i)
 
 
 def test_rank_vector_requires_locally_free(cyclic_algebra):

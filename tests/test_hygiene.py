@@ -87,3 +87,39 @@ def test_the_rule_sees_floats_and_divisions():
     assert sorted(_floats_and_divisions(ast.parse(source), ("exact_div",))) == [
         (4, "division"), (6, "division"), (7, "float()"), (8, "float literal")]
     assert (2, "division") in _floats_and_divisions(ast.parse(source))
+
+
+def _literal_products(tree):
+    # product([...], repeat=k) enumerates coefficient vectors: a bounded
+    # search that can miss a map which exists; build the map instead
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if (name == "product" and isinstance(node.args[0], (ast.List, ast.Tuple))
+                and any(k.arg == "repeat" for k in node.keywords)):
+            yield node.lineno, "product over a literal"
+
+
+def test_no_coefficient_search_over_a_literal():
+    package = Path(clustertube.__file__).parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(package.glob("*.py"))
+        for line, what in _literal_products(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_rule_sees_coefficient_searches():
+    source = (
+        "import itertools\nfrom itertools import product\n"
+        "a = product([0, 1, -1], repeat=3)\n"
+        "b = itertools.product((0, 1), repeat=n)\n"
+        "c = product(range(p), repeat=2)\n"
+        "d = product([0, 1], [2, 3])\n"
+        "e = product(*[range(r + 1) for r in rank])\n"
+    )
+    assert list(_literal_products(ast.parse(source))) == [
+        (3, "product over a literal"), (4, "product over a literal")]

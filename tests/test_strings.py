@@ -102,17 +102,18 @@ def test_boundary_words_differ_by_loop_flip(linear_algebra, tube3):
         assert flip(w_over) == w_under.canonical()
 
 
-def _conjugate_at_vertex_one(algebra, m, d, d_inv):
-    """The module m with its vertex-1 basis changed by d (d_inv its inverse)."""
+def _conjugate(algebra, m, changes):
+    """The module m with its vertex-v basis changed by d, for each entry
+    v: (d, d_inv) of ``changes`` (d_inv the inverse of d)."""
     from clustertube.amod import AModule
 
     mats = []
     for a in algebra.arrows:
         mat = m.mats[a.idx]
-        if a.src == 1:
-            mat = d.mul(mat)
-        if a.tgt == 1:
-            mat = mat.mul(d_inv)
+        if a.src in changes:
+            mat = changes[a.src][0].mul(mat)
+        if a.tgt in changes:
+            mat = mat.mul(changes[a.tgt][1])
         mats.append(mat)
     return AModule(algebra, m.dims, mats)
 
@@ -125,7 +126,7 @@ def test_sweep_rescales_non_unit_entries(cyclic_algebra):
     m = apply_F(cyclic_algebra, Indec(1, 3))
     d = ExactMatrix([[Fraction(5), 0], [0, 1]])
     d_inv = ExactMatrix([[Fraction(1, 5), 0], [0, 1]])
-    twisted = _conjugate_at_vertex_one(cyclic_algebra, m, d, d_inv)
+    twisted = _conjugate(cyclic_algebra, m, {1: (d, d_inv)})
     sb = string_normal_form(twisted)
     assert sb.word == string_normal_form(m).word
     assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
@@ -142,7 +143,7 @@ def test_matching_fallback_on_abstract_module(cyclic_algebra, monkeypatch):
     assert m.dims[0] == 2
     d = ExactMatrix([[1, 1], [0, 1]])
     d_inv = ExactMatrix([[1, -1], [0, 1]])
-    twisted = _conjugate_at_vertex_one(cyclic_algebra, m, d, d_inv)
+    twisted = _conjugate(cyclic_algebra, m, {1: (d, d_inv)})
     calls = []
     matching = strings._string_form_by_matching
 
@@ -156,6 +157,37 @@ def test_matching_fallback_on_abstract_module(cyclic_algebra, monkeypatch):
     assert sb.word == string_normal_form(m).word
     assert sb.iso.src is twisted
     assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
+
+
+@pytest.mark.parametrize("fixture", ["cyclic_algebra", "linear_algebra"])
+def test_isomorphism_matching_is_exact(request, fixture):
+    # a non-monomial change of basis at every vertex of dimension >= 2;
+    # matching must find the word again, through a basis element of Hom
+    from clustertube import strings
+    from clustertube.amod import hom_A_basis
+    from clustertube.linalg import ExactMatrix
+
+    algebra = request.getfixturevalue(fixture)
+    twisted_somewhere = 0
+    for word in enumerate_strings(algebra):
+        m = string_module(algebra, word)
+        changes = {}
+        for v, d in enumerate(m.dims, 1):
+            if d >= 2:
+                # the identity with its first row all ones, and its inverse
+                changes[v] = (
+                    ExactMatrix([[1] * d] + [[int(r == c) for c in range(d)] for r in range(1, d)]),
+                    ExactMatrix([[1] + [-1] * (d - 1)]
+                                + [[int(r == c) for c in range(d)] for r in range(1, d)]),
+                )
+        twisted_somewhere += bool(changes)
+        twisted = _conjugate(algebra, m, changes)
+        sb = strings._string_form_by_matching(twisted)
+        assert sb.word == word.canonical()
+        assert sb.iso.src is twisted and sb.iso.tgt is sb.module
+        assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
+        assert any(phi.mats == sb.iso.mats for phi in hom_A_basis(twisted, sb.module))
+    assert twisted_somewhere
 
 
 def test_normal_form_of_the_ar_translate(cyclic_algebra):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -264,6 +265,33 @@ def test_ext_is_symmetric_and_hom_is_translation_invariant(case):
     assert tube.ext1_c_dim(x, y) == tube.ext1_c_dim(y, x)
     for k in (1, 2, tube.p - 1):
         assert tube.hom_c_dim(tube.tau(x, k), tube.tau(y, k)) == tube.hom_c_dim(x, y)
+
+
+@lru_cache(maxsize=None)
+def _enumerated(n):
+    """The maximal rigid objects of rank n, and the set of their summand sets."""
+    ts = enumerate_maximal_rigid(n, _TUBES[n])
+    return ts, frozenset(t.as_set() for t in ts)
+
+
+@st.composite
+def objects_and_directions(draw):
+    # an index, not the object, so that drawing never enumerates
+    n = draw(st.integers(min_value=2, max_value=8))
+    return n, draw(st.integers(0, comb(2 * n, n) - 1)), draw(st.integers(1, n))
+
+
+@given(objects_and_directions())
+@settings(max_examples=30, deadline=None)
+def test_mutation_is_an_involution_inside_the_enumerated_set(case):
+    n, i, k = case
+    ts, known = _enumerated(n)
+    t = ts[i]
+    data = mutate_rigid(t, k)
+    assert data.mutated.as_set() in known
+    back = mutate_at(data.mutated, data.new)
+    assert back.mutated.as_set() == t.as_set()
+    assert back.new == data.old
 
 
 def test_dmor_space_is_the_ext_space_at_the_inverse_translate():

@@ -5,9 +5,11 @@ import weakref
 import pytest
 
 from clustertube import amod, tube as tube_module, verify
+from clustertube.amod import ModMap, apply_F
 from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
-from clustertube.tube import ConsistencyError, Tube, enumerate_maximal_rigid
+from clustertube.linalg import ExactMatrix
+from clustertube.tube import ApproxResult, ConsistencyError, Indec, Tube, enumerate_maximal_rigid
 
 
 def _raise(exc):
@@ -140,3 +142,63 @@ def test_a_check_that_visits_no_object_fails(monkeypatch, n):
     report = verify.run_suite(n)
     assert [name for name, passed, _ in report.lines if not passed] == VACUOUS[n]
     assert report.failures == [f"{name}: visited no objects" for name in VACUOUS[n]]
+
+
+# -- each existence claim builds a map, and the map can fail ----------------------
+
+
+def _zero_map(algebra, g, src=None, tgt=None):
+    src = apply_F(algebra, g.src) if src is None else src
+    tgt = apply_F(algebra, g.tgt) if tgt is None else tgt
+    return ModMap(src, tgt, [ExactMatrix.zero(tgt.dims[v], src.dims[v]) for v in range(algebra.n)])
+
+
+def test_a_zero_map_fails_the_index_coindex_claims(monkeypatch):
+    t = _representative(Tube(3))
+    ctx = verify.SuiteContext(t)
+    assert verify.check_index_coindex(ctx) == []
+    monkeypatch.setattr(verify, "map_F", _zero_map)
+    failures = verify.check_index_coindex(ctx)
+    assert any(f.startswith(f"{t}: no embedding of the submodule at ") for f in failures)
+    assert any(f.startswith(f"{t}: no surjection onto the factor at ") for f in failures)
+
+
+def test_a_zero_map_fails_the_long_summand_claims(monkeypatch):
+    # the first object whose submodule and factor are both nonzero: onto a
+    # zero factor even the zero map is surjective
+    t = verify.tau_orbit_representatives(Tube(3))[1]
+    ctx = verify.SuiteContext(t)
+    assert verify.check_long_summand_lemmas(ctx) == []
+    monkeypatch.setattr(verify, "map_F", _zero_map)
+    assert verify.check_long_summand_lemmas(ctx) == [
+        f"{t}: long-summand submodule does not embed",
+        f"{t}: long-summand factor is not a quotient",
+    ]
+
+
+def test_the_long_summand_approximations_need_two_copies(monkeypatch):
+    approximation = verify.minimal_approximation
+
+    def one_copy(tube, z, others, side):
+        approx = approximation(tube, z, others, side)
+        assert len(approx.middle) == 2
+        return ApproxResult(approx.middle[:1], approx.components[:1])
+
+    monkeypatch.setattr(verify, "minimal_approximation", one_copy)
+    t = _representative(Tube(3))
+    assert verify.check_long_summand_lemmas(verify.SuiteContext(t)) == [
+        f"{t}: long-summand submodule does not embed: "
+        "the approximation by (1,2) has multiplicity 1, not 2",
+        f"{t}: long-summand factor is not a quotient: "
+        "the approximation by (4,2) has multiplicity 1, not 2",
+    ]
+
+
+def test_an_irreducible_map_needs_a_one_dimensional_hom_space():
+    tube = Tube(3)
+    # the AR triangle (4,2) -> (4,3) + (1,1) -> (1,2)
+    assert len(verify._irreducible_maps(tube, Indec(1, 2), [Indec(4, 3), Indec(1, 1)], True)) == 2
+    # Hom((2,1), (1,2)) is zero, and End((1,5)) in the tube of rank 4 has dimension 2
+    for x, y in ((Indec(1, 2), Indec(2, 1)), (Indec(1, 5), Indec(1, 5))):
+        with pytest.raises(ConsistencyError):
+            verify._irreducible_maps(tube, x, [y], True)
