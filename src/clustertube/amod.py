@@ -49,9 +49,14 @@ class AModule:
     the tube object and, per vertex, one tag per basis vector, the index in
     the provenance of the summand that vector belongs to.  ``map_F`` reads
     the tags to place the images of a morphism's blocks.
+
+    The private slots keep invariants computed on first use: the projective
+    cover and its kernel here, the string normal form and its profile
+    counts in ``clustertube.grassmann``.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "provenance", "vtags", "_cover")
+    __slots__ = ("algebra", "dims", "mats", "provenance", "vtags",
+                 "_cover", "_syzygy", "_strings")
 
     def __init__(
         self,
@@ -77,6 +82,8 @@ class AModule:
         self.provenance = provenance
         self.vtags = vtags
         self._cover = None
+        self._syzygy = None
+        self._strings = None
         if check:
             self._check_relations()
 
@@ -480,6 +487,14 @@ def _cover(m: AModule) -> CoverData:
     return m._cover
 
 
+def _syzygy(m: AModule) -> Tuple[AModule, ModMap]:
+    """The kernel of the projective cover P0 -> M with its inclusion into
+    P0, computed once and kept on the module."""
+    if m._syzygy is None:
+        m._syzygy = _cover(m).cover.kernel()
+    return m._syzygy
+
+
 class PresentationData(NamedTuple):
     p1_vertices: Tuple[int, ...]
     p0_vertices: Tuple[int, ...]
@@ -490,8 +505,8 @@ class PresentationData(NamedTuple):
 def minimal_projective_presentation(m: AModule) -> PresentationData:
     alg = m.algebra
     cov = _cover(m)
-    ker, incl = cov.cover.kernel()
-    cov1 = projective_cover(ker)
+    ker, incl = _syzygy(m)
+    cov1 = _cover(ker)
     psi = incl.compose(cov1.cover)
     p0_vertices = cov.vertices
     p1_vertices = cov1.vertices
@@ -519,20 +534,18 @@ def minimal_projective_presentation(m: AModule) -> PresentationData:
 
 
 def ext1_A_dim(m: AModule, n_mod: AModule) -> int:
-    """dim Ext^1(M, N) from a projective cover P0 -> M with kernel K:
-    dim Hom(K, N) - dim Hom(P0, N) + dim Hom(M, N)."""
-    if m.is_zero() or n_mod.is_zero():
-        return 0
-    cov = _cover(m)
-    ker, _ = cov.cover.kernel()
-    hom_k = hom_A_dim(ker, n_mod)
-    hom_p0 = sum(n_mod.dims[v - 1] for v in cov.vertices)
-    return hom_k - hom_p0 + hom_A_dim(m, n_mod)
+    """dim Ext^1(M, N) = dim Hom(M, N) - the truncated Euler form."""
+    return hom_A_dim(m, n_mod) - euler_leq1(m, n_mod)
 
 
 def tau_A(m: AModule) -> AModule:
     """Auslander-Reiten translate via the Nakayama functor on a minimal
-    projective presentation; projective modules are sent to zero."""
+    projective presentation; projective modules are sent to zero.
+
+    Each nonzero entry of the presentation P1 -> P0, an algebra element
+    P_{u_t} -> P_{v_s}, gives one block map I_{u_t} -> I_{v_s}: one
+    ``map_F`` of the element's tau^2-translate.  nu(psi) at vertex u is the
+    block matrix of those maps' vertex-u matrices, zero at zero entries."""
     alg = m.algebra
     if m.is_zero():
         return zero_module(alg)
@@ -542,32 +555,30 @@ def tau_A(m: AModule) -> AModule:
     tube = alg.tube
     i0_mods = [injective(alg, v) for v in pres.p0_vertices]
     i1_mods = [injective(alg, v) for v in pres.p1_vertices]
+    blocks = {}
+    for s_idx, vs in enumerate(pres.p0_vertices):
+        for t_idx, ut in enumerate(pres.p1_vertices):
+            coords = pres.entries[s_idx][t_idx]
+            if any(coords):
+                a_elem = chom_from_coords(
+                    tube, alg.t.summands[ut - 1], alg.t.summands[vs - 1], coords
+                )
+                blocks[s_idx, t_idx] = map_F(
+                    alg, tau_chom(tube, a_elem, 2), src=i1_mods[t_idx], tgt=i0_mods[s_idx]
+                ).mats
     nu_i1 = direct_sum(i1_mods)
-    nu_i0 = direct_sum(i0_mods) if i0_mods else zero_module(alg)
+    nu_i0 = direct_sum(i0_mods)
     mats = []
     for u in range(alg.n):
-        cols = []
-        col_offset_total = nu_i0.dims[u]
-        for t_idx, ut in enumerate(pres.p1_vertices):
-            src_mod = i1_mods[t_idx]
-            for r in range(src_mod.dims[u]):
-                col = [0] * col_offset_total
-                basis_vec = [int(s == r) for s in range(src_mod.dims[u])]
-                for s_idx, vs in enumerate(pres.p0_vertices):
-                    coords = pres.entries[s_idx][t_idx]
-                    if not any(coords):
-                        continue
-                    a_elem = chom_from_coords(
-                        tube, alg.t.summands[ut - 1], alg.t.summands[vs - 1], coords
-                    )
-                    shifted = tau_chom(tube, a_elem, 2)
-                    block_map = map_F(alg, shifted, src=src_mod, tgt=i0_mods[s_idx])
-                    img = block_map.mats[u].apply(basis_vec)
-                    off = sum(i0m.dims[u] for i0m in i0_mods[:s_idx])
-                    for k, x in enumerate(img):
-                        col[off + k] += x
-                cols.append(tuple(col))
-        mats.append(ExactMatrix.from_columns(cols, nu_i0.dims[u]))
+        rows = []
+        for s_idx, i0m in enumerate(i0_mods):
+            for k in range(i0m.dims[u]):
+                row = []
+                for t_idx, i1m in enumerate(i1_mods):
+                    block = blocks.get((s_idx, t_idx))
+                    row.extend(block[u].rows[k] if block else (0,) * i1m.dims[u])
+                rows.append(row)
+        mats.append(ExactMatrix(rows, ncols=nu_i1.dims[u]))
     nu_psi = ModMap(nu_i1, nu_i0, mats)
     if not nu_psi.commutes():
         raise ConsistencyError("Nakayama image of the presentation does not commute")
@@ -609,8 +620,18 @@ def rank_vector(m: AModule) -> tuple:
 
 
 def euler_leq1(m: AModule, n_mod: AModule) -> int:
-    """Truncated Euler form: dim Hom(M, N) - dim Ext^1(M, N)."""
-    return hom_A_dim(m, n_mod) - ext1_A_dim(m, n_mod)
+    """Truncated Euler form: dim Hom(M, N) - dim Ext^1(M, N).
+
+    Read off the long exact sequence
+    0 -> Hom(M, N) -> Hom(P0, N) -> Hom(OmegaM, N) -> Ext^1(M, N) -> 0
+    of the projective cover 0 -> OmegaM -> P0 -> M -> 0 (Ext^1(P0, N) = 0):
+    it equals dim Hom(P0, N) - dim Hom(OmegaM, N), one Hom solve against
+    the syzygy kept on M."""
+    if m.is_zero() or n_mod.is_zero():
+        return 0
+    ker, _ = _syzygy(m)
+    hom_p0 = sum(n_mod.dims[v - 1] for v in _cover(m).vertices)
+    return hom_p0 - hom_A_dim(ker, n_mod)
 
 
 def b_matrix_from_euler_form(algebra: FinDimAlgebra) -> Tuple[Tuple[int, ...], ...]:

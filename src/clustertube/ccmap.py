@@ -19,6 +19,7 @@ from .laurent import LaurentPoly, lp_denominator_vector, pretty
 from .endo import FinDimAlgebra, build_endomorphism_algebra
 from .tube import (
     ConsistencyError,
+    ExchangeData,
     Indec,
     MaximalRigid,
     Tube,
@@ -48,6 +49,47 @@ class CCResult(NamedTuple):
             "poly": self.poly.canonical_text(),
             "denom": list(self.denom) if self.denom is not None else None,
         }
+
+
+def covering_walk(tube: Tube) -> Tuple[Tuple[ExchangeData, ...], Tuple[str, ...]]:
+    """The walk of ``CCMap.verify_walk``, computed once and kept on the tube.
+
+    Starting from the stack over position n+1, the walk mutates in the
+    cyclic direction pattern 1, 2, ..., n and should pass through every
+    rigid indecomposable.  Returns the exchange triangles of its steps, up
+    to the first that misses its expected object, and the walk's own
+    failure lines, which depend on the tube only.
+    """
+    if tube._covering_walk is not None:
+        return tube._covering_walk
+    n = tube.n
+
+    def walk_object(i: int) -> MaximalRigid:
+        a, b = divmod(i, n)
+        summands = [Indec(tube.norm_pos(a + 1), j) for j in range(1, b + 1)]
+        summands += [Indec(tube.norm_pos(a if a else n + 1), j) for j in range(b + 1, n + 1)]
+        longs = [s for s in summands if s.b == n]
+        rest = [s for s in summands if s.b != n]
+        return MaximalRigid(tube, tuple(longs + rest), validate=False)
+
+    steps = []
+    failures = []
+    current = walk_object(0)
+    covered = set(current.summands)
+    for i in range(n * n):
+        a, b = divmod(i, n)
+        data = mutate_at(current, Indec(tube.norm_pos(a if a else n + 1), b + 1))
+        current = walk_object(i + 1)
+        if data.mutated.as_set() != current.as_set():
+            failures.append(f"walk step {i} produced an unexpected object")
+            break
+        steps.append(data)
+        covered.update(current.summands)
+    missing = set(all_rigid_indecs(tube)) - covered
+    if missing:
+        failures.append(f"walk does not cover {sorted(missing)}")
+    tube._covering_walk = (tuple(steps), tuple(failures))
+    return tube._covering_walk
 
 
 _atlas_cache: Dict[tuple, ClusterAtlas] = {}
@@ -253,51 +295,22 @@ class CCMap:
     def verify_walk(self) -> List[str]:
         """Mutation walk covering every indecomposable rigid object.
 
-        Starting from the stack over position n+1, the walk mutates in the
-        cyclic direction pattern 1, 2, ..., n and passes through every rigid
-        indecomposable; each step must satisfy the exchange identity on
-        characters.
+        Each step of ``covering_walk`` must satisfy the exchange identity on
+        the characters of T.
         """
-        tube = self.tube
-        n = self.n
+        steps, walk_failures = covering_walk(self.tube)
         failures = []
-
-        def walk_object(i: int) -> MaximalRigid:
-            a, b = divmod(i, n)
-            summands = [Indec(tube.norm_pos(a + 1), j) for j in range(1, b + 1)]
-            summands += [Indec(tube.norm_pos(a if a else n + 1), j) for j in range(b + 1, n + 1)]
-            longs = [s for s in summands if s.b == n]
-            rest = [s for s in summands if s.b != n]
-            return MaximalRigid(tube, tuple(longs + rest), validate=False)
-
-        covered = set()
-        current = walk_object(0)
-        covered.update(current.summands)
-        for i in range(n * n):
-            a, b = divmod(i, n)
-            target = Indec(tube.norm_pos(a if a else n + 1), b + 1)
-            data = mutate_at(current, target)
-            expected = walk_object(i + 1)
-            if data.mutated.as_set() != expected.as_set():
-                failures.append(f"walk step {i} produced an unexpected object")
-                break
+        for i, data in enumerate(steps):
             lhs = self.cc(data.old).poly * self.cc(data.new).poly
-            rhs = LaurentPoly.one(n)
-            prod_r = LaurentPoly.one(n)
+            prod_r = LaurentPoly.one(self.n)
             for s in data.right_middle:
                 prod_r = prod_r * self.cc(s).poly
-            prod_l = LaurentPoly.one(n)
+            prod_l = LaurentPoly.one(self.n)
             for s in data.left_middle:
                 prod_l = prod_l * self.cc(s).poly
-            rhs = prod_r + prod_l
-            if lhs != rhs:
-                failures.append(f"walk step {i}: exchange identity fails at {target}")
-            current = expected
-            covered.update(current.summands)
-        missing = set(all_rigid_indecs(tube)) - covered
-        if missing:
-            failures.append(f"walk does not cover {sorted(missing)}")
-        return failures
+            if lhs != prod_r + prod_l:
+                failures.append(f"walk step {i}: exchange identity fails at {data.old}")
+        return failures + list(walk_failures)
 
     # -- reporting ----------------------------------------------------------------
 

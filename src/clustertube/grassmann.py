@@ -40,20 +40,24 @@ def _hat(algebra: FinDimAlgebra, e: Sequence[int]) -> RankVec:
     return tuple(2 * x if v == lv else x for v, x in enumerate(e))
 
 
-def _indec_summand_forms(m: AModule) -> List[StringBasis]:
-    """String forms of the indecomposable summands of a functor image."""
+def _string_data(m: AModule) -> Tuple[StringBasis, Dict[RankVec, int]]:
+    """String normal form of an indecomposable module and its profile
+    counts, computed once and kept on the module."""
+    if m._strings is None:
+        sb = string_normal_form(m)
+        m._strings = (sb, _string_profile_counts(m.algebra, sb))
+    return m._strings
+
+
+def _indec_summands(m: AModule) -> List[AModule]:
+    """The nonzero indecomposable summands of a module: the shared functor
+    images of its provenance, or the module itself without provenance."""
     if m.is_zero():
         return []
     if m.provenance is None:
-        return [string_normal_form(m)]
-    alg = m.algebra
-    forms = []
-    for x in m.provenance:
-        piece = apply_F(alg, x)
-        if piece.is_zero():
-            continue
-        forms.append(string_normal_form(piece))
-    return forms
+        return [m]
+    pieces = (apply_F(m.algebra, x) for x in m.provenance)
+    return [piece for piece in pieces if not piece.is_zero()]
 
 
 def _string_profile_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int]:
@@ -112,8 +116,8 @@ def _convolve(a: Dict[RankVec, int], b: Dict[RankVec, int]) -> Dict[RankVec, int
 def _profile_counts(m: AModule) -> Dict[RankVec, int]:
     alg = m.algebra
     total: Dict[RankVec, int] = {(0,) * alg.n: 1}
-    for sb in _indec_summand_forms(m):
-        total = _convolve(total, _string_profile_counts(alg, sb))
+    for piece in _indec_summands(m):
+        total = _convolve(total, _string_data(piece)[1])
     return total
 
 
@@ -309,8 +313,7 @@ def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int
     if not is_locally_free(m):
         raise DomainError("ambient module must be locally free")
     alg = m.algebra
-    forms = _indec_summand_forms(m)
-    canonical = [sb.module for sb in forms]
+    canonical = [_string_data(piece)[0].module for piece in _indec_summands(m)]
     if canonical:
         from .amod import direct_sum
 

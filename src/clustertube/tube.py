@@ -132,6 +132,8 @@ class Tube:
         # maximal rigid T, keyed by (T.summands, X); filled by clustertube.amod
         self._index_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
         self._coindex_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
+        # the covering walk of clustertube.ccmap, computed on first use
+        self._covering_walk = None
 
     # -- objects -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertube import amod
 from clustertube.amod import (
     DomainError,
+    ModMap,
     act_element,
     apply_F,
     b_matrix_from_euler_form,
     coindex,
     direct_sum,
+    euler_leq1,
     ext1_A_dim,
     hom_A_dim,
     i_vector,
@@ -16,7 +19,9 @@ from clustertube.amod import (
     is_locally_free,
     is_tau_rigid,
     map_F,
+    minimal_projective_presentation,
     projective,
+    projective_cover,
     rank_vector,
     simple,
     socle_basis,
@@ -24,7 +29,7 @@ from clustertube.amod import (
     zero_module,
 )
 from clustertube.endo import build_endomorphism_algebra
-from clustertube.linalg import SpanSolver, coords_in_span
+from clustertube.linalg import ExactMatrix, SpanSolver, coords_in_span
 from clustertube.tube import (
     CHom,
     ConsistencyError,
@@ -33,7 +38,12 @@ from clustertube.tube import (
     Tube,
     all_rigid_indecs,
     b_matrix_multiplicities,
+    chom_from_coords,
+    enumerate_maximal_rigid,
+    in_pr_T,
+    tau_chom,
 )
+from clustertube.verify import tau_orbit_representatives
 
 
 def test_functor_kills_shifted_summands(cyclic_algebra, cyclic_t, tube3):
@@ -275,3 +285,167 @@ def test_act_element_rejects_an_element_outside_the_path_span(cyclic_algebra, mo
     monkeypatch.setattr(alg, "path_span", lambda i, j: (labels[:-1], paths_only))
     with pytest.raises(ConsistencyError):
         act_element(m, 0, 0, coords, vec)
+
+
+# -- tau_A assembles nu(psi) from one block map per presentation entry ------------
+
+
+def _tau_A_entrywise(m):
+    """The Nakayama construction one (vertex, basis vector, entry) at a time:
+    a fresh block map per triple, applied to one unit vector.  The reference
+    for ``tau_A``'s assembly from one block map per entry."""
+    alg = m.algebra
+    if m.is_zero():
+        return zero_module(alg)
+    pres = minimal_projective_presentation(m)
+    if not pres.p1_vertices:
+        return zero_module(alg)
+    tube = alg.tube
+    i0_mods = [injective(alg, v) for v in pres.p0_vertices]
+    i1_mods = [injective(alg, v) for v in pres.p1_vertices]
+    nu_i1, nu_i0 = direct_sum(i1_mods), direct_sum(i0_mods)
+    mats = []
+    for u in range(alg.n):
+        cols = []
+        for t_idx, ut in enumerate(pres.p1_vertices):
+            src_mod = i1_mods[t_idx]
+            for r in range(src_mod.dims[u]):
+                col = [0] * nu_i0.dims[u]
+                unit = [int(s == r) for s in range(src_mod.dims[u])]
+                for s_idx, vs in enumerate(pres.p0_vertices):
+                    coords = pres.entries[s_idx][t_idx]
+                    if not any(coords):
+                        continue
+                    a_elem = chom_from_coords(
+                        tube, alg.t.summands[ut - 1], alg.t.summands[vs - 1], coords
+                    )
+                    block = map_F(alg, tau_chom(tube, a_elem, 2), src=src_mod, tgt=i0_mods[s_idx])
+                    off = sum(i0m.dims[u] for i0m in i0_mods[:s_idx])
+                    for k, x in enumerate(block.mats[u].apply(unit)):
+                        col[off + k] += x
+                cols.append(tuple(col))
+        mats.append(ExactMatrix.from_columns(cols, nu_i0.dims[u]))
+    ker, _ = ModMap(nu_i1, nu_i0, mats).kernel()
+    return ker
+
+
+def _functor_images(t):
+    """End(T) and the nonzero images of the rigid indecomposables it presents."""
+    alg = build_endomorphism_algebra(t, check=False)
+    images = [apply_F(alg, x) for x in all_rigid_indecs(t.tube) if in_pr_T(t, x)]
+    return alg, [m for m in images if not m.is_zero()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tau_A_equals_the_entrywise_nakayama_construction(n):
+    tube = Tube(n)
+    ts = enumerate_maximal_rigid(n, tube) if n <= 3 else tau_orbit_representatives(tube)
+    compared = 0
+    for t in ts:
+        _, images = _functor_images(t)
+        for m in images:
+            assert tau_A(m).same_data(_tau_A_entrywise(m)), (t, m.provenance)
+            compared += 1
+    assert compared > len(ts)
+
+
+def test_tau_A_builds_one_block_map_per_nonzero_entry(monkeypatch):
+    calls = []
+    real_map_F = amod.map_F
+
+    def counting_map_F(*args, **kwargs):
+        calls.append(args[1])
+        return real_map_F(*args, **kwargs)
+
+    monkeypatch.setattr(amod, "map_F", counting_map_F)
+    nonprojective = 0
+    for t in enumerate_maximal_rigid(3, Tube(3)):
+        _, images = _functor_images(t)
+        for m in images:
+            entries = minimal_projective_presentation(m).entries
+            del calls[:]
+            tau_A(m)
+            assert len(calls) == sum(1 for row in entries for coords in row if any(coords))
+            nonprojective += bool(calls)
+    assert nonprojective > 0
+
+
+# -- the Euler form from the syzygy kept on the module ----------------------------
+
+
+def _euler_three_solves(m, n_mod):
+    """hom - ext^1 with ext^1 = hom(OmegaM, N) - hom(P0, N) + hom(M, N) from a
+    fresh projective cover: three Hom solves, two of which cancel."""
+    if m.is_zero() or n_mod.is_zero():
+        return 0, 0
+    cov = projective_cover(m)
+    ker, _ = cov.cover.kernel()
+    hom_p0 = sum(n_mod.dims[v - 1] for v in cov.vertices)
+    ext1 = hom_A_dim(ker, n_mod) - hom_p0 + hom_A_dim(m, n_mod)
+    return hom_A_dim(m, n_mod) - ext1, ext1
+
+
+def _simples_and_images(t):
+    alg, images = _functor_images(t)
+    return [simple(alg, i + 1) for i in range(alg.n)] + images
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_form_equals_the_three_solve_reference(n):
+    tube = Tube(n)
+    pairs = 0
+    for t in enumerate_maximal_rigid(n, tube):
+        mods = _simples_and_images(t)
+        for m in mods:
+            for n_mod in mods:
+                euler, ext1 = _euler_three_solves(m, n_mod)
+                assert euler_leq1(m, n_mod) == euler
+                assert ext1_A_dim(m, n_mod) == ext1
+                pairs += 1
+    assert pairs > 0
+
+
+_REPS = {}
+
+
+def _reps(n):
+    if n not in _REPS:
+        _REPS[n] = tau_orbit_representatives(Tube(n))
+    return _REPS[n]
+
+
+@st.composite
+def module_pairs(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    t = _reps(n)[draw(st.integers(0, len(_reps(n)) - 1))]
+    mods = _simples_and_images(t)
+    return draw(st.sampled_from(mods)), draw(st.sampled_from(mods))
+
+
+@given(module_pairs())
+@settings(max_examples=25, deadline=None)
+def test_euler_form_on_sampled_representatives(pair):
+    m, n_mod = pair
+    euler, ext1 = _euler_three_solves(m, n_mod)
+    assert euler_leq1(m, n_mod) == euler
+    assert ext1_A_dim(m, n_mod) == ext1
+
+
+def test_the_syzygy_is_computed_once_and_kept_on_the_module(monkeypatch):
+    alg = fresh_cyclic_algebra()
+    m = apply_F(alg, Indec(2, 2))
+    kernels = []
+    real_kernel = amod.ModMap.kernel
+
+    def counting_kernel(self):
+        kernels.append(self)
+        return real_kernel(self)
+
+    monkeypatch.setattr(amod.ModMap, "kernel", counting_kernel)
+    for i in range(alg.n):
+        euler_leq1(m, simple(alg, i + 1))
+    minimal_projective_presentation(m)
+    assert [k for k in kernels if k.tgt is m] == [m._cover.cover]
+    assert m._syzygy[0].dims == tuple(
+        p - d for p, d in zip(m._cover.cover.src.dims, m.dims)
+    )

@@ -7,7 +7,7 @@ import pytest
 from clustertube.ccmap import CCMap, cached_atlas
 from clustertube.cluster import ExchangeMatrix, NotFiniteTypeError
 from clustertube.laurent import LaurentPoly
-from clustertube.tube import Indec, MaximalRigid, all_rigid_indecs, enumerate_maximal_rigid
+from clustertube.tube import Indec, MaximalRigid, Tube, all_rigid_indecs, enumerate_maximal_rigid
 
 
 def load_reference():
@@ -146,3 +146,45 @@ def test_atlas_cache_honours_cap_on_a_hit():
     assert len(cached_atlas(b).seeds) == 6
     with pytest.raises(NotFiniteTypeError):
         cached_atlas(b, cap=3)
+
+
+# -- the covering walk is computed once per tube -----------------------------------
+
+
+def test_the_covering_walk_mutates_once_per_step_for_the_whole_suite(monkeypatch):
+    from clustertube import ccmap, verify
+
+    calls = []
+    mutate = ccmap.mutate_at
+
+    def counting_mutate_at(t, summand):
+        calls.append(summand)
+        return mutate(t, summand)
+
+    monkeypatch.setattr(ccmap, "mutate_at", counting_mutate_at)
+    report = verify.run_suite(3, oracle=False)
+    assert report.ok
+    assert len(verify.tau_orbit_representatives(Tube(3))) == 5
+    assert len(calls) == 3 * 3
+
+
+def test_a_broken_walk_fails_every_object_with_the_same_lines(monkeypatch):
+    from clustertube import ccmap
+
+    tube = Tube(2)
+    mutate = ccmap.mutate_at
+
+    def stuck_mutate_at(t, summand):
+        return mutate(t, summand)._replace(mutated=t)
+
+    monkeypatch.setattr(ccmap, "mutate_at", stuck_mutate_at)
+    walk = ccmap.covering_walk(tube)
+    assert ccmap.covering_walk(tube) is walk
+    steps, failures = walk
+    assert steps == ()
+    assert failures[0] == "walk step 0 produced an unexpected object"
+    assert failures[1].startswith("walk does not cover [")
+    reps = [t for t in enumerate_maximal_rigid(2, tube) if t.long == Indec(1, 2)]
+    assert len(reps) > 1
+    for t in reps:
+        assert CCMap(t).verify_walk() == list(failures)

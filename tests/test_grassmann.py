@@ -203,3 +203,76 @@ def test_ar_quiver_export(cyclic_algebra):
                 if mid_in & mid_out:
                     linked = True
         assert linked, f"sequence ending at {end} leaves no trace in the quiver"
+
+
+# -- string data is computed once per module ---------------------------------------
+
+
+def test_each_image_is_normalised_once_through_the_suite(monkeypatch):
+    from clustertube import grassmann, verify
+
+    seen = []  # the modules themselves, so that no id can be reused
+    normal_form = grassmann.string_normal_form
+
+    def recording_normal_form(m):
+        assert all(m is not other for other in seen), m.provenance
+        seen.append(m)
+        return normal_form(m)
+
+    monkeypatch.setattr(grassmann, "string_normal_form", recording_normal_form)
+    assert verify.run_suite(3, oracle=True).ok
+    assert len(seen) > 0
+    assert all(m.provenance is not None and len(m.provenance) == 1 for m in seen)
+
+
+def test_a_module_without_provenance_gets_its_own_string_data(cyclic_algebra, monkeypatch):
+    from clustertube import grassmann
+    from clustertube.strings import enumerate_strings, string_module
+
+    normal_form = grassmann.string_normal_form
+    calls = []
+
+    def counting_normal_form(m):
+        calls.append(m)
+        return normal_form(m)
+
+    monkeypatch.setattr(grassmann, "string_normal_form", counting_normal_form)
+    words = [w for w in enumerate_strings(cyclic_algebra) if w.length() >= 2]
+    for word in words[:4]:
+        m = string_module(cyclic_algebra, word)
+        assert m.provenance is None
+        assert grassmann._indec_summands(m) == [m]
+        assert grassmann._string_data(m)[0].word == word
+        expected = grassmann._string_profile_counts(cyclic_algebra, normal_form(m))
+        assert grassmann._profile_counts(m) == expected
+        assert grassmann._profile_counts(m) == expected
+        assert calls == [m]
+        del calls[:]
+
+
+def test_chi_table_equals_the_mask_count_over_fresh_forms():
+    from clustertube.grassmann import _convolve, _string_profile_counts
+    from clustertube.strings import string_normal_form
+    from clustertube.tube import all_rigid_indecs, enumerate_maximal_rigid, in_pr_T
+
+    tube = Tube(3)
+    compared = 0
+    for t in enumerate_maximal_rigid(3, tube):
+        alg = build_endomorphism_algebra(t, check=False)
+        lv = alg.loop_arrow().src - 1
+        for x in all_rigid_indecs(tube):
+            if not in_pr_T(t, x) or apply_F(alg, x).is_zero():
+                continue
+            m = apply_F(alg, x)
+            table = chi_table(m)
+            counts = {(0,) * alg.n: 1}
+            for y in m.provenance:
+                piece = apply_F(alg, y)
+                counts = _convolve(counts, _string_profile_counts(alg, string_normal_form(piece)))
+            direct = {}
+            for profile, c in counts.items():
+                e = tuple(d // 2 if v == lv else d for v, d in enumerate(profile))
+                direct[e] = direct.get(e, 0) + c
+            assert table.entries == dict(sorted(direct.items())), (t, x)
+            compared += 1
+    assert compared > 100
