@@ -15,6 +15,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .linalg import (
     ExactMatrix,
     QuotientSpace,
+    SpanSolver,
     coords_in_span,
     intertwiner_basis,
     kernel_basis,
@@ -677,20 +678,25 @@ def injective_copresentation(m: AModule) -> Tuple[tuple, tuple]:
     env_summands: List[AModule] = []
     env_maps: List[ModMap] = []
     for v in range(alg.n):
+        if not soc[v]:
+            continue
         inj, gen = soc_data[v]
         hom_basis_v = hom_A_basis(m, inj)
-        for r, s_vec in enumerate(soc[v]):
-            # find phi with phi(s_vec) = gen and phi(other socle vectors) = 0
-            conditions = []
-            rhs = []
-            for w in range(alg.n):
-                for r2, s2 in enumerate(soc[w]):
-                    hit = w == v and r2 == r
-                    images = [phi.mats[w].apply(s2) for phi in hom_basis_v]
-                    for coord in range(inj.dims[w]):
-                        conditions.append([img[coord] for img in images])
-                        rhs.append(gen[coord] if hit else 0)
-            sol = coords_in_span([list(c) for c in zip(*conditions)], rhs) if conditions else None
+        # each basis map as the concatenation of its images of all socle
+        # vectors of m; the map sending socle vector r to gen and every
+        # other socle vector to 0 solves for one right-hand side
+        images = [
+            [x for w in range(alg.n) for s2 in soc[w] for x in phi.mats[w].apply(s2)]
+            for phi in hom_basis_v
+        ]
+        dim = sum(inj.dims[w] * len(soc[w]) for w in range(alg.n))
+        solver = SpanSolver(images, dim)
+        offset = sum(inj.dims[w] * len(soc[w]) for w in range(v))
+        for r in range(len(soc[v])):
+            rhs = [0] * dim
+            start = offset + r * inj.dims[v]
+            rhs[start : start + inj.dims[v]] = gen
+            sol = solver.coords(rhs)
             if sol is None:
                 raise ConsistencyError("socle embedding into injectives failed")
             mats = [ExactMatrix.zero(inj.dims[w], m.dims[w]) for w in range(alg.n)]

@@ -28,8 +28,28 @@ def _freeze(b: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in b)
 
 
+def _check_sign_skew(b: IntMatrix) -> None:
+    n = len(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = b[i][j], b[j][i]
+            if (x > 0) - (x < 0) != (y < 0) - (y > 0):
+                raise ClusterError("matrix is not sign-skew-symmetric")
+
+
 class ExchangeMatrix:
-    """A sign-skew-symmetric integer matrix with zero diagonal."""
+    """A sign-skew-symmetric integer matrix with zero diagonal.
+
+    The public constructor is the checked boundary: it converts every entry
+    with ``int()`` and checks the shape, the diagonal and sign-skew-symmetry.
+    ``_trusted`` checks nothing.  ``Seed`` uses it for a simultaneous
+    permutation of rows and columns, which preserves all three properties.
+    :func:`mutate_matrix` keeps a zero diagonal and the shape, but it
+    preserves sign-skew-symmetry only for skew-symmetrizable matrices:
+    ``[[0, -2, 1], [1, 0, -2], [-2, 1, 0]]`` is sign-skew-symmetric, its
+    mutation in direction 1 is not.  So mutation checks sign-skew-symmetry
+    on every result before it goes through ``_trusted``.
+    """
 
     __slots__ = ("n", "b")
 
@@ -38,14 +58,20 @@ class ExchangeMatrix:
         n = len(b)
         if any(len(row) != n for row in b):
             raise ClusterError("exchange matrix must be square")
-        for i in range(n):
-            if b[i][i] != 0:
-                raise ClusterError("exchange matrix must have zero diagonal")
-            for j in range(n):
-                if (b[i][j] > 0) != (b[j][i] < 0) and not (b[i][j] == 0 and b[j][i] == 0):
-                    raise ClusterError("matrix is not sign-skew-symmetric")
+        if any(b[i][i] != 0 for i in range(n)):
+            raise ClusterError("exchange matrix must have zero diagonal")
+        _check_sign_skew(b)
         self.n = n
         self.b = b
+
+    @classmethod
+    def _trusted(cls, b: IntMatrix) -> "ExchangeMatrix":
+        """A matrix over a square int tuple that is already known to be a
+        valid exchange matrix; nothing is checked or converted."""
+        m = object.__new__(cls)
+        m.n = len(b)
+        m.b = b
+        return m
 
     def __eq__(self, other):
         return isinstance(other, ExchangeMatrix) and self.b == other.b
@@ -58,21 +84,34 @@ class ExchangeMatrix:
 
 
 def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Matrix mutation in direction k (1-based); involutive."""
+    """Matrix mutation in direction k (1-based); involutive.
+
+    The result keeps a zero diagonal, but not always sign-skew-symmetry (see
+    :class:`ExchangeMatrix`), so that is checked; ClusterError when it fails.
+    """
     n = B.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation direction {k} out of range")
     k0 = k - 1
     b = B.b
-    new = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == k0 or j == k0:
-                new[i][j] = -b[i][j]
-            else:
-                s = 1 if b[i][k0] > 0 else (-1 if b[i][k0] < 0 else 0)
-                new[i][j] = b[i][j] + s * max(b[i][k0] * b[k0][j], 0)
-    return ExchangeMatrix(new)
+    bk = b[k0]
+    new = []
+    for i, row in enumerate(b):
+        # b'_ij = b_ij + sgn(b_ik) max(b_ik b_kj, 0) off row and column k
+        c = row[k0]
+        if i == k0:
+            r = [-x for x in row]
+        elif c > 0:
+            r = [x + c * y if y > 0 else x for x, y in zip(row, bk)]
+        elif c < 0:
+            r = [x - c * y if y < 0 else x for x, y in zip(row, bk)]
+        else:
+            r = list(row)
+        r[k0] = -c
+        new.append(tuple(r))
+    new = tuple(new)
+    _check_sign_skew(new)
+    return ExchangeMatrix._trusted(new)
 
 
 def cartan_counterpart(B: ExchangeMatrix) -> IntMatrix:
@@ -136,26 +175,42 @@ class Seed:
         self.cluster = cluster
 
     @classmethod
+    def _trusted(cls, matrix: ExchangeMatrix, cluster: tuple) -> "Seed":
+        """A seed over a permutation of a checked seed; nothing is checked."""
+        s = object.__new__(cls)
+        s.matrix = matrix
+        s.cluster = cluster
+        return s
+
+    @classmethod
     def initial(cls, matrix: ExchangeMatrix) -> "Seed":
         n = matrix.n
         return cls(matrix, [LaurentPoly.variable(n, i) for i in range(1, n + 1)])
+
+    def _canonical_order(self) -> Tuple[List[int], tuple]:
+        """The order that sorts the cluster by canonical text, and the key of
+        the seed in that order: its permuted matrix and the sorted texts."""
+        texts = [c.canonical_text() for c in self.cluster]
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        b = self.matrix.b
+        new_b = tuple(tuple(b[i][j] for j in order) for i in order)
+        return order, (new_b, tuple(texts[i] for i in order))
+
+    def _permuted(self, order: List[int], new_b: IntMatrix) -> "Seed":
+        if order == list(range(len(order))):
+            return self
+        return Seed._trusted(ExchangeMatrix._trusted(new_b), tuple(self.cluster[i] for i in order))
 
     def canonical(self) -> "Seed":
         """Sort the cluster by canonical text and permute the matrix along.
 
         A seed that is already in canonical order is returned as it is.
         """
-        texts = [c.canonical_text() for c in self.cluster]
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        if order == list(range(len(order))):
-            return self
-        b = self.matrix.b
-        new_b = [[b[order[i]][order[j]] for j in range(len(order))] for i in range(len(order))]
-        return Seed(ExchangeMatrix(new_b), [self.cluster[i] for i in order])
+        order, key = self._canonical_order()
+        return self._permuted(order, key[0])
 
     def key(self) -> tuple:
-        c = self.canonical()
-        return (c.matrix.b, tuple(p.canonical_text() for p in c.cluster))
+        return self._canonical_order()[1]
 
     def __eq__(self, other):
         return isinstance(other, Seed) and self.key() == other.key()
@@ -230,7 +285,9 @@ class ClusterAtlas:
 def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     """Breadth-first closure of the initial seed under all mutations.
 
-    Seeds are deduplicated by canonical form.  Each exchange is computed once:
+    Seeds are deduplicated by canonical form, and each mutated seed's key is
+    built once, from the texts its canonical order sorts by; only a new seed
+    is permuted into that order.  Each exchange is computed once:
     mutation is an involution, so when mutating seed i in direction k gives
     seed j with the new variable at position k', the edge (j, k', i) is
     recorded and looked up when seed j is expanded.  Raises
@@ -251,17 +308,19 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
             j = reverse.pop((i, k), None)
             if j is None:
                 mutated = mutate_seed(seed, k)
-                new = mutated.canonical()
-                key = new.key()
+                order, key = mutated._canonical_order()
                 j = index.get(key)
                 if j is None:
                     if len(seeds) >= cap:
                         raise NotFiniteTypeError("not finite type within cap")
                     j = len(seeds)
                     index[key] = j
+                    new = mutated._permuted(order, key[0])
                     seeds.append(new)
                     variables.update(new.cluster)
                     queue.append(j)
-                reverse[(j, new.cluster.index(mutated.cluster[k - 1]) + 1)] = i
+                # seed j lists the cluster in this order, so the new
+                # variable sits where position k - 1 of mutated went
+                reverse[(j, order.index(k - 1) + 1)] = i
             edges.append((i, k, j))
     return ClusterAtlas(seeds, variables, edges)

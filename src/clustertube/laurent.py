@@ -19,8 +19,17 @@ class LaurentError(ValueError):
 class LaurentPoly:
     """A Laurent polynomial sum_e c_e * x^e with integer coefficients c_e.
 
-    Instances are immutable; zero coefficients are never stored.  The
-    canonical text is built on first use and kept.
+    Instances are immutable; zero coefficients are never stored and the terms
+    are kept in lexicographic order of their exponent vectors, which is what
+    ``__hash__`` and ``canonical_text`` read.  The canonical text is built on
+    first use and kept.
+
+    The public constructor is the checked boundary for outside data: it
+    checks every exponent length, converts every coordinate and coefficient
+    with ``int()``, drops zeros and sorts.  Arithmetic builds its results from
+    terms that are already clean through ``_trusted``, which checks and
+    converts nothing; each caller drops the zeros it creates and passes the
+    terms in order.
     """
 
     __slots__ = ("nvars", "terms", "_text")
@@ -36,15 +45,25 @@ class LaurentPoly:
         self.terms = dict(sorted(clean.items()))
         self._text = None
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Dict[Exponent, int]) -> "LaurentPoly":
+        """A polynomial over terms with int exponent tuples of length nvars and
+        nonzero int coefficients, already in lexicographic order."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._text = None
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {})
+        return cls._trusted(nvars, {})
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls._trusted(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def monomial(cls, nvars: int, exponent: Sequence[int], coeff: int = 1) -> "LaurentPoly":
@@ -69,11 +88,15 @@ class LaurentPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentPoly(self.nvars, terms)
+            c += terms.get(e, 0)
+            if c:
+                terms[e] = c
+            else:
+                del terms[e]
+        return LaurentPoly._trusted(self.nvars, dict(sorted(terms.items())))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -85,7 +108,7 @@ class LaurentPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, terms)
+        return LaurentPoly._trusted(self.nvars, dict(sorted(t for t in terms.items() if t[1])))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -103,10 +126,13 @@ class LaurentPoly:
             base = base * base
 
     def shift(self, exponent: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial x^exponent."""
+        """Multiply by the monomial x^exponent.  A shift keeps the order of
+        the terms."""
         d = tuple(int(x) for x in exponent)
-        return LaurentPoly(
-            self.nvars, {tuple(a + b for a, b in zip(e, d)): c for e, c in self.terms.items()}
+        if len(d) != self.nvars:
+            raise LaurentError("exponent vector length mismatch")
+        return LaurentPoly._trusted(
+            self.nvars, {tuple(map(add, e, d)): c for e, c in self.terms.items()}
         )
 
     def is_zero(self) -> bool:
@@ -198,8 +224,11 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 pp[key] = val
             else:
                 pp.pop(key, None)
+    # the quotient exponents were found in strictly decreasing order
     shift_back = tuple(map(sub, dq, dp))
-    return LaurentPoly(p.nvars, {tuple(map(add, e, shift_back)): c for e, c in quotient.items()})
+    return LaurentPoly._trusted(
+        p.nvars, {tuple(map(add, e, shift_back)): c for e, c in reversed(quotient.items())}
+    )
 
 
 def _monomial_str(exponent: Sequence[int], var: str = "x") -> str:

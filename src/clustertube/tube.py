@@ -128,6 +128,7 @@ class Tube:
         # shift-stratum spaces by (x, y), so a hit skips tau(y, -1)
         self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
+        self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
         # index and coindex vectors of one indecomposable X with respect to a
         # maximal rigid T, keyed by (T.summands, X); filled by clustertube.amod
         self._index_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
@@ -163,11 +164,18 @@ class Tube:
         return [j for j in range(x.b) if (x.a - 1 + j) % self.p == v]
 
     def arrow_matrix(self, x: Indec, v: int) -> ExactMatrix:
-        """The arrow map X_v -> X_{v-1}: basis vector j goes to j - 1."""
-        src = self.basis_positions(x, v)
-        tgt = self.basis_positions(x, (v - 1) % self.p)
-        rows = [[int(js == jt + 1) for js in src] for jt in tgt]
-        return ExactMatrix(rows, ncols=len(src))
+        """The arrow map X_v -> X_{v-1}: basis vector j goes to j - 1.
+
+        Built once per (x, v) and kept."""
+        key = (x, v)
+        cached = self._arrow_cache.get(key)
+        if cached is None:
+            src = self.basis_positions(x, v)
+            tgt = self.basis_positions(x, (v - 1) % self.p)
+            rows = [[int(js == jt + 1) for js in src] for jt in tgt]
+            cached = ExactMatrix(rows, ncols=len(src))
+            self._arrow_cache[key] = cached
+        return cached
 
     def wing(self, top: Indec) -> List[Indec]:
         """All indecomposables in the triangle below ``top`` in the AR quiver."""

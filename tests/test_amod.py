@@ -12,10 +12,12 @@ from clustertube.amod import (
     direct_sum,
     euler_leq1,
     ext1_A_dim,
+    hom_A_basis,
     hom_A_dim,
     i_vector,
     index,
     injective,
+    injective_copresentation,
     is_locally_free,
     is_tau_rigid,
     map_F,
@@ -449,3 +451,63 @@ def test_the_syzygy_is_computed_once_and_kept_on_the_module(monkeypatch):
     assert m._syzygy[0].dims == tuple(
         p - d for p, d in zip(m._cover.cover.src.dims, m.dims)
     )
+
+
+# -- the injective copresentation against a per-socle-vector solve ------------------
+
+
+def _copresentation_per_socle_vector(m):
+    """Reference (a, b): for every socle vector, the images of all Hom(M, I_v)
+    basis maps are computed anew and the whole condition system is solved
+    with coords_in_span."""
+    alg = m.algebra
+    if m.is_zero():
+        return (0,) * alg.n, (0,) * alg.n
+    soc = socle_basis(m)
+    a = tuple(len(soc[v]) for v in range(alg.n))
+    soc_data = amod._socle_generator_data(alg)
+    env_summands, env_maps = [], []
+    for v in range(alg.n):
+        inj, gen = soc_data[v]
+        hom_basis_v = hom_A_basis(m, inj)
+        for r in range(len(soc[v])):
+            conditions, rhs = [], []
+            for w in range(alg.n):
+                for r2, s2 in enumerate(soc[w]):
+                    hit = w == v and r2 == r
+                    images = [phi.mats[w].apply(s2) for phi in hom_basis_v]
+                    for coord in range(inj.dims[w]):
+                        conditions.append([img[coord] for img in images])
+                        rhs.append(gen[coord] if hit else 0)
+            sol = coords_in_span([list(c) for c in zip(*conditions)], rhs)
+            assert sol is not None
+            mats = [ExactMatrix.zero(inj.dims[w], m.dims[w]) for w in range(alg.n)]
+            for cf, base in zip(sol, hom_basis_v):
+                if cf:
+                    mats = [acc.add(bm.scale(cf)) for acc, bm in zip(mats, base.mats)]
+            env_summands.append(inj)
+            env_maps.append(ModMap(m, inj, mats))
+    e0 = direct_sum(env_summands)
+    mats = []
+    for w in range(alg.n):
+        rows = [list(r) for comp in env_maps for r in comp.mats[w].rows]
+        mats.append(ExactMatrix(rows, ncols=m.dims[w]) if rows else ExactMatrix.zero(0, m.dims[w]))
+    emb = ModMap(m, e0, mats)
+    assert emb.commutes() and emb.is_injective()
+    cok, _ = emb.cokernel()
+    soc_c = socle_basis(cok)
+    return a, tuple(len(soc_c[v]) for v in range(alg.n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_injective_copresentation_equals_the_per_socle_vector_reference(n):
+    tube = Tube(n)
+    ts = enumerate_maximal_rigid(n, tube) if n <= 3 else tau_orbit_representatives(tube)
+    compared = 0
+    for t in ts:
+        _, images = _functor_images(t)
+        for m in images:
+            assert injective_copresentation(m) == _copresentation_per_socle_vector(m), (
+                t, m.provenance)
+            compared += 1
+    assert compared > len(ts)

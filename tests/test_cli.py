@@ -70,6 +70,10 @@ def test_atlas_rank_two(capsys):
          "454036e8b776f0013ea6c82097c6f92823e435f16fb14c18858b08e1023ce95b"),
         (["atlas", "--n", "3"],
          "f870e33b6b36b84eafcf9b313c082cbb52b3ad8b5cac5d8e9b8d8385b7b7a46c"),
+        (["atlas", "--n", "5", "--format", "json"],
+         "e33531389f39e1425f669a25fa82fb794c2563d35ca86159100abce61d188d27"),
+        (["atlas", "--n", "5", "--object", "(6,5),(6,2),(6,1),(6,3),(6,4)", "--format", "json"],
+         "63c88d456ec0cc59dc28f4e595879393ff28b8fd370614613f666a4aae70e725"),
     ],
 )
 def test_atlas_golden_output(capsys, argv, digest):

@@ -70,12 +70,18 @@ def test_matrix_mutation_rejects_bad_direction():
         mutate_matrix(B_CYCLIC, 0)
 
 
-def test_sign_skew_symmetry_is_validated_and_preserved():
-    with pytest.raises(ClusterError):
+def test_mutation_keeps_its_sign_skew_check():
+    with pytest.raises(ClusterError, match="sign-skew"):
         ExchangeMatrix([[0, 1], [1, 0]])
+    # sign-skew-symmetric but not skew-symmetrizable: the constructor accepts
+    # it, and mutation in direction 1 leaves the sign-skew-symmetric matrices
+    b = ExchangeMatrix([[0, -2, 1], [1, 0, -2], [-2, 1, 0]])
+    with pytest.raises(ClusterError, match="sign-skew"):
+        mutate_matrix(b, 1)
     m = B_CYCLIC
     for k in (1, 2, 3):
-        m = mutate_matrix(m, k)  # constructor revalidates each time
+        m = mutate_matrix(m, k)
+        assert m == ExchangeMatrix(m.b)
 
 
 def test_seed_mutation_known_directions():
@@ -172,3 +178,26 @@ def test_atlas_computes_each_exchange_once(name, monkeypatch):
         k_back = seeds[j].cluster.index(new_var) + 1
         assert mutate_seed(seeds[j], k_back) == seeds[i]
         assert (j, k_back, i) in edges
+
+
+def _same_as_public(m):
+    public = ExchangeMatrix(m.b)
+    return (m == public and hash(m) == hash(public) and m.n == public.n
+            and all(type(x) is int for row in m.b for x in row))
+
+
+def test_permuted_matrices_equal_the_public_constructor_across_the_atlas():
+    B = ATLAS_MATRICES["stack4"]()
+    atlas = enumerate_atlas(B)
+    permuted = 0
+    for seed in atlas.seeds:
+        assert _same_as_public(seed.matrix)
+        for k in range(1, B.n + 1):
+            mutated = mutate_seed(seed, k)
+            assert mutated.matrix.b == reference_mutation(seed.matrix.b, k - 1)
+            assert _same_as_public(mutated.matrix)
+            canonical = mutated.canonical()
+            assert _same_as_public(canonical.matrix)
+            assert canonical.key() == mutated.key()
+            permuted += canonical is not mutated
+    assert permuted > 0

@@ -123,3 +123,51 @@ def test_the_rule_sees_coefficient_searches():
     )
     assert list(_literal_products(ast.parse(source))) == [
         (3, "product over a literal"), (4, "product over a literal")]
+
+
+def _foreign_trusted_calls(tree):
+    # _trusted skips the checks of the public constructor, so it may only be
+    # called where the class that defines it knows its invariants
+    own = {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "_trusted" for f in node.body)
+    }
+    if own:
+        own.add("cls")
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_trusted"):
+            continue
+        owner = node.func.value
+        if not (isinstance(owner, ast.Name) and owner.id in own):
+            yield node.lineno, "foreign _trusted call"
+
+
+def test_trusted_constructors_are_called_only_in_their_own_module():
+    package = Path(clustertube.__file__).parent
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in sorted(package.glob("*.py"))
+        for line, what in _foreign_trusted_calls(ast.parse(path.read_text()))
+    ]
+    assert found == []
+
+
+def test_the_rule_sees_foreign_trusted_calls():
+    source = (
+        "class Poly:\n"
+        "    @classmethod\n"
+        "    def _trusted(cls, terms):\n"
+        "        return cls._trusted(terms)\n"
+        "p = Poly._trusted({})\n"
+        "m = ExactMatrix._trusted((), 0)\n"
+        "q = linalg.ExactMatrix._trusted((), 0)\n"
+        "r = make()._trusted(1)\n"
+    )
+    assert list(_foreign_trusted_calls(ast.parse(source))) == [
+        (6, "foreign _trusted call"), (7, "foreign _trusted call"), (8, "foreign _trusted call")]
+    outside = "x = LaurentPoly._trusted(2, {})\ny = cls._trusted(1)\n"
+    assert list(_foreign_trusted_calls(ast.parse(outside))) == [
+        (1, "foreign _trusted call"), (2, "foreign _trusted call")]

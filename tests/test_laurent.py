@@ -83,6 +83,13 @@ def test_exact_division_negative_exponents():
         lp_div_exact(p * q + mono((0, -5)), q)
 
 
+def test_public_constructor_checks_exponent_lengths():
+    with pytest.raises(LaurentError, match="length mismatch"):
+        LaurentPoly(2, {(1,): 1})
+    with pytest.raises(LaurentError, match="length mismatch"):
+        LaurentPoly.variable(2, 1).shift((1,))
+
+
 def test_canonical_text_and_json_roundtrip():
     p = mono((1, 0, -2)) - mono((0, 1, 0), 2)
     assert p.canonical_text() == "-2*x^(0,1,0)+1*x^(1,0,-2)"
@@ -129,3 +136,19 @@ def test_canonical_text_is_kept_and_matches_a_fresh_build(p, q):
         text = r.canonical_text()
         assert r.canonical_text() is text
         assert text == LaurentPoly(r.nvars, r.terms).canonical_text()
+
+
+@given(polys, polys, exps, st.integers(min_value=0, max_value=3))
+@settings(max_examples=100, deadline=None)
+def test_public_constructor_equals_the_trusted_one(p, q, alpha, k):
+    results = [p + q, p - q, -p, p * q, p.shift(alpha), p ** k]
+    if not q.is_zero():
+        results.append(lp_div_exact(p * q, q))
+    for r in results:
+        public = LaurentPoly(r.nvars, r.terms)
+        assert r == public
+        assert hash(r) == hash(public)
+        assert list(r.terms.items()) == list(public.terms.items())
+        assert r.canonical_text() == public.canonical_text()
+        assert all(type(c) is int and c for c in r.terms.values())
+        assert all(type(x) is int for e in r.terms for x in e)
