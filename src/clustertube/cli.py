@@ -281,7 +281,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:
         parser.error(str(exc))
-        return 2
 
 
 def main() -> None:

@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from operator import mul
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import permutations
+from operator import mul, sub
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly, lp_div_exact, LaurentError
 
@@ -140,21 +141,11 @@ def type_c_cartan(n: int) -> IntMatrix:
     return _freeze(a)
 
 
-def _permutations(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    for i, x in enumerate(items):
-        for rest in _permutations(items[:i] + items[i + 1 :]):
-            yield (x,) + rest
-
-
 def matrices_equal_up_to_permutation(a: IntMatrix, b: IntMatrix) -> bool:
     n = len(a)
     if len(b) != n:
         return False
-    for perm in _permutations(range(n)):
+    for perm in permutations(range(n)):
         if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)):
             return True
     return False
@@ -224,28 +215,59 @@ def _product(factors: List[LaurentPoly], nvars: int) -> LaurentPoly:
     return reduce(mul, factors) if factors else LaurentPoly.one(nvars)
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
+def _ends(p: LaurentPoly) -> Tuple[tuple, tuple]:
+    """The lowest and highest exponents of a nonzero p in lexicographic order,
+    which is the order ``p.terms`` is kept in."""
+    return next(iter(p.terms)), next(reversed(p.terms))
+
+
+VariableTable = Dict[Tuple[tuple, tuple], LaurentPoly]
+
+
+def mutate_seed(seed: Seed, k: int, known: Optional[VariableTable] = None) -> Seed:
     """Seed mutation in direction k (1-based).
 
-    The new variable is the exact quotient of the exchange binomial by the
-    old variable; the product identity x_k' * x_k = binomial is re-verified
-    after the division.
+    The new variable x_k' is the exact quotient of the exchange binomial by
+    the old variable x_k, and every exchange checks the product identity
+    x_k' * x_k = binomial.  The Laurent ring is an integral domain, so that
+    identity determines x_k' by itself.
+
+    ``known``, if given, is a table of variables keyed by ``_ends``.  Lex
+    order is translation-invariant, so the quotient's ends are the
+    binomial's minus x_k's; the variable under that key is taken when it
+    passes the product check.  Otherwise, on a miss or a failed check, the
+    binomial is divided and the quotient registered in the table.  A key
+    collision thus costs one more division, never a wrong variable.  Through
+    :func:`enumerate_atlas` a rank-n atlas with S seeds makes n * S / 2
+    product checks and one division per new variable.
     """
     n = seed.matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation direction {k} out of range")
     k0 = k - 1
     b = seed.matrix.b
-    nvars = seed.cluster[0].nvars
+    x_k = seed.cluster[k0]
+    nvars = x_k.nvars
     pos = [seed.cluster[i] ** b[i][k0] for i in range(n) if b[i][k0] > 0]
     neg = [seed.cluster[i] ** -b[i][k0] for i in range(n) if b[i][k0] < 0]
     binomial = _product(pos, nvars) + _product(neg, nvars)
-    try:
-        new_var = lp_div_exact(binomial, seed.cluster[k0])
-    except LaurentError as exc:
-        raise ClusterError("seed not on a cluster pattern") from exc
-    if new_var * seed.cluster[k0] != binomial:
-        raise ClusterError("seed not on a cluster pattern")
+    new_var = key = None
+    if known is not None and binomial.terms and x_k.terms:
+        (b_lo, b_hi), (x_lo, x_hi) = _ends(binomial), _ends(x_k)
+        key = (tuple(map(sub, b_lo, x_lo)), tuple(map(sub, b_hi, x_hi)))
+        cand = known.get(key)
+        if cand is not None and cand * x_k == binomial:
+            new_var = cand
+    if new_var is None:
+        try:
+            new_var = lp_div_exact(binomial, x_k)
+        except LaurentError as exc:
+            raise ClusterError("seed not on a cluster pattern") from exc
+        if new_var * x_k != binomial:
+            raise ClusterError("seed not on a cluster pattern")
+        if key is not None:
+            # the product identity makes key the quotient's own ends
+            known[key] = new_var
     cluster = list(seed.cluster)
     cluster[k0] = new_var
     return Seed(mutate_matrix(seed.matrix, k), cluster)
@@ -290,7 +312,11 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     is permuted into that order.  Each exchange is computed once:
     mutation is an involution, so when mutating seed i in direction k gives
     seed j with the new variable at position k', the edge (j, k', i) is
-    recorded and looked up when seed j is expanded.  Raises
+    recorded and looked up when seed j is expanded.  A rank-n atlas with S
+    seeds thus makes n * S / 2 exchanges, each with its product check.
+    Each exchange first looks its variable up in a table of the variables
+    found so far (see :func:`mutate_seed`), so the atlas divides once per
+    new variable and its seeds share one object per variable.  Raises
     NotFiniteTypeError when more than ``cap`` seeds appear, which guards
     against non-finite input.
     """
@@ -298,6 +324,7 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     index: Dict[tuple, int] = {initial.key(): 0}
     seeds = [initial]
     variables: Set[LaurentPoly] = set(initial.cluster)
+    known: VariableTable = {_ends(v): v for v in initial.cluster}
     edges = []
     reverse: Dict[Tuple[int, int], int] = {}
     queue = deque([0])
@@ -307,7 +334,7 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
         for k in range(1, B.n + 1):
             j = reverse.pop((i, k), None)
             if j is None:
-                mutated = mutate_seed(seed, k)
+                mutated = mutate_seed(seed, k, known=known)
                 order, key = mutated._canonical_order()
                 j = index.get(key)
                 if j is None:

@@ -74,6 +74,8 @@ def test_atlas_rank_two(capsys):
          "e33531389f39e1425f669a25fa82fb794c2563d35ca86159100abce61d188d27"),
         (["atlas", "--n", "5", "--object", "(6,5),(6,2),(6,1),(6,3),(6,4)", "--format", "json"],
          "63c88d456ec0cc59dc28f4e595879393ff28b8fd370614613f666a4aae70e725"),
+        (["atlas", "--n", "6", "--format", "json"],
+         "6240ae13df1ad69c0fc547ff6feecb82f920e531516fc5ac71f9c4d0646dc2c9"),
     ],
 )
 def test_atlas_golden_output(capsys, argv, digest):

@@ -13,7 +13,7 @@ from clustertube.cluster import (
     mutate_seed,
     type_c_cartan,
 )
-from clustertube.laurent import LaurentPoly
+from clustertube.laurent import LaurentPoly, lp_div_exact
 from clustertube.tube import Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
 
 B_RANK_TWO = ExchangeMatrix([[0, 1], [-2, 0]])
@@ -160,9 +160,9 @@ def test_atlas_computes_each_exchange_once(name, monkeypatch):
     B = ATLAS_MATRICES[name]()
     computed = []
 
-    def counting_mutate_seed(seed, k):
+    def counting_mutate_seed(seed, k, known=None):
         computed.append(k)
-        return mutate_seed(seed, k)
+        return mutate_seed(seed, k, known=known)
 
     monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
     atlas = enumerate_atlas(B)
@@ -178,6 +178,54 @@ def test_atlas_computes_each_exchange_once(name, monkeypatch):
         k_back = seeds[j].cluster.index(new_var) + 1
         assert mutate_seed(seeds[j], k_back) == seeds[i]
         assert (j, k_back, i) in edges
+
+
+def _count_divisions(monkeypatch):
+    divisions = []
+
+    def counting_div(p, q):
+        divisions.append(q)
+        return lp_div_exact(p, q)
+
+    monkeypatch.setattr(cluster, "lp_div_exact", counting_div)
+    return divisions
+
+
+DIVISION_MATRICES = {**ATLAS_MATRICES, "stack5": lambda: stack_b_matrix(5)}
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_MATRICES))
+def test_atlas_divides_once_per_new_variable(name, monkeypatch):
+    B = DIVISION_MATRICES[name]()
+    divisions = _count_divisions(monkeypatch)
+    atlas = enumerate_atlas(B)
+    assert len(divisions) == len(atlas.variables) - B.n
+    # every seed holds the very objects of atlas.variables: one per variable
+    objects = {id(v): v for v in atlas.variables}
+    in_seeds = set()
+    for seed in atlas.seeds:
+        for p in seed.cluster:
+            assert objects.get(id(p)) is p
+            in_seeds.add(id(p))
+    assert in_seeds == set(objects)
+
+
+def test_a_forged_table_entry_is_checked_not_trusted(monkeypatch):
+    seed = Seed.initial(B_CYCLIC)
+    expected = mutate_seed(seed, 2)
+    true_var = expected.cluster[1]
+    lo, hi = cluster._ends(true_var)
+    between = lo[:-1] + (lo[-1] + 1,)
+    assert lo < between < hi
+    forged = true_var + LaurentPoly.monomial(3, between)
+    assert forged != true_var and cluster._ends(forged) == (lo, hi)
+    known = {(lo, hi): forged}
+    divisions = _count_divisions(monkeypatch)
+    out = mutate_seed(seed, 2, known=known)
+    assert out == expected and out.cluster == expected.cluster
+    assert all(p is not forged for p in out.cluster)
+    assert len(divisions) == 1
+    assert known == {(lo, hi): true_var} and known[(lo, hi)] is out.cluster[1]
 
 
 def _same_as_public(m):
