@@ -152,25 +152,33 @@ def matrices_equal_up_to_permutation(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 class Seed:
-    """An exchange matrix together with a labelled cluster of Laurent polynomials."""
+    """An exchange matrix together with a labelled cluster of Laurent polynomials.
 
-    __slots__ = ("matrix", "cluster")
+    ``texts`` holds the canonical text of each cluster entry, in cluster
+    order; the constructor builds them for its distinctness check and keeps
+    them for the canonical order and the exchange-relation keys.
+    """
+
+    __slots__ = ("matrix", "cluster", "texts")
 
     def __init__(self, matrix: ExchangeMatrix, cluster: Sequence[LaurentPoly]):
         cluster = tuple(cluster)
         if len(cluster) != matrix.n:
             raise ClusterError("cluster size must match matrix rank")
-        if len({c.canonical_text() for c in cluster}) != len(cluster):
+        texts = tuple(c.canonical_text() for c in cluster)
+        if len(set(texts)) != len(texts):
             raise ClusterError("cluster entries must be pairwise distinct")
         self.matrix = matrix
         self.cluster = cluster
+        self.texts = texts
 
     @classmethod
-    def _trusted(cls, matrix: ExchangeMatrix, cluster: tuple) -> "Seed":
+    def _trusted(cls, matrix: ExchangeMatrix, cluster: tuple, texts: tuple) -> "Seed":
         """A seed over a permutation of a checked seed; nothing is checked."""
         s = object.__new__(cls)
         s.matrix = matrix
         s.cluster = cluster
+        s.texts = texts
         return s
 
     @classmethod
@@ -181,24 +189,27 @@ class Seed:
     def _canonical_order(self) -> Tuple[List[int], tuple]:
         """The order that sorts the cluster by canonical text, and the key of
         the seed in that order: its permuted matrix and the sorted texts."""
-        texts = [c.canonical_text() for c in self.cluster]
+        texts = self.texts
         order = sorted(range(len(texts)), key=texts.__getitem__)
         b = self.matrix.b
         new_b = tuple(tuple(b[i][j] for j in order) for i in order)
         return order, (new_b, tuple(texts[i] for i in order))
 
-    def _permuted(self, order: List[int], new_b: IntMatrix) -> "Seed":
+    def _permuted(self, order: List[int], key: tuple) -> "Seed":
+        """This seed in the given order, from the key ``_canonical_order``
+        returned with it."""
         if order == list(range(len(order))):
             return self
-        return Seed._trusted(ExchangeMatrix._trusted(new_b), tuple(self.cluster[i] for i in order))
+        new_b, texts = key
+        return Seed._trusted(ExchangeMatrix._trusted(new_b),
+                             tuple(self.cluster[i] for i in order), texts)
 
     def canonical(self) -> "Seed":
         """Sort the cluster by canonical text and permute the matrix along.
 
         A seed that is already in canonical order is returned as it is.
         """
-        order, key = self._canonical_order()
-        return self._permuted(order, key[0])
+        return self._permuted(*self._canonical_order())
 
     def key(self) -> tuple:
         return self._canonical_order()[1]
@@ -222,55 +233,98 @@ def _ends(p: LaurentPoly) -> Tuple[tuple, tuple]:
 
 
 VariableTable = Dict[Tuple[tuple, tuple], LaurentPoly]
+RelationTable = Dict[Tuple[str, tuple], LaurentPoly]
 
 
-def mutate_seed(seed: Seed, k: int, known: Optional[VariableTable] = None) -> Seed:
+def _exchanged_variable(seed: Seed, k0: int, known: Optional[VariableTable]) -> LaurentPoly:
+    """x_k' for position k0 of the seed: the binomial over x_k, taken from
+    ``known`` or divided, and checked by the product identity."""
+    b = seed.matrix.b
+    x_k = seed.cluster[k0]
+    nvars = x_k.nvars
+    pos = [p ** row[k0] for p, row in zip(seed.cluster, b) if row[k0] > 0]
+    neg = [p ** -row[k0] for p, row in zip(seed.cluster, b) if row[k0] < 0]
+    binomial = _product(pos, nvars) + _product(neg, nvars)
+    key = None
+    if known is not None and binomial.terms and x_k.terms:
+        (b_lo, b_hi), (x_lo, x_hi) = _ends(binomial), _ends(x_k)
+        key = (tuple(map(sub, b_lo, x_lo)), tuple(map(sub, b_hi, x_hi)))
+        cand = known.get(key)
+        if cand is not None and cand * x_k == binomial:
+            return cand
+    try:
+        new_var = lp_div_exact(binomial, x_k)
+    except LaurentError as exc:
+        raise ClusterError("seed not on a cluster pattern") from exc
+    if new_var * x_k != binomial:
+        raise ClusterError("seed not on a cluster pattern")
+    if key is not None:
+        # the product identity makes key the quotient's own ends
+        known[key] = new_var
+    return new_var
+
+
+def _relation_key(seed: Seed, k0: int) -> Tuple[str, tuple]:
+    """The exchange relation at position k0, exactly: the text of x_k and
+    the binomial's two monomials as sorted (factor text, exponent) tuples,
+    the pair ordered so that it does not depend on the sign of the column."""
+    texts = seed.texts
+    column = [row[k0] for row in seed.matrix.b]
+    pos = tuple(sorted((t, e) for t, e in zip(texts, column) if e > 0))
+    neg = tuple(sorted((t, -e) for t, e in zip(texts, column) if e < 0))
+    return texts[k0], (pos, neg) if pos <= neg else (neg, pos)
+
+
+def mutate_seed(
+    seed: Seed,
+    k: int,
+    known: Optional[VariableTable] = None,
+    relations: Optional[RelationTable] = None,
+) -> Seed:
     """Seed mutation in direction k (1-based).
 
     The new variable x_k' is the exact quotient of the exchange binomial by
-    the old variable x_k, and every exchange checks the product identity
-    x_k' * x_k = binomial.  The Laurent ring is an integral domain, so that
-    identity determines x_k' by itself.
+    the old variable x_k, and the product identity x_k' * x_k = binomial is
+    checked.  The Laurent ring is an integral domain, so that identity
+    determines x_k' by itself.
 
     ``known``, if given, is a table of variables keyed by ``_ends``.  Lex
     order is translation-invariant, so the quotient's ends are the
     binomial's minus x_k's; the variable under that key is taken when it
     passes the product check.  Otherwise, on a miss or a failed check, the
     binomial is divided and the quotient registered in the table.  A key
-    collision thus costs one more division, never a wrong variable.  Through
-    :func:`enumerate_atlas` a rank-n atlas with S seeds makes n * S / 2
-    product checks and one division per new variable.
+    collision thus costs one more division, never a wrong variable.
+
+    ``relations``, if given, maps each exchange relation already proved to
+    its new variable.  The key (see ``_relation_key``) is the canonical text
+    of x_k and the binomial's monomials as (factor text, exponent) tuples.
+    Canonical text determines a polynomial, so the key determines the
+    equation x_k * x_k' = binomial, and a hit returns the stored x_k'
+    without building the binomial or checking the product again.  After a
+    passed check the relation is stored both ways, x_k -> x_k' and
+    x_k' -> x_k, since the identity is symmetric; a failed check raises
+    ClusterError and stores nothing.  Through :func:`enumerate_atlas` a
+    rank-n atlas makes one product check per exchange relation and one
+    division per new variable.
     """
     n = seed.matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation direction {k} out of range")
     k0 = k - 1
-    b = seed.matrix.b
-    x_k = seed.cluster[k0]
-    nvars = x_k.nvars
-    pos = [seed.cluster[i] ** b[i][k0] for i in range(n) if b[i][k0] > 0]
-    neg = [seed.cluster[i] ** -b[i][k0] for i in range(n) if b[i][k0] < 0]
-    binomial = _product(pos, nvars) + _product(neg, nvars)
-    new_var = key = None
-    if known is not None and binomial.terms and x_k.terms:
-        (b_lo, b_hi), (x_lo, x_hi) = _ends(binomial), _ends(x_k)
-        key = (tuple(map(sub, b_lo, x_lo)), tuple(map(sub, b_hi, x_hi)))
-        cand = known.get(key)
-        if cand is not None and cand * x_k == binomial:
-            new_var = cand
-    if new_var is None:
-        try:
-            new_var = lp_div_exact(binomial, x_k)
-        except LaurentError as exc:
-            raise ClusterError("seed not on a cluster pattern") from exc
-        if new_var * x_k != binomial:
-            raise ClusterError("seed not on a cluster pattern")
-        if key is not None:
-            # the product identity makes key the quotient's own ends
-            known[key] = new_var
+    relation = new_var = None
+    if relations is not None:
+        relation = _relation_key(seed, k0)
+        new_var = relations.get(relation)
+    proved = new_var is None
+    if proved:
+        new_var = _exchanged_variable(seed, k0, known)
     cluster = list(seed.cluster)
     cluster[k0] = new_var
-    return Seed(mutate_matrix(seed.matrix, k), cluster)
+    mutated = Seed(mutate_matrix(seed.matrix, k), cluster)
+    if proved and relation is not None:
+        relations[relation] = new_var
+        relations[(mutated.texts[k0], relation[1])] = seed.cluster[k0]
+    return mutated
 
 
 class ClusterAtlas:
@@ -313,18 +367,19 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     mutation is an involution, so when mutating seed i in direction k gives
     seed j with the new variable at position k', the edge (j, k', i) is
     recorded and looked up when seed j is expanded.  A rank-n atlas with S
-    seeds thus makes n * S / 2 exchanges, each with its product check.
-    Each exchange first looks its variable up in a table of the variables
-    found so far (see :func:`mutate_seed`), so the atlas divides once per
-    new variable and its seeds share one object per variable.  Raises
-    NotFiniteTypeError when more than ``cap`` seeds appear, which guards
-    against non-finite input.
+    seeds thus makes n * S / 2 exchanges.  Each exchange passes two tables
+    to :func:`mutate_seed`: the exchange relations proved so far, so the
+    atlas checks one product per exchange relation, and the variables found
+    so far, so it divides once per new variable and its seeds share one
+    object per variable.  Raises NotFiniteTypeError when more than ``cap``
+    seeds appear, which guards against non-finite input.
     """
     initial = Seed.initial(B).canonical()
     index: Dict[tuple, int] = {initial.key(): 0}
     seeds = [initial]
     variables: Set[LaurentPoly] = set(initial.cluster)
     known: VariableTable = {_ends(v): v for v in initial.cluster}
+    relations: RelationTable = {}
     edges = []
     reverse: Dict[Tuple[int, int], int] = {}
     queue = deque([0])
@@ -334,7 +389,7 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
         for k in range(1, B.n + 1):
             j = reverse.pop((i, k), None)
             if j is None:
-                mutated = mutate_seed(seed, k, known=known)
+                mutated = mutate_seed(seed, k, known=known, relations=relations)
                 order, key = mutated._canonical_order()
                 j = index.get(key)
                 if j is None:
@@ -342,7 +397,7 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
                         raise NotFiniteTypeError("not finite type within cap")
                     j = len(seeds)
                     index[key] = j
-                    new = mutated._permuted(order, key[0])
+                    new = mutated._permuted(order, key)
                     seeds.append(new)
                     variables.update(new.cluster)
                     queue.append(j)

@@ -76,6 +76,8 @@ def test_atlas_rank_two(capsys):
          "63c88d456ec0cc59dc28f4e595879393ff28b8fd370614613f666a4aae70e725"),
         (["atlas", "--n", "6", "--format", "json"],
          "6240ae13df1ad69c0fc547ff6feecb82f920e531516fc5ac71f9c4d0646dc2c9"),
+        (["atlas", "--n", "7", "--format", "json"],
+         "2f7845c0627320961b84510300f836280ca493f35c8b3e9d1889c7aa169447de"),
     ],
 )
 def test_atlas_golden_output(capsys, argv, digest):

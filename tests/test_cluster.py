@@ -1,4 +1,8 @@
+from collections import deque
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertube import cluster
 from clustertube.cluster import (
@@ -160,9 +164,9 @@ def test_atlas_computes_each_exchange_once(name, monkeypatch):
     B = ATLAS_MATRICES[name]()
     computed = []
 
-    def counting_mutate_seed(seed, k, known=None):
+    def counting_mutate_seed(seed, k, known=None, relations=None):
         computed.append(k)
-        return mutate_seed(seed, k, known=known)
+        return mutate_seed(seed, k, known=known, relations=relations)
 
     monkeypatch.setattr(cluster, "mutate_seed", counting_mutate_seed)
     atlas = enumerate_atlas(B)
@@ -226,6 +230,132 @@ def test_a_forged_table_entry_is_checked_not_trusted(monkeypatch):
     assert all(p is not forged for p in out.cluster)
     assert len(divisions) == 1
     assert known == {(lo, hi): true_var} and known[(lo, hi)] is out.cluster[1]
+
+
+def _binomial(seed, k):
+    """The exchange binomial of the seed in direction k, built without
+    ``cluster._product``."""
+    one = LaurentPoly.one(seed.cluster[0].nvars)
+    column = [row[k - 1] for row in seed.matrix.b]
+    pos, neg = one, one
+    for p, e in zip(seed.cluster, column):
+        if e > 0:
+            pos = pos * p ** e
+        elif e < 0:
+            neg = neg * p ** -e
+    return pos + neg
+
+
+def _relations_of(atlas):
+    """The distinct exchange relations {x, x'} with their binomial, read off
+    the atlas's edges."""
+    relations = set()
+    for i, k, j in atlas.edges:
+        seed = atlas.seeds[i]
+        x = seed.cluster[k - 1]
+        x_new = next(p for p in atlas.seeds[j].cluster if p not in seed.cluster)
+        binomial = _binomial(seed, k)
+        assert x * x_new == binomial
+        texts = frozenset((x.canonical_text(), x_new.canonical_text()))
+        relations.add((texts, binomial.canonical_text()))
+    return relations
+
+
+@pytest.mark.parametrize("name", sorted(DIVISION_MATRICES))
+def test_atlas_checks_each_exchange_relation_once(name, monkeypatch):
+    B = DIVISION_MATRICES[name]()
+    relations = _relations_of(enumerate_atlas(B))
+    products = []
+    product = cluster._product
+
+    def counting_product(factors, nvars):
+        products.append(len(factors))
+        return product(factors, nvars)
+
+    monkeypatch.setattr(cluster, "_product", counting_product)
+    atlas = enumerate_atlas(B)
+    # each binomial is built from two products, once per exchange relation
+    assert len(products) == 2 * len(relations)
+    if name == "stack5":
+        assert (len(relations), len(atlas.edges) // 2) == (135, 630)
+
+
+def test_a_failed_product_check_raises_and_stores_nothing(monkeypatch):
+    def wrong_div(p, q):
+        return lp_div_exact(p, q) + LaurentPoly.one(q.nvars)
+
+    monkeypatch.setattr(cluster, "lp_div_exact", wrong_div)
+    known, relations = {}, {}
+    with pytest.raises(ClusterError, match="not on a cluster pattern"):
+        mutate_seed(Seed.initial(B_CYCLIC), 2, known=known, relations=relations)
+    assert known == {} and relations == {}
+    with pytest.raises(ClusterError, match="not on a cluster pattern"):
+        enumerate_atlas(B_CYCLIC)
+
+
+def test_every_stored_relation_is_a_proved_identity():
+    B = ATLAS_MATRICES["stack4"]()
+    atlas = enumerate_atlas(B)
+    relations = {}
+    for i, k, j in atlas.edges:
+        assert mutate_seed(atlas.seeds[i], k, relations=relations) == atlas.seeds[j]
+    # every relation is stored both ways
+    assert len(relations) == 2 * len(_relations_of(atlas))
+    by_text = {v.canonical_text(): v for v in atlas.variables}
+    one = LaurentPoly.one(B.n)
+    for (x_text, monomials), x_new in relations.items():
+        binomial = LaurentPoly.zero(B.n)
+        for monomial in monomials:
+            term = one
+            for text, e in monomial:
+                term = term * by_text[text] ** e
+            binomial = binomial + term
+        assert x_new * by_text[x_text] == binomial
+
+
+def reference_atlas(B):
+    """Breadth-first search with table-free mutations, in the atlas's order:
+    the seed keys in discovery order and the edges."""
+    initial = Seed.initial(B).canonical()
+    keys = [initial.key()]
+    index = {keys[0]: 0}
+    seeds, edges = [initial], []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for k in range(1, B.n + 1):
+            mutated = mutate_seed(seeds[i], k).canonical()
+            key = mutated.key()
+            if key not in index:
+                index[key] = len(seeds)
+                seeds.append(mutated)
+                keys.append(key)
+                queue.append(index[key])
+            edges.append((i, k, index[key]))
+    return keys, edges, sorted({t for key in keys for t in key[1]})
+
+
+@lru_cache(maxsize=None)
+def _maximal_rigid(n):
+    return enumerate_maximal_rigid(n, Tube(n))
+
+
+@st.composite
+def maximal_rigid_objects(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    ts = _maximal_rigid(n)
+    return ts[draw(st.integers(min_value=0, max_value=len(ts) - 1))]
+
+
+@given(maximal_rigid_objects())
+@settings(max_examples=12, deadline=None)
+def test_atlas_equals_a_table_free_search(t):
+    B = b_matrix(t)
+    atlas = enumerate_atlas(B)
+    keys, edges, texts = reference_atlas(B)
+    assert [s.key() for s in atlas.seeds] == keys
+    assert atlas.edges == edges
+    assert atlas.variable_texts() == texts
 
 
 def _same_as_public(m):
