@@ -250,11 +250,17 @@ def _subspaces(dim: int, ambient: int, p: int) -> Iterable[List[List[int]]]:
 
 
 def _in_rowspace(rows: List[List[int]], vec: List[int], p: int) -> bool:
-    if not any(x % p for x in vec):
-        return True
-    if not rows:
-        return False
-    return _mod_rank(rows + [vec], p) == _mod_rank(rows, p)
+    """Whether vec lies in the span of ``rows``, a basis in RREF over F_p as
+    ``_subspaces`` yields it, so each row's first 1 is its pivot.  A pivot
+    column is zero in the other rows, so subtracting vec[pc] times the row
+    with pivot pc clears vec at pc and at no other pivot; vec is in the
+    span iff nothing is left."""
+    for row in rows:
+        pc = row.index(1)
+        f = vec[pc] % p
+        if f:
+            vec = [(x - f * y) % p for x, y in zip(vec, row)]
+    return not any(x % p for x in vec)
 
 
 def _count_points(m: AModule, ehat: RankVec, e_loop: int, p: int) -> int:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
-from typing import List, Optional, Sequence, Set, Tuple
+from math import comb
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
@@ -87,29 +88,101 @@ def _irreducible_maps(tube: Tube, x: Indec, middle: Sequence[Indec], into_x: boo
     return comps
 
 
-# -- the per-object context -------------------------------------------------------
+# -- the exchange table and the per-object context ---------------------------------
+
+
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
+def _exchange_triangles(t: MaximalRigid) -> Tuple[ExchangeData, ...]:
+    return tuple(mutate_rigid(t, k) for k in range(1, t.tube.n + 1))
+
+
+class ExchangeTable:
+    """The exchange graph of a list of maximal rigid objects, each directed
+    edge (T, k) computed by one ``mutate_rigid`` call.
+
+    A vertex is an object of ``objects``, found by its set of summands.
+    ``triangles(t)`` hands over t's exchange triangles ``mutate_rigid(t, k)``,
+    k = 1..n, and keeps none of them; for a vertex it records where each
+    mutation lands (``neighbours``: vertex -> one vertex or ``None`` per
+    summand position).  ``matrix(t)`` is ``b_matrix_multiplicities(t)``,
+    read from the one matrix kept per vertex and relabelled into t's summand
+    order.  A vertex gets its matrix from ``record``, with the triangles it
+    was handed, or else from its own triangles, computed on the vertex's
+    object and kept until ``triangles`` hands them over.  An object outside
+    the table is computed on demand, and nothing of it is kept.
+    """
+
+    def __init__(self, objects: Sequence[MaximalRigid] = ()):
+        self.objects: Tuple[MaximalRigid, ...] = tuple(objects)
+        self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {}
+        self._index = {t.as_set(): i for i, t in enumerate(self.objects)}
+        self._matrices: Dict[int, Tuple[Tuple[Indec, ...], Matrix]] = {}
+        self._waiting: Dict[int, Tuple[ExchangeData, ...]] = {}
+
+    def vertex(self, t: MaximalRigid) -> Optional[int]:
+        """The vertex with t's summands, or ``None``."""
+        return self._index.get(t.as_set())
+
+    def triangles(self, t: MaximalRigid) -> Tuple[ExchangeData, ...]:
+        i = self.vertex(t)
+        if i is None:
+            return _exchange_triangles(t)
+        # waiting triangles are labelled by the vertex's own object
+        waiting = None
+        if t.summands == self.objects[i].summands:
+            waiting = self._waiting.pop(i, None)
+        triangles = waiting or _exchange_triangles(t)
+        self.neighbours[i] = tuple(self.vertex(data.mutated) for data in triangles)
+        return triangles
+
+    def record(self, t: MaximalRigid, triangles: Sequence[ExchangeData]) -> None:
+        """Keep t's matrix, from its triangles ``mutate_rigid(t, k)``, for
+        the vertices that ask for it later."""
+        i = self.vertex(t)
+        if i is not None and i not in self._matrices:
+            self._matrices[i] = (t.summands, b_matrix_multiplicities(t, triangles))
+
+    def matrix(self, t: MaximalRigid) -> Matrix:
+        i = self.vertex(t)
+        if i is None:
+            return b_matrix_multiplicities(t, _exchange_triangles(t))
+        if i not in self._matrices:
+            owner = self.objects[i]
+            triangles = self._waiting[i] = _exchange_triangles(owner)
+            self._matrices[i] = (owner.summands, b_matrix_multiplicities(owner, triangles))
+        labels, m = self._matrices[i]
+        if labels == t.summands:
+            return m
+        pos = [labels.index(s) for s in t.summands]
+        return tuple(tuple(m[r][c] for c in pos) for r in pos)
 
 
 class SuiteContext:
     """What the checks of one maximal rigid object T share.
 
     ``algebra`` is End(T), built once, and with it the functor-image memo
-    of the module layer.  ``triangles`` are T's exchange triangles
-    ``mutate_rigid(t, k)`` for k = 1..n, and ``cc_map`` is the character
-    map on End(T) and B_T; each is computed on first use and kept.
-    ``run_suite`` holds one context at a time and drops it before the next
-    T, so at most one End(T) is alive.
+    of the module layer.  ``table`` is the exchange table the context reads
+    T's triangles and its neighbours' matrices from: the suite's, shared by
+    all contexts, or, when none is given, a table of its own that holds no
+    object, so every triangle is computed on demand.  ``triangles`` are T's
+    exchange triangles ``mutate_rigid(t, k)`` for k = 1..n, taken from the
+    table, and ``cc_map`` is the character map on End(T) and B_T; each is
+    computed on first use and kept.  ``run_suite`` holds one context at a
+    time and drops it before the next T, so at most one End(T) is alive.
     """
 
-    def __init__(self, t: MaximalRigid):
+    def __init__(self, t: MaximalRigid, table: Optional[ExchangeTable] = None):
         self.t = t
         self.tube = t.tube
+        self.table = ExchangeTable() if table is None else table
         self.algebra = build_endomorphism_algebra(t, check=False)
         self.b_failure: Optional[str] = None
 
     @cached_property
     def triangles(self) -> Tuple[ExchangeData, ...]:
-        return tuple(mutate_rigid(self.t, k) for k in range(1, self.tube.n + 1))
+        return self.table.triangles(self.t)
 
     @cached_property
     def cc_map(self) -> Optional[CCMap]:
@@ -135,14 +208,23 @@ class SuiteContext:
 
 
 def check_b_matrix_compatibility(ctx: SuiteContext) -> List[str]:
-    """Triple-formula agreement and mutation compatibility of the matrix."""
+    """Triple-formula agreement of B_T, and mu_k(B_T) = B_{mu_k T} in every
+    direction k.
+
+    B_{mu_k T} is the multiplicity matrix of the neighbour from the
+    context's exchange table, computed from the neighbour's own triangles
+    and relabelled into the summand order of ``mutate_rigid(t, k).mutated``.
+    T's own matrix is recorded in the table first, for the neighbours that
+    come later.
+    """
+    ctx.table.record(ctx.t, ctx.triangles)
     cm = ctx.cc_map
     if cm is None:
         return [ctx.b_failure]
     failures = []
     for k, data in enumerate(ctx.triangles, 1):
         expected = mutate_matrix(cm.b, k)
-        got = ExchangeMatrix(b_matrix_multiplicities(data.mutated))
+        got = ExchangeMatrix(ctx.table.matrix(data.mutated))
         if got != expected:
             failures.append(f"{ctx.t}: matrix mutation mismatch in direction {k}")
     return failures
@@ -406,13 +488,48 @@ def check_tube_invariants(tube: Tube) -> List[str]:
     return failures
 
 
-def check_mutation_closure(ctx: SuiteContext, known: Set[frozenset]) -> List[str]:
-    """Every mutation of T lands in the enumerated set ``known``."""
+def check_mutation_closure(ctx: SuiteContext) -> List[str]:
+    """Every mutation of T lands on a vertex of the context's exchange
+    table, in ``run_suite`` the enumerated maximal rigid objects."""
     return [
         f"mutation leaves the enumerated set at {ctx.t}, {k}"
         for k, data in enumerate(ctx.triangles, 1)
-        if data.mutated.as_set() not in known
+        if ctx.table.vertex(data.mutated) is None
     ]
+
+
+def check_exchange_graph(tube: Tube, table: ExchangeTable) -> List[str]:
+    """The exchange graph of the maximal rigid objects, as the table
+    recorded it, is the type-C_n exchange graph (Buan-Marsh-Vatne, Math. Z.
+    265, 2010): C(2n, n) vertices, each with n distinct neighbours; mutating
+    mu_k T at the new summand gives T back; and it is connected."""
+    n, ts, edges = tube.n, table.objects, table.neighbours
+    failures = []
+    if len(ts) != comb(2 * n, n):
+        failures.append(f"exchange graph has {len(ts)} vertices, "
+                        f"not C(2n, n) = {comb(2 * n, n)}")
+    for i, t in enumerate(ts):
+        around = [j for j in dict.fromkeys(edges.get(i, ())) if j is not None and j != i]
+        if len(around) != n:
+            failures.append(f"exchange graph: {t} has {len(around)} distinct neighbours, not {n}")
+        for j in around:
+            u = ts[j]
+            new = u.as_set() - t.as_set()
+            back = edges.get(j)
+            if len(new) != 1 or back is None or back[u.summands.index(*new)] != i:
+                failures.append(f"exchange graph: mutating {u} at its new summand "
+                                f"does not give {t} back")
+    reached = {0} if ts else set()
+    todo = list(reached)
+    while todo:
+        for j in edges.get(todo.pop(), ()):
+            if j is not None and j not in reached:
+                reached.add(j)
+                todo.append(j)
+    if len(reached) != len(ts):
+        failures.append(f"exchange graph is not connected: {len(reached)} of {len(ts)} "
+                        f"objects reachable from {ts[0]}")
+    return failures
 
 
 class SuiteReport:
@@ -449,11 +566,19 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     One loop over the maximal rigid objects: each T gets one context,
     every check whose scope holds T runs on it, and the context is dropped
     before the next T.  A scheduled check that visits no object fails.
+
+    The suite owns one ``ExchangeTable`` over the enumerated objects, so
+    ``mutate_rigid`` runs once per directed edge (T, k), always on the
+    enumerated T: each context takes its own triangles from it, and the
+    matrix check reads each neighbour's matrix from it.  A vertex's
+    triangles are kept only until its context takes them, and its matrix
+    only once the matrix check has run on it or on a neighbour.  After the loop the exchange
+    graph the table recorded is certified under "tube invariants".
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
     reps = {t.summands for t in tau_orbit_representatives(tube)}
-    known = {t.as_set() for t in ts_all}
+    table = ExchangeTable(ts_all)
     associative = {t.summands for t in ts_all[:3]}
 
     def every(t: MaximalRigid) -> bool:
@@ -465,7 +590,7 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     characters = every if n <= 3 else is_rep
     # (report line, check on one context, scope), in report order
     schedule = [
-        ("tube invariants", lambda ctx: check_mutation_closure(ctx, known), every),
+        ("tube invariants", check_mutation_closure, every),
         ("quiver shape and relations",
          lambda ctx: check_structure(ctx, associativity=ctx.t.summands in associative), every),
     ]
@@ -485,12 +610,13 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     visited = dict.fromkeys(failures, 0)
     failures["tube invariants"] = check_tube_invariants(tube)
     for t in ts_all:
-        ctx = SuiteContext(t)
+        ctx = SuiteContext(t, table)
         for name, check, scope in schedule:
             if scope(t):
                 visited[name] += 1
                 failures[name].extend(check(ctx))
         del ctx
+    failures["tube invariants"].extend(check_exchange_graph(tube, table))
     report = SuiteReport()
     for name in failures:
         report.add(name, failures[name] if visited[name] else ["visited no objects"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from clustertube.grassmann import (
     chi_lf_oracle_fq,
     chi_table,
     verify_ar_recursion,
+    _in_rowspace,
+    _mod_rank,
     _subspaces,
 )
 from clustertube.tube import Indec, MaximalRigid, Tube
@@ -29,6 +32,34 @@ def test_subspace_enumeration_counts():
         spaces = list(_subspaces(d, m, q))
         assert len(spaces) == gaussian_binomial(m, d, q)
         assert len({tuple(map(tuple, s)) for s in spaces}) == len(spaces)
+
+
+def _in_rowspace_by_rank(rows, vec, p):
+    """The rank comparison ``_in_rowspace`` made before, kept as the reference."""
+    if not any(x % p for x in vec):
+        return True
+    if not rows:
+        return False
+    return _mod_rank(rows + [vec], p) == _mod_rank(rows, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_in_rowspace_equals_the_rank_test(p):
+    rng = random.Random(p)
+    outcomes = set()
+    for ambient in range(1, 6):
+        for dim in range(ambient + 1):
+            spaces = list(_subspaces(dim, ambient, p))
+            for rows in rng.sample(spaces, min(len(spaces), 10)):
+                vecs = [[rng.randrange(p) for _ in range(ambient)] for _ in range(5)]
+                # combinations of the rows, which lie in their span
+                vecs += [[sum(rng.randrange(p) * row[c] for row in rows) % p for c in range(ambient)]
+                         for _ in range(3)]
+                for vec in vecs:
+                    inside = _in_rowspace(rows, vec, p)
+                    assert inside == _in_rowspace_by_rank(rows, vec, p), (rows, vec)
+                    outcomes.add(inside)
+    assert outcomes == {True, False}
 
 
 def test_chi_boundary_values(cyclic_algebra):

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -202,3 +203,122 @@ def test_an_irreducible_map_needs_a_one_dimensional_hom_space():
     for x, y in ((Indec(1, 2), Indec(2, 1)), (Indec(1, 5), Indec(1, 5))):
         with pytest.raises(ConsistencyError):
             verify._irreducible_maps(tube, x, [y], True)
+
+
+# -- the suite's exchange table: one mutate_rigid per directed edge ----------------
+
+
+@pytest.mark.parametrize("n, mutations, approximations", [(3, 69, 148), (4, 296, 620)])
+def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximations):
+    tables = []
+
+    class KeptTable(verify.ExchangeTable):
+        def __init__(self, objects=()):
+            super().__init__(objects)
+            tables.append(self)
+
+    calls = []  # (T, k), holding T so that ids stay unique
+    mutate, approximate = tube_module.mutate_rigid, tube_module.minimal_approximation
+    approximated = []
+
+    def counting_mutate(t, k):
+        calls.append((t, k))
+        return mutate(t, k)
+
+    def counting_approximation(*args):
+        approximated.append(args)
+        return approximate(*args)
+
+    monkeypatch.setattr(verify, "ExchangeTable", KeptTable)
+    for module in (verify, tube_module):
+        monkeypatch.setattr(module, "mutate_rigid", counting_mutate)
+        monkeypatch.setattr(module, "minimal_approximation", counting_approximation)
+    assert verify.run_suite(n, oracle=False).ok
+    (table,) = tables
+    per_edge = Counter((id(t), k) for t, k in calls)
+    # every directed edge once, on the enumerated object; the rest is the covering walk
+    assert [per_edge.get((id(t), k)) for t in table.objects for k in range(1, n + 1)] == \
+        [1] * (n * len(table.objects))
+    assert len(calls) == mutations
+    assert len(approximated) == approximations
+    assert table._waiting == {}
+
+
+def _forge(monkeypatch, forged):
+    """Replace ``mutate_rigid`` by ``forged(t, k, mutate_rigid(t, k))``."""
+    mutate = tube_module.mutate_rigid
+
+    def forging(t, k):
+        return forged(t, k, mutate(t, k))
+
+    for module in (verify, tube_module):
+        monkeypatch.setattr(module, "mutate_rigid", forging)
+
+
+def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
+    ts = enumerate_maximal_rigid(3, Tube(3))
+    # T' and a direction whose right middle term is not empty; drop one summand of it
+    target, old = next((t, d.old) for t in ts for d in verify._exchange_triangles(t)
+                       if d.right_middle)
+
+    def drop_one(t, k, data):
+        if t.as_set() == target.as_set() and data.old == old:
+            return data._replace(right_middle=data.right_middle[:-1],
+                                 right_maps=data.right_maps[:-1])
+        return data
+
+    _forge(monkeypatch, drop_one)
+    # the neighbours T of T', with the direction in which T mutates to T'
+    neighbours = [(t, 1 + next(i for i, s in enumerate(t.summands) if s not in target.summands))
+                  for t in ts if len(t.as_set() & target.as_set()) == 2]
+    assert len(neighbours) == 3
+    expected = {f"{t}: matrix mutation mismatch in direction {k}" for t, k in neighbours}
+
+    prefix = "matrix formulas and mutation: "
+    lines = [f[len(prefix):] for f in verify.run_suite(3, oracle=False).failures
+             if f.startswith(prefix)]
+    own = [line for line in lines if line not in expected]
+    assert set(lines) - set(own) == expected
+    assert len(own) == 1 and own[0].startswith(f"{target}: exchange-matrix formulas disagree: ")
+
+    t, k = neighbours[0]
+    assert verify.check_b_matrix_compatibility(verify.SuiteContext(t)) == [
+        f"{t}: matrix mutation mismatch in direction {k}"]
+
+
+def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+    target = ts[0]
+    real = verify._exchange_triangles(target)[0].mutated
+    back = next(t for t in ts if t.as_set() == real.as_set())
+
+    def loop_back(t, k, data):
+        # the mutation of T in direction 1 claims to give T itself
+        return data._replace(mutated=t) if t.summands == target.summands and k == 1 else data
+
+    _forge(monkeypatch, loop_back)
+    report = verify.run_suite(2, oracle=False)
+    assert ("tube invariants", False, 2) in report.lines
+    assert [f for f in report.failures if f.startswith("tube invariants: ")] == [
+        f"tube invariants: exchange graph: {target} has 1 distinct neighbours, not 2",
+        f"tube invariants: exchange graph: mutating {target} at its new summand "
+        f"does not give {back} back",
+    ]
+
+
+def test_the_exchange_graph_is_certified():
+    tube = Tube(3)
+    ts = enumerate_maximal_rigid(3, tube)
+    table = verify.ExchangeTable(ts)
+    for t in ts:
+        table.triangles(t)
+    assert verify.check_exchange_graph(tube, table) == []
+    # cut vertex 0 out of the graph
+    table.neighbours = {i: tuple(None if j == 0 else j for j in edges)
+                        for i, edges in table.neighbours.items() if i != 0}
+    failures = verify.check_exchange_graph(tube, table)
+    assert failures[0] == f"exchange graph: {ts[0]} has 0 distinct neighbours, not 3"
+    assert failures[-1] == f"exchange graph is not connected: 1 of 20 objects reachable from {ts[0]}"
+    # a table over part of the objects has the wrong vertex count
+    assert verify.check_exchange_graph(tube, verify.ExchangeTable(ts[:-1]))[0] == \
+        "exchange graph has 19 vertices, not C(2n, n) = 20"
