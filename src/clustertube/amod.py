@@ -16,7 +16,6 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     SpanSolver,
-    coords_in_span,
     intertwiner_basis,
     kernel_basis,
     rank as mat_rank,
@@ -146,12 +145,13 @@ class ModMap:
         alg = self.src.algebra
         bases = [kernel_basis(m) for m in self.mats]
         dims = [len(b) for b in bases]
+        solvers = [SpanSolver(b, m.ncols) for b, m in zip(bases, self.mats)]
         mats = []
         for a in alg.arrows:
             cols = []
             for w in bases[a.tgt - 1]:
                 img = self.src.mats[a.idx].apply(w)
-                coords = coords_in_span(bases[a.src - 1], img)
+                coords = solvers[a.src - 1].coords(img)
                 if coords is None:
                     raise ConsistencyError("kernel is not arrow-stable")
                 cols.append(coords)
@@ -534,11 +534,6 @@ def minimal_projective_presentation(m: AModule) -> PresentationData:
     return PresentationData(tuple(p1_vertices), tuple(p0_vertices), psi, tuple(tuple(r) for r in entries))
 
 
-def ext1_A_dim(m: AModule, n_mod: AModule) -> int:
-    """dim Ext^1(M, N) = dim Hom(M, N) - the truncated Euler form."""
-    return hom_A_dim(m, n_mod) - euler_leq1(m, n_mod)
-
-
 def tau_A(m: AModule) -> AModule:
     """Auslander-Reiten translate via the Nakayama functor on a minimal
     projective presentation; projective modules are sent to zero.
@@ -746,12 +741,11 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
     independently through the truncated Euler form against the simples; the
     two routes must agree.
 
-    The vector of each indecomposable summand is memoised on the tube by
-    (T.summands, summand), and only after the two routes agreed; the domain
-    check runs on every call.
+    The vector of each indecomposable summand is memoised on the algebra,
+    and only after the two routes agreed; the domain check runs on every
+    call.
     """
-    tube = algebra.tube
-    summands = _normalize_object(tube, x)
+    summands = _normalize_object(algebra.tube, x)
     n = algebra.n
     total = [0] * n
     for s in summands:
@@ -761,8 +755,7 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not (in_pr_T(algebra.t, s) and in_pr_sigma_T(algebra.t, s)):
             raise DomainError(f"{s} is outside the coindex domain")
-        key = (algebra.t.summands, s)
-        vec = tube._coindex_cache.get(key)
+        vec = algebra._coindex_cache.get(s)
         if vec is None:
             mod = apply_F(algebra, s)
             via_injectives = i_vector(mod)
@@ -773,7 +766,7 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
                 raise ConsistencyError(
                     f"coindex routes disagree on {s}: {via_injectives} vs {via_euler}"
                 )
-            vec = tube._coindex_cache[key] = via_injectives
+            vec = algebra._coindex_cache[s] = via_injectives
         total = [a + b for a, b in zip(total, vec)]
     return tuple(total)
 
@@ -781,11 +774,10 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
 def index(algebra: FinDimAlgebra, x) -> tuple:
     """Index of a tube object, via the truncated Euler form.
 
-    The vector of each indecomposable summand is memoised on the tube by
-    (T.summands, summand); the domain check runs on every call.
+    The vector of each indecomposable summand is memoised on the algebra;
+    the domain check runs on every call.
     """
-    tube = algebra.tube
-    summands = _normalize_object(tube, x)
+    summands = _normalize_object(algebra.tube, x)
     n = algebra.n
     total = [0] * n
     for s in summands:
@@ -795,11 +787,10 @@ def index(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not in_pr_T(algebra.t, s):
             raise DomainError(f"{s} is outside the index domain")
-        key = (algebra.t.summands, s)
-        vec = tube._index_cache.get(key)
+        vec = algebra._index_cache.get(s)
         if vec is None:
             mod = apply_F(algebra, s)
-            vec = tube._index_cache[key] = tuple(
+            vec = algebra._index_cache[s] = tuple(
                 euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)
             )
         total = [a + b for a, b in zip(total, vec)]

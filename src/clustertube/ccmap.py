@@ -6,7 +6,7 @@ For an object X presented by T, the character is the Laurent polynomial
 
 which sends the shifted summands of T to the initial variables.  The
 verification entry points check, in exact arithmetic, that the character
-biject the indecomposable rigid objects onto the cluster variables of the
+bijects the indecomposable rigid objects onto the cluster variables of the
 exchange matrix of T, that denominator vectors equal rank vectors, and that
 the exchange relations hold along mutations and the covering walk.
 """

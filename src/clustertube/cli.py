@@ -228,21 +228,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_object=False):
-        p.add_argument("--n", type=int, default=3, help="tube rank minus one (>= 2)")
-        p.add_argument("--object", type=str, default=None, required=needs_object,
-                       help='summand list, e.g. "(1,3),(3,1),(1,1)"')
+    def command(name, help, *options, object_required=False):
+        # each command registers only the options it reads
+        p = sub.add_parser(name, help=help)
+        if "n" in options:
+            p.add_argument("--n", type=int, default=3, help="tube rank minus one (>= 2)")
+        if "object" in options:
+            p.add_argument("--object", type=str, default=None, required=object_required,
+                           help='summand list, e.g. "(1,3),(3,1),(1,1)"')
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-        p.add_argument("--cap", type=int, default=10000, help="seed cap for atlas enumeration")
-        p.add_argument("--oracle", choices=("on", "off"), default="on")
+        if "cap" in options:
+            p.add_argument("--cap", type=int, default=10000, help="seed cap for atlas enumeration")
+        if "oracle" in options:
+            p.add_argument("--oracle", choices=("on", "off"), default="on")
         p.add_argument("--out", type=str, default=None, help="write output to a file")
 
-    common(sub.add_parser("enumerate-rigid", help="list all basic maximal rigid objects"))
-    common(sub.add_parser("b-matrix", help="exchange matrix of a maximal rigid object"), needs_object=True)
-    common(sub.add_parser("atlas", help="enumerate the cluster pattern of the exchange matrix"))
-    common(sub.add_parser("cc-table", help="character table of a maximal rigid object"))
-    common(sub.add_parser("verify", help="run the invariant suite for one rank"))
-    common(sub.add_parser("reproduce-example", help="replay the rank-four worked example"))
+    command("enumerate-rigid", "list all basic maximal rigid objects", "n")
+    command("b-matrix", "exchange matrix of a maximal rigid object", "n", "object",
+            object_required=True)
+    command("atlas", "enumerate the cluster pattern of the exchange matrix", "n", "object", "cap")
+    command("cc-table", "character table of a maximal rigid object", "n", "object")
+    command("verify", "run the invariant suite for one rank", "n", "oracle")
+    command("reproduce-example", "replay the rank-four worked example")
     return parser
 
 
@@ -258,18 +265,12 @@ COMMANDS = {
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.n < 2:
+    options = vars(parser.parse_args(argv))
+    if "oracle" in options:
+        options["oracle"] = options["oracle"] == "on"
+    config = RunConfig(**options)
+    if config.n < 2:
         parser.error("--n must be at least 2")
-    config = RunConfig(
-        command=args.command,
-        n=args.n,
-        object=args.object,
-        fmt=args.fmt,
-        cap=args.cap,
-        oracle=args.oracle == "on",
-        out=args.out,
-    )
     if config.cap < 1:
         parser.error("--cap must be positive")
     try:

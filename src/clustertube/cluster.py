@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from itertools import permutations
 from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -121,34 +120,6 @@ def cartan_counterpart(B: ExchangeMatrix) -> IntMatrix:
     return tuple(
         tuple(2 if i == j else -abs(B.b[i][j]) for j in range(n)) for i in range(n)
     )
-
-
-def type_c_cartan(n: int) -> IntMatrix:
-    """The type-C Cartan matrix in the labelling used here.
-
-    Vertex 1 is the long (weight two) vertex, followed by the simply laced
-    chain; concretely the doubled entry sits at position (2, 1).
-    """
-    if n < 2:
-        raise ClusterError("type C needs rank at least 2")
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    for i in range(n - 1):
-        a[i][i + 1] = -1
-        a[i + 1][i] = -1
-    a[1][0] = -2
-    return _freeze(a)
-
-
-def matrices_equal_up_to_permutation(a: IntMatrix, b: IntMatrix) -> bool:
-    n = len(a)
-    if len(b) != n:
-        return False
-    for perm in permutations(range(n)):
-        if all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            return True
-    return False
 
 
 class Seed:

@@ -16,6 +16,7 @@ from .linalg import SpanSolver, independent_units
 from .tube import (
     CHom,
     ConsistencyError,
+    Indec,
     MaximalRigid,
     Tube,
     chom_coords,
@@ -106,15 +107,17 @@ class FinDimAlgebra:
         # the arrows never change, so the relations are found once
         self._three_cycles = self._find_three_cycles()
         self._relation_pairs: Optional[List[Tuple[Arrow, Arrow]]] = None
-        self._paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
         # per block: the path labels (None for the identity) and the solver
         # for coordinates in their span
         self._path_span: Dict[Tuple[int, int], Tuple[list, SpanSolver]] = {}
         self._build_paths()
         # Memo of the module layer (clustertube.amod), living as long as this
-        # algebra: functor images Hom(T, X) by summand tuple of X, the socle
-        # data of the injectives, and the simples by vertex.
+        # algebra: functor images Hom(T, X) by summand tuple of X, the index
+        # and coindex vectors by indecomposable X, the socle data of the
+        # injectives, and the simples by vertex.
         self._module_cache: Dict[tuple, object] = {}
+        self._index_cache: Dict[Indec, tuple] = {}
+        self._coindex_cache: Dict[Indec, tuple] = {}
         self._socle_data: Optional[list] = None
         self._simples: Dict[int, object] = {}
 
@@ -196,11 +199,8 @@ class FinDimAlgebra:
 
     # -- relations -------------------------------------------------------------
 
-    def three_cycles(self) -> List[Tuple[Arrow, Arrow, Arrow]]:
-        """Oriented three-cycles (alpha, beta, gamma) through distinct vertices."""
-        return self._three_cycles
-
     def _find_three_cycles(self) -> List[Tuple[Arrow, Arrow, Arrow]]:
+        """Oriented three-cycles (alpha, beta, gamma) through distinct vertices."""
         cycles = []
         for a in self.arrows:
             for b in self.arrows:
@@ -246,10 +246,11 @@ class FinDimAlgebra:
         is handled separately.  Together with the idempotents these span the
         whole algebra because the arrows generate the radical.
         """
+        paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
         frontier: List[Tuple[tuple, int, int, CHom]] = []
         for a in self.arrows:
             coords = chom_coords(self.tube, a.rep)
-            self._paths.setdefault((a.src - 1, a.tgt - 1), []).append(((a.idx,), coords))
+            paths.setdefault((a.src - 1, a.tgt - 1), []).append(((a.idx,), coords))
             frontier.append(((a.idx,), a.src - 1, a.tgt - 1, a.rep))
         max_len = self.dim + 1
         length = 1
@@ -264,7 +265,7 @@ class FinDimAlgebra:
                         continue
                     coords = chom_coords(self.tube, nval)
                     npath = path + (a.idx,)
-                    self._paths.setdefault((i, a.tgt - 1), []).append((npath, coords))
+                    paths.setdefault((i, a.tgt - 1), []).append((npath, coords))
                     new_frontier.append((npath, i, a.tgt - 1, nval))
             frontier = new_frontier
             length += 1
@@ -272,8 +273,8 @@ class FinDimAlgebra:
         for i in range(self.n):
             for j in range(self.n):
                 dim = self.block_dim[(i, j)]
-                labels = [p for p, _ in self._paths.get((i, j), [])]
-                vecs = [c for _, c in self._paths.get((i, j), [])]
+                labels = [p for p, _ in paths.get((i, j), [])]
+                vecs = [c for _, c in paths.get((i, j), [])]
                 if i == j:
                     labels.append(None)
                     vecs.append(self._identity_coords[i])
@@ -283,10 +284,6 @@ class FinDimAlgebra:
                         f"paths do not span Hom(T_{i+1}, T_{j+1})"
                     )
                 self._path_span[(i, j)] = (labels, solver)
-
-    def paths(self, i: int, j: int) -> List[Tuple[tuple, tuple]]:
-        """Spanning paths from vertex i to vertex j (0-based), with coordinates."""
-        return self._paths.get((i, j), [])
 
     def path_span(self, i: int, j: int) -> Tuple[list, SpanSolver]:
         """The labels of the spanning paths from vertex i to vertex j

@@ -141,9 +141,6 @@ class ChiTable:
         self.rank = rank
         self.entries = dict(sorted(entries.items()))
 
-    def chi(self, e: Sequence[int]) -> int:
-        return self.entries.get(tuple(e), 0)
-
     def to_json(self) -> dict:
         module_ref = {"dims": list(self.module.dims), "rank": list(self.rank)}
         if self.module.provenance is not None:

@@ -7,7 +7,7 @@ serialization are all deterministic.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -164,14 +164,6 @@ class LaurentPoly:
 
     def to_json(self) -> list:
         return [{"exp": list(e), "coeff": c} for e, c in self.terms.items()]
-
-    @classmethod
-    def from_json(cls, nvars: int, data: Iterable[dict]) -> "LaurentPoly":
-        terms: Dict[Exponent, int] = {}
-        for item in data:
-            e = tuple(int(x) for x in item["exp"])
-            terms[e] = terms.get(e, 0) + int(item["coeff"])
-        return cls(nvars, terms)
 
 
 def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:

@@ -97,10 +97,6 @@ class ExactMatrix:
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
-    def transpose(self) -> "ExactMatrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return ExactMatrix._trusted(rows, self.nrows)
-
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
@@ -129,9 +125,6 @@ class ExactMatrix:
         else:
             rows = tuple(tuple(_normal(c * x) for x in r) for r in self.rows)
         return ExactMatrix._trusted(rows, self.ncols)
-
-    def neg(self) -> "ExactMatrix":
-        return self.scale(-1)
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.ncols:
@@ -269,35 +262,13 @@ def kernel_basis(m: ExactMatrix) -> list:
     return basis
 
 
-def solve(m: ExactMatrix, b: Sequence) -> Optional[Vector]:
-    """One solution of M x = b, or None if inconsistent."""
-    if len(b) != m.nrows:
-        raise ValueError("rhs length mismatch")
-    aug = ExactMatrix._trusted(
-        tuple(r + (_frac(x),) for r, x in zip(m.rows, b)), m.ncols + 1
-    )
-    red, pivots, rk = rref(aug)
-    if m.ncols in pivots:
-        return None
-    x = [0] * m.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.rows[r][m.ncols]
-    return tuple(x)
-
-
-def coords_in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
-    """Coefficients c with sum_i c_i vectors[i] = target, or None."""
-    n = len(target)
-    mat = ExactMatrix.from_columns(list(vectors), n) if vectors else ExactMatrix.zero(n, 0)
-    return solve(mat, target)
-
-
 class SpanSolver:
     """Coordinates in a family of vectors, from one stored echelon form.
 
-    ``coords(target)`` equals ``coords_in_span(vectors, target)``: a vector
-    that depends on the ones before it gets coefficient 0, as a free column
-    does in :func:`solve`, and a target outside the span gives None.  Each
+    ``coords(target)`` is a tuple c with sum_k c_k vectors[k] = target, or
+    None when the target is outside the span.  A vector that depends on the
+    ones before it gets coefficient 0, as a free column does when the
+    augmented matrix [vectors | target] is row-reduced.  Each
     vector is reduced once, on ``insert``, and each echelon row keeps its
     expression in the vectors; a target then costs one pass over the rows.
     """
@@ -354,13 +325,6 @@ class SpanSolver:
                     x = out[j] + f * y
                     out[j] = x if type(x) is int else _normal(x)
         return tuple(out)
-
-
-def span_rank(vectors: Iterable[Sequence]) -> int:
-    vecs = [tuple(v) for v in vectors]
-    if not vecs:
-        return 0
-    return rank(ExactMatrix(vecs))
 
 
 def independent_units(span: Iterable[Sequence], positions: Iterable[int], dim: int) -> List[int]:

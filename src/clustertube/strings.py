@@ -17,14 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import (
-    ExactMatrix,
-    exact_div,
-    flatten_blocks,
-    rank as mat_rank,
-    span_rank,
-    unflatten_blocks,
-)
+from .linalg import ExactMatrix, exact_div, rank as mat_rank
 from .endo import FinDimAlgebra
 from .tube import ConsistencyError
 from .amod import AModule, DomainError, ModMap, hom_A_basis
@@ -77,30 +70,6 @@ class StringWord:
 
     def __hash__(self):
         return hash(self.key())
-
-    def display(self, algebra: FinDimAlgebra) -> str:
-        if not self.letters:
-            return f"e_{self.trivial_vertex}"
-        names = _arrow_names(algebra)
-        return "".join(
-            names[l.arrow_idx] + ("^-1" if l.inverse else "")
-            for l in reversed(self.letters)
-        )
-
-
-def _arrow_names(algebra: FinDimAlgebra) -> Dict[int, str]:
-    names = {}
-    greek = ["a", "b", "c", "d", "f", "g", "h", "k"]
-    counter = 0
-    for arrow in algebra.arrows:
-        if arrow.is_loop:
-            names[arrow.idx] = "rho"
-        else:
-            names[arrow.idx] = greek[counter % len(greek)] + (
-                str(counter // len(greek)) if counter >= len(greek) else ""
-            )
-            counter += 1
-    return names
 
 
 def _letter_source(algebra: FinDimAlgebra, l: Letter) -> int:
@@ -367,81 +336,6 @@ def _string_form_by_matching(m: AModule) -> StringBasis:
                 word, tuple(word_vertices(alg, word)), _word_action_edges(word), cand, iso
             )
     raise NotStringModuleError("module matches no string module")
-
-
-def ar_quiver(algebra: FinDimAlgebra):
-    """The Auslander-Reiten quiver of the module category.
-
-    Vertices are the string modules (every indecomposable is one); the edge
-    multiplicity from X to Y is the dimension of the space of irreducible
-    maps, the radical of Hom(X, Y) modulo the span of all two-step radical
-    compositions through the other indecomposables.
-    """
-    words = enumerate_strings(algebra)
-    modules = [string_module(algebra, w) for w in words]
-    radical_bases = {}
-    for i, x in enumerate(modules):
-        for j, y in enumerate(modules):
-            basis = hom_A_basis(x, y)
-            if i != j:
-                radical_bases[(i, j)] = [flatten_blocks(phi.mats) for phi in basis]
-                continue
-            # local endomorphism ring: each map is a scalar plus a nilpotent,
-            # and the scalar is the trace divided by the total dimension
-            ident = [ExactMatrix.identity(d) for d in x.dims]
-            rad = []
-            for phi in basis:
-                trace = sum(
-                    phi.mats[v].rows[r][r]
-                    for v in range(algebra.n)
-                    for r in range(x.dims[v])
-                )
-                c = exact_div(trace, x.total_dim)
-                adjusted = flatten_blocks(
-                    mat.add(one.scale(-c)) for mat, one in zip(phi.mats, ident)
-                )
-                if any(adjusted):
-                    rad.append(adjusted)
-            radical_bases[(i, j)] = rad
-    edges = []
-    for i in range(len(modules)):
-        for j in range(len(modules)):
-            rad = radical_bases[(i, j)]
-            if not rad:
-                continue
-            square = []
-            for k in range(len(modules)):
-                for v1 in radical_bases[(i, k)]:
-                    m1 = unflatten_blocks(v1, zip(modules[k].dims, modules[i].dims))
-                    for v2 in radical_bases[(k, j)]:
-                        m2 = unflatten_blocks(v2, zip(modules[j].dims, modules[k].dims))
-                        comp = [b.mul(a) for a, b in zip(m1, m2)]
-                        square.append(flatten_blocks(comp))
-            count = span_rank(rad + square) - span_rank(square)
-            if count:
-                edges.append((i, j, count))
-    return words, modules, edges
-
-
-def ar_quiver_json(algebra: FinDimAlgebra) -> dict:
-    """Graph export of the AR quiver for regression against known pictures."""
-    from .amod import is_tau_rigid
-
-    words, modules, edges = ar_quiver(algebra)
-    return {
-        "vertices": [
-            {
-                "id": w.display(algebra),
-                "dims": list(m.dims),
-                "tau_rigid": is_tau_rigid(m),
-            }
-            for w, m in zip(words, modules)
-        ],
-        "edges": [
-            {"from": words[i].display(algebra), "to": words[j].display(algebra), "count": c}
-            for i, j, c in edges
-        ],
-    }
 
 
 def _find_isomorphism(m: AModule, n_mod: AModule) -> Optional[ModMap]:

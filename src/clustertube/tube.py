@@ -129,10 +129,6 @@ class Tube:
         self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
-        # index and coindex vectors of one indecomposable X with respect to a
-        # maximal rigid T, keyed by (T.summands, X); filled by clustertube.amod
-        self._index_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
-        self._coindex_cache: Dict[Tuple[Tuple[Indec, ...], Indec], tuple] = {}
         # the covering walk of clustertube.ccmap, computed on first use
         self._covering_walk = None
 
@@ -211,9 +207,6 @@ class Tube:
             self._ext_cache[key] = cached
         return cached
 
-    def ext1_tube_dim(self, x: Indec, y: Indec) -> int:
-        return self.ext_space(x, y).dim
-
     def dmor_space(self, x: Indec, y: Indec) -> ExtSpace:
         """Shift-stratum morphisms x -> y, as Ext^1(x, tau^{-1} y)."""
         key = (x, y)
@@ -221,9 +214,6 @@ class Tube:
         if cached is None:
             cached = self._dmor_cache[key] = self.ext_space(x, self.tau(y, -1))
         return cached
-
-    def dmor_dim(self, x: Indec, y: Indec) -> int:
-        return self.dmor_space(x, y).dim
 
     def hom_c_dim(self, x: Indec, y: Indec) -> int:
         """Total morphism dimension in the cluster tube."""

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from clustertube import cluster, verify
-from clustertube.cli import run
+from clustertube.cli import build_parser, run
 from clustertube.cluster import ClusterError
 from clustertube.grassmann import OracleError
 from clustertube.laurent import LaurentError
@@ -126,6 +126,20 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["atlas", "--n", "2", "--cap", "0"])
     assert exc.value.code == 2
+
+
+def test_an_option_the_command_does_not_read_exits_two(capsys):
+    for argv in (["verify", "--n", "2", "--cap", "3"],
+                 ["enumerate-rigid", "--n", "2", "--object", "(1,2),(1,1)"],
+                 ["reproduce-example", "--n", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+    # the options each command does read still parse
+    parser = build_parser()
+    parser.parse_args(["verify", "--n", "3", "--format", "json", "--oracle", "on", "--out", "f"])
+    parser.parse_args(["atlas", "--n", "5", "--format", "json", "--cap", "9",
+                       "--object", "(6,5),(6,2),(6,1),(6,3),(6,4)"])
 
 
 def test_invalid_object_exits_two(capsys):

@@ -1,5 +1,6 @@
 from collections import deque
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,8 @@ from clustertube.cluster import (
     Seed,
     cartan_counterpart,
     enumerate_atlas,
-    matrices_equal_up_to_permutation,
     mutate_matrix,
     mutate_seed,
-    type_c_cartan,
 )
 from clustertube.laurent import LaurentPoly, lp_div_exact
 from clustertube.tube import Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
@@ -138,6 +137,30 @@ def test_cartan_counterpart_values():
     assert cartan_counterpart(ExchangeMatrix([[0, 0], [0, 0]])) == ((2, 0), (0, 2))
     assert cartan_counterpart(ExchangeMatrix([[0, 1], [-2, 0]])) == ((2, -1), (-2, 2))
     assert cartan_counterpart(B_CYCLIC) == ((2, -1, -1), (-2, 2, -1), (-2, -1, 2))
+
+
+def type_c_cartan(n):
+    """The type-C Cartan matrix in the labelling used here.
+
+    Vertex 1 is the long (weight two) vertex, followed by the simply laced
+    chain; concretely the doubled entry sits at position (2, 1).
+    """
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
+    for i in range(n - 1):
+        a[i][i + 1] = -1
+        a[i + 1][i] = -1
+    a[1][0] = -2
+    return a
+
+
+def matrices_equal_up_to_permutation(a, b):
+    n = len(a)
+    return len(b) == n and any(
+        all(a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n))
+        for perm in permutations(range(n))
+    )
 
 
 def test_atlas_contains_type_c_vertex():

@@ -171,3 +171,119 @@ def test_the_rule_sees_foreign_trusted_calls():
     outside = "x = LaurentPoly._trusted(2, {})\ny = cls._trusted(1)\n"
     assert list(_foreign_trusted_calls(ast.parse(outside))) == [
         (1, "foreign _trusted call"), (2, "foreign _trusted call")]
+
+
+def _unreached(trees, roots):
+    # Reached code starts at the roots and at every module's top-level
+    # statements.  A function or class is reached when reached code uses its
+    # name; a method only when reached code reads an attribute of that name
+    # (dunder methods come with their class).
+    functions, methods, pending = {}, {}, []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                pending.append(node)
+                continue
+            functions.setdefault(node.name, []).append((f"{module}.{node.name}", node))
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef):
+                    methods.setdefault(m.name, []).append((f"{module}.{node.name}.{m.name}", m))
+    reached, names, attrs = set(), set(), set()
+
+    def reach(defs):
+        for label, node in defs:
+            if label in reached:
+                continue
+            reached.add(label)
+            if not isinstance(node, ast.ClassDef):
+                pending.append(node)
+                continue
+            pending.extend(node.bases + node.decorator_list)
+            for part in node.body:
+                if not isinstance(part, ast.FunctionDef):
+                    pending.append(part)
+                elif part.name.startswith("__") and part.name.endswith("__"):
+                    reached.add(f"{label}.{part.name}")
+                    pending.append(part)
+
+    for name in roots:
+        reach(functions.get(name, ()))
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Name) and node.id not in names:
+                names.add(node.id)
+                reach(functions.get(node.id, ()))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and node.attr not in attrs):
+                attrs.add(node.attr)
+                reach(methods.get(node.attr, ()))
+    defined = {label for defs in (*functions.values(), *methods.values()) for label, _ in defs}
+    return sorted(defined - reached)
+
+
+def test_every_package_function_has_a_production_caller():
+    # code that only the tests call is kept working for nothing; a test that
+    # needs a reference keeps it on the test side
+    package = Path(clustertube.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    roots = set(clustertube.__all__) | {"main", "run"}  # cli.main, cli.run
+    assert _unreached(trees, roots) == []
+
+
+def test_the_rule_sees_functions_without_a_production_caller():
+    source = (
+        "def api():\n    return helper() + Box().used()\n"
+        "def helper():\n    return 1\n"
+        "def dead():\n    return only_from_dead()\n"
+        "def only_from_dead():\n    return 2\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.x = top()\n"
+        "    def used(self):\n        return self.x\n"
+        "    def unused(self):\n        return 3\n"
+        "def top():\n    return 0\n"
+        "CONSTANT = top()\n"
+    )
+    assert _unreached({"m": ast.parse(source)}, {"api"}) == [
+        "m.Box.unused", "m.dead", "m.only_from_dead"]
+
+
+def _unused_imports(tree):
+    # a name a module imports and never uses; __all__ counts as a use
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(e.value for e in node.value.elts)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    yield node.lineno, name
+
+
+def test_no_unused_imports():
+    # perfbench/selftest.py checks its tracer's rebinding through this name
+    allowed = {"tube.py: kernel_basis"}
+    package = Path(clustertube.__file__).parent
+    found = {
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for _, name in _unused_imports(ast.parse(path.read_text()))
+    }
+    assert found == allowed
+
+
+def test_the_rule_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import sys\n"
+        "from typing import Dict, List\n"
+        "from .linalg import rank as mat_rank, rref\n"
+        "x: Dict = mat_rank(sys.argv)\n"
+        "__all__ = ['rref']\n"
+    )
+    assert list(_unused_imports(ast.parse(source))) == [(2, "os"), (4, "List")]

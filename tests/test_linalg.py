@@ -7,7 +7,6 @@ from clustertube.linalg import (
     ExactMatrix,
     QuotientSpace,
     SpanSolver,
-    coords_in_span,
     exact_div,
     flatten_blocks,
     independent_units,
@@ -15,10 +14,10 @@ from clustertube.linalg import (
     kernel_basis,
     rank,
     rref,
-    solve,
-    span_rank,
     unflatten_blocks,
 )
+
+from linalg_reference import coords_in_span, solve
 
 
 def test_rref_identity():
@@ -105,15 +104,19 @@ def test_rank_nullity(m):
         assert not any(m.apply(v))
 
 
+def _span_rank(vectors):
+    return rank(ExactMatrix(vectors)) if vectors else 0
+
+
 def _greedy_by_rank(span, positions, dim):
     """The greedy lift as it was written before ``independent_units``: one
     full rank computation per candidate unit vector."""
     span = [list(v) for v in span]
     chosen = []
-    current = span_rank(span)
+    current = _span_rank(span)
     for p in positions:
         unit = [Fraction(int(t == p)) for t in range(dim)]
-        new_rank = span_rank(span + [unit])
+        new_rank = _span_rank(span + [unit])
         if new_rank > current:
             span.append(unit)
             current = new_rank
@@ -260,7 +263,7 @@ def test_rref_and_kernel_equal_the_fraction_reference(rows):
 
 @given(rational_rows(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_solve_and_coords_in_span_equal_the_fraction_reference(rows, data):
+def test_span_solver_coords_equal_the_fraction_reference(rows, data):
     ncols = len(rows[0])
     # half the targets are in the column span by construction
     if data.draw(st.booleans()):
@@ -268,15 +271,10 @@ def test_solve_and_coords_in_span_equal_the_fraction_reference(rows, data):
         b = [sum(Fraction(x) * y for x, y in zip(r, c)) for r in rows]
     else:
         b = data.draw(st.lists(rational_entries, min_size=len(rows), max_size=len(rows)))
-    expected = _reference_solve(rows, ncols, b)
-    got = solve(ExactMatrix(rows), b)
-    assert got == expected
     cols = [tuple(r[j] for r in rows) for j in range(ncols)]
-    in_span = coords_in_span(cols, b)
-    solver = SpanSolver(cols, len(rows)).coords(b)
-    assert in_span == solver == expected
-    for result in (got, in_span, solver):
-        assert result is None or _all_normal(result)
+    coords = SpanSolver(cols, len(rows)).coords(b)
+    assert coords == _reference_solve(rows, ncols, b)
+    assert coords is None or _all_normal(coords)
 
 
 @given(rational_rows())
@@ -307,12 +305,10 @@ def product_pairs(draw):
 @settings(max_examples=100, deadline=None)
 def test_matrix_operations_return_normal_entries(pair):
     a, b = pair
-    results = [a.transpose(), a.scale(Fraction(3, 2)), a.scale(-1), a.add(a.neg()),
-               a.add(a), a.mul(b), b.transpose().mul(a.transpose())]
+    results = [a.scale(Fraction(3, 2)), a.scale(-1), a.add(a.scale(-1)), a.add(a), a.mul(b)]
     for m in results:
         assert all(_all_normal(r) for r in m.rows)
-    assert a.add(a.neg()).is_zero()
-    assert a.mul(b).transpose() == b.transpose().mul(a.transpose())
+    assert a.add(a.scale(-1)).is_zero()
     assert _all_normal(a.apply([Fraction(1, 2)] * a.ncols))
 
 
