@@ -19,13 +19,11 @@ from .laurent import LaurentPoly, lp_denominator_vector, pretty
 from .endo import FinDimAlgebra, build_endomorphism_algebra
 from .tube import (
     ConsistencyError,
-    ExchangeData,
     Indec,
     MaximalRigid,
     Tube,
     all_rigid_indecs,
     b_matrix,
-    mutate_at,
 )
 from .amod import AModule, apply_F, coindex, rank_vector, _normalize_object
 from .grassmann import chi_table
@@ -49,47 +47,6 @@ class CCResult(NamedTuple):
             "poly": self.poly.canonical_text(),
             "denom": list(self.denom) if self.denom is not None else None,
         }
-
-
-def covering_walk(tube: Tube) -> Tuple[Tuple[ExchangeData, ...], Tuple[str, ...]]:
-    """The walk of ``CCMap.verify_walk``, computed once and kept on the tube.
-
-    Starting from the stack over position n+1, the walk mutates in the
-    cyclic direction pattern 1, 2, ..., n and should pass through every
-    rigid indecomposable.  Returns the exchange triangles of its steps, up
-    to the first that misses its expected object, and the walk's own
-    failure lines, which depend on the tube only.
-    """
-    if tube._covering_walk is not None:
-        return tube._covering_walk
-    n = tube.n
-
-    def walk_object(i: int) -> MaximalRigid:
-        a, b = divmod(i, n)
-        summands = [Indec(tube.norm_pos(a + 1), j) for j in range(1, b + 1)]
-        summands += [Indec(tube.norm_pos(a if a else n + 1), j) for j in range(b + 1, n + 1)]
-        longs = [s for s in summands if s.b == n]
-        rest = [s for s in summands if s.b != n]
-        return MaximalRigid(tube, tuple(longs + rest), validate=False)
-
-    steps = []
-    failures = []
-    current = walk_object(0)
-    covered = set(current.summands)
-    for i in range(n * n):
-        a, b = divmod(i, n)
-        data = mutate_at(current, Indec(tube.norm_pos(a if a else n + 1), b + 1))
-        current = walk_object(i + 1)
-        if data.mutated.as_set() != current.as_set():
-            failures.append(f"walk step {i} produced an unexpected object")
-            break
-        steps.append(data)
-        covered.update(current.summands)
-    missing = set(all_rigid_indecs(tube)) - covered
-    if missing:
-        failures.append(f"walk does not cover {sorted(missing)}")
-    tube._covering_walk = (tuple(steps), tuple(failures))
-    return tube._covering_walk
 
 
 _atlas_cache: Dict[tuple, ClusterAtlas] = {}
@@ -208,26 +165,30 @@ class CCMap:
         }
 
     def verify_denominators(self) -> dict:
-        """Denominator vector equals rank vector on tau-rigid images."""
-        tube = self.tube
+        """Denominator vector equals rank vector on tau-rigid images.  The
+        functor image is zero exactly on the n shifted summands, whose
+        characters are initial variables with denominator -e_i, outside the
+        statement."""
+        n = self.n
         failures = []
         rows = []
         initial = []
-        for x in all_rigid_indecs(tube):
+        for x in all_rigid_indecs(self.tube):
             res = self.cc(x)
-            if res.module is None or res.module.is_zero():
-                initial.append(
-                    {"object": str(x), "denom": list(res.denom)}
-                )
-                continue
-            rank = rank_vector(res.module)
-            rows.append({"object": str(x), "rank": list(rank), "denom": list(res.denom)})
-            if tuple(res.denom) != tuple(rank):
-                failures.append(f"denominator of {x}: {res.denom} != rank {rank}")
-        for item in initial:
-            # initial variables have denominator -e_i, outside the statement
-            if sum(item["denom"]) != -1:
-                failures.append(f"initial denominator off on {item['object']}")
+            i = self._sigma.get(x)
+            if i is not None:
+                initial.append({"object": str(x), "denom": list(res.denom)})
+                if res.denom != tuple(-int(j == i) for j in range(n)):
+                    failures.append(f"initial denominator off on {x}")
+            elif res.module.is_zero():
+                failures.append(f"zero functor image outside the shifted summands at {x}")
+            else:
+                rank = rank_vector(res.module)
+                rows.append({"object": str(x), "rank": list(rank), "denom": list(res.denom)})
+                if tuple(res.denom) != tuple(rank):
+                    failures.append(f"denominator of {x}: {res.denom} != rank {rank}")
+        if len(initial) != n:
+            failures.append(f"{len(initial)} shifted summands among the rigid objects, not {n}")
         return {"ok": not failures, "failures": failures, "rows": rows, "initial": initial}
 
     def verify_exchange_relations(self) -> dict:
@@ -295,10 +256,10 @@ class CCMap:
     def verify_walk(self) -> List[str]:
         """Mutation walk covering every indecomposable rigid object.
 
-        Each step of ``covering_walk`` must satisfy the exchange identity on
-        the characters of T.
+        Each step of ``Tube.covering_walk`` must satisfy the exchange
+        identity on the characters of T.
         """
-        steps, walk_failures = covering_walk(self.tube)
+        steps, walk_failures = self.tube.covering_walk()
         failures = []
         for i, data in enumerate(steps):
             lhs = self.cc(data.old).poly * self.cc(data.new).poly

@@ -207,7 +207,7 @@ VariableTable = Dict[Tuple[tuple, tuple], LaurentPoly]
 RelationTable = Dict[Tuple[str, tuple], LaurentPoly]
 
 
-def _exchanged_variable(seed: Seed, k0: int, known: Optional[VariableTable]) -> LaurentPoly:
+def _exchanged_variable(seed: Seed, k0: int, known: VariableTable) -> LaurentPoly:
     """x_k' for position k0 of the seed: the binomial over x_k, taken from
     ``known`` or divided, and checked by the product identity."""
     b = seed.matrix.b
@@ -217,7 +217,7 @@ def _exchanged_variable(seed: Seed, k0: int, known: Optional[VariableTable]) -> 
     neg = [p ** -row[k0] for p, row in zip(seed.cluster, b) if row[k0] < 0]
     binomial = _product(pos, nvars) + _product(neg, nvars)
     key = None
-    if known is not None and binomial.terms and x_k.terms:
+    if binomial.terms and x_k.terms:  # _ends needs a nonzero polynomial
         (b_lo, b_hi), (x_lo, x_hi) = _ends(binomial), _ends(x_k)
         key = (tuple(map(sub, b_lo, x_lo)), tuple(map(sub, b_hi, x_hi)))
         cand = known.get(key)
@@ -259,15 +259,16 @@ def mutate_seed(
     checked.  The Laurent ring is an integral domain, so that identity
     determines x_k' by itself.
 
-    ``known``, if given, is a table of variables keyed by ``_ends``.  Lex
-    order is translation-invariant, so the quotient's ends are the
-    binomial's minus x_k's; the variable under that key is taken when it
-    passes the product check.  Otherwise, on a miss or a failed check, the
-    binomial is divided and the quotient registered in the table.  A key
-    collision thus costs one more division, never a wrong variable.
+    Two tables are read and filled; each is a fresh empty one when not
+    given.  ``known`` holds variables keyed by ``_ends``.  Lex order is
+    translation-invariant, so the quotient's ends are the binomial's minus
+    x_k's; the variable under that key is taken when it passes the product
+    check.  Otherwise, on a miss or a failed check, the binomial is divided
+    and the quotient registered in the table.  A key collision thus costs
+    one more division, never a wrong variable.
 
-    ``relations``, if given, maps each exchange relation already proved to
-    its new variable.  The key (see ``_relation_key``) is the canonical text
+    ``relations`` maps each exchange relation already proved to its new
+    variable.  The key (see ``_relation_key``) is the canonical text
     of x_k and the binomial's monomials as (factor text, exponent) tuples.
     Canonical text determines a polynomial, so the key determines the
     equation x_k * x_k' = binomial, and a hit returns the stored x_k'
@@ -281,18 +282,18 @@ def mutate_seed(
     n = seed.matrix.n
     if not 1 <= k <= n:
         raise ClusterError(f"mutation direction {k} out of range")
+    known = {} if known is None else known
+    relations = {} if relations is None else relations
     k0 = k - 1
-    relation = new_var = None
-    if relations is not None:
-        relation = _relation_key(seed, k0)
-        new_var = relations.get(relation)
+    relation = _relation_key(seed, k0)
+    new_var = relations.get(relation)
     proved = new_var is None
     if proved:
         new_var = _exchanged_variable(seed, k0, known)
     cluster = list(seed.cluster)
     cluster[k0] = new_var
     mutated = Seed(mutate_matrix(seed.matrix, k), cluster)
-    if proved and relation is not None:
+    if proved:
         relations[relation] = new_var
         relations[(mutated.texts[k0], relation[1])] = seed.cluster[k0]
     return mutated

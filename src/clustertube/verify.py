@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
@@ -91,98 +91,59 @@ def _irreducible_maps(tube: Tube, x: Indec, middle: Sequence[Indec], into_x: boo
 # -- the exchange table and the per-object context ---------------------------------
 
 
-Matrix = Tuple[Tuple[int, ...], ...]
-
-
 def _exchange_triangles(t: MaximalRigid) -> Tuple[ExchangeData, ...]:
     return tuple(mutate_rigid(t, k) for k in range(1, t.tube.n + 1))
 
 
 class ExchangeTable:
-    """The exchange graph of a list of maximal rigid objects, each directed
-    edge (T, k) computed by one ``mutate_rigid`` call.
+    """The exchange graph of a list of maximal rigid objects, as recorded.
 
     A vertex is an object of ``objects``, found by its set of summands.
-    ``triangles(t)`` hands over t's exchange triangles ``mutate_rigid(t, k)``,
-    k = 1..n, and keeps none of them; for a vertex it records where each
-    mutation lands (``neighbours``: vertex -> one vertex or ``None`` per
-    summand position).  ``matrix(t)`` is ``b_matrix_multiplicities(t)``,
-    read from the one matrix kept per vertex and relabelled into t's summand
-    order.  A vertex gets its matrix from ``record``, with the triangles it
-    was handed, or else from its own triangles, computed on the vertex's
-    object and kept until ``triangles`` hands them over.  An object outside
-    the table is computed on demand, and nothing of it is kept.
+    ``add(t, triangles)`` records, from t's exchange triangles
+    ``mutate_rigid(t, k)``, k = 1..n, where each mutation lands
+    (``neighbours``: a vertex or ``None`` per position), each mutated
+    object's summand order (``orders``) and t's multiplicity matrix with
+    t's summand order (``matrices``).  The triangles are not kept.
     """
 
-    def __init__(self, objects: Sequence[MaximalRigid] = ()):
+    def __init__(self, objects: Sequence[MaximalRigid]):
         self.objects: Tuple[MaximalRigid, ...] = tuple(objects)
-        self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {}
         self._index = {t.as_set(): i for i, t in enumerate(self.objects)}
-        self._matrices: Dict[int, Tuple[Tuple[Indec, ...], Matrix]] = {}
-        self._waiting: Dict[int, Tuple[ExchangeData, ...]] = {}
+        self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {}
+        self.orders: Dict[int, Tuple[Tuple[Indec, ...], ...]] = {}
+        self.matrices: Dict[int, Tuple[Tuple[Indec, ...], tuple]] = {}
 
     def vertex(self, t: MaximalRigid) -> Optional[int]:
         """The vertex with t's summands, or ``None``."""
         return self._index.get(t.as_set())
 
-    def triangles(self, t: MaximalRigid) -> Tuple[ExchangeData, ...]:
-        i = self.vertex(t)
-        if i is None:
-            return _exchange_triangles(t)
-        # waiting triangles are labelled by the vertex's own object
-        waiting = None
-        if t.summands == self.objects[i].summands:
-            waiting = self._waiting.pop(i, None)
-        triangles = waiting or _exchange_triangles(t)
+    def add(self, t: MaximalRigid, triangles: Sequence[ExchangeData]) -> None:
+        i = self._index[t.as_set()]
         self.neighbours[i] = tuple(self.vertex(data.mutated) for data in triangles)
-        return triangles
-
-    def record(self, t: MaximalRigid, triangles: Sequence[ExchangeData]) -> None:
-        """Keep t's matrix, from its triangles ``mutate_rigid(t, k)``, for
-        the vertices that ask for it later."""
-        i = self.vertex(t)
-        if i is not None and i not in self._matrices:
-            self._matrices[i] = (t.summands, b_matrix_multiplicities(t, triangles))
-
-    def matrix(self, t: MaximalRigid) -> Matrix:
-        i = self.vertex(t)
-        if i is None:
-            return b_matrix_multiplicities(t, _exchange_triangles(t))
-        if i not in self._matrices:
-            owner = self.objects[i]
-            triangles = self._waiting[i] = _exchange_triangles(owner)
-            self._matrices[i] = (owner.summands, b_matrix_multiplicities(owner, triangles))
-        labels, m = self._matrices[i]
-        if labels == t.summands:
-            return m
-        pos = [labels.index(s) for s in t.summands]
-        return tuple(tuple(m[r][c] for c in pos) for r in pos)
+        self.orders[i] = tuple(data.mutated.summands for data in triangles)
+        self.matrices[i] = (t.summands, b_matrix_multiplicities(t, triangles))
 
 
 class SuiteContext:
     """What the checks of one maximal rigid object T share.
 
     ``algebra`` is End(T), built once, and with it the functor-image memo
-    of the module layer.  ``table`` is the exchange table the context reads
-    T's triangles and its neighbours' matrices from: the suite's, shared by
-    all contexts, or, when none is given, a table of its own that holds no
-    object, so every triangle is computed on demand.  ``triangles`` are T's
-    exchange triangles ``mutate_rigid(t, k)`` for k = 1..n, taken from the
-    table, and ``cc_map`` is the character map on End(T) and B_T; each is
-    computed on first use and kept.  ``run_suite`` holds one context at a
-    time and drops it before the next T, so at most one End(T) is alive.
+    of the module layer.  ``triangles`` are T's exchange triangles
+    ``mutate_rigid(t, k)`` for k = 1..n, and ``cc_map`` is the character map
+    on End(T) and B_T; each is computed on first use and kept.
+    ``run_suite`` holds one context at a time and drops it before the next
+    T, so at most one End(T) is alive.
     """
 
-    def __init__(self, t: MaximalRigid, table: Optional[ExchangeTable] = None):
+    def __init__(self, t: MaximalRigid):
         self.t = t
         self.tube = t.tube
-        self.table = ExchangeTable() if table is None else table
         self.algebra = build_endomorphism_algebra(t, check=False)
         self.b_failure: Optional[str] = None
 
     @cached_property
     def triangles(self) -> Tuple[ExchangeData, ...]:
-        return self.table.triangles(self.t)
+        return _exchange_triangles(self.t)
 
     @cached_property
     def cc_map(self) -> Optional[CCMap]:
@@ -204,29 +165,34 @@ class SuiteContext:
 # -- individual checks -----------------------------------------------------------
 #
 # Each check covers one maximal rigid object, given by its context, except
-# ``check_tube_invariants``, which covers the tube.
+# ``check_tube_invariants``, which covers the tube, and the two checks that
+# read an ``ExchangeTable``, which cover the recorded graph.
 
 
 def check_b_matrix_compatibility(ctx: SuiteContext) -> List[str]:
-    """Triple-formula agreement of B_T, and mu_k(B_T) = B_{mu_k T} in every
-    direction k.
+    """The three formulas for B_T agree.  Their other half, mu_k(B_T) =
+    B_{mu_k T}, is ``check_matrix_mutation`` over the recorded edges."""
+    return [ctx.b_failure] if ctx.cc_map is None else []
 
-    B_{mu_k T} is the multiplicity matrix of the neighbour from the
-    context's exchange table, computed from the neighbour's own triangles
-    and relabelled into the summand order of ``mutate_rigid(t, k).mutated``.
-    T's own matrix is recorded in the table first, for the neighbours that
-    come later.
-    """
-    ctx.table.record(ctx.t, ctx.triangles)
-    cm = ctx.cc_map
-    if cm is None:
-        return [ctx.b_failure]
+
+def check_matrix_mutation(table: ExchangeTable, disagree: Collection[int] = ()) -> List[str]:
+    """mu_k(B_T) = B_{mu_k T} on every recorded edge (T, k) that stays in
+    the table: B_T is T's recorded multiplicity matrix, B_{mu_k T} the
+    neighbour's, relabelled into the order of ``mutate_rigid(t, k).mutated``.
+    A vertex in ``disagree`` (its three formulas disagree) has no B_T and
+    is compared only as a neighbour."""
     failures = []
-    for k, data in enumerate(ctx.triangles, 1):
-        expected = mutate_matrix(cm.b, k)
-        got = ExchangeMatrix(ctx.table.matrix(data.mutated))
-        if got != expected:
-            failures.append(f"{ctx.t}: matrix mutation mismatch in direction {k}")
+    for i, around in table.neighbours.items():
+        if i in disagree:
+            continue
+        b = ExchangeMatrix(table.matrices[i][1])
+        for k, (j, order) in enumerate(zip(around, table.orders[i]), 1):
+            if j is None:
+                continue
+            labels, m = table.matrices[j]
+            pos = [labels.index(s) for s in order]
+            if mutate_matrix(b, k).b != tuple(tuple(m[r][c] for c in pos) for r in pos):
+                failures.append(f"{table.objects[i]}: matrix mutation mismatch in direction {k}")
     return failures
 
 
@@ -488,27 +454,20 @@ def check_tube_invariants(tube: Tube) -> List[str]:
     return failures
 
 
-def check_mutation_closure(ctx: SuiteContext) -> List[str]:
-    """Every mutation of T lands on a vertex of the context's exchange
-    table, in ``run_suite`` the enumerated maximal rigid objects."""
-    return [
-        f"mutation leaves the enumerated set at {ctx.t}, {k}"
-        for k, data in enumerate(ctx.triangles, 1)
-        if ctx.table.vertex(data.mutated) is None
-    ]
-
-
 def check_exchange_graph(tube: Tube, table: ExchangeTable) -> List[str]:
     """The exchange graph of the maximal rigid objects, as the table
     recorded it, is the type-C_n exchange graph (Buan-Marsh-Vatne, Math. Z.
-    265, 2010): C(2n, n) vertices, each with n distinct neighbours; mutating
-    mu_k T at the new summand gives T back; and it is connected."""
+    265, 2010): C(2n, n) vertices; every mutation lands on one of them, and
+    each vertex has n distinct neighbours; mutating mu_k T at the new
+    summand gives T back; and it is connected."""
     n, ts, edges = tube.n, table.objects, table.neighbours
     failures = []
     if len(ts) != comb(2 * n, n):
         failures.append(f"exchange graph has {len(ts)} vertices, "
                         f"not C(2n, n) = {comb(2 * n, n)}")
     for i, t in enumerate(ts):
+        failures += [f"mutation leaves the enumerated set at {t}, {k}"
+                     for k, j in enumerate(edges.get(i, ()), 1) if j is None]
         around = [j for j in dict.fromkeys(edges.get(i, ())) if j is not None and j != i]
         if len(around) != n:
             failures.append(f"exchange graph: {t} has {len(around)} distinct neighbours, not {n}")
@@ -567,19 +526,25 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     every check whose scope holds T runs on it, and the context is dropped
     before the next T.  A scheduled check that visits no object fails.
 
-    The suite owns one ``ExchangeTable`` over the enumerated objects, so
-    ``mutate_rigid`` runs once per directed edge (T, k), always on the
-    enumerated T: each context takes its own triangles from it, and the
-    matrix check reads each neighbour's matrix from it.  A vertex's
-    triangles are kept only until its context takes them, and its matrix
-    only once the matrix check has run on it or on a neighbour.  After the loop the exchange
-    graph the table recorded is certified under "tube invariants".
+    The suite owns one ``ExchangeTable`` over the enumerated objects, held
+    only while it runs.  Each context computes its triangles on the
+    enumerated T, so ``mutate_rigid`` runs once per directed edge (T, k), and
+    records them in the table as the per-object part of "tube invariants",
+    at every rank.  After the loop, "tube invariants" certifies the recorded
+    exchange graph, and, where the matrix check is scheduled, "matrix
+    formulas and mutation" checks mu_k(B_T) = B_{mu_k T} on every recorded
+    edge.
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
     reps = {t.summands for t in tau_orbit_representatives(tube)}
     table = ExchangeTable(ts_all)
+    disagree = set()  # the vertices whose three B_T formulas disagree
     associative = {t.summands for t in ts_all[:3]}
+
+    def record(ctx: SuiteContext) -> List[str]:
+        table.add(ctx.t, ctx.triangles)
+        return []
 
     def every(t: MaximalRigid) -> bool:
         return True
@@ -590,7 +555,7 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     characters = every if n <= 3 else is_rep
     # (report line, check on one context, scope), in report order
     schedule = [
-        ("tube invariants", check_mutation_closure, every),
+        ("tube invariants", record, every),
         ("quiver shape and relations",
          lambda ctx: check_structure(ctx, associativity=ctx.t.summands in associative), every),
     ]
@@ -610,13 +575,17 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     visited = dict.fromkeys(failures, 0)
     failures["tube invariants"] = check_tube_invariants(tube)
     for t in ts_all:
-        ctx = SuiteContext(t, table)
+        ctx = SuiteContext(t)
         for name, check, scope in schedule:
             if scope(t):
                 visited[name] += 1
                 failures[name].extend(check(ctx))
+        if ctx.b_failure is not None:
+            disagree.add(table.vertex(t))
         del ctx
     failures["tube invariants"].extend(check_exchange_graph(tube, table))
+    if n <= 4:
+        failures["matrix formulas and mutation"].extend(check_matrix_mutation(table, disagree))
     report = SuiteReport()
     for name in failures:
         report.add(name, failures[name] if visited[name] else ["visited no objects"])

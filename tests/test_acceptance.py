@@ -14,6 +14,7 @@ import pytest
 from clustertube.cli import run as cli_run
 from clustertube.tube import Tube, enumerate_maximal_rigid
 from clustertube.verify import (
+    ExchangeTable,
     SuiteContext,
     check_ar_recursion,
     check_b_matrix_compatibility,
@@ -23,6 +24,7 @@ from clustertube.verify import (
     check_exchange_relations,
     check_index_coindex,
     check_long_summand_lemmas,
+    check_matrix_mutation,
     check_structure,
     tau_orbit_representatives,
 )
@@ -97,7 +99,14 @@ def test_criterion_5_matrix_mutation_compatibility(n, capsys):
     start = time.time()
     tube = tube_for(n)
     ts = enumerate_maximal_rigid(n, tube)
-    failures = over(ts, check_b_matrix_compatibility)
+    # one table over all objects, as run_suite fills it, then the pass over its edges
+    table = ExchangeTable(ts)
+    failures = []
+    for t in ts:
+        ctx = SuiteContext(t)
+        table.add(t, ctx.triangles)
+        failures += check_b_matrix_compatibility(ctx)
+    failures += check_matrix_mutation(table)
     with capsys.disabled():
         report(f"5 matrix formulas and mutation n={n} ({len(ts)} objects)", failures, time.time() - start)
 

@@ -6,7 +6,8 @@ import pytest
 
 from clustertube.ccmap import CCMap, cached_atlas
 from clustertube.cluster import ExchangeMatrix, NotFiniteTypeError
-from clustertube.laurent import LaurentPoly
+from clustertube.amod import apply_F
+from clustertube.laurent import LaurentPoly, lp_denominator_vector
 from clustertube.tube import Indec, MaximalRigid, Tube, all_rigid_indecs, enumerate_maximal_rigid
 
 
@@ -88,6 +89,28 @@ def test_denominator_report(cyclic_cc):
     assert len(rep["initial"]) == 3
 
 
+def test_a_forged_initial_denominator_fails(cyclic_t, tube3):
+    cm = CCMap(cyclic_t)
+    assert cm.verify_denominators()["ok"]
+    # x1^2 / x2 on the shifted summand tau T_1: denominator (-2, 1, 0), whose sum is still -1
+    shifted = tube3.tau(cyclic_t.summands[0])
+    real = cm.cc(shifted)
+    poly = LaurentPoly.monomial(3, (2, -1, 0))
+    cm._cache[(shifted,)] = real._replace(poly=poly, denom=lp_denominator_vector(poly))
+    rep = cm.verify_denominators()
+    assert rep["failures"] == [f"initial denominator off on {shifted}"]
+    assert {"object": str(shifted), "denom": [-2, 1, 0]} in rep["initial"]
+
+
+def test_a_zero_functor_image_outside_the_shifted_summands_fails(cyclic_t, tube3):
+    cm = CCMap(cyclic_t)
+    x = next(x for x in all_rigid_indecs(tube3) if x not in cm._sigma)
+    real = cm.cc(x)
+    cm._cache[(x,)] = real._replace(module=apply_F(cm.algebra, cm.tube.tau(cyclic_t.summands[0])))
+    assert cm.verify_denominators()["failures"] == [
+        f"zero functor image outside the shifted summands at {x}"]
+
+
 def test_exchange_relations_report(cyclic_cc):
     rep = cyclic_cc.verify_exchange_relations()
     assert rep["ok"], rep["failures"]
@@ -152,16 +175,16 @@ def test_atlas_cache_honours_cap_on_a_hit():
 
 
 def test_the_covering_walk_mutates_once_per_step_for_the_whole_suite(monkeypatch):
-    from clustertube import ccmap, verify
+    from clustertube import tube as tube_module, verify
 
     calls = []
-    mutate = ccmap.mutate_at
+    mutate = tube_module.mutate_at
 
     def counting_mutate_at(t, summand):
         calls.append(summand)
         return mutate(t, summand)
 
-    monkeypatch.setattr(ccmap, "mutate_at", counting_mutate_at)
+    monkeypatch.setattr(tube_module, "mutate_at", counting_mutate_at)
     report = verify.run_suite(3, oracle=False)
     assert report.ok
     assert len(verify.tau_orbit_representatives(Tube(3))) == 5
@@ -169,17 +192,17 @@ def test_the_covering_walk_mutates_once_per_step_for_the_whole_suite(monkeypatch
 
 
 def test_a_broken_walk_fails_every_object_with_the_same_lines(monkeypatch):
-    from clustertube import ccmap
+    from clustertube import tube as tube_module
 
     tube = Tube(2)
-    mutate = ccmap.mutate_at
+    mutate = tube_module.mutate_at
 
     def stuck_mutate_at(t, summand):
         return mutate(t, summand)._replace(mutated=t)
 
-    monkeypatch.setattr(ccmap, "mutate_at", stuck_mutate_at)
-    walk = ccmap.covering_walk(tube)
-    assert ccmap.covering_walk(tube) is walk
+    monkeypatch.setattr(tube_module, "mutate_at", stuck_mutate_at)
+    walk = tube.covering_walk()
+    assert tube.covering_walk() is walk
     steps, failures = walk
     assert steps == ()
     assert failures[0] == "walk step 0 produced an unexpected object"

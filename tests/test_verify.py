@@ -10,7 +10,8 @@ from clustertube.amod import ModMap, apply_F
 from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
 from clustertube.linalg import ExactMatrix
-from clustertube.tube import ApproxResult, ConsistencyError, Indec, Tube, enumerate_maximal_rigid
+from clustertube.tube import (ApproxResult, ConsistencyError, Indec, MaximalRigid, Tube,
+                              enumerate_maximal_rigid)
 
 
 def _raise(exc):
@@ -241,7 +242,6 @@ def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximation
         [1] * (n * len(table.objects))
     assert len(calls) == mutations
     assert len(approximated) == approximations
-    assert table._waiting == {}
 
 
 def _forge(monkeypatch, forged):
@@ -281,9 +281,12 @@ def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     assert set(lines) - set(own) == expected
     assert len(own) == 1 and own[0].startswith(f"{target}: exchange-matrix formulas disagree: ")
 
-    t, k = neighbours[0]
-    assert verify.check_b_matrix_compatibility(verify.SuiteContext(t)) == [
-        f"{t}: matrix mutation mismatch in direction {k}"]
+    # the same lines from a table filled by hand, T' having no B_T of its own
+    table = verify.ExchangeTable(ts)
+    for t in ts:
+        table.add(t, verify._exchange_triangles(t))
+    lines = verify.check_matrix_mutation(table, {table.vertex(target)})
+    assert len(lines) == 3 and set(lines) == expected
 
 
 def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
@@ -306,12 +309,38 @@ def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
     ]
 
 
+def test_a_mutation_outside_the_enumerated_set_fails_the_exchange_graph(monkeypatch):
+    tube = Tube(2)
+    ts = enumerate_maximal_rigid(2, tube)
+    target = ts[0]
+    real = verify._exchange_triangles(target)[0].mutated
+    back = next(t for t in ts if t.as_set() == real.as_set())
+    # mu_1 T's long summand with a short one that no maximal rigid object pairs it with
+    sets = {t.as_set() for t in ts}
+    outside = next(u for u in (MaximalRigid(tube, (real.long, x), validate=False)
+                               for x in tube_module.all_rigid_indecs(tube) if x.b < 2)
+                   if u.as_set() not in sets)
+
+    def leave(t, k, data):
+        return data._replace(mutated=outside) if t.summands == target.summands and k == 1 else data
+
+    _forge(monkeypatch, leave)
+    report = verify.run_suite(2, oracle=False)
+    assert ("tube invariants", False, 3) in report.lines
+    assert [f for f in report.failures if f.startswith("tube invariants: ")] == [
+        f"tube invariants: mutation leaves the enumerated set at {target}, 1",
+        f"tube invariants: exchange graph: {target} has 1 distinct neighbours, not 2",
+        f"tube invariants: exchange graph: mutating {target} at its new summand "
+        f"does not give {back} back",
+    ]
+
+
 def test_the_exchange_graph_is_certified():
     tube = Tube(3)
     ts = enumerate_maximal_rigid(3, tube)
     table = verify.ExchangeTable(ts)
     for t in ts:
-        table.triangles(t)
+        table.add(t, verify._exchange_triangles(t))
     assert verify.check_exchange_graph(tube, table) == []
     # cut vertex 0 out of the graph
     table.neighbours = {i: tuple(None if j == 0 else j for j in edges)
