@@ -4,15 +4,17 @@ For an object X presented by T, the character is the Laurent polynomial
 
     x^(-coindex(X)) * sum_e chi(Gr_e(F X)) * x^(B_T e),
 
-which sends the shifted summands of T to the initial variables.  The
-verification entry points check, in exact arithmetic, that the character
+evaluated the same way on every object.  On a shifted summand tau T_i the
+functor image is zero and the coindex is -e_i, so the formula itself gives
+the initial variable x_i.  The verification entry points return their
+failure lines; they check, in exact arithmetic, that the character
 bijects the indecomposable rigid objects onto the cluster variables of the
 exchange matrix of T, that denominator vectors equal rank vectors, and that
 the exchange relations hold along mutations and the covering walk.
 """
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from .cluster import ClusterAtlas, ExchangeMatrix, enumerate_atlas
 from .laurent import LaurentPoly, lp_denominator_vector, pretty
@@ -30,34 +32,20 @@ from .grassmann import chi_table
 
 
 class CCResult(NamedTuple):
-    objects: Tuple[Indec, ...]
-    module: Optional[AModule]
+    module: AModule
     coindex: tuple
     poly: LaurentPoly
-    denom: Optional[tuple]
-
-    def to_json(self) -> dict:
-        rank = None
-        if self.module is not None and not self.module.is_zero():
-            rank = list(rank_vector(self.module))
-        return {
-            "object": [[x.a, x.b] for x in self.objects],
-            "rank": rank,
-            "coindex": list(self.coindex),
-            "poly": self.poly.canonical_text(),
-            "denom": list(self.denom) if self.denom is not None else None,
-        }
+    denom: tuple
 
 
 _atlas_cache: Dict[tuple, ClusterAtlas] = {}
 
 
-def cached_atlas(b: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
-    """``enumerate_atlas(b, cap=cap)``, memoised by matrix and cap."""
-    key = (b.b, cap)
-    if key not in _atlas_cache:
-        _atlas_cache[key] = enumerate_atlas(b, cap=cap)
-    return _atlas_cache[key]
+def cached_atlas(b: ExchangeMatrix) -> ClusterAtlas:
+    """``enumerate_atlas(b)``, memoised by matrix."""
+    if b.b not in _atlas_cache:
+        _atlas_cache[b.b] = enumerate_atlas(b)
+    return _atlas_cache[b.b]
 
 
 class CCMap:
@@ -81,117 +69,74 @@ class CCMap:
 
     def cc(self, x) -> CCResult:
         """Character of a rigid object, a shifted summand, or a direct sum."""
-        objects = _normalize_object(self.tube, x)
-        key = tuple(objects)
+        key = _normalize_object(self.tube, x)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         n = self.n
-        if len(objects) == 1 and objects[0] in self._sigma:
-            i = self._sigma[objects[0]]
-            poly = LaurentPoly.variable(n, i + 1)
-            result = CCResult(objects, None, tuple(-int(j == i) for j in range(n)),
-                              poly, lp_denominator_vector(poly))
-            self._cache[key] = result
-            return result
-        if any(s in self._sigma for s in objects):
-            # mixed sums: multiply the factors
-            poly = LaurentPoly.one(n)
-            coind = [0] * n
-            for s in objects:
-                part = self.cc(s)
-                poly = poly * part.poly
-                coind = [a + b for a, b in zip(coind, part.coindex)]
-            result = CCResult(objects, None, tuple(coind), poly,
-                              lp_denominator_vector(poly))
-            self._cache[key] = result
-            return result
-        module = apply_F(self.algebra, objects)
-        coind = coindex(self.algebra, objects)
-        table = chi_table(module)
+        module = apply_F(self.algebra, key)
+        coind = coindex(self.algebra, key)
         poly = LaurentPoly.zero(n)
-        for e, chi in table.entries.items():
+        for e, chi in chi_table(module).entries.items():
             exp = tuple(
                 sum(self.b.b[i][j] * e[j] for j in range(n)) - coind[i]
                 for i in range(n)
             )
             poly = poly + LaurentPoly.monomial(n, exp, chi)
-        denom = lp_denominator_vector(poly) if not poly.is_zero() else None
-        result = CCResult(objects, module, coind, poly, denom)
+        result = CCResult(module, coind, poly, lp_denominator_vector(poly))
         self._cache[key] = result
         return result
 
     # -- verification reports ----------------------------------------------------
 
-    def verify_bijection(self, cap: int = 10000) -> dict:
+    def verify_bijection(self) -> List[str]:
         """Character image versus the cluster variables of the atlas."""
         tube = self.tube
-        n = self.n
-        rows = []
         seen: Dict[str, Indec] = {}
         failures = []
         for x in all_rigid_indecs(tube):
-            res = self.cc(x)
-            text = res.poly.canonical_text()
+            text = self.cc(x).poly.canonical_text()
             if text in seen:
                 failures.append(f"character repeats on {seen[text]} and {x}")
             seen[text] = x
-            rows.append(res)
         for i, s in enumerate(self.t.summands):
-            expected = LaurentPoly.variable(n, i + 1)
-            if self.cc(tube.tau(s)).poly != expected:
+            if self.cc(tube.tau(s)).poly != LaurentPoly.variable(self.n, i + 1):
                 failures.append(f"shifted summand {i + 1} is not the initial variable")
-        atlas = cached_atlas(self.b, cap=cap)
-        atlas_texts = set(atlas.variable_texts())
-        image_texts = set(seen)
-        if atlas_texts != image_texts:
-            missing = sorted(atlas_texts - image_texts)
-            extra = sorted(image_texts - atlas_texts)
+        atlas_texts = set(cached_atlas(self.b).variable_texts())
+        if atlas_texts != seen.keys():
+            missing = sorted(atlas_texts - seen.keys())
+            extra = sorted(seen.keys() - atlas_texts)
             failures.append(
                 f"variable sets differ; missing={missing[:4]} extra={extra[:4]}"
             )
-        row_payload = []
-        for r in rows:
-            item = r.to_json()
-            text = r.poly.canonical_text()
-            item["matched_variable"] = text if text in atlas_texts else None
-            row_payload.append(item)
-        return {
-            "ok": not failures,
-            "object_count": len(rows),
-            "atlas_variables": len(atlas_texts),
-            "failures": failures,
-            "rows": row_payload,
-        }
+        return failures
 
-    def verify_denominators(self) -> dict:
+    def verify_denominators(self) -> List[str]:
         """Denominator vector equals rank vector on tau-rigid images.  The
         functor image is zero exactly on the n shifted summands, whose
         characters are initial variables with denominator -e_i, outside the
         statement."""
         n = self.n
         failures = []
-        rows = []
-        initial = []
+        initial = 0
         for x in all_rigid_indecs(self.tube):
             res = self.cc(x)
             i = self._sigma.get(x)
             if i is not None:
-                initial.append({"object": str(x), "denom": list(res.denom)})
+                initial += 1
                 if res.denom != tuple(-int(j == i) for j in range(n)):
                     failures.append(f"initial denominator off on {x}")
             elif res.module.is_zero():
                 failures.append(f"zero functor image outside the shifted summands at {x}")
             else:
                 rank = rank_vector(res.module)
-                rows.append({"object": str(x), "rank": list(rank), "denom": list(res.denom)})
-                if tuple(res.denom) != tuple(rank):
+                if res.denom != rank:
                     failures.append(f"denominator of {x}: {res.denom} != rank {rank}")
-        if len(initial) != n:
-            failures.append(f"{len(initial)} shifted summands among the rigid objects, not {n}")
-        return {"ok": not failures, "failures": failures, "rows": rows, "initial": initial}
+        if initial != n:
+            failures.append(f"{initial} shifted summands among the rigid objects, not {n}")
+        return failures
 
-    def verify_exchange_relations(self) -> dict:
+    def verify_exchange_relations(self) -> List[str]:
         """The three exchange-relation families and the covering walk.
 
         Stated for a maximal rigid object whose long summand is (1, n); other
@@ -209,49 +154,24 @@ class CCMap:
 
         def eq(name: str, left: LaurentPoly, right: LaurentPoly):
             if left != right:
-                failures.append(
-                    f"{name}: {left.canonical_text()} != {right.canonical_text()}"
-                )
+                failures.append(f"{name}: {left.canonical_text()} != {right.canonical_text()}")
+
+        def p(a: int, b: int) -> LaurentPoly:
+            return self.cc(Indec(a, b)).poly
 
         one = LaurentPoly.one(n)
         x1 = self.cc(tube.tau(Indec(1, n))).poly
-        eq(
-            "long exchange at (1,n)",
-            x1 * self.cc(Indec(1, n)).poly,
-            one + self.cc(Indec(1, n - 1)).poly ** 2,
-        )
-        eq(
-            "long exchange at (n,n)",
-            x1 * self.cc(Indec(n, n)).poly,
-            one + self.cc(Indec(n + 1, n - 1)).poly ** 2,
-        )
+        eq("long exchange at (1,n)", x1 * p(1, n), one + p(1, n - 1) ** 2)
+        eq("long exchange at (n,n)", x1 * p(n, n), one + p(n + 1, n - 1) ** 2)
         for c in range(1, n):
-            eq(
-                f"length-n relation c={c}",
-                self.cc(Indec(c, n)).poly * self.cc(Indec(c + 1, n)).poly,
-                one + self.cc(Indec(c + 1, n - 1)).poly ** 2,
-            )
+            eq(f"length-n relation c={c}", p(c, n) * p(c + 1, n), one + p(c + 1, n - 1) ** 2)
         for b in range(1, n):
             for a in range(1, n + 2):
-                lower = (
-                    one
-                    if b == 1
-                    else self.cc(Indec(a + 1, b - 1)).poly
-                )
-                eq(
-                    f"short relation a={a},b={b}",
-                    self.cc(Indec(a, b)).poly * self.cc(Indec(a + 1, b)).poly,
-                    one + lower * self.cc(Indec(a, b + 1)).poly,
-                )
+                lower = one if b == 1 else p(a + 1, b - 1)
+                eq(f"short relation a={a},b={b}", p(a, b) * p(a + 1, b), one + lower * p(a, b + 1))
         for i in range(1, n):
-            eq(
-                f"boundary collapse i={i}",
-                self.cc(Indec(i, n + 1)).poly,
-                self.cc(Indec(i + 1, n - 1)).poly,
-            )
-        walk_failures = self.verify_walk()
-        failures.extend(walk_failures)
-        return {"ok": not failures, "failures": failures}
+            eq(f"boundary collapse i={i}", p(i, n + 1), p(i + 1, n - 1))
+        return failures + self.verify_walk()
 
     def verify_walk(self) -> List[str]:
         """Mutation walk covering every indecomposable rigid object.
@@ -280,11 +200,7 @@ class CCMap:
         rows = []
         for x in sorted(all_rigid_indecs(self.tube)):
             res = self.cc(x)
-            rank = (
-                list(rank_vector(res.module))
-                if res.module is not None and not res.module.is_zero()
-                else None
-            )
+            rank = None if res.module.is_zero() else list(rank_vector(res.module))
             rows.append(
                 {
                     "object": str(x),

@@ -46,6 +46,13 @@ def _parse_object(tube: Tube, text: str) -> MaximalRigid:
     return MaximalRigid(tube, tuple(longs + rest))
 
 
+def _object_or_stack(tube: Tube, text: Optional[str]) -> MaximalRigid:
+    """The object named by ``--object``, or the stack (1,n),...,(1,1)."""
+    if text:
+        return _parse_object(tube, text)
+    return MaximalRigid(tube, tuple(Indec(1, b) for b in range(tube.n, 0, -1)))
+
+
 def _emit(config: RunConfig, text: str) -> None:
     if config.out:
         with open(config.out, "w") as fh:
@@ -85,13 +92,7 @@ def cmd_b_matrix(config: RunConfig) -> int:
 
 
 def cmd_atlas(config: RunConfig) -> int:
-    tube = Tube(config.n)
-    if config.object:
-        t = _parse_object(tube, config.object)
-    else:
-        t = MaximalRigid(
-            tube, tuple(Indec(1, b) for b in range(tube.n, 0, -1))
-        )
+    t = _object_or_stack(Tube(config.n), config.object)
     atlas = enumerate_atlas(b_matrix(t), cap=config.cap)
     if config.fmt == "json":
         _emit(config, json.dumps(atlas.to_json(), sort_keys=True))
@@ -106,11 +107,7 @@ def cmd_atlas(config: RunConfig) -> int:
 
 
 def cmd_cc_table(config: RunConfig) -> int:
-    tube = Tube(config.n)
-    if config.object:
-        t = _parse_object(tube, config.object)
-    else:
-        t = MaximalRigid(tube, tuple(Indec(1, b) for b in range(tube.n, 0, -1)))
+    t = _object_or_stack(Tube(config.n), config.object)
     cm = CCMap(t)
     rows = cm.character_table()
     if config.fmt == "json":

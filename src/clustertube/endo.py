@@ -9,7 +9,6 @@ three-cycles), are validated rather than assumed.
 """
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import SpanSolver, independent_units
@@ -62,13 +61,6 @@ class Quiver:
             if t == v:
                 out.add(s)
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.n,
-            "arrows": [f"{s}->{t}" for s, t in self.arrows],
-            "loop_at": [s for s, t in self.arrows if s == t],
-        }
 
 
 class FinDimAlgebra:
@@ -293,23 +285,6 @@ class FinDimAlgebra:
 
     def identity_coords(self, i: int) -> tuple:
         return self._identity_coords[i]
-
-    # -- serialization ----------------------------------------------------------
-
-    def structure_checksum(self) -> str:
-        payload = []
-        for key in sorted(self.mult):
-            payload.append(f"{key}:{','.join(str(x) for x in self.mult[key])}")
-        text = f"dim={self.dim};" + ";".join(payload)
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def to_json(self) -> dict:
-        return {
-            "summands": [[s.a, s.b] for s in self.t.summands],
-            "dim": self.dim,
-            "quiver": self.quiver().to_json(),
-            "structure_checksum": self.structure_checksum(),
-        }
 
 
 def build_endomorphism_algebra(t: MaximalRigid, check: bool = True) -> FinDimAlgebra:

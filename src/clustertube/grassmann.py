@@ -134,23 +134,10 @@ def chi_lf(m: AModule, e: Sequence[int]) -> int:
 class ChiTable:
     """All Euler characteristics chi(e) for 0 <= e <= rank M."""
 
-    __slots__ = ("module", "rank", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, module: AModule, rank: RankVec, entries: Dict[RankVec, int]):
-        self.module = module
-        self.rank = rank
+    def __init__(self, entries: Dict[RankVec, int]):
         self.entries = dict(sorted(entries.items()))
-
-    def to_json(self) -> dict:
-        module_ref = {"dims": list(self.module.dims), "rank": list(self.rank)}
-        if self.module.provenance is not None:
-            module_ref["object"] = [[x.a, x.b] for x in self.module.provenance]
-        return {
-            "module": module_ref,
-            "entries": [
-                {"e": list(e), "chi": c} for e, c in self.entries.items()
-            ],
-        }
 
 
 def chi_table(m: AModule) -> ChiTable:
@@ -173,7 +160,7 @@ def chi_table(m: AModule) -> ChiTable:
     for e, c in entries.items():
         if c < 0 or any(x < 0 or x > r for x, r in zip(e, rank)):
             raise ConsistencyError("chi table entry out of range")
-    return ChiTable(m, rank, entries)
+    return ChiTable(entries)
 
 
 # -- finite-field oracle --------------------------------------------------------

@@ -162,9 +162,6 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.canonical_text()})"
 
-    def to_json(self) -> list:
-        return [{"exp": list(e), "coeff": c} for e, c in self.terms.items()]
-
 
 def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:
     """The vector d with p = f(x)/prod x_i^{d_i}, f divisible by no x_i.

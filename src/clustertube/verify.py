@@ -228,7 +228,7 @@ def _cc_report(ctx: SuiteContext, report) -> List[str]:
     cm = ctx.cc_map
     if cm is None:
         return ctx.no_b_matrix()
-    return [f"{ctx.t}: {f}" for f in report(cm)["failures"]]
+    return [f"{ctx.t}: {f}" for f in report(cm)]
 
 
 def check_bijection(ctx: SuiteContext) -> List[str]:

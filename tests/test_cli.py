@@ -86,6 +86,25 @@ def test_atlas_golden_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["cc-table", "--n", "6", "--format", "json"],
+         "6c5156456d4dd22056d7fee08191934c07aeda743e06cc3920ff7aa0e62b216c"),
+        (["cc-table", "--n", "6", "--format", "json", "--object", "(6,6),(6,1),(6,5),(6,3),(6,2),(6,4)"],
+         "efe451d323f69c77cddc90b2c22d159c20de8ac6f94d5c677f4a7a82152e4e3e"),
+        (["verify", "--n", "3", "--format", "json", "--oracle", "on"],
+         "efbe356578451682d5ac08e36a873e76dfab04aa2b6ded957b175a05df7e1cb4"),
+        (["reproduce-example"],
+         "923e1456bc25c25aee2b77e301740146e1e79151bd1a2f22a0ee1af8acd2be85"),
+    ],
+)
+def test_character_golden_output(capsys, argv, digest):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cc_table_json(capsys):
     code, out = capture(
         capsys,

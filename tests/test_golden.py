@@ -10,6 +10,8 @@ approximation map shows up here.
 """
 import hashlib
 
+from endo_reference import structure_checksum
+
 from clustertube.endo import build_endomorphism_algebra
 from clustertube.tube import Tube, b_matrix, chom_coords, enumerate_maximal_rigid, mutate_rigid
 
@@ -20,7 +22,7 @@ def _pieces():
     for n in (2, 3, 4):
         tube = Tube(n)
         for t in enumerate_maximal_rigid(n, tube):
-            yield build_endomorphism_algebra(t, check=False).structure_checksum()
+            yield structure_checksum(build_endomorphism_algebra(t, check=False))
             yield repr(b_matrix(t, cross_validate=False).b)
             for k in range(1, n + 1):
                 data = mutate_rigid(t, k)

@@ -85,13 +85,6 @@ def test_reference_tables(cyclic_algebra):
     assert list(middle.entries.values()) == [1, 1, 1]
 
 
-def test_table_json_shape(cyclic_algebra):
-    tab = chi_table(apply_F(cyclic_algebra, Indec(2, 2)))
-    payload = tab.to_json()
-    assert {"module", "entries"} <= set(payload)
-    assert all({"e", "chi"} <= set(entry) for entry in payload["entries"])
-
-
 def test_oracle_trivial_and_negative_inputs(cyclic_algebra):
     m = apply_F(cyclic_algebra, Indec(2, 2))
     assert chi_lf_oracle_fq(m, (0, 0, 0)) == 1
