@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence
 
 from .cluster import ClusterError, enumerate_atlas
 from .laurent import LaurentError, pretty
-from .tube import ConsistencyError, Indec, MaximalRigid, Tube, b_matrix, enumerate_maximal_rigid
+from .tube import (ConsistencyError, Indec, MaximalRigid, Tube, TubeError, b_matrix,
+                   enumerate_maximal_rigid)
 from .ccmap import CCMap
 from .grassmann import OracleError
 from .verify import run_suite
@@ -36,14 +37,23 @@ class RunConfig:
     out: Optional[str] = None
 
 
+class UsageError(Exception):
+    """Bad command-line input; ``run`` reports it as a usage error (exit 2)."""
+
+
 def _parse_object(tube: Tube, text: str) -> MaximalRigid:
+    """The maximal rigid object named by ``--object``; text that names none
+    is a usage error."""
     pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", text)
     if not pairs:
-        raise ValueError(f"cannot parse object list from {text!r}")
-    summands = [tube.indec(int(a), int(b)) for a, b in pairs]
-    longs = [s for s in summands if s.b == tube.n]
-    rest = [s for s in summands if s.b != tube.n]
-    return MaximalRigid(tube, tuple(longs + rest))
+        raise UsageError(f"cannot parse object list from {text!r}")
+    try:
+        summands = [tube.indec(int(a), int(b)) for a, b in pairs]
+        longs = [s for s in summands if s.b == tube.n]
+        rest = [s for s in summands if s.b != tube.n]
+        return MaximalRigid(tube, tuple(longs + rest))
+    except TubeError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _object_or_stack(tube: Tube, text: Optional[str]) -> MaximalRigid:
@@ -277,7 +287,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # could not decide: not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except UsageError as exc:
         parser.error(str(exc))
 
 

@@ -8,10 +8,13 @@ translation equivariance makes that exhaustive.
 """
 from __future__ import annotations
 
+import os
+import sys
+import threading
 from functools import cached_property
 from itertools import product
 from math import comb
-from typing import Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
@@ -182,7 +185,8 @@ def check_matrix_mutation(table: ExchangeTable, disagree: Collection[int] = ()) 
     A vertex in ``disagree`` (its three formulas disagree) has no B_T and
     is compared only as a neighbour."""
     failures = []
-    for i, around in table.neighbours.items():
+    # in vertex order, whatever order the entries were recorded in
+    for i, around in sorted(table.neighbours.items()):
         if i in disagree:
             continue
         b = ExchangeMatrix(table.matrices[i][1])
@@ -513,7 +517,114 @@ class SuiteReport:
         return "\n".join(out)
 
 
-def run_suite(n: int, oracle: bool = True) -> SuiteReport:
+# -- splitting the per-object loop between processes --------------------------------
+
+
+def _worker_count(objects: int) -> int:
+    """How many processes share the per-object loop: one per CPU this
+    process may run on, at most one per object.  One where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing (Windows, macOS), or where other
+    threads run, since a fork copies only the calling thread."""
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not forkable or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), objects))
+
+
+def _deal(weights: Sequence[int], workers: int) -> List[List[int]]:
+    """Split the indices of ``weights`` into ``workers`` shares: in index
+    order, each goes to the first share with the least weight so far."""
+    shares: List[List[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i, weight in enumerate(weights):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += weight
+    return shares
+
+
+def _serve_share(work: Callable[[Sequence[int]], list], share: Sequence[int], fd: int) -> None:
+    """In a forked child: write the pickled outcome of ``work(share)`` to
+    ``fd`` and leave the process, never returning into the caller's frames.
+
+    The outcome is ``("rows", rows)``, or ``("raise", exc, text)`` with
+    whatever ``work`` raised and its traceback text.  An exception that
+    does not survive pickling is sent as ``("lost", text)``.  Nothing is
+    caught: the exception in flight is read in the ``finally`` that ends
+    the process, and the parent raises it again."""
+    import pickle
+    import traceback
+
+    outcome = None
+    try:
+        outcome = ("rows", work(share))
+    finally:
+        try:
+            if outcome is None:
+                exc = sys.exc_info()[1]
+                text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                    outcome = ("raise", exc, text)
+                except (pickle.PickleError, TypeError, AttributeError):
+                    outcome = ("lost", text)
+            data = pickle.dumps(outcome)
+            with os.fdopen(fd, "wb") as out:
+                out.write(data)
+        finally:
+            os._exit(0)
+
+
+def _map_shares(work: Callable[[Sequence[int]], list], shares: Sequence[Sequence[int]]) -> list:
+    """The rows of ``work(share)`` for every share, in share order.
+
+    The first share runs in this process, each other one in a forked child
+    that sends its rows back through a pipe (``_serve_share``).  A child's
+    exception is raised here again with its class and message; one that
+    could not be pickled, or a child that sent nothing, raises
+    ``RuntimeError``.  Every child is reaped on every path, and killed
+    first if its rows were not read.  With one share there is no fork."""
+    if len(shares) == 1:
+        return work(shares[0])
+    import pickle
+    import signal
+
+    children = []  # (share number, pid, read end of its pipe)
+    read = set()
+    try:
+        for number, share in enumerate(shares[1:], 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _serve_share(work, share, w)
+            os.close(w)
+            children.append((number, pid, os.fdopen(r, "rb")))
+        rows = work(shares[0])
+        for number, pid, pipe in children:
+            data = pipe.read()
+            read.add(pid)
+            if not data:
+                raise RuntimeError(f"the worker on share {number} of the objects "
+                                   f"exited without a result")
+            kind, *outcome = pickle.loads(data)
+            if kind == "raise":
+                exc, text = outcome
+                raise exc from RuntimeError(f"raised in the worker on share {number}:\n{text}")
+            if kind == "lost":
+                raise RuntimeError(f"the worker on share {number} raised an exception "
+                                   f"that cannot be pickled:\n{outcome[0]}")
+            rows += outcome[0]
+        return rows
+    finally:
+        for number, pid, pipe in children:
+            pipe.close()
+            if pid not in read:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> SuiteReport:
     """The full invariant suite for one tube rank.
 
     Scopes: everything runs over all maximal rigid objects for n <= 3; for
@@ -525,6 +636,18 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
     One loop over the maximal rigid objects: each T gets one context,
     every check whose scope holds T runs on it, and the context is dropped
     before the next T.  A scheduled check that visits no object fails.
+
+    The loop is split between ``workers`` processes, by default one per
+    CPU this process may run on and at most one per object (one without
+    ``os.fork`` or with other threads running; see ``_worker_count``).
+    The objects are dealt in enumeration order, each to the share with
+    the fewest scheduled checks so far (``_deal``).  This process runs
+    the first share itself, after the work every T shares (the
+    enumeration, the table and the tube checks, which warm the tube's
+    caches), and each other share runs in a forked child.  Each process
+    holds at most one End(T) at a time.  The per-object results are merged
+    in enumeration order, so the report and its failure lines do not
+    depend on the worker count.
 
     The suite owns one ``ExchangeTable`` over the enumerated objects, held
     only while it runs.  Each context computes its triangles on the
@@ -571,18 +694,35 @@ def run_suite(n: int, oracle: bool = True) -> SuiteReport:
         ]
     if n <= 3 and oracle:
         schedule.append(("finite-field chi oracle", check_chi_oracle, every if n == 2 else is_rep))
+
+    def run_share(share: Sequence[int]) -> list:
+        """Per object of ``share``: its index, each scheduled check's
+        failure lines (``None`` out of scope), whether its B_T formulas
+        disagree, and its table entry."""
+        rows = []
+        for i in share:
+            t = ts_all[i]
+            ctx = SuiteContext(t)
+            found = [check(ctx) if scope(t) else None for _, check, scope in schedule]
+            rows.append((i, found, ctx.b_failure is not None,
+                         (table.neighbours[i], table.orders[i], table.matrices[i])))
+            del ctx
+        return rows
+
     failures = {name: [] for name, _, _ in schedule}
     visited = dict.fromkeys(failures, 0)
     failures["tube invariants"] = check_tube_invariants(tube)
-    for t in ts_all:
-        ctx = SuiteContext(t)
-        for name, check, scope in schedule:
-            if scope(t):
+    if workers is None:
+        workers = _worker_count(len(ts_all))
+    shares = _deal([sum(1 for _, _, scope in schedule if scope(t)) for t in ts_all], workers)
+    for i, found, b_failed, entry in sorted(_map_shares(run_share, shares), key=lambda row: row[0]):
+        for (name, _, _), lines in zip(schedule, found):
+            if lines is not None:
                 visited[name] += 1
-                failures[name].extend(check(ctx))
-        if ctx.b_failure is not None:
-            disagree.add(table.vertex(t))
-        del ctx
+                failures[name].extend(lines)
+        if b_failed:
+            disagree.add(i)
+        table.neighbours[i], table.orders[i], table.matrices[i] = entry
     failures["tube invariants"].extend(check_exchange_graph(tube, table))
     if n <= 4:
         failures["matrix formulas and mutation"].extend(check_matrix_mutation(table, disagree))

@@ -169,7 +169,8 @@ def test_the_covering_walk_mutates_once_per_step_for_the_whole_suite(monkeypatch
         return mutate(t, summand)
 
     monkeypatch.setattr(tube_module, "mutate_at", counting_mutate_at)
-    report = verify.run_suite(3, oracle=False)
+    # one worker: the counter sees only this process
+    report = verify.run_suite(3, oracle=False, workers=1)
     assert report.ok
     assert len(verify.tau_orbit_representatives(Tube(3))) == 5
     assert len(calls) == 3 * 3

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from clustertube import cluster, verify
+from clustertube import amod, cluster, verify
 from clustertube.cli import build_parser, run
 from clustertube.cluster import ClusterError
 from clustertube.grassmann import OracleError
@@ -97,6 +97,10 @@ def test_atlas_golden_output(capsys, argv, digest):
          "efbe356578451682d5ac08e36a873e76dfab04aa2b6ded957b175a05df7e1cb4"),
         (["reproduce-example"],
          "923e1456bc25c25aee2b77e301740146e1e79151bd1a2f22a0ee1af8acd2be85"),
+        (["verify", "--n", "4", "--format", "json"],
+         "726c439e1fb7e4c3185be62a7954b040a877bba66aa7b59a7fa8dd7226057814"),
+        (["verify", "--n", "5", "--format", "json"],
+         "64462601c20c2ac4a8372b18d7c476eaab7f062fd3808daf24fff9a12accd0da"),
     ],
 )
 def test_character_golden_output(capsys, argv, digest):
@@ -227,3 +231,19 @@ def test_undecided_oracle_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(verify, "chi_lf_oracle_fq", undecided)
     assert run(["verify", "--n", "2"]) == 1
     assert capsys.readouterr().err == "error: oracle inconclusive\n"
+
+
+def test_an_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only the --object input checks are usage errors; a ValueError from
+    # inside the pipeline is a bug and propagates
+    def broken(*args):
+        raise ValueError("shape mismatch in matrix product")
+
+    monkeypatch.setattr(amod, "intertwiner_basis", broken)
+    with pytest.raises(ValueError, match="^shape mismatch in matrix product$"):
+        run(["verify", "--n", "2"])
+    assert "usage:" not in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["cc-table", "--n", "3", "--object", "(1,3),(1,2)"])  # one summand short
+    assert exc.value.code == 2
+    assert "error: a maximal rigid object here has 3 summands" in capsys.readouterr().err

@@ -247,6 +247,66 @@ def test_the_rule_sees_functions_without_a_production_caller():
         "m.Box.unused", "m.dead", "m.only_from_dead"]
 
 
+def _ambiguous_methods(trees):
+    # the dead-code rule reaches a method by attribute name alone, so it
+    # cannot tell apart the classes that define a method of the same name
+    # (dunder methods come with their class)
+    owners = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not (
+                        m.name.startswith("__") and m.name.endswith("__")):
+                    owners.setdefault(m.name, []).append(f"{module}.{node.name}")
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+# Each name below was checked by hand to be reached on every class that
+# defines it.  A new entry needs the same check before it joins the table:
+# the dead-code rule cannot see a dead one among them.
+AMBIGUOUS_METHODS = {
+    "_trusted": ["cluster.ExchangeMatrix", "cluster.Seed", "laurent.LaurentPoly",
+                 "linalg.ExactMatrix"],
+    "add": ["linalg.ExactMatrix", "tube.CHom", "verify.ExchangeTable", "verify.SuiteReport"],
+    "canonical": ["cluster.Seed", "strings.StringWord", "tube.MaximalRigid"],
+    "compose": ["amod.ModMap", "tube.CHom"],
+    "dim": ["linalg.QuotientSpace", "tube.ExtSpace"],
+    "identity": ["linalg.ExactMatrix", "tube.CHom"],
+    "is_zero": ["amod.AModule", "laurent.LaurentPoly", "linalg.ExactMatrix", "tube.CHom"],
+    "key": ["cluster.Seed", "strings.Letter", "strings.StringWord"],
+    "lift": ["linalg.QuotientSpace", "tube.ExtSpace"],
+    "project": ["linalg.QuotientSpace", "tube.ExtSpace"],
+    "scale": ["linalg.ExactMatrix", "tube.CHom"],
+    "to_json": ["cluster.ClusterAtlas", "tube.MaximalRigid"],
+    "zero": ["laurent.LaurentPoly", "linalg.ExactMatrix", "tube.CHom"],
+}
+
+
+def test_no_new_method_name_is_shared_between_classes():
+    package = Path(clustertube.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _ambiguous_methods(trees) == AMBIGUOUS_METHODS
+
+
+def test_the_rule_sees_shared_method_names():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def run(self):\n        pass\n"
+        "    def only_a(self):\n        pass\n"
+        "class B:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def run(self):\n        pass\n"
+        "def only_a():\n    pass\n"
+    )
+    other = "class C:\n    def run(self):\n        pass\n"
+    assert _ambiguous_methods({"m": ast.parse(source)}) == {"run": ["m.A", "m.B"]}
+    assert _ambiguous_methods({"m": ast.parse(source), "n": ast.parse(other)}) == {
+        "run": ["m.A", "m.B", "n.C"]}
+
+
 def _unused_imports(tree):
     # a name a module imports and never uses; __all__ counts as a use
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import threading
+import time
 import weakref
 from collections import Counter
 
@@ -9,6 +12,7 @@ from clustertube import amod, tube as tube_module, verify
 from clustertube.amod import ModMap, apply_F
 from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
+from clustertube.grassmann import OracleError
 from clustertube.linalg import ExactMatrix
 from clustertube.tube import (ApproxResult, ConsistencyError, Indec, MaximalRigid, Tube,
                               enumerate_maximal_rigid)
@@ -79,7 +83,8 @@ def test_one_context_per_object_and_one_alive_at_a_time(monkeypatch, n, check_li
     monkeypatch.setattr(verify, "build_endomorphism_algebra", counting_build)
     monkeypatch.setattr(verify, "mutate_rigid", counting_mutate)
     monkeypatch.setattr(tube_module, "mutate_rigid", counting_mutate)
-    report = verify.run_suite(n, oracle=False)
+    # one worker: the counters see only this process
+    report = verify.run_suite(n, oracle=False, workers=1)
     assert report.ok
     ts = enumerate_maximal_rigid(n, Tube(n))
     assert len(built) == len(ts) == {3: 20, 4: 70}[n]
@@ -234,7 +239,8 @@ def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximation
     for module in (verify, tube_module):
         monkeypatch.setattr(module, "mutate_rigid", counting_mutate)
         monkeypatch.setattr(module, "minimal_approximation", counting_approximation)
-    assert verify.run_suite(n, oracle=False).ok
+    # one worker: the counters see only this process
+    assert verify.run_suite(n, oracle=False, workers=1).ok
     (table,) = tables
     per_edge = Counter((id(t), k) for t, k in calls)
     # every directed edge once, on the enumerated object; the rest is the covering walk
@@ -351,3 +357,183 @@ def test_the_exchange_graph_is_certified():
     # a table over part of the objects has the wrong vertex count
     assert verify.check_exchange_graph(tube, verify.ExchangeTable(ts[:-1]))[0] == \
         "exchange graph has 19 vertices, not C(2n, n) = 20"
+
+
+# -- the per-object loop split between this process and forked workers -------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.mark.parametrize("n, oracle, workers", [
+    (2, True, 2), (2, False, 2), (2, True, 3), (3, True, 2), (3, False, 2)])
+def test_split_and_single_process_reports_agree(monkeypatch, n, oracle, workers):
+    forks = _counting_forks(monkeypatch)
+    one = verify.run_suite(n, oracle=oracle, workers=1)
+    assert forks == []
+    split = verify.run_suite(n, oracle=oracle, workers=workers)
+    assert len(forks) == workers - 1
+    assert one.ok and split.ok
+    assert (split.render(), split.lines, split.failures) == (one.render(), one.lines, one.failures)
+    _no_child_left()
+
+
+def _forged(monkeypatch, name, targets, action):
+    """Replace the check ``verify.<name>`` by one that calls ``action(ctx)``
+    on the objects ``targets`` and runs the real check elsewhere."""
+    check = getattr(verify, name)
+
+    def forged(ctx):
+        if ctx.t.summands in targets:
+            return action(ctx)
+        return check(ctx)
+
+    monkeypatch.setattr(verify, name, forged)
+
+
+def test_failure_lines_from_a_worker_keep_their_order(monkeypatch, tmp_path):
+    # ts[1] is in the forked worker's share, ts[2] in this process's
+    ts = enumerate_maximal_rigid(2, Tube(2))
+    log = tmp_path / "pids"
+
+    def fail(ctx):
+        with open(log, "a") as fh:
+            fh.write(f"{ctx.t} {os.getpid()}\n")
+        return [f"{ctx.t}: forged one", f"{ctx.t}: forged two"]
+
+    targets = {ts[1].summands, ts[2].summands}
+    _forged(monkeypatch, "check_denominators", targets, fail)
+    _forged(monkeypatch, "check_index_coindex", targets, fail)
+    one = verify.run_suite(2, workers=1)
+    log.unlink()
+    two = verify.run_suite(2, workers=2)
+    pids = dict(line.rsplit(" ", 1) for line in log.read_text().splitlines())
+    assert pids[str(ts[1])] != str(os.getpid()) == pids[str(ts[2])]
+    expected = [f"{name}: {t}: forged {which}"
+                for name in ("denominator vectors", "index and coindex laws")
+                for t in (ts[1], ts[2]) for which in ("one", "two")]
+    assert one.failures == two.failures == expected
+    assert two.render() == one.render()
+    _no_child_left()
+
+
+def _in_worker(parent, action):
+    """``action``, run only in a forked worker: this process must never
+    take it."""
+    def guarded(ctx):
+        assert os.getpid() != parent, "the forged object ran in this process"
+        return action(ctx)
+
+    return guarded
+
+
+def test_an_undecided_oracle_in_a_worker_exits_one(monkeypatch, capsys):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+
+    def undecided(ctx):
+        raise OracleError("oracle inconclusive")
+
+    _forged(monkeypatch, "check_chi_oracle", {ts[1].summands}, _in_worker(os.getpid(), undecided))
+    assert run(["verify", "--n", "2"]) == 1
+    assert capsys.readouterr().err == "error: oracle inconclusive\n"
+    _no_child_left()
+
+
+def test_an_uncaught_error_in_a_worker_keeps_its_class(monkeypatch):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+
+    def broken(ctx):
+        raise ConsistencyError("forged fault")
+
+    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), broken))
+    with pytest.raises(ConsistencyError) as caught:
+        verify.run_suite(2, workers=2)
+    assert type(caught.value) is ConsistencyError and str(caught.value) == "forged fault"
+    # the worker's own traceback comes along as the cause
+    assert "forged fault" in str(caught.value.__cause__)
+    _no_child_left()
+
+
+def test_an_error_that_cannot_be_pickled_keeps_its_traceback(monkeypatch):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+
+    class LocalError(Exception):  # a local class cannot be pickled
+        pass
+
+    def broken(ctx):
+        raise LocalError("not picklable")
+
+    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), broken))
+    with pytest.raises(RuntimeError, match="cannot be pickled") as caught:
+        verify.run_suite(2, workers=2)
+    assert "LocalError: not picklable" in str(caught.value)
+    _no_child_left()
+
+
+def test_a_worker_that_exits_without_a_result_is_an_error(monkeypatch):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+
+    def leave(ctx):
+        os._exit(0)
+
+    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), leave))
+    with pytest.raises(RuntimeError, match="exited without a result"):
+        verify.run_suite(2, workers=2)
+    _no_child_left()
+
+
+def test_an_error_in_this_process_kills_the_worker(monkeypatch):
+    ts = enumerate_maximal_rigid(2, Tube(2))
+    parent = os.getpid()
+
+    def hang_or_fail(ctx):
+        if os.getpid() == parent:
+            raise ConsistencyError("forged fault")
+        time.sleep(60)
+        return []
+
+    _forged(monkeypatch, "check_ar_recursion", {ts[0].summands, ts[1].summands}, hang_or_fail)
+    start = time.perf_counter()
+    with pytest.raises(ConsistencyError, match="forged fault"):
+        verify.run_suite(2, workers=2)
+    assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+def test_the_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert [verify._worker_count(k) for k in (0, 1, 3, 20)] == [1, 1, 3, 4]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert verify._worker_count(20) == 1  # a fork would copy only this thread
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify._worker_count(20) == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork")
+    assert verify._worker_count(20) == 1
+
+
+def test_objects_are_dealt_by_their_scheduled_checks():
+    assert verify._deal([10, 10, 6, 6, 6], 2) == [[0, 2, 4], [1, 3]]
+    assert verify._deal([2] * 5, 2) == [[0, 2, 4], [1, 3]]
+    assert verify._deal([9, 1, 1, 1], 3) == [[0], [1, 3], [2]]
+    assert verify._deal([1, 1], 1) == [[0, 1]]
