@@ -129,8 +129,6 @@ class Tube:
         self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
-        # the covering walk, computed on first use
-        self._covering_walk = None
 
     # -- objects -----------------------------------------------------------
 
@@ -256,48 +254,6 @@ class Tube:
         if coords is None:
             raise ConsistencyError("intertwiner does not lie in the morphism space")
         return coords
-
-    # -- the covering walk ---------------------------------------------------
-
-    def covering_walk(self) -> Tuple[Tuple[ExchangeData, ...], Tuple[str, ...]]:
-        """A mutation walk through every rigid indecomposable, computed once.
-
-        Starting from the stack over position n+1, the walk mutates in the
-        cyclic direction pattern 1, 2, ..., n.  Returns the exchange
-        triangles of its steps, up to the first that misses its expected
-        object, and the walk's own failure lines: that step, and the rigid
-        indecomposables the walk does not cover.
-        """
-        if self._covering_walk is not None:
-            return self._covering_walk
-        n = self.n
-
-        def walk_object(i: int) -> MaximalRigid:
-            a, b = divmod(i, n)
-            summands = [Indec(self.norm_pos(a + 1), j) for j in range(1, b + 1)]
-            summands += [Indec(self.norm_pos(a if a else n + 1), j) for j in range(b + 1, n + 1)]
-            longs = [s for s in summands if s.b == n]
-            rest = [s for s in summands if s.b != n]
-            return MaximalRigid(self, tuple(longs + rest), validate=False)
-
-        steps = []
-        failures = []
-        current = walk_object(0)
-        covered = set(current.summands)
-        for i in range(n * n):
-            a, b = divmod(i, n)
-            data = mutate_at(current, Indec(self.norm_pos(a if a else n + 1), b + 1))
-            current = walk_object(i + 1)
-            if data.mutated.as_set() != current.as_set():
-                failures.append(f"walk step {i} produced an unexpected object")
-                break
-            steps.append(data)
-            covered.update(current.summands)
-        missing = set(all_rigid_indecs(self)) - covered
-        if missing:
-            failures.append(f"walk does not cover {sorted(missing)}")
-        self._covering_walk = (tuple(steps), tuple(failures))
-        return self._covering_walk
 
 
 class CHom:
@@ -744,11 +700,6 @@ def mutate_rigid(t: MaximalRigid, k: int) -> ExchangeData:
         left_middle=left.middle,
         left_maps=left.components,
     )
-
-
-def mutate_at(t: MaximalRigid, summand: Indec) -> ExchangeData:
-    idx = t.summands.index(t.tube.indec(*summand))
-    return mutate_rigid(t, idx + 1)
 
 
 def b_matrix_multiplicities(t: MaximalRigid, triangles: Optional[Sequence[ExchangeData]] = None

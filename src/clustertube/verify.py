@@ -11,9 +11,10 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import comb
+from operator import mul
 from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
 
 from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
@@ -47,6 +48,7 @@ from .amod import (
     rank_vector,
 )
 from .ccmap import CCMap
+from .laurent import LaurentPoly
 from .grassmann import (
     ar_sequences_ending_at_tau_rigid,
     chi_lf,
@@ -98,6 +100,11 @@ def _exchange_triangles(t: MaximalRigid) -> Tuple[ExchangeData, ...]:
     return tuple(mutate_rigid(t, k) for k in range(1, t.tube.n + 1))
 
 
+# An exchange relation X_old X_new = prod X_right + prod X_left, as
+# (old, new, right middle, left middle)
+Relation = Tuple[Indec, Indec, Tuple[Indec, ...], Tuple[Indec, ...]]
+
+
 class ExchangeTable:
     """The exchange graph of a list of maximal rigid objects, as recorded.
 
@@ -105,8 +112,9 @@ class ExchangeTable:
     ``add(t, triangles)`` records, from t's exchange triangles
     ``mutate_rigid(t, k)``, k = 1..n, where each mutation lands
     (``neighbours``: a vertex or ``None`` per position), each mutated
-    object's summand order (``orders``) and t's multiplicity matrix with
-    t's summand order (``matrices``).  The triangles are not kept.
+    object's summand order (``orders``), t's multiplicity matrix with t's
+    summand order (``matrices``) and the exchange relation of each triangle
+    (``relations``).  The triangles are not kept.
     """
 
     def __init__(self, objects: Sequence[MaximalRigid]):
@@ -115,6 +123,7 @@ class ExchangeTable:
         self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {}
         self.orders: Dict[int, Tuple[Tuple[Indec, ...], ...]] = {}
         self.matrices: Dict[int, Tuple[Tuple[Indec, ...], tuple]] = {}
+        self.relations: Dict[int, Tuple[Relation, ...]] = {}
 
     def vertex(self, t: MaximalRigid) -> Optional[int]:
         """The vertex with t's summands, or ``None``."""
@@ -125,6 +134,16 @@ class ExchangeTable:
         self.neighbours[i] = tuple(self.vertex(data.mutated) for data in triangles)
         self.orders[i] = tuple(data.mutated.summands for data in triangles)
         self.matrices[i] = (t.summands, b_matrix_multiplicities(t, triangles))
+        self.relations[i] = tuple((data.old, data.new, data.right_middle, data.left_middle)
+                                  for data in triangles)
+
+    def distinct_relations(self) -> List[Relation]:
+        """Every recorded relation once, sorted: keyed by its unordered pair
+        and its unordered pair of sorted middle terms, so that an edge and
+        its reverse give one relation."""
+        return sorted({(*sorted((old, new)), *sorted((tuple(sorted(right)), tuple(sorted(left)))))
+                       for around in self.relations.values()
+                       for old, new, right, left in around})
 
 
 class SuiteContext:
@@ -168,7 +187,7 @@ class SuiteContext:
 # -- individual checks -----------------------------------------------------------
 #
 # Each check covers one maximal rigid object, given by its context, except
-# ``check_tube_invariants``, which covers the tube, and the two checks that
+# ``check_tube_invariants``, which covers the tube, and the three checks that
 # read an ``ExchangeTable``, which cover the recorded graph.
 
 
@@ -244,7 +263,33 @@ def check_denominators(ctx: SuiteContext) -> List[str]:
 
 
 def check_exchange_relations(ctx: SuiteContext) -> List[str]:
+    """The boundary collapse; the exchange relations themselves are
+    ``check_exchange_pairs`` over the recorded graph."""
     return _cc_report(ctx, CCMap.verify_exchange_relations)
+
+
+def check_exchange_pairs(table: ExchangeTable,
+                         characters: Dict[int, Dict[Indec, LaurentPoly]]) -> List[str]:
+    """X_old X_new = prod X_right + prod X_left on every distinct recorded
+    relation (``ExchangeTable.distinct_relations``), on the characters of
+    each vertex in ``characters``, in vertex order.  Every rigid
+    indecomposable must be exchanged by some relation, and a vertex with
+    characters fails if no relation is checked on it."""
+    relations = table.distinct_relations()
+    exchanged = {x for old, new, _, _ in relations for x in (old, new)}
+    missing = [x for x in all_rigid_indecs(table.objects[0].tube) if x not in exchanged]
+    failures = ["no recorded exchange relation exchanges " + ", ".join(map(str, missing))
+                ] if missing else []
+    for i, polys in sorted(characters.items()):
+        t = table.objects[i]
+        if not relations:
+            failures.append(f"{t}: no exchange relation checked")
+        one = LaurentPoly.one(t.tube.n)
+        for old, new, right, left in relations:
+            if polys[old] * polys[new] != (reduce(mul, (polys[x] for x in right), one)
+                                           + reduce(mul, (polys[x] for x in left), one)):
+                failures.append(f"{t}: exchange relation fails on the pair {old}, {new}")
+    return failures
 
 
 def check_index_coindex(ctx: SuiteContext) -> List[str]:
@@ -654,15 +699,20 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     enumerated T, so ``mutate_rigid`` runs once per directed edge (T, k), and
     records them in the table as the per-object part of "tube invariants",
     at every rank.  After the loop, "tube invariants" certifies the recorded
-    exchange graph, and, where the matrix check is scheduled, "matrix
+    exchange graph.  Where the character checks are scheduled, "matrix
     formulas and mutation" checks mu_k(B_T) = B_{mu_k T} on every recorded
-    edge.
+    edge, and "exchange relations and walk" checks every distinct recorded
+    exchange relation on the characters of each representative that has a
+    B_T (``check_exchange_pairs``); each such representative sends its
+    characters back with its row.
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
     reps = {t.summands for t in tau_orbit_representatives(tube)}
     table = ExchangeTable(ts_all)
+    rigids = all_rigid_indecs(tube)
     disagree = set()  # the vertices whose three B_T formulas disagree
+    rep_characters = {}  # vertex -> {X: character of X}, for the exchange relations
     associative = {t.summands for t in ts_all[:3]}
 
     def record(ctx: SuiteContext) -> List[str]:
@@ -695,17 +745,24 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     if n <= 3 and oracle:
         schedule.append(("finite-field chi oracle", check_chi_oracle, every if n == 2 else is_rep))
 
+    def characters_of(ctx: SuiteContext) -> Optional[Dict[Indec, LaurentPoly]]:
+        cm = ctx.cc_map if n <= 4 and is_rep(ctx.t) else None
+        return None if cm is None else {x: cm.cc(x).poly for x in rigids}
+
     def run_share(share: Sequence[int]) -> list:
         """Per object of ``share``: its index, each scheduled check's
         failure lines (``None`` out of scope), whether its B_T formulas
-        disagree, and its table entry."""
+        disagree, its table entry, and its characters if the exchange
+        relations are checked on them."""
         rows = []
         for i in share:
             t = ts_all[i]
             ctx = SuiteContext(t)
             found = [check(ctx) if scope(t) else None for _, check, scope in schedule]
             rows.append((i, found, ctx.b_failure is not None,
-                         (table.neighbours[i], table.orders[i], table.matrices[i])))
+                         (table.neighbours[i], table.orders[i], table.matrices[i],
+                          table.relations[i]),
+                         characters_of(ctx)))
             del ctx
         return rows
 
@@ -715,17 +772,21 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     if workers is None:
         workers = _worker_count(len(ts_all))
     shares = _deal([sum(1 for _, _, scope in schedule if scope(t)) for t in ts_all], workers)
-    for i, found, b_failed, entry in sorted(_map_shares(run_share, shares), key=lambda row: row[0]):
+    rows = sorted(_map_shares(run_share, shares), key=lambda row: row[0])
+    for i, found, b_failed, entry, polys in rows:
         for (name, _, _), lines in zip(schedule, found):
             if lines is not None:
                 visited[name] += 1
                 failures[name].extend(lines)
         if b_failed:
             disagree.add(i)
-        table.neighbours[i], table.orders[i], table.matrices[i] = entry
+        if polys is not None:
+            rep_characters[i] = polys
+        table.neighbours[i], table.orders[i], table.matrices[i], table.relations[i] = entry
     failures["tube invariants"].extend(check_exchange_graph(tube, table))
     if n <= 4:
         failures["matrix formulas and mutation"].extend(check_matrix_mutation(table, disagree))
+        failures["exchange relations and walk"].extend(check_exchange_pairs(table, rep_characters))
     report = SuiteReport()
     for name in failures:
         report.add(name, failures[name] if visited[name] else ["visited no objects"])

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from clustertube.cli import run as cli_run
-from clustertube.tube import Tube, enumerate_maximal_rigid
+from clustertube.tube import Tube, all_rigid_indecs, enumerate_maximal_rigid
 from clustertube.verify import (
     ExchangeTable,
     SuiteContext,
@@ -21,6 +21,7 @@ from clustertube.verify import (
     check_bijection,
     check_chi_oracle,
     check_denominators,
+    check_exchange_pairs,
     check_exchange_relations,
     check_index_coindex,
     check_long_summand_lemmas,
@@ -89,7 +90,20 @@ def test_criterion_3_denominators(n, exhaustive, capsys):
 def test_criterion_4_exchange_relations(n, capsys):
     start = time.time()
     tube = tube_for(n)
-    failures = over(tau_orbit_representatives(tube), check_exchange_relations)
+    ts = enumerate_maximal_rigid(n, tube)
+    reps = {t.summands for t in tau_orbit_representatives(tube)}
+    # one table over all objects, as run_suite fills it, then the pass over
+    # its relations on each representative's characters
+    table = ExchangeTable(ts)
+    characters = {}
+    failures = []
+    for i, t in enumerate(ts):
+        ctx = SuiteContext(t)
+        table.add(t, ctx.triangles)
+        if t.summands in reps:
+            failures += check_exchange_relations(ctx)
+            characters[i] = {x: ctx.cc_map.cc(x).poly for x in all_rigid_indecs(tube)}
+    failures += check_exchange_pairs(table, characters)
     with capsys.disabled():
         report(f"4 exchange relations and walk n={n}", failures, time.time() - start)
 

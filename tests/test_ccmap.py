@@ -114,27 +114,9 @@ def test_exchange_relations_report(cyclic_cc):
 
 def test_exchange_relations_translate_frames(tube3):
     # an object whose long summand is not at position one goes through the
-    # translation before the relation families are checked
+    # translation before the boundary collapse is checked
     t = MaximalRigid(tube3, (Indec(2, 3), Indec(4, 1), Indec(2, 1)))
     assert CCMap(t).verify_exchange_relations() == []
-
-
-def test_exchange_identity_on_every_mutation_edge_rank_two(tube2):
-    from clustertube.tube import mutate_rigid
-
-    one = LaurentPoly.one(2)
-    for t in enumerate_maximal_rigid(2, tube2):
-        cm = CCMap(t)
-        for k in (1, 2):
-            data = mutate_rigid(t, k)
-            lhs = cm.cc(data.old).poly * cm.cc(data.new).poly
-            right = one
-            for s in data.right_middle:
-                right = right * cm.cc(s).poly
-            left = one
-            for s in data.left_middle:
-                left = left * cm.cc(s).poly
-            assert lhs == right + left
 
 
 def test_bijection_headroom_one_rank_up():
@@ -153,46 +135,3 @@ def test_atlas_cache_reuse(cyclic_cc):
     a1 = cached_atlas(cyclic_cc.b)
     a2 = cached_atlas(cyclic_cc.b)
     assert a1 is a2
-
-
-# -- the covering walk is computed once per tube -----------------------------------
-
-
-def test_the_covering_walk_mutates_once_per_step_for_the_whole_suite(monkeypatch):
-    from clustertube import tube as tube_module, verify
-
-    calls = []
-    mutate = tube_module.mutate_at
-
-    def counting_mutate_at(t, summand):
-        calls.append(summand)
-        return mutate(t, summand)
-
-    monkeypatch.setattr(tube_module, "mutate_at", counting_mutate_at)
-    # one worker: the counter sees only this process
-    report = verify.run_suite(3, oracle=False, workers=1)
-    assert report.ok
-    assert len(verify.tau_orbit_representatives(Tube(3))) == 5
-    assert len(calls) == 3 * 3
-
-
-def test_a_broken_walk_fails_every_object_with_the_same_lines(monkeypatch):
-    from clustertube import tube as tube_module
-
-    tube = Tube(2)
-    mutate = tube_module.mutate_at
-
-    def stuck_mutate_at(t, summand):
-        return mutate(t, summand)._replace(mutated=t)
-
-    monkeypatch.setattr(tube_module, "mutate_at", stuck_mutate_at)
-    walk = tube.covering_walk()
-    assert tube.covering_walk() is walk
-    steps, failures = walk
-    assert steps == ()
-    assert failures[0] == "walk step 0 produced an unexpected object"
-    assert failures[1].startswith("walk does not cover [")
-    reps = [t for t in enumerate_maximal_rigid(2, tube) if t.long == Indec(1, 2)]
-    assert len(reps) > 1
-    for t in reps:
-        assert CCMap(t).verify_walk() == list(failures)

@@ -25,7 +25,6 @@ from clustertube.tube import (
     in_pr_T,
     is_rigid,
     is_rigid_set,
-    mutate_at,
     mutate_rigid,
     tau_chom,
 )
@@ -155,7 +154,7 @@ def test_mutation_exchange_triangles(linear_t, tube3):
     assert data.new == Indec(4, 3)
     assert data.right_middle == (Indec(1, 2), Indec(1, 2))
     assert data.left_middle == ()
-    back = mutate_at(data.mutated, data.new)
+    back = mutate_rigid(data.mutated, data.mutated.summands.index(data.new) + 1)
     assert back.mutated.as_set() == linear_t.as_set()
 
 
@@ -163,7 +162,7 @@ def test_mutation_involutive_everywhere(tube3):
     for t in enumerate_maximal_rigid(3, tube3):
         for k in range(1, 4):
             data = mutate_rigid(t, k)
-            again = mutate_at(data.mutated, data.new)
+            again = mutate_rigid(data.mutated, data.mutated.summands.index(data.new) + 1)
             assert again.mutated.as_set() == t.as_set()
             assert again.new == data.old
 
@@ -291,7 +290,7 @@ def test_mutation_is_an_involution_inside_the_enumerated_set(case):
     t = ts[i]
     data = mutate_rigid(t, k)
     assert data.mutated.as_set() in known
-    back = mutate_at(data.mutated, data.new)
+    back = mutate_rigid(data.mutated, data.mutated.summands.index(data.new) + 1)
     assert back.mutated.as_set() == t.as_set()
     assert back.new == data.old
 

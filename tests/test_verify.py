@@ -5,11 +5,13 @@ import threading
 import time
 import weakref
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from clustertube import amod, tube as tube_module, verify
 from clustertube.amod import ModMap, apply_F
+from clustertube.ccmap import CCMap
 from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
 from clustertube.grassmann import OracleError
@@ -214,9 +216,9 @@ def test_an_irreducible_map_needs_a_one_dimensional_hom_space():
 # -- the suite's exchange table: one mutate_rigid per directed edge ----------------
 
 
-@pytest.mark.parametrize("n, mutations, approximations", [(3, 69, 148), (4, 296, 620)])
+@pytest.mark.parametrize("n, mutations, approximations", [(3, 60, 130), (4, 280, 588)])
 def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximations):
-    tables = []
+    tables, checked = [], []
 
     class KeptTable(verify.ExchangeTable):
         def __init__(self, objects=()):
@@ -235,7 +237,13 @@ def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximation
         approximated.append(args)
         return approximate(*args)
 
+    def counting_pass(table, characters):
+        checked.append((len(table.distinct_relations()), len(characters)))
+        return check_pairs(table, characters)
+
+    check_pairs = verify.check_exchange_pairs
     monkeypatch.setattr(verify, "ExchangeTable", KeptTable)
+    monkeypatch.setattr(verify, "check_exchange_pairs", counting_pass)
     for module in (verify, tube_module):
         monkeypatch.setattr(module, "mutate_rigid", counting_mutate)
         monkeypatch.setattr(module, "minimal_approximation", counting_approximation)
@@ -243,11 +251,24 @@ def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximation
     assert verify.run_suite(n, oracle=False, workers=1).ok
     (table,) = tables
     per_edge = Counter((id(t), k) for t, k in calls)
-    # every directed edge once, on the enumerated object; the rest is the covering walk
+    # every directed edge once, on the enumerated object, and no other mutation
     assert [per_edge.get((id(t), k)) for t in table.objects for k in range(1, n + 1)] == \
         [1] * (n * len(table.objects))
-    assert len(calls) == mutations
+    assert len(calls) == mutations == n * len(table.objects)
+    # two per directed edge, and two per representative for the long-summand lemmas
     assert len(approximated) == approximations
+    # every distinct relation, on every representative
+    assert checked == [({3: 22, 4: 60}[n], {3: 5, 4: 14}[n])]
+
+
+def _filled_table(n):
+    """An exchange table over every maximal rigid object at rank n, filled
+    as ``run_suite`` fills it."""
+    ts = enumerate_maximal_rigid(n, Tube(n))
+    table = verify.ExchangeTable(ts)
+    for t in ts:
+        table.add(t, verify._exchange_triangles(t))
+    return table
 
 
 def _forge(monkeypatch, forged):
@@ -288,9 +309,7 @@ def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     assert len(own) == 1 and own[0].startswith(f"{target}: exchange-matrix formulas disagree: ")
 
     # the same lines from a table filled by hand, T' having no B_T of its own
-    table = verify.ExchangeTable(ts)
-    for t in ts:
-        table.add(t, verify._exchange_triangles(t))
+    table = _filled_table(3)
     lines = verify.check_matrix_mutation(table, {table.vertex(target)})
     assert len(lines) == 3 and set(lines) == expected
 
@@ -342,11 +361,8 @@ def test_a_mutation_outside_the_enumerated_set_fails_the_exchange_graph(monkeypa
 
 
 def test_the_exchange_graph_is_certified():
-    tube = Tube(3)
-    ts = enumerate_maximal_rigid(3, tube)
-    table = verify.ExchangeTable(ts)
-    for t in ts:
-        table.add(t, verify._exchange_triangles(t))
+    table = _filled_table(3)
+    tube, ts = table.objects[0].tube, table.objects
     assert verify.check_exchange_graph(tube, table) == []
     # cut vertex 0 out of the graph
     table.neighbours = {i: tuple(None if j == 0 else j for j in edges)
@@ -357,6 +373,108 @@ def test_the_exchange_graph_is_certified():
     # a table over part of the objects has the wrong vertex count
     assert verify.check_exchange_graph(tube, verify.ExchangeTable(ts[:-1]))[0] == \
         "exchange graph has 19 vertices, not C(2n, n) = 20"
+
+
+# -- every exchange relation, from the recorded graph ------------------------------
+
+
+@lru_cache(maxsize=None)
+def _recorded(n):
+    """``_filled_table(n)``, shared: a test that changes its table makes its own."""
+    return _filled_table(n)
+
+
+def _characters(t):
+    cm = CCMap(t)
+    return {x: cm.cc(x).poly for x in tube_module.all_rigid_indecs(t.tube)}
+
+
+def _relation(old, new, right, left):
+    """A relation keyed as ``ExchangeTable.distinct_relations`` keys it."""
+    return (*sorted((old, new)), *sorted((tuple(sorted(right)), tuple(sorted(left)))))
+
+
+def _relation_families(tube):
+    """The long, length-n and short relation families, once written out by
+    hand in the character map, as (old, new, right middle, left middle)."""
+    n, p = tube.n, tube.indec
+    x1 = tube.tau(Indec(1, n))
+    families = [(x1, p(1, n), (), (p(1, n - 1),) * 2),
+                (x1, p(n, n), (), (p(n + 1, n - 1),) * 2)]
+    families += [(p(c, n), p(c + 1, n), (), (p(c + 1, n - 1),) * 2) for c in range(1, n)]
+    families += [(p(a, b), p(a + 1, b), (), (() if b == 1 else (p(a + 1, b - 1),)) + (p(a, b + 1),))
+                 for b in range(1, n) for a in range(1, n + 2)]
+    return [_relation(*r) for r in families]
+
+
+@pytest.mark.parametrize("n, relations, families", [(2, 6, 6), (3, 22, 12), (4, 60, 20),
+                                                     (5, 135, 30)])
+def test_the_recorded_relations_hold_the_hand_written_families(n, relations, families):
+    recorded = _recorded(n).distinct_relations()
+    assert len(recorded) == len(set(recorded)) == relations
+    hand_written = _relation_families(Tube(n))
+    assert len(set(hand_written)) == families
+    assert set(hand_written) <= set(recorded)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_recorded_exchange_relation_holds(n):
+    # at rank two on every object, as on every mutation edge before; at rank
+    # three on the representatives, as in the suite
+    table = _recorded(n)
+    tube = table.objects[0].tube
+    ts = table.objects if n == 2 else verify.tau_orbit_representatives(tube)
+    characters = {table.vertex(t): _characters(t) for t in ts}
+    assert len(characters) == {2: 6, 3: 5}[n]
+    assert verify.check_exchange_pairs(table, characters) == []
+
+
+def test_a_forged_triangle_fails_the_exchange_relations_on_every_representative(monkeypatch):
+    tube = Tube(3)
+    ts = enumerate_maximal_rigid(3, tube)
+    reps = verify.tau_orbit_representatives(tube)
+    # a triangle with a nonempty right middle term, on an object that is not
+    # a representative (so every representative keeps its B_T); drop one summand
+    target, forged = next((t, data) for t in ts if t.long != Indec(1, 3)
+                          for data in verify._exchange_triangles(t) if data.right_middle)
+
+    def drop_one(t, k, data):
+        if t.as_set() == target.as_set() and data.old == forged.old:
+            return data._replace(right_middle=data.right_middle[:-1],
+                                 right_maps=data.right_maps[:-1])
+        return data
+
+    _forge(monkeypatch, drop_one)
+    a, b = sorted((forged.old, forged.new))
+    name = "exchange relations and walk"
+    expected = [f"{name}: {t}: exchange relation fails on the pair {a}, {b}" for t in reps]
+    for workers in (1, 2):
+        report = verify.run_suite(3, oracle=False, workers=workers)
+        assert (name, False, len(reps)) in report.lines
+        assert [f for f in report.failures if f.startswith(f"{name}: ")] == expected
+    _no_child_left()
+
+
+def test_a_rigid_object_exchanged_by_no_relation_fails_the_coverage():
+    table = _filled_table(2)
+    t = table.objects[0]
+    x = t.summands[-1]
+    table.relations = {i: tuple(r for r in around if x not in r[:2])
+                       for i, around in table.relations.items()}
+    assert verify.check_exchange_pairs(table, {0: _characters(t)}) == [
+        f"no recorded exchange relation exchanges {x}"]
+
+
+def test_characters_with_no_relation_to_check_fail():
+    tube = Tube(2)
+    ts = enumerate_maximal_rigid(2, tube)
+    table = verify.ExchangeTable(ts)  # nothing recorded
+    failures = verify.check_exchange_pairs(table, {1: _characters(ts[1])})
+    assert failures == [
+        "no recorded exchange relation exchanges "
+        + ", ".join(map(str, tube_module.all_rigid_indecs(tube))),
+        f"{ts[1]}: no exchange relation checked",
+    ]
 
 
 # -- the per-object loop split between this process and forked workers -------------
