@@ -10,7 +10,7 @@ loop vertex, and the index/coindex of tube objects.
 """
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     ExactMatrix,
@@ -51,12 +51,13 @@ class AModule:
     the tags to place the images of a morphism's blocks.
 
     The private slots keep invariants computed on first use: the projective
-    cover and its kernel here, the string normal form and its profile
-    counts in ``clustertube.grassmann``.
+    cover and its kernel, and the module's part of a memo key (``_content``)
+    here; the string normal form with its profile counts, and the direct
+    sum of its summands' string normal forms, in ``clustertube.grassmann``.
     """
 
     __slots__ = ("algebra", "dims", "mats", "provenance", "vtags",
-                 "_cover", "_syzygy", "_strings")
+                 "_cover", "_syzygy", "_key", "_strings", "_canonical")
 
     def __init__(
         self,
@@ -83,7 +84,9 @@ class AModule:
         self.vtags = vtags
         self._cover = None
         self._syzygy = None
+        self._key = None
         self._strings = None
+        self._canonical = None
         if check:
             self._check_relations()
 
@@ -241,6 +244,68 @@ def direct_sum(modules: Sequence[AModule]) -> AModule:
             for v in range(alg.n)
         )
     return AModule(alg, dims, mats, provenance=prov, vtags=vtags, check=False)
+
+
+# -- the module memo -------------------------------------------------------------
+#
+# The tube keeps one memo of the module layer's pure results (``Tube._module_memo``).
+# A result is keyed by the exact content of what it is computed from: the
+# content class of End(T) (``_algebra_class``), the content of each module it
+# reads (``_content``), and for the coindex that of the injectives
+# (``_injectives_class``).  Translation is an autoequivalence of the tube, so
+# End(tau T) has the same content as End(T) and shares its results.
+
+
+def _content(m: AModule) -> tuple:
+    """The module's part of a memo key: its dimension vector and arrow
+    matrices, computed once and kept on the module."""
+    if m._key is None:
+        m._key = (m.dims, tuple(mat.rows for mat in m.mats))
+    return m._key
+
+
+def _number(algebra: FinDimAlgebra, content: tuple) -> int:
+    """The number of ``content`` in the tube's memo: equal contents get
+    one number, and no two contents share one."""
+    memo = algebra.tube._module_memo
+    return memo.setdefault(content, len(memo))
+
+
+def _algebra_class(algebra: FinDimAlgebra) -> int:
+    """The number of the algebra's content class in the tube's memo.
+
+    The content is ``structure_content()`` with the contents of the
+    projectives: everything the memoised functions read off End(T) except
+    the injectives, which only the coindex reads.  It is hashed once per
+    algebra, which keeps the number."""
+    if algebra._memo_class is None:
+        algebra._memo_class = _number(algebra, (
+            "algebra", algebra.structure_content(),
+            tuple(_content(projective(algebra, i)) for i in range(1, algebra.n + 1))))
+    return algebra._memo_class
+
+
+def _injectives_class(algebra: FinDimAlgebra) -> int:
+    """The number of the contents of the algebra's injectives in the
+    tube's memo, kept on the algebra."""
+    if algebra._memo_injectives is None:
+        algebra._memo_injectives = _number(algebra, (
+            "injectives",
+            tuple(_content(injective(algebra, i)) for i in range(1, algebra.n + 1))))
+    return algebra._memo_injectives
+
+
+def _memoised(algebra: FinDimAlgebra, key: tuple, compute: Callable[[], object]):
+    """``compute()``, kept in the tube's memo under the algebra's content
+    class and ``key``: the result's name and the ``_content`` of every
+    module it reads.  A result is stored only when ``compute`` returns, so
+    no failure is ever kept; callers must not mutate it."""
+    memo = algebra.tube._module_memo
+    full = (_algebra_class(algebra),) + key
+    value = memo.get(full)
+    if value is None:
+        value = memo[full] = compute()
+    return value
 
 
 # -- the functor Hom(T, -) ----------------------------------------------------
@@ -634,8 +699,13 @@ def b_matrix_from_euler_form(algebra: FinDimAlgebra) -> Tuple[Tuple[int, ...], .
     """Exchange matrix from the antisymmetrized truncated Euler form on the
     simples; the loop-vertex column is doubled."""
     n = algebra.n
-    simples = [simple(algebra, i + 1) for i in range(n)]
-    leq1 = [[euler_leq1(simples[i], simples[j]) for j in range(n)] for i in range(n)]
+
+    def form():
+        simples = [simple(algebra, i + 1) for i in range(n)]
+        return tuple(tuple(euler_leq1(simples[i], simples[j]) for j in range(n))
+                     for i in range(n))
+
+    leq1 = _memoised(algebra, ("euler form",), form)
     return b_matrix_from_form(n, lambda i, j: leq1[i][j])
 
 
@@ -734,6 +804,18 @@ def _sigma_summand_index(algebra: FinDimAlgebra, x: Indec) -> Optional[int]:
     return None
 
 
+def _coindex_vector(algebra: FinDimAlgebra, s: Indec, mod: AModule) -> tuple:
+    """The coindex of the indecomposable s with functor image ``mod``, by
+    both routes, which must agree."""
+    via_injectives = i_vector(mod)
+    via_euler = tuple(euler_leq1(simple(algebra, i + 1), mod) for i in range(algebra.n))
+    if via_injectives != via_euler:
+        raise ConsistencyError(
+            f"coindex routes disagree on {s}: {via_injectives} vs {via_euler}"
+        )
+    return via_injectives
+
+
 def coindex(algebra: FinDimAlgebra, x) -> tuple:
     """Coindex of a tube object, in the basis of the summands of T.
 
@@ -741,9 +823,9 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
     independently through the truncated Euler form against the simples; the
     two routes must agree.
 
-    The vector of each indecomposable summand is memoised on the algebra,
-    and only after the two routes agreed; the domain check runs on every
-    call.
+    The vector of each indecomposable summand is kept in the tube's module
+    memo under its functor image, and only after the two routes agreed;
+    the domain check runs on every call.
     """
     summands = _normalize_object(algebra.tube, x)
     n = algebra.n
@@ -755,18 +837,9 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not (in_pr_T(algebra.t, s) and in_pr_sigma_T(algebra.t, s)):
             raise DomainError(f"{s} is outside the coindex domain")
-        vec = algebra._coindex_cache.get(s)
-        if vec is None:
-            mod = apply_F(algebra, s)
-            via_injectives = i_vector(mod)
-            via_euler = tuple(
-                euler_leq1(simple(algebra, i + 1), mod) for i in range(n)
-            )
-            if via_injectives != via_euler:
-                raise ConsistencyError(
-                    f"coindex routes disagree on {s}: {via_injectives} vs {via_euler}"
-                )
-            vec = algebra._coindex_cache[s] = via_injectives
+        mod = apply_F(algebra, s)
+        vec = _memoised(algebra, ("coindex", _injectives_class(algebra), _content(mod)),
+                        lambda: _coindex_vector(algebra, s, mod))
         total = [a + b for a, b in zip(total, vec)]
     return tuple(total)
 
@@ -774,8 +847,8 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
 def index(algebra: FinDimAlgebra, x) -> tuple:
     """Index of a tube object, via the truncated Euler form.
 
-    The vector of each indecomposable summand is memoised on the algebra;
-    the domain check runs on every call.
+    The vector of each indecomposable summand is kept in the tube's module
+    memo under its functor image; the domain check runs on every call.
     """
     summands = _normalize_object(algebra.tube, x)
     n = algebra.n
@@ -787,11 +860,8 @@ def index(algebra: FinDimAlgebra, x) -> tuple:
             continue
         if not in_pr_T(algebra.t, s):
             raise DomainError(f"{s} is outside the index domain")
-        vec = algebra._index_cache.get(s)
-        if vec is None:
-            mod = apply_F(algebra, s)
-            vec = algebra._index_cache[s] = tuple(
-                euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)
-            )
+        mod = apply_F(algebra, s)
+        vec = _memoised(algebra, ("index", _content(mod)), lambda: tuple(
+            euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)))
         total = [a + b for a, b in zip(total, vec)]
     return tuple(total)

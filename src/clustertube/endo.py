@@ -15,7 +15,6 @@ from .linalg import SpanSolver, independent_units
 from .tube import (
     CHom,
     ConsistencyError,
-    Indec,
     MaximalRigid,
     Tube,
     chom_coords,
@@ -102,16 +101,18 @@ class FinDimAlgebra:
         # per block: the path labels (None for the identity) and the solver
         # for coordinates in their span
         self._path_span: Dict[Tuple[int, int], Tuple[list, SpanSolver]] = {}
+        self._path_vectors: Dict[Tuple[int, int], tuple] = {}
         self._build_paths()
-        # Memo of the module layer (clustertube.amod), living as long as this
-        # algebra: functor images Hom(T, X) by summand tuple of X, the index
-        # and coindex vectors by indecomposable X, the socle data of the
-        # injectives, and the simples by vertex.
+        # What the module layer (clustertube.amod) keeps on this algebra, for
+        # as long as it lives: functor images Hom(T, X) by summand tuple of
+        # X, the socle data of the injectives, the simples by vertex, and the
+        # numbers of this algebra's content and of its injectives' content in
+        # the tube's module memo.
         self._module_cache: Dict[tuple, object] = {}
-        self._index_cache: Dict[Indec, tuple] = {}
-        self._coindex_cache: Dict[Indec, tuple] = {}
         self._socle_data: Optional[list] = None
         self._simples: Dict[int, object] = {}
+        self._memo_class: Optional[int] = None
+        self._memo_injectives: Optional[int] = None
 
     # -- multiplication ------------------------------------------------------
 
@@ -276,6 +277,7 @@ class FinDimAlgebra:
                         f"paths do not span Hom(T_{i+1}, T_{j+1})"
                     )
                 self._path_span[(i, j)] = (labels, solver)
+                self._path_vectors[(i, j)] = tuple(vecs)
 
     def path_span(self, i: int, j: int) -> Tuple[list, SpanSolver]:
         """The labels of the spanning paths from vertex i to vertex j
@@ -285,6 +287,21 @@ class FinDimAlgebra:
 
     def identity_coords(self, i: int) -> tuple:
         return self._identity_coords[i]
+
+    def structure_content(self) -> tuple:
+        """Everything the module layer reads off this algebra itself: the
+        block dimensions, the multiplication table, the arrows with their
+        coordinates, the identities and the spanning paths of each block.
+        Equal for End(T) and End(tau T), whose bases correspond."""
+        return (
+            self.dim,
+            tuple(self.block_dim.items()),
+            tuple(self.mult.items()),
+            tuple((a.src, a.tgt, chom_coords(self.tube, a.rep)) for a in self.arrows),
+            tuple(self._identity_coords.items()),
+            tuple((block, tuple(labels), self._path_vectors[block])
+                  for block, (labels, _) in self._path_span.items()),
+        )
 
 
 def build_endomorphism_algebra(t: MaximalRigid, check: bool = True) -> FinDimAlgebra:

@@ -18,7 +18,10 @@ from .tube import ConsistencyError
 from .amod import (
     AModule,
     DomainError,
+    _content,
+    _memoised,
     apply_F,
+    direct_sum,
     is_locally_free,
     loop_vertex,
     rank_vector,
@@ -58,6 +61,12 @@ def _indec_summands(m: AModule) -> List[AModule]:
         return [m]
     pieces = (apply_F(m.algebra, x) for x in m.provenance)
     return [piece for piece in pieces if not piece.is_zero()]
+
+
+def _summands_content(m: AModule) -> tuple:
+    """The module part of a memo key for a character count of m: the
+    content of m and of each summand whose string data the count reads."""
+    return (_content(m), tuple(_content(piece) for piece in _indec_summands(m)))
 
 
 def _string_profile_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int]:
@@ -141,7 +150,14 @@ class ChiTable:
 
 
 def chi_table(m: AModule) -> ChiTable:
-    """Tabulate chi over the full rank range, with basic sanity checks."""
+    """Tabulate chi over the full rank range, with basic sanity checks.
+
+    Kept in the tube's module memo (``amod._memoised``); callers must not
+    mutate it."""
+    return _memoised(m.algebra, ("chi table", _summands_content(m)), lambda: _chi_table(m))
+
+
+def _chi_table(m: AModule) -> ChiTable:
     alg = m.algebra
     rank = rank_vector(m)
     counts = _profile_counts(m)
@@ -302,14 +318,22 @@ def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int
         raise DomainError("rank vectors are componentwise nonnegative")
     if not is_locally_free(m):
         raise DomainError("ambient module must be locally free")
-    alg = m.algebra
-    canonical = [_string_data(piece)[0].module for piece in _indec_summands(m)]
-    if canonical:
-        from .amod import direct_sum
+    key = ("oracle", _summands_content(m), tuple(e), None if primes is None else tuple(primes))
+    return _memoised(m.algebra, key, lambda: _oracle_count(m, e, primes))
 
-        work = direct_sum(canonical)
-    else:
-        work = zero_module(alg)
+
+def _canonical_sum(m: AModule) -> AModule:
+    """The direct sum of the string normal forms of m's summands, built
+    once and kept on m."""
+    if m._canonical is None:
+        canonical = [_string_data(piece)[0].module for piece in _indec_summands(m)]
+        m._canonical = direct_sum(canonical) if canonical else zero_module(m.algebra)
+    return m._canonical
+
+
+def _oracle_count(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]]) -> int:
+    alg = m.algebra
+    work = _canonical_sum(m)
     ehat = _hat(alg, e)
     lv = loop_vertex(alg) - 1
     degree_bound = sum(d * (md - d) for d, md in zip(ehat, work.dims))
@@ -364,7 +388,6 @@ def verify_ar_recursion(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
     """Check the factorization of chi along an AR sequence 0->L->M->N->0
     ending in a tau-rigid module: every fibre of the span map is an affine
     space except the empty one over (0, N)."""
-    alg = l_mod.algebra
     for mod in (l_mod, m_mod, n_mod):
         if not mod.is_zero() and not is_locally_free(mod):
             raise DomainError("the recursion applies to locally free modules")
@@ -372,6 +395,12 @@ def verify_ar_recursion(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
         lm + nm for lm, nm in zip(l_mod.dims, n_mod.dims)
     ) != m_mod.dims:
         raise DomainError("dimension vectors are not additive; not exact")
+    key = ("AR recursion",) + tuple(_summands_content(mod) for mod in (l_mod, m_mod, n_mod))
+    return _memoised(l_mod.algebra, key, lambda: _recursion_holds(l_mod, m_mod, n_mod))
+
+
+def _recursion_holds(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
+    alg = l_mod.algebra
     table_l = _profile_counts(l_mod)
     table_n = _profile_counts(n_mod)
     table_m = _profile_counts(m_mod)
@@ -389,7 +418,6 @@ def ar_sequences_ending_at_tau_rigid(algebra: FinDimAlgebra):
     avoid the shifted summands; yields (L, M, N, end_object) with M given as
     the direct sum of the middle functor images.
     """
-    from .amod import direct_sum
     from .tube import all_rigid_indecs
 
     tube = algebra.tube

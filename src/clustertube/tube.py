@@ -122,6 +122,8 @@ class Tube:
         self.n = n
         self.p = n + 1
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
+        # the cluster-tube basis of Hom(x, y) as returned by hom_c_basis
+        self._hom_c_cache: Dict[Tuple[Indec, Indec], List["CHom"]] = {}
         # the flattened Hom basis, reduced once for hom_coords
         self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
@@ -129,6 +131,10 @@ class Tube:
         self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
+        # the pure results of the module layer (clustertube.amod), keyed by
+        # the exact content of the End(T) and modules they are computed from,
+        # so translated T with equal End(T) share them
+        self._module_memo: dict = {}
 
     # -- objects -----------------------------------------------------------
 
@@ -383,12 +389,19 @@ class CHom:
 
 
 def hom_c_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
-    """Basis of the cluster-tube morphism space: tube stratum first."""
-    out = [CHom.t_single(tube, x, y, vm) for vm in tube.hom_basis(x, y)]
-    space = tube.dmor_space(x, y)
-    for i in range(space.dim):
-        coords = tuple(int(j == i) for j in range(space.dim))
-        out.append(CHom.d_single(tube, x, y, coords))
+    """Basis of the cluster-tube morphism space: tube stratum first.
+
+    Built once per (x, y) and kept on the tube; callers must not mutate the
+    list or its morphisms."""
+    key = (x, y)
+    out = tube._hom_c_cache.get(key)
+    if out is None:
+        out = [CHom.t_single(tube, x, y, vm) for vm in tube.hom_basis(x, y)]
+        space = tube.dmor_space(x, y)
+        for i in range(space.dim):
+            coords = tuple(int(j == i) for j in range(space.dim))
+            out.append(CHom.d_single(tube, x, y, coords))
+        tube._hom_c_cache[key] = out
     return out
 
 

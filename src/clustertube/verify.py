@@ -565,35 +565,66 @@ class SuiteReport:
 # -- splitting the per-object loop between processes --------------------------------
 
 
-def _worker_count(objects: int) -> int:
+def _worker_count(groups: int) -> int:
     """How many processes share the per-object loop: one per CPU this
-    process may run on, at most one per object.  One where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing (Windows, macOS), or where other
-    threads run, since a fork copies only the calling thread."""
+    process may run on, at most one per group of objects.  One where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing (Windows, macOS), or
+    where other threads run, since a fork copies only the calling thread."""
     forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     if not forkable or threading.active_count() > 1:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), objects))
+    return max(1, min(len(os.sched_getaffinity(0)), groups))
 
 
-def _deal(weights: Sequence[int], workers: int) -> List[List[int]]:
-    """Split the indices of ``weights`` into ``workers`` shares: in index
-    order, each goes to the first share with the least weight so far."""
-    shares: List[List[int]] = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i, weight in enumerate(weights):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += weight
-    return shares
+def _frame(t: MaximalRigid) -> Tuple[Indec, ...]:
+    """T translated so that its long summand sits at a = 1, summand order
+    kept.  Objects with one frame have End(T) of equal content."""
+    return t.shifted(t.long.a - 1).summands
 
 
-def _serve_share(work: Callable[[Sequence[int]], list], share: Sequence[int], fd: int) -> None:
-    """In a forked child: write the pickled outcome of ``work(share)`` to
-    ``fd`` and leave the process, never returning into the caller's frames.
+def _frame_groups(ts: Sequence[MaximalRigid], weights: Sequence[int]) -> List[List[int]]:
+    """The indices of ``ts`` grouped by frame, each group in index order;
+    the heaviest group (by the sum of its members' ``weights``) first, and
+    groups of equal weight in the order of their first members."""
+    groups: Dict[Tuple[Indec, ...], List[int]] = {}
+    for i, t in enumerate(ts):
+        groups.setdefault(_frame(t), []).append(i)
+    return sorted(groups.values(), key=lambda group: -sum(weights[i] for i in group))
+
+
+def _fill_queue(fd: int, numbers: Sequence[int]) -> List[int]:
+    """Write each of ``numbers`` to the pipe ``fd`` as 4 bytes, as long as
+    the pipe takes them without blocking; return the numbers left over."""
+    os.set_blocking(fd, False)
+    for k, number in enumerate(numbers):
+        try:
+            os.write(fd, number.to_bytes(4, "little"))
+        except BlockingIOError:
+            return list(numbers[k:])
+    return []
+
+
+def _claim_groups(work: Callable[[Sequence[int]], list], groups: Sequence[Sequence[int]],
+                  first: int, queue: int) -> list:
+    """The rows of ``work`` on group ``first`` (if there is one), then on
+    each group claimed from the pipe ``queue`` until it is empty.  Every
+    group number is in the pipe before any process reads it, and a read of
+    4 bytes from a pipe is not interleaved with another, so each read
+    claims one whole group."""
+    rows = work(groups[first]) if first < len(groups) else []
+    while True:
+        data = os.read(queue, 4)
+        if not data:
+            return rows
+        rows += work(groups[int.from_bytes(data, "little")])
+
+
+def _serve(job: Callable[[], list], fd: int) -> None:
+    """In a forked child: write the pickled outcome of ``job()`` to ``fd``
+    and leave the process, never returning into the caller's frames.
 
     The outcome is ``("rows", rows)``, or ``("raise", exc, text)`` with
-    whatever ``work`` raised and its traceback text.  An exception that
+    whatever ``job`` raised and its traceback text.  An exception that
     does not survive pickling is sent as ``("lost", text)``.  Nothing is
     caught: the exception in flight is read in the ``finally`` that ends
     the process, and the parent raises it again."""
@@ -602,7 +633,7 @@ def _serve_share(work: Callable[[Sequence[int]], list], share: Sequence[int], fd
 
     outcome = None
     try:
-        outcome = ("rows", work(share))
+        outcome = ("rows", job())
     finally:
         try:
             if outcome is None:
@@ -620,48 +651,67 @@ def _serve_share(work: Callable[[Sequence[int]], list], share: Sequence[int], fd
             os._exit(0)
 
 
-def _map_shares(work: Callable[[Sequence[int]], list], shares: Sequence[Sequence[int]]) -> list:
-    """The rows of ``work(share)`` for every share, in share order.
+def _map_groups(work: Callable[[Sequence[int]], list], groups: Sequence[Sequence[int]],
+                workers: int) -> list:
+    """The rows of ``work(objects)`` over the objects of every group, split
+    between ``workers`` processes, in no fixed order.
 
-    The first share runs in this process, each other one in a forked child
-    that sends its rows back through a pipe (``_serve_share``).  A child's
-    exception is raised here again with its class and message; one that
-    could not be pickled, or a child that sent nothing, raises
+    With one worker this process runs every object, in index order, and
+    nothing is forked.  Otherwise process k (this one is 0, each other a
+    forked child) first runs group k, fixed before the fork.  The numbers
+    of the other groups go into one pipe, in the order of ``groups``, and
+    each process claims its next group from it until it is empty
+    (``_claim_groups``).  A group never leaves the process that claimed it.
+    Groups the pipe cannot take without blocking run in this process after
+    the queue is empty.
+
+    A child sends its rows back through a pipe of its own (``_serve``).  A
+    child's exception is raised here again with its class and message; one
+    that could not be pickled, or a child that sent nothing, raises
     ``RuntimeError``.  Every child is reaped on every path, and killed
-    first if its rows were not read.  With one share there is no fork."""
-    if len(shares) == 1:
-        return work(shares[0])
+    first if its rows were not read."""
+    if workers == 1:
+        return work(sorted(i for group in groups for i in group))
     import pickle
     import signal
 
-    children = []  # (share number, pid, read end of its pipe)
+    queue, queue_in = os.pipe()
+    children = []  # (worker number, pid, read end of its pipe)
     read = set()
     try:
-        for number, share in enumerate(shares[1:], 1):
+        tail = _fill_queue(queue_in, range(workers, len(groups)))
+        for number in range(1, workers):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(r)
-                _serve_share(work, share, w)
+                os.close(queue_in)
+                _serve(lambda: _claim_groups(work, groups, number, queue), w)
             os.close(w)
             children.append((number, pid, os.fdopen(r, "rb")))
-        rows = work(shares[0])
+        os.close(queue_in)
+        queue_in = None
+        rows = _claim_groups(work, groups, 0, queue)
+        for k in tail:
+            rows += work(groups[k])
         for number, pid, pipe in children:
             data = pipe.read()
             read.add(pid)
             if not data:
-                raise RuntimeError(f"the worker on share {number} of the objects "
-                                   f"exited without a result")
+                raise RuntimeError(f"worker {number} exited without a result")
             kind, *outcome = pickle.loads(data)
             if kind == "raise":
                 exc, text = outcome
-                raise exc from RuntimeError(f"raised in the worker on share {number}:\n{text}")
+                raise exc from RuntimeError(f"raised in worker {number}:\n{text}")
             if kind == "lost":
-                raise RuntimeError(f"the worker on share {number} raised an exception "
+                raise RuntimeError(f"worker {number} raised an exception "
                                    f"that cannot be pickled:\n{outcome[0]}")
             rows += outcome[0]
         return rows
     finally:
+        if queue_in is not None:
+            os.close(queue_in)
+        os.close(queue)
         for number, pid, pipe in children:
             pipe.close()
             if pid not in read:
@@ -682,17 +732,20 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     every check whose scope holds T runs on it, and the context is dropped
     before the next T.  A scheduled check that visits no object fails.
 
-    The loop is split between ``workers`` processes, by default one per
-    CPU this process may run on and at most one per object (one without
-    ``os.fork`` or with other threads running; see ``_worker_count``).
-    The objects are dealt in enumeration order, each to the share with
-    the fewest scheduled checks so far (``_deal``).  This process runs
-    the first share itself, after the work every T shares (the
-    enumeration, the table and the tube checks, which warm the tube's
-    caches), and each other share runs in a forked child.  Each process
-    holds at most one End(T) at a time.  The per-object results are merged
-    in enumeration order, so the report and its failure lines do not
-    depend on the worker count.
+    The objects are grouped by frame (``_frame_groups``): objects with one
+    frame have End(T) of equal content, so the tube's module memo computes
+    each module-layer result once per group.  The loop is split between
+    ``workers`` processes, by default one per CPU this process may run on
+    and at most one per group (one without ``os.fork`` or with other
+    threads running; see ``_worker_count``).  The processes claim whole
+    groups, the heaviest (most scheduled checks) first, so no process
+    repeats another's work (``_map_groups``); with one worker the objects
+    run in enumeration order.  This process takes part after the work
+    every T shares (the enumeration, the table and the tube checks, which
+    warm the tube's caches), and each other process is a forked child.
+    Each process holds at most one End(T) at a time.  The per-object
+    results are merged in enumeration order, so the report and its
+    failure lines do not depend on the worker count.
 
     The suite owns one ``ExchangeTable`` over the enumerated objects, held
     only while it runs.  Each context computes its triangles on the
@@ -749,13 +802,13 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
         cm = ctx.cc_map if n <= 4 and is_rep(ctx.t) else None
         return None if cm is None else {x: cm.cc(x).poly for x in rigids}
 
-    def run_share(share: Sequence[int]) -> list:
-        """Per object of ``share``: its index, each scheduled check's
+    def run_objects(objects: Sequence[int]) -> list:
+        """Per object of ``objects``: its index, each scheduled check's
         failure lines (``None`` out of scope), whether its B_T formulas
         disagree, its table entry, and its characters if the exchange
         relations are checked on them."""
         rows = []
-        for i in share:
+        for i in objects:
             t = ts_all[i]
             ctx = SuiteContext(t)
             found = [check(ctx) if scope(t) else None for _, check, scope in schedule]
@@ -769,10 +822,11 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     failures = {name: [] for name, _, _ in schedule}
     visited = dict.fromkeys(failures, 0)
     failures["tube invariants"] = check_tube_invariants(tube)
+    groups = _frame_groups(ts_all, [sum(1 for _, _, scope in schedule if scope(t))
+                                    for t in ts_all])
     if workers is None:
-        workers = _worker_count(len(ts_all))
-    shares = _deal([sum(1 for _, _, scope in schedule if scope(t)) for t in ts_all], workers)
-    rows = sorted(_map_shares(run_share, shares), key=lambda row: row[0])
+        workers = _worker_count(len(groups))
+    rows = sorted(_map_groups(run_objects, groups, workers), key=lambda row: row[0])
     for i, found, b_failed, entry, polys in rows:
         for (name, _, _), lines in zip(schedule, found):
             if lines is not None:

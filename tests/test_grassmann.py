@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clustertube.amod import apply_F, direct_sum, is_tau_rigid, rank_vector
+from clustertube.amod import DomainError, apply_F, direct_sum, is_tau_rigid, rank_vector
 from clustertube.endo import build_endomorphism_algebra
 from clustertube.grassmann import (
     OracleError,
@@ -277,3 +277,59 @@ def test_chi_table_equals_the_mask_count_over_fresh_forms():
             assert table.entries == dict(sorted(direct.items())), (t, x)
             compared += 1
     assert compared > 100
+
+
+# -- the tube's module memo --------------------------------------------------------
+
+
+def _translated_algebras():
+    """End(T) and End(tau T) on a new tube: one content class."""
+    tube = Tube(3)
+    t = MaximalRigid(tube, (Indec(1, 3), Indec(3, 1), Indec(1, 1)))
+    return build_endomorphism_algebra(t), build_endomorphism_algebra(t.shifted(1))
+
+
+def test_translated_objects_share_chi_tables_and_oracle_verdicts(monkeypatch):
+    from clustertube import grassmann
+
+    alg, moved = _translated_algebras()
+    tube = alg.tube
+    counted = []
+    count_points = grassmann._count_points
+
+    def counting(*args):
+        counted.append(args)
+        return count_points(*args)
+
+    monkeypatch.setattr(grassmann, "_count_points", counting)
+    pairs = [(x, tube.tau(x)) for x in tube.wing(Indec(1, 3)) if not apply_F(alg, x).is_zero()]
+    rows = []
+    for algebra, side in ((alg, 0), (moved, 1)):
+        del counted[:]
+        for pair in pairs:
+            m = apply_F(algebra, pair[side])
+            e = rank_vector(m)
+            rows.append((chi_table(m), chi_lf_oracle_fq(m, e)))
+        assert bool(counted) == (side == 0)
+    half = len(pairs)
+    assert half > 3
+    assert all(a[0] is b[0] and a[1] == b[1] == 1 for a, b in zip(rows[:half], rows[half:]))
+
+
+def test_an_inconclusive_oracle_is_never_memoised():
+    alg, _ = _translated_algebras()
+    m = apply_F(alg, Indec(1, 3))
+    for _ in range(2):
+        with pytest.raises(OracleError, match="primes"):
+            chi_lf_oracle_fq(m, (0, 0, 1), primes=[2])
+    assert not [key for key in alg.tube._module_memo if "oracle" in key]
+
+
+def test_the_recursion_checks_its_domain_on_a_filled_memo():
+    alg, moved = _translated_algebras()
+    for algebra in (alg, moved):
+        sequences = list(ar_sequences_ending_at_tau_rigid(algebra))
+        assert sequences and all(verify_ar_recursion(l, m, n) for l, m, n, _ in sequences)
+        l_mod, m_mod, n_mod, _ = sequences[0]
+        with pytest.raises(DomainError, match="not additive"):
+            verify_ar_recursion(l_mod, m_mod, m_mod)

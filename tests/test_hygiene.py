@@ -307,6 +307,73 @@ def test_the_rule_sees_shared_method_names():
         "run": ["m.A", "m.B", "n.C"]}
 
 
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_container(value):
+    func = value.func if isinstance(value, ast.Call) else None
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return isinstance(value, MUTABLE_NODES) or called in MUTABLE_CALLS
+
+
+def _bound_containers(target, value):
+    """The names of ``target`` that ``value`` binds to a container."""
+    if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+            and len(target.elts) == len(value.elts)):
+        for t, v in zip(target.elts, value.elts):
+            yield from _bound_containers(t, v)
+    elif _is_container(value):
+        yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def _module_level_containers(tree):
+    # a dict, list or set bound at module level outlives every object that
+    # fills it; the package's caches live on the objects they belong to
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            for name in _bound_containers(target, value):
+                yield node.lineno, name
+
+
+def test_nothing_but_the_atlas_is_cached_at_module_level():
+    # README, "Caching": apart from the atlas, nothing is cached at module level
+    allowed = {"__init__.py: __all__", "cli.py: COMMANDS", "ccmap.py: _atlas_cache"}
+    package = Path(clustertube.__file__).parent
+    found = {
+        f"{path.name}: {name}"
+        for path in sorted(package.glob("*.py"))
+        for _, name in _module_level_containers(ast.parse(path.read_text()))
+    }
+    assert found == allowed
+
+
+def test_the_rule_sees_module_level_containers():
+    source = (
+        "from collections import defaultdict\n"
+        "_cache = {}\n"
+        "seen: set = set()\n"
+        "ORDER = [1, 2]\n"
+        "table = collections.defaultdict(list)\n"
+        "squares = {k: k * k for k in range(3)}\n"
+        "a, b = [], {}\n"
+        "KINDS = ('x', 'y')\n"
+        "FROZEN = frozenset({1})\n"
+        "Alias = Dict[int, int]\n"
+        "def f():\n    local = {}\n    return local\n"
+        "class C:\n    members = []\n"
+    )
+    assert list(_module_level_containers(ast.parse(source))) == [
+        (2, "_cache"), (3, "seen"), (4, "ORDER"), (5, "table"), (6, "squares"),
+        (7, "a"), (7, "b")]
+
+
 def _unused_imports(tree):
     # a name a module imports and never uses; __all__ counts as a use
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

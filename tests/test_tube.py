@@ -303,3 +303,13 @@ def test_dmor_space_is_the_ext_space_at_the_inverse_translate():
             space = tube.dmor_space(x, y)
             assert space is tube.ext_space(x, tube.tau(y, -1))
             assert tube.dmor_space(x, y) is space
+
+
+def test_the_cluster_tube_hom_basis_is_built_once_per_pair():
+    tube = Tube(3)
+    rigids = all_rigid_indecs(tube)
+    for x in rigids:
+        for y in rigids:
+            basis = hom_c_basis(tube, x, y)
+            assert hom_c_basis(tube, x, y) is basis
+            assert len(basis) == tube.hom_c_dim(x, y)

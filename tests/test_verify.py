@@ -510,21 +510,43 @@ def test_split_and_single_process_reports_agree(monkeypatch, n, oracle, workers)
     _no_child_left()
 
 
-def _forged(monkeypatch, name, targets, action):
-    """Replace the check ``verify.<name>`` by one that calls ``action(ctx)``
-    on the objects ``targets`` and runs the real check elsewhere."""
-    check = getattr(verify, name)
+def _made_groups(monkeypatch):
+    """The groups of each later ``run_suite``, in queue order, recorded as
+    it makes them: worker k runs group k first."""
+    made = []
+    frame_groups = verify._frame_groups
 
-    def forged(ctx):
-        if ctx.t.summands in targets:
-            return action(ctx)
-        return check(ctx)
+    def recording(ts, weights):
+        groups = frame_groups(ts, weights)
+        made.append(groups)
+        return groups
 
-    monkeypatch.setattr(verify, name, forged)
+    monkeypatch.setattr(verify, "_frame_groups", recording)
+    return made
+
+
+def _forged_on_first_groups(monkeypatch, names, n, action, workers=(1,)):
+    """Replace each check ``verify.<name>`` of ``names`` by one that calls
+    ``action(ctx)`` on the objects of the group each worker in ``workers``
+    runs first (0 is this process), and runs the real check elsewhere.
+    Returns the groups each later ``run_suite`` makes."""
+    ts = enumerate_maximal_rigid(n, Tube(n))
+    made = _made_groups(monkeypatch)
+
+    def forge(check):
+        def forged(ctx):
+            targets = {ts[i].summands for k in workers for i in made[-1][k]}
+            return action(ctx) if ctx.t.summands in targets else check(ctx)
+        return forged
+
+    for name in names:
+        monkeypatch.setattr(verify, name, forge(getattr(verify, name)))
+    return made
 
 
 def test_failure_lines_from_a_worker_keep_their_order(monkeypatch, tmp_path):
-    # ts[1] is in the forked worker's share, ts[2] in this process's
+    # the first groups of this process and of the forked worker, fixed before
+    # the fork: at rank two they are the only groups
     ts = enumerate_maximal_rigid(2, Tube(2))
     log = tmp_path / "pids"
 
@@ -533,17 +555,20 @@ def test_failure_lines_from_a_worker_keep_their_order(monkeypatch, tmp_path):
             fh.write(f"{ctx.t} {os.getpid()}\n")
         return [f"{ctx.t}: forged one", f"{ctx.t}: forged two"]
 
-    targets = {ts[1].summands, ts[2].summands}
-    _forged(monkeypatch, "check_denominators", targets, fail)
-    _forged(monkeypatch, "check_index_coindex", targets, fail)
+    made = _forged_on_first_groups(monkeypatch, ("check_denominators", "check_index_coindex"),
+                                   2, fail, workers=(0, 1))
     one = verify.run_suite(2, workers=1)
     log.unlink()
     two = verify.run_suite(2, workers=2)
+    first, second = made[-1]
+    assert sorted(first + second) == list(range(len(ts)))
     pids = dict(line.rsplit(" ", 1) for line in log.read_text().splitlines())
-    assert pids[str(ts[1])] != str(os.getpid()) == pids[str(ts[2])]
+    assert {pids[str(ts[i])] for i in first} == {str(os.getpid())}
+    assert len({pids[str(ts[i])] for i in second}) == 1
+    assert pids[str(ts[second[0]])] != str(os.getpid())
     expected = [f"{name}: {t}: forged {which}"
                 for name in ("denominator vectors", "index and coindex laws")
-                for t in (ts[1], ts[2]) for which in ("one", "two")]
+                for t in ts for which in ("one", "two")]
     assert one.failures == two.failures == expected
     assert two.render() == one.render()
     _no_child_left()
@@ -560,24 +585,21 @@ def _in_worker(parent, action):
 
 
 def test_an_undecided_oracle_in_a_worker_exits_one(monkeypatch, capsys):
-    ts = enumerate_maximal_rigid(2, Tube(2))
-
     def undecided(ctx):
         raise OracleError("oracle inconclusive")
 
-    _forged(monkeypatch, "check_chi_oracle", {ts[1].summands}, _in_worker(os.getpid(), undecided))
+    monkeypatch.setattr(verify, "_worker_count", lambda groups: 2)
+    _forged_on_first_groups(monkeypatch, ("check_chi_oracle",), 2, _in_worker(os.getpid(), undecided))
     assert run(["verify", "--n", "2"]) == 1
     assert capsys.readouterr().err == "error: oracle inconclusive\n"
     _no_child_left()
 
 
 def test_an_uncaught_error_in_a_worker_keeps_its_class(monkeypatch):
-    ts = enumerate_maximal_rigid(2, Tube(2))
-
     def broken(ctx):
         raise ConsistencyError("forged fault")
 
-    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), broken))
+    _forged_on_first_groups(monkeypatch, ("check_ar_recursion",), 2, _in_worker(os.getpid(), broken))
     with pytest.raises(ConsistencyError) as caught:
         verify.run_suite(2, workers=2)
     assert type(caught.value) is ConsistencyError and str(caught.value) == "forged fault"
@@ -587,15 +609,13 @@ def test_an_uncaught_error_in_a_worker_keeps_its_class(monkeypatch):
 
 
 def test_an_error_that_cannot_be_pickled_keeps_its_traceback(monkeypatch):
-    ts = enumerate_maximal_rigid(2, Tube(2))
-
     class LocalError(Exception):  # a local class cannot be pickled
         pass
 
     def broken(ctx):
         raise LocalError("not picklable")
 
-    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), broken))
+    _forged_on_first_groups(monkeypatch, ("check_ar_recursion",), 2, _in_worker(os.getpid(), broken))
     with pytest.raises(RuntimeError, match="cannot be pickled") as caught:
         verify.run_suite(2, workers=2)
     assert "LocalError: not picklable" in str(caught.value)
@@ -603,19 +623,16 @@ def test_an_error_that_cannot_be_pickled_keeps_its_traceback(monkeypatch):
 
 
 def test_a_worker_that_exits_without_a_result_is_an_error(monkeypatch):
-    ts = enumerate_maximal_rigid(2, Tube(2))
-
     def leave(ctx):
         os._exit(0)
 
-    _forged(monkeypatch, "check_ar_recursion", {ts[1].summands}, _in_worker(os.getpid(), leave))
+    _forged_on_first_groups(monkeypatch, ("check_ar_recursion",), 2, _in_worker(os.getpid(), leave))
     with pytest.raises(RuntimeError, match="exited without a result"):
         verify.run_suite(2, workers=2)
     _no_child_left()
 
 
 def test_an_error_in_this_process_kills_the_worker(monkeypatch):
-    ts = enumerate_maximal_rigid(2, Tube(2))
     parent = os.getpid()
 
     def hang_or_fail(ctx):
@@ -624,7 +641,7 @@ def test_an_error_in_this_process_kills_the_worker(monkeypatch):
         time.sleep(60)
         return []
 
-    _forged(monkeypatch, "check_ar_recursion", {ts[0].summands, ts[1].summands}, hang_or_fail)
+    _forged_on_first_groups(monkeypatch, ("check_ar_recursion",), 2, hang_or_fail, workers=(0, 1))
     start = time.perf_counter()
     with pytest.raises(ConsistencyError, match="forged fault"):
         verify.run_suite(2, workers=2)
@@ -650,8 +667,133 @@ def test_the_worker_count(monkeypatch):
     assert verify._worker_count(20) == 1
 
 
-def test_objects_are_dealt_by_their_scheduled_checks():
-    assert verify._deal([10, 10, 6, 6, 6], 2) == [[0, 2, 4], [1, 3]]
-    assert verify._deal([2] * 5, 2) == [[0, 2, 4], [1, 3]]
-    assert verify._deal([9, 1, 1, 1], 3) == [[0], [1, 3], [2]]
-    assert verify._deal([1, 1], 1) == [[0, 1]]
+def test_groups_are_frames_heaviest_first():
+    ts = enumerate_maximal_rigid(3, Tube(3))
+    # ties keep the order of the groups' first members
+    assert verify._frame_groups(ts, [1] * 20) == [
+        [0, 5, 12, 19], [3, 8, 14, 15], [2, 7, 13], [4, 9, 17], [1, 6], [10, 18], [11], [16]]
+    weights = [1] * 20
+    weights[16] = 9
+    assert verify._frame_groups(ts, weights)[:2] == [[16], [0, 5, 12, 19]]
+    assert verify._frame(ts[5]) == ts[0].summands
+
+
+@pytest.mark.parametrize("n, classes", [(2, 2), (3, 8), (4, 30), (5, 112)])
+def test_the_frames_are_the_content_classes_of_the_algebras(n, classes):
+    ts = enumerate_maximal_rigid(n, Tube(n))
+    algebras = (verify.build_endomorphism_algebra(t, check=False) for t in ts)
+    numbers = [(amod._algebra_class(a), amod._injectives_class(a)) for a in algebras]
+    groups = verify._frame_groups(ts, [1] * len(ts))
+    assert len(groups) == classes
+    assert [len({numbers[i] for i in group}) for group in groups] == [1] * classes
+    assert len({numbers[group[0]] for group in groups}) == classes
+
+
+def test_a_group_never_leaves_the_process_that_claimed_it(monkeypatch, tmp_path):
+    ts = enumerate_maximal_rigid(3, Tube(3))
+    log = tmp_path / "pids"
+    check = verify.check_structure
+
+    def logging(ctx, associativity=False):
+        with open(log, "a") as fh:
+            fh.write(f"{ts.index(ctx.t)} {os.getpid()}\n")
+        return check(ctx, associativity)
+
+    made = _made_groups(monkeypatch)
+    monkeypatch.setattr(verify, "check_structure", logging)
+    assert verify.run_suite(3, oracle=False, workers=2).ok
+    ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    pid = dict(ran)
+    groups = made[-1]
+    assert sorted(pid) == list(range(20))
+    assert [len({pid[i] for i in group}) for group in groups] == [1] * len(groups)
+    # each process starts with its own first group, in index order
+    firsts = {}
+    for i, p in ran:
+        firsts.setdefault(p, []).append(i)
+    assert firsts[os.getpid()][:len(groups[0])] == groups[0]
+    assert [order[:len(groups[1])] for p, order in firsts.items() if p != os.getpid()] == [
+        groups[1]]
+    _no_child_left()
+
+
+def test_the_queue_takes_what_the_pipe_holds_and_returns_the_rest():
+    r, w = os.pipe()
+    try:
+        rest = verify._fill_queue(w, range(100_000))  # 400 kB, more than a pipe holds
+        os.close(w)
+        w = None
+        queued = []
+        while data := os.read(r, 4096):
+            queued += [int.from_bytes(data[k:k + 4], "little") for k in range(0, len(data), 4)]
+    finally:
+        if w is not None:
+            os.close(w)
+        os.close(r)
+    assert rest and queued + rest == list(range(100_000))
+
+
+def test_groups_the_pipe_cannot_take_run_in_this_process(monkeypatch):
+    one = verify.run_suite(3, oracle=False, workers=1)
+    monkeypatch.setattr(verify, "_fill_queue", lambda fd, numbers: list(numbers))
+    split = verify.run_suite(3, oracle=False, workers=2)
+    assert (split.render(), split.failures) == (one.render(), one.failures)
+    _no_child_left()
+
+
+# -- the module memo across the objects of one End(T) class -------------------------
+
+
+def _counting_copresentations(monkeypatch, log):
+    copresent = amod.injective_copresentation
+
+    def counting(m):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return copresent(m)
+
+    monkeypatch.setattr(amod, "injective_copresentation", counting)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_coindex_is_computed_once_per_class(monkeypatch, tmp_path, workers):
+    # without the memo the suite makes 220 copresentations; 88 of them have
+    # distinct inputs (End(T) class, F(X))
+    log = tmp_path / "calls"
+    _counting_copresentations(monkeypatch, log)
+    assert verify.run_suite(3, workers=workers).ok
+    pids = log.read_text().split()
+    assert len(pids) == 88
+    assert len(set(pids)) == workers
+    _no_child_left()
+
+
+def test_a_forged_functor_image_misses_the_memo_and_fails_only_its_object(monkeypatch):
+    # ts[5] shares its frame, and so its End(T) class, with ts[0], which runs
+    # first; one entry of its projective F(T_1) is forged
+    ts = enumerate_maximal_rigid(3, Tube(3))
+    target = ts[5]
+    build = verify.build_endomorphism_algebra
+    numbers = {}
+
+    def forging(t, check=True):
+        algebra = build(t, check=check)
+        if t == target:
+            p1 = apply_F(algebra, t.summands[0])
+            mats = list(p1.mats)
+            rows = [list(row) for row in mats[1].rows]
+            assert rows[0][0] != 0
+            rows[0][0] = 0
+            mats[1] = ExactMatrix(rows, ncols=mats[1].ncols)
+            algebra._module_cache[(t.summands[0],)] = amod.AModule(
+                algebra, p1.dims, mats, provenance=p1.provenance, vtags=p1.vtags)
+        numbers[t.summands] = amod._algebra_class(algebra)
+        return algebra
+
+    monkeypatch.setattr(verify, "build_endomorphism_algebra", forging)
+    report = verify.run_suite(3, oracle=False, workers=1)
+    assert not report.ok
+    assert {f.split(": ")[1] for f in report.failures} == {str(target)}
+    group = next(g for g in verify._frame_groups(ts, [1] * 20) if 5 in g)
+    assert numbers[target.summands] not in {numbers[ts[i].summands] for i in group if i != 5}
+    assert len({numbers[ts[i].summands] for i in group if i != 5}) == 1
