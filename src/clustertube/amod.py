@@ -10,13 +10,15 @@ loop vertex, and the index/coindex of tube objects.
 """
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     ExactMatrix,
     QuotientSpace,
     SpanSolver,
+    block_diagonal,
     intertwiner_basis,
+    intertwiner_dim,
     kernel_basis,
     rank as mat_rank,
 )
@@ -27,6 +29,7 @@ from .tube import (
     Indec,
     Tube,
     TubeError,
+    basis_product,
     chom_coords,
     chom_from_coords,
     hom_c_basis,
@@ -46,18 +49,19 @@ class AModule:
     ``mats[k]`` is the action of the k-th Gabriel arrow ``alpha: i -> j``,
     a matrix from the vertex-j space to the vertex-i space.  Modules coming
     from the functor ``Hom(T, -)`` carry their provenance: the summands of
-    the tube object and, per vertex, one tag per basis vector, the index in
-    the provenance of the summand that vector belongs to.  ``map_F`` reads
-    the tags to place the images of a morphism's blocks.
+    the tube object, whose Hom bases make up each vertex space in order.
 
     The private slots keep invariants computed on first use: the projective
-    cover and its kernel, and the module's part of a memo key (``_content``)
-    here; the string normal form with its profile counts, and the direct
-    sum of its summands' string normal forms, in ``clustertube.grassmann``.
+    cover and its kernel, the module's part of a memo key (``_content``) and
+    whether it is locally free here; the string normal form with its profile
+    counts, the profile counts of the whole module, the direct sum of its
+    summands' string normal forms, and the integral arrow matrices and the
+    subspaces the point count reads, in ``clustertube.grassmann``.
     """
 
-    __slots__ = ("algebra", "dims", "mats", "provenance", "vtags",
-                 "_cover", "_syzygy", "_key", "_strings", "_canonical")
+    __slots__ = ("algebra", "dims", "mats", "provenance",
+                 "_cover", "_syzygy", "_key", "_free", "_strings", "_profiles",
+                 "_canonical", "_points")
 
     def __init__(
         self,
@@ -65,7 +69,6 @@ class AModule:
         dims: Sequence[int],
         mats: Sequence[ExactMatrix],
         provenance: Optional[Tuple[Indec, ...]] = None,
-        vtags: Optional[Tuple[Tuple[int, ...], ...]] = None,
         check: bool = True,
     ):
         self.algebra = algebra
@@ -81,12 +84,14 @@ class AModule:
                 raise DomainError(f"arrow matrix shape mismatch at {a.src}->{a.tgt}")
         self.mats = mats
         self.provenance = provenance
-        self.vtags = vtags
         self._cover = None
         self._syzygy = None
         self._key = None
+        self._free = None
         self._strings = None
+        self._profiles = None
         self._canonical = None
+        self._points = None
         if check:
             self._check_relations()
 
@@ -205,45 +210,22 @@ def zero_module(algebra: FinDimAlgebra) -> AModule:
         [0] * algebra.n,
         [ExactMatrix.zero(0, 0) for _ in algebra.arrows],
         provenance=(),
-        vtags=tuple(() for _ in range(algebra.n)),
         check=False,
     )
 
 
 def direct_sum(modules: Sequence[AModule]) -> AModule:
-    """Block-diagonal direct sum; provenance concatenates, and each tag is
-    shifted past the summands of the modules before its own."""
+    """Block-diagonal direct sum; provenance concatenates."""
     modules = list(modules)
     if not modules:
         raise DomainError("empty direct sum needs an algebra; use zero_module")
     alg = modules[0].algebra
     dims = [sum(m.dims[v] for m in modules) for v in range(alg.n)]
-    mats = []
-    for a in alg.arrows:
-        rows: List[list] = [[0] * dims[a.tgt - 1] for _ in range(dims[a.src - 1])]
-        roff = 0
-        coff = 0
-        for m in modules:
-            block = m.mats[a.idx]
-            for i in range(block.nrows):
-                for j in range(block.ncols):
-                    rows[roff + i][coff + j] = block.rows[i][j]
-            roff += m.dims[a.src - 1]
-            coff += m.dims[a.tgt - 1]
-        mats.append(ExactMatrix(rows, ncols=dims[a.tgt - 1]))
+    mats = [block_diagonal([m.mats[a.idx] for m in modules]) for a in alg.arrows]
     prov = None
     if all(m.provenance is not None for m in modules):
         prov = tuple(x for m in modules for x in m.provenance)
-    vtags = None
-    if prov is not None and all(m.vtags is not None for m in modules):
-        offsets = [0]
-        for m in modules:
-            offsets.append(offsets[-1] + len(m.provenance))
-        vtags = tuple(
-            tuple(off + s for off, m in zip(offsets, modules) for s in m.vtags[v])
-            for v in range(alg.n)
-        )
-    return AModule(alg, dims, mats, provenance=prov, vtags=vtags, check=False)
+    return AModule(alg, dims, mats, provenance=prov, check=False)
 
 
 # -- the module memo -------------------------------------------------------------
@@ -326,89 +308,74 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
 
     The vertex-i space carries the ordered basis of Hom(T_i, X), tube
     stratum before shift stratum within each summand of X; arrows act by
-    precomposition with the chosen irreducible morphisms.
+    precomposition with the chosen irreducible morphisms, read from the
+    tube's table of structure constants.  The image of a sum of several
+    summands is the direct sum of their images.
 
     The result is memoised on ``algebra`` by the summand tuple of X, so
     equal inputs (``x``, ``(x,)`` or ``(a, b)``) return the same shared
     module for as long as the algebra lives; callers must not mutate it.
+    An image is stored only after its summands passed the domain check, so
+    the check runs on a miss only.
     """
     tube = algebra.tube
-    t = algebra.t
     summands = _normalize_object(tube, x)
-    for s in summands:
-        if not in_pr_T(t, s):
-            raise DomainError(f"{s} is not finitely presented by {t}")
     cached = algebra._module_cache.get(summands)
     if cached is not None:
         return cached
-    n = algebra.n
-    bases: List[List[CHom]] = []
-    vtags: List[Tuple[int, ...]] = []
-    for i in range(n):
-        basis_i: List[CHom] = []
-        tags_i: List[int] = []
-        for s_idx, s in enumerate(summands):
-            homs = hom_c_basis(tube, t.summands[i], s)
-            basis_i.extend(homs)
-            tags_i.extend([s_idx] * len(homs))
-        bases.append(basis_i)
-        vtags.append(tuple(tags_i))
-    dims = [len(b) for b in bases]
-    mats = []
-    for a in algebra.arrows:
-        i, j = a.src - 1, a.tgt - 1
-        cols = []
-        for pos_j, m in enumerate(bases[j]):
-            comp = m.compose(a.rep)  # T_i -> X_s
-            target_summand = vtags[j][pos_j]
-            coords = chom_coords(tube, comp)
-            # scatter into the vertex-i coordinates: the block of this summand
-            col = [0] * dims[i]
-            pos = 0
-            for r, ts in enumerate(vtags[i]):
-                if ts == target_summand:
-                    col[r] = coords[pos]
-                    pos += 1
-            if pos != len(coords):
-                raise ConsistencyError("block scatter mismatch in apply_F")
-            cols.append(tuple(col))
-        mats.append(ExactMatrix.from_columns(cols, dims[i]))
-    module = AModule(
-        algebra, dims, mats, provenance=summands, vtags=tuple(vtags)
-    )
+    if not summands:
+        module = zero_module(algebra)
+    elif len(summands) > 1:
+        module = direct_sum([apply_F(algebra, s) for s in summands])
+    else:
+        (s,) = summands
+        t = algebra.t
+        if not in_pr_T(t, s):
+            raise DomainError(f"{s} is not finitely presented by {t}")
+        dims = [len(hom_c_basis(tube, ti, s)) for ti in t.summands]
+        mats = []
+        for a in algebra.arrows:
+            i, j = a.src - 1, a.tgt - 1
+            # column m: the coordinates of m o a in Hom(T_i, s)
+            local = a.pos - algebra.block_offset[(i, j)]
+            ti, tj = t.summands[i], t.summands[j]
+            mats.append(ExactMatrix.from_columns(
+                [basis_product(tube, ti, tj, s, m, local) for m in range(dims[j])], dims[i]))
+        module = AModule(algebra, dims, mats, provenance=summands)
     algebra._module_cache[summands] = module
     return module
 
 
 def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
           tgt: Optional[AModule] = None) -> ModMap:
-    """The induced map Hom(T, src) -> Hom(T, tgt) of a tube morphism."""
+    """The induced map Hom(T, src) -> Hom(T, tgt) of a tube morphism.
+
+    Each block g_st: X_s -> Y_t is taken in coordinates once; its image of
+    a basis morphism h: T_i -> X_s is the sum of the structure constants
+    (u o h) weighted by those coordinates, as composition is bilinear."""
     tube = algebra.tube
     src = src if src is not None else apply_F(algebra, g.src)
     tgt = tgt if tgt is not None else apply_F(algebra, g.tgt)
     if src.provenance != g.src or tgt.provenance != g.tgt:
         raise DomainError("module provenance does not match the morphism")
+    blocks = {(s_idx, t_idx): chom_coords(tube, g.block(s_idx, t_idx))
+              for s_idx in range(len(g.src)) for t_idx in range(len(g.tgt))}
     mats = []
-    for i in range(algebra.n):
-        ti = algebra.t.summands[i]
+    for i, ti in enumerate(algebra.t.summands):
+        heights = [len(hom_c_basis(tube, ti, y)) for y in g.tgt]
         cols = []
-        src_basis = []
-        for s_idx, s in enumerate(g.src):
-            for h in hom_c_basis(tube, ti, s):
-                src_basis.append((s_idx, h))
-        for s_idx, h in src_basis:
-            # embed h as a morphism into the full sum, compose, then split
-            col = [0] * tgt.dims[i]
-            for t_idx, y in enumerate(g.tgt):
-                block = g.block(s_idx, t_idx)
-                comp = block.compose(h)
-                coords = chom_coords(tube, comp)
-                pos = 0
-                for r, ts in enumerate(tgt.vtags[i]):
-                    if ts == t_idx:
-                        col[r] += coords[pos]
-                        pos += 1
-            cols.append(tuple(col))
+        for s_idx, x in enumerate(g.src):
+            for h in range(len(hom_c_basis(tube, ti, x))):
+                col = []
+                for t_idx, y in enumerate(g.tgt):
+                    part = [0] * heights[t_idx]
+                    for u, c in enumerate(blocks[s_idx, t_idx]):
+                        if c:
+                            for r, p in enumerate(basis_product(tube, ti, x, y, u, h)):
+                                if p:
+                                    part[r] += c * p
+                    col += part
+                cols.append(col)
         mats.append(ExactMatrix.from_columns(cols, tgt.dims[i]))
     return ModMap(src, tgt, mats)
 
@@ -447,7 +414,9 @@ def hom_A_basis(m: AModule, n_mod: AModule) -> List[ModMap]:
 
 
 def hom_A_dim(m: AModule, n_mod: AModule) -> int:
-    return len(hom_A_basis(m, n_mod))
+    """dim Hom(M, N), by one rank of the equations ``hom_A_basis`` solves."""
+    arrows = [(a.tgt - 1, a.src - 1, m.mats[a.idx], n_mod.mats[a.idx]) for a in m.algebra.arrows]
+    return intertwiner_dim(m.dims, n_mod.dims, arrows)
 
 
 def radical_dims(m: AModule) -> List[List[tuple]]:
@@ -662,13 +631,14 @@ def loop_vertex(algebra: FinDimAlgebra) -> int:
 
 
 def is_locally_free(m: AModule) -> bool:
-    """Free over the local algebra at the loop vertex (elsewhere automatic)."""
-    lv = loop_vertex(m.algebra) - 1
-    loop = m.algebra.loop_arrow()
-    d = m.dims[lv]
-    if d % 2:
-        return False
-    return mat_rank(m.mats[loop.idx]) == d // 2
+    """Free over the local algebra at the loop vertex (elsewhere automatic).
+
+    Decided once and kept on the module."""
+    if m._free is None:
+        loop = m.algebra.loop_arrow()
+        d = m.dims[loop.src - 1]
+        m._free = d % 2 == 0 and mat_rank(m.mats[loop.idx]) == d // 2
+    return m._free
 
 
 def rank_vector(m: AModule) -> tuple:
@@ -796,12 +766,37 @@ def i_vector(m: AModule) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _sigma_summand_index(algebra: FinDimAlgebra, x: Indec) -> Optional[int]:
-    tube = algebra.tube
-    for i, s in enumerate(algebra.t.summands):
-        if tube.tau(s) == x:
-            return i
-    return None
+def _sigma_summand_index(algebra: FinDimAlgebra) -> Dict[Indec, int]:
+    """The position i of each shifted summand tau T_i of T, found once and
+    kept on the algebra."""
+    if algebra._sigma_index is None:
+        tube = algebra.tube
+        algebra._sigma_index = {tube.tau(s): i for i, s in enumerate(algebra.t.summands)}
+    return algebra._sigma_index
+
+
+def _summed(algebra: FinDimAlgebra, name: str, x, vector: Callable[[Indec], tuple]) -> tuple:
+    """The sum over the summands s of X of ``vector(s)``, where a shifted
+    summand tau T_i counts -e_i instead.
+
+    Kept on the algebra under ``name`` and the summand tuple of X, and only
+    once every summand's vector was computed, so ``vector`` (and the domain
+    check it runs) sees a summand tuple once per algebra and no failure is
+    ever stored."""
+    summands = _normalize_object(algebra.tube, x)
+    key = (name, summands)
+    total = algebra._vectors.get(key)
+    if total is None:
+        sigma = _sigma_summand_index(algebra)
+        acc = [0] * algebra.n
+        for s in summands:
+            idx = sigma.get(s)
+            if idx is not None:
+                acc[idx] -= 1
+            else:
+                acc = [a + b for a, b in zip(acc, vector(s))]
+        total = algebra._vectors[key] = tuple(acc)
+    return total
 
 
 def _coindex_vector(algebra: FinDimAlgebra, s: Indec, mod: AModule) -> tuple:
@@ -825,43 +820,34 @@ def coindex(algebra: FinDimAlgebra, x) -> tuple:
 
     The vector of each indecomposable summand is kept in the tube's module
     memo under its functor image, and only after the two routes agreed;
-    the domain check runs on every call.
+    the domain check runs once per summand tuple and algebra (``_summed``).
     """
-    summands = _normalize_object(algebra.tube, x)
-    n = algebra.n
-    total = [0] * n
-    for s in summands:
-        idx = _sigma_summand_index(algebra, s)
-        if idx is not None:
-            total[idx] -= 1
-            continue
-        if not (in_pr_T(algebra.t, s) and in_pr_sigma_T(algebra.t, s)):
+    t = algebra.t
+
+    def vector(s: Indec) -> tuple:
+        if not (in_pr_T(t, s) and in_pr_sigma_T(t, s)):
             raise DomainError(f"{s} is outside the coindex domain")
         mod = apply_F(algebra, s)
-        vec = _memoised(algebra, ("coindex", _injectives_class(algebra), _content(mod)),
-                        lambda: _coindex_vector(algebra, s, mod))
-        total = [a + b for a, b in zip(total, vec)]
-    return tuple(total)
+        return _memoised(algebra, ("coindex", _injectives_class(algebra), _content(mod)),
+                         lambda: _coindex_vector(algebra, s, mod))
+
+    return _summed(algebra, "coindex", x, vector)
 
 
 def index(algebra: FinDimAlgebra, x) -> tuple:
     """Index of a tube object, via the truncated Euler form.
 
     The vector of each indecomposable summand is kept in the tube's module
-    memo under its functor image; the domain check runs on every call.
+    memo under its functor image; the domain check runs once per summand
+    tuple and algebra (``_summed``).
     """
-    summands = _normalize_object(algebra.tube, x)
     n = algebra.n
-    total = [0] * n
-    for s in summands:
-        idx = _sigma_summand_index(algebra, s)
-        if idx is not None:
-            total[idx] -= 1
-            continue
+
+    def vector(s: Indec) -> tuple:
         if not in_pr_T(algebra.t, s):
             raise DomainError(f"{s} is outside the index domain")
         mod = apply_F(algebra, s)
-        vec = _memoised(algebra, ("index", _content(mod)), lambda: tuple(
+        return _memoised(algebra, ("index", _content(mod)), lambda: tuple(
             euler_leq1(mod, simple(algebra, i + 1)) for i in range(n)))
-        total = [a + b for a, b in zip(total, vec)]
-    return tuple(total)
+
+    return _summed(algebra, "index", x, vector)

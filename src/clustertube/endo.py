@@ -1,8 +1,9 @@
 """Endomorphism algebras of maximal rigid objects and their Gabriel quivers.
 
 The algebra is stored concretely: an ordered basis of cluster-tube
-morphisms between the summands, a structure-constant table obtained by
-composing them, and a chosen set of radical generators (the arrows).  The
+morphisms between the summands, a structure-constant table read from the
+tube's table of products of basis morphisms (``tube.basis_product``), and a
+chosen set of radical generators (the arrows).  The
 quiver-shape conditions satisfied by these algebras, together with the
 defining relations (square of the loop, length-two paths inside oriented
 three-cycles), are validated rather than assumed.
@@ -17,18 +18,21 @@ from .tube import (
     ConsistencyError,
     MaximalRigid,
     Tube,
+    basis_product,
     chom_coords,
     hom_c_basis,
 )
 
 
 class Arrow(NamedTuple):
-    """A chosen irreducible morphism T_src -> T_tgt (vertices 1-based)."""
+    """A chosen irreducible morphism T_src -> T_tgt (vertices 1-based): the
+    basis element ``rep`` at position ``pos`` of the algebra's basis."""
 
     idx: int
     src: int
     tgt: int
     rep: CHom
+    pos: int
 
     @property
     def is_loop(self) -> bool:
@@ -93,6 +97,7 @@ class FinDimAlgebra:
             ident = CHom.identity(self.tube, (t.summands[i],))
             self._identity_coords[i] = chom_coords(self.tube, ident)
         self.arrows: List[Arrow] = []
+        self._loop: Optional[Arrow] = None
         self._rad2_span: Dict[Tuple[int, int], list] = {}
         self._choose_arrows()
         # the arrows never change, so the relations are found once
@@ -105,10 +110,14 @@ class FinDimAlgebra:
         self._build_paths()
         # What the module layer (clustertube.amod) keeps on this algebra, for
         # as long as it lives: functor images Hom(T, X) by summand tuple of
-        # X, the socle data of the injectives, the simples by vertex, and the
-        # numbers of this algebra's content and of its injectives' content in
-        # the tube's module memo.
+        # X, index and coindex vectors by name and summand tuple of X, the
+        # positions of the shifted summands tau T_i, the socle data of the
+        # injectives, the simples by vertex, and the numbers of this
+        # algebra's content and of its injectives' content in the tube's
+        # module memo.
         self._module_cache: Dict[tuple, object] = {}
+        self._vectors: Dict[tuple, tuple] = {}
+        self._sigma_index: Optional[dict] = None
         self._socle_data: Optional[list] = None
         self._simples: Dict[int, object] = {}
         self._memo_class: Optional[int] = None
@@ -117,32 +126,42 @@ class FinDimAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def _build_mult_table(self):
-        t = self.t
-        for u, (i, j, f) in enumerate(self.basis):
-            for v, (k, l, g) in enumerate(self.basis):
-                if l != i:
-                    continue
-                # product f . g = f o g : T_k -> T_j
-                prod = f.compose(g)
-                coords = chom_coords(self.tube, prod)
-                self.mult[(u, v)] = coords
+        """mult[(u, v)] = coordinates of f o g, for basis elements f at u and
+        g at v, read from the tube's table of structure constants."""
+        s = self.t.summands
+        for (i, j), off_u in self.block_offset.items():
+            for a in range(self.block_dim[(i, j)]):
+                for k in range(self.n):
+                    # f . g = f o g : T_k -> T_i -> T_j
+                    off_v = self.block_offset[(k, i)]
+                    for b in range(self.block_dim[(k, i)]):
+                        self.mult[(off_u + a, off_v + b)] = basis_product(
+                            self.tube, s[k], s[i], s[j], a, b)
 
     def verify_associativity(self):
-        """(f o g) o h = f o (g o h) on all composable basis triples."""
+        """The table holds f o g for every composable basis pair, and
+        (f o g) o h = f o (g o h) on all composable basis triples: both by
+        composing the morphisms themselves, so the tube's table of structure
+        constants is checked, not read.  Each pair is composed once."""
+        composed = {}
         for u, (i, j, f) in enumerate(self.basis):
             for v, (k, l, g) in enumerate(self.basis):
-                if l != i:
+                if l == i:
+                    fg = composed[(u, v)] = f.compose(g)
+                    if chom_coords(self.tube, fg) != self.mult[(u, v)]:
+                        raise ConsistencyError(f"multiplication table is wrong on basis pair {u},{v}")
+        for (u, v), fg in composed.items():
+            f = self.basis[u][2]
+            k = self.basis[v][0]
+            for w, (r, s, h) in enumerate(self.basis):
+                if s != k:
                     continue
-                fg = f.compose(g)
-                for w, (r, s, h) in enumerate(self.basis):
-                    if s != k:
-                        continue
-                    left = fg.compose(h)
-                    right = f.compose(g.compose(h))
-                    if chom_coords(self.tube, left) != chom_coords(self.tube, right):
-                        raise ConsistencyError(
-                            f"associativity fails on basis triple {u},{v},{w}"
-                        )
+                left = fg.compose(h)
+                right = f.compose(composed[(v, w)])
+                if chom_coords(self.tube, left) != chom_coords(self.tube, right):
+                    raise ConsistencyError(
+                        f"associativity fails on basis triple {u},{v},{w}"
+                    )
 
     # -- radical and arrows ----------------------------------------------------
 
@@ -179,16 +198,20 @@ class FinDimAlgebra:
                 off = self.block_offset[(i, j)]
                 local = [u - off for u in self.radical_indices(i, j)]
                 for k in independent_units(self._rad_square_span(i, j), local, self.block_dim[(i, j)]):
-                    self.arrows.append(Arrow(len(self.arrows), i + 1, j + 1, self.basis[off + k][2]))
+                    self.arrows.append(
+                        Arrow(len(self.arrows), i + 1, j + 1, self.basis[off + k][2], off + k))
 
     def quiver(self) -> Quiver:
         return Quiver(self.n, [(a.src, a.tgt) for a in self.arrows])
 
     def loop_arrow(self) -> Arrow:
-        loops = [a for a in self.arrows if a.is_loop]
-        if len(loops) != 1:
-            raise ConsistencyError(f"expected a unique loop, found {len(loops)}")
-        return loops[0]
+        """The unique loop, found once; without one every call raises."""
+        if self._loop is None:
+            loops = [a for a in self.arrows if a.is_loop]
+            if len(loops) != 1:
+                raise ConsistencyError(f"expected a unique loop, found {len(loops)}")
+            self._loop = loops[0]
+        return self._loop
 
     # -- relations -------------------------------------------------------------
 
@@ -224,8 +247,7 @@ class FinDimAlgebra:
     def verify_relations(self):
         """Square of the loop and all length-two paths in three-cycles vanish."""
         for first, second in self.relation_pairs():
-            prod = second.rep.compose(first.rep)
-            if not prod.is_zero():
+            if any(self.mult[(second.pos, first.pos)]):
                 raise ConsistencyError(
                     f"relation fails: path {first.src}->{first.tgt}->{second.tgt}"
                 )
@@ -240,26 +262,33 @@ class FinDimAlgebra:
         whole algebra because the arrows generate the radical.
         """
         paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
-        frontier: List[Tuple[tuple, int, int, CHom]] = []
+        frontier: List[Tuple[tuple, int, int, tuple]] = []
         for a in self.arrows:
-            coords = chom_coords(self.tube, a.rep)
+            coords = self._unit(a.src - 1, a.tgt - 1, a.pos)
             paths.setdefault((a.src - 1, a.tgt - 1), []).append(((a.idx,), coords))
-            frontier.append(((a.idx,), a.src - 1, a.tgt - 1, a.rep))
+            frontier.append(((a.idx,), a.src - 1, a.tgt - 1, coords))
         max_len = self.dim + 1
         length = 1
         while frontier and length < max_len:
             new_frontier = []
             for path, i, j, val in frontier:
+                off = self.block_offset[(i, j)]
                 for a in self.arrows:
                     if a.src - 1 != j:
                         continue
-                    nval = a.rep.compose(val)
-                    if nval.is_zero():
+                    # a o val, by the structure constants
+                    coords = [0] * self.block_dim[(i, a.tgt - 1)]
+                    for b, c in enumerate(val):
+                        if c:
+                            for r, x in enumerate(self.mult[(a.pos, off + b)]):
+                                if x:
+                                    coords[r] += c * x
+                    if not any(coords):
                         continue
-                    coords = chom_coords(self.tube, nval)
+                    coords = tuple(coords)
                     npath = path + (a.idx,)
                     paths.setdefault((i, a.tgt - 1), []).append((npath, coords))
-                    new_frontier.append((npath, i, a.tgt - 1, nval))
+                    new_frontier.append((npath, i, a.tgt - 1, coords))
             frontier = new_frontier
             length += 1
         # sanity: identity + paths span the algebra blockwise
@@ -285,6 +314,11 @@ class FinDimAlgebra:
         solver for coordinates in their span."""
         return self._path_span[(i, j)]
 
+    def _unit(self, i: int, j: int, pos: int) -> tuple:
+        """The coordinates in Hom(T_i, T_j) of the basis element at ``pos``."""
+        off = self.block_offset[(i, j)]
+        return tuple(int(off + k == pos) for k in range(self.block_dim[(i, j)]))
+
     def identity_coords(self, i: int) -> tuple:
         return self._identity_coords[i]
 
@@ -297,7 +331,7 @@ class FinDimAlgebra:
             self.dim,
             tuple(self.block_dim.items()),
             tuple(self.mult.items()),
-            tuple((a.src, a.tgt, chom_coords(self.tube, a.rep)) for a in self.arrows),
+            tuple((a.src, a.tgt, self._unit(a.src - 1, a.tgt - 1, a.pos)) for a in self.arrows),
             tuple(self._identity_coords.items()),
             tuple((block, tuple(labels), self._path_vectors[block])
                   for block, (labels, _) in self._path_span.items()),

@@ -9,7 +9,7 @@ routes must agree wherever both run.
 """
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import FinDimAlgebra
@@ -123,11 +123,15 @@ def _convolve(a: Dict[RankVec, int], b: Dict[RankVec, int]) -> Dict[RankVec, int
 
 
 def _profile_counts(m: AModule) -> Dict[RankVec, int]:
-    alg = m.algebra
-    total: Dict[RankVec, int] = {(0,) * alg.n: 1}
-    for piece in _indec_summands(m):
-        total = _convolve(total, _string_data(piece)[1])
-    return total
+    """The profile counts of m: the convolution of its indecomposable
+    summands' counts, computed once and kept on m; callers must not mutate
+    them."""
+    if m._profiles is None:
+        total: Dict[RankVec, int] = {(0,) * m.algebra.n: 1}
+        for piece in _indec_summands(m):
+            total = _convolve(total, _string_data(piece)[1])
+        m._profiles = total
+    return m._profiles
 
 
 def chi_lf(m: AModule, e: Sequence[int]) -> int:
@@ -230,8 +234,6 @@ def _subspaces(dim: int, ambient: int, p: int) -> Iterable[List[List[int]]]:
         return
     if dim > ambient:
         return
-    from itertools import combinations
-
     for pivots in combinations(range(ambient), dim):
         # free RREF entries: non-pivot columns to the right of each pivot
         free_positions = []
@@ -263,48 +265,76 @@ def _in_rowspace(rows: List[List[int]], vec: List[int], p: int) -> bool:
     return not any(x % p for x in vec)
 
 
+def _point_data(m: AModule) -> Tuple[tuple, dict]:
+    """The rows of each arrow matrix of m, checked once to be integral, and
+    a dict for what the point count enumerates on m, both kept on m; a
+    module with a non-integral entry keeps nothing."""
+    if m._points is None:
+        # entries are in normal form: an int exactly when integral
+        if any(type(x) is not int for mat in m.mats for row in mat.rows for x in row):
+            raise OracleError("oracle needs an integral normal form")
+        m._points = (tuple(mat.rows for mat in m.mats), {})
+    return m._points
+
+
 def _count_points(m: AModule, ehat: RankVec, e_loop: int, p: int) -> int:
     """Number of F_p-points: arrow-stable subspace tuples of dimension ehat
-    whose loop-vertex part is free over F_p[x]/(x^2)."""
+    whose loop-vertex part is free over F_p[x]/(x^2).
+
+    The tuples are chosen one vertex at a time, and each arrow between
+    vertices already chosen is checked as soon as both its ends are.  The
+    subspaces of each vertex, the loop's rank on each subspace and the
+    images of each subspace's basis under each arrow are computed once per
+    module, dimension and prime (``_point_data``)."""
     alg = m.algebra
     lv = loop_vertex(alg) - 1
     loop = alg.loop_arrow()
-    mats = {
-        a.idx: [[int(x) for x in row] for row in m.mats[a.idx].rows]
-        for a in alg.arrows
-    }
-    for a in alg.arrows:
-        for row in m.mats[a.idx].rows:
-            for x in row:
-                if x.denominator != 1:
-                    raise OracleError("oracle needs an integral normal form")
-    spaces = [list(_subspaces(ehat[v], m.dims[v], p)) for v in range(alg.n)]
-    count = 0
-    for choice in product(*spaces):
-        ok = True
-        for a in alg.arrows:
-            i, j = a.src - 1, a.tgt - 1
-            mat = mats[a.idx]
-            for w in choice[j]:
-                img = [sum(mat[r][c] * w[c] for c in range(m.dims[j])) % p for r in range(m.dims[i])]
-                if not _in_rowspace(choice[i], img, p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        # loop-vertex freeness: the loop action on the subspace has rank e_loop
-        basis = choice[lv]
-        mat = mats[loop.idx]
-        images = [
-            [sum(mat[r][c] * w[c] for c in range(m.dims[lv])) % p for r in range(m.dims[lv])]
-            for w in basis
-        ]
-        if _mod_rank(images, p) != e_loop:
-            continue
-        count += 1
-    return count
+    mats, known = _point_data(m)
+
+    def image(mat, w):
+        return [sum(x * y for x, y in zip(row, w)) % p for row in mat]
+
+    def subspaces(v: int) -> list:
+        key = ("subspaces", v, ehat[v], p)
+        if key not in known:
+            known[key] = list(_subspaces(ehat[v], m.dims[v], p))
+        return known[key]
+
+    def images(a, s: int) -> list:
+        # the images of the basis of subspace s at a's target
+        j = a.tgt - 1
+        key = ("images", a.idx, ehat[j], p, s)
+        if key not in known:
+            known[key] = [image(mats[a.idx], w) for w in subspaces(j)[s]]
+        return known[key]
+
+    spaces = [subspaces(v) for v in range(alg.n)]
+    # loop-vertex freeness: the loop action on the subspace has rank e_loop
+    key = ("loop ranks", ehat[lv], p)
+    if key not in known:
+        known[key] = [_mod_rank(images(loop, s), p) for s in range(len(spaces[lv]))]
+    choices = [range(len(spaces[v])) for v in range(alg.n)]
+    choices[lv] = [s for s, r in enumerate(known[key]) if r == e_loop]
+    # the arrows to check once vertex v is chosen: those whose later end is v
+    closing = [[a for a in alg.arrows if max(a.src, a.tgt) - 1 == v] for v in range(alg.n)]
+
+    def stable(a, choice) -> bool:
+        rows = spaces[a.src - 1][choice[a.src - 1]]
+        return all(_in_rowspace(rows, img, p) for img in images(a, choice[a.tgt - 1]))
+
+    def extend(choice: List[int]) -> int:
+        v = len(choice)
+        if v == alg.n:
+            return 1
+        count = 0
+        for s in choices[v]:
+            choice.append(s)
+            if all(stable(a, choice) for a in closing[v]):
+                count += extend(choice)
+            choice.pop()
+        return count
+
+    return extend([])
 
 
 def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]] = None) -> int:

@@ -100,7 +100,9 @@ class ExactMatrix:
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        if not (self.nrows and self.ncols and other.ncols):
+            return ExactMatrix.zero(self.nrows, other.ncols)
+        cols = tuple(zip(*other.rows))
         return ExactMatrix._trusted(
             tuple(tuple(_dot(r, c) for c in cols) for r in self.rows), other.ncols
         )
@@ -240,7 +242,16 @@ def rref(m: ExactMatrix) -> RrefResult:
 
 
 def rank(m: ExactMatrix) -> int:
-    return rref(m).rank
+    """The rank of m, by forward elimination only: each row is reduced by
+    the independent rows before it, as ``SpanSolver.insert`` does."""
+    echelon: List[Tuple[int, list]] = []
+    for row in m.rows:
+        v = list(row)
+        _reduce(v, echelon)
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:
+            echelon.append((pc, _echelon_row(v, pc)))
+    return len(echelon)
 
 
 def kernel_basis(m: ExactMatrix) -> list:
@@ -360,23 +371,19 @@ def unflatten_blocks(flat: Sequence, shapes: Iterable[Tuple[int, int]]) -> tuple
     return tuple(blocks)
 
 
-def intertwiner_basis(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) -> list:
-    """Basis of the families of maps phi_v: k^src_dims[v] -> k^tgt_dims[v]
-    with phi_t A = B phi_s for every arrow ``(s, t, A, B)``.
-
-    ``A`` maps the source space at s to the one at t, ``B`` does the same for
-    the target spaces.  Each basis element is a tuple of matrices, one per
-    vertex; the basis is the kernel basis of the stacked equations.
-    """
+def _intertwiner_equations(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows):
+    """The stacked equations phi_t A = B phi_s of ``intertwiner_basis``: the
+    (rows, cols) shape of each phi_v, the number of unknowns and the nonzero
+    equation rows."""
     shapes = list(zip(tgt_dims, src_dims))
     offsets = []
     total = 0
     for r, c in shapes:
         offsets.append(total)
         total += r * c
-    if total == 0:
-        return []
     rows = []
+    if total == 0:
+        return shapes, total, rows
     for s, t, a, b in arrows:
         # one equation per entry (r, c) of the two composites src_s -> tgt_t
         for r in range(tgt_dims[t]):
@@ -394,11 +401,44 @@ def intertwiner_basis(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) 
                         row[j] = _normal(row[j] - x)
                 if any(row):
                     rows.append(tuple(row))
+    return shapes, total, rows
+
+
+def intertwiner_basis(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) -> list:
+    """Basis of the families of maps phi_v: k^src_dims[v] -> k^tgt_dims[v]
+    with phi_t A = B phi_s for every arrow ``(s, t, A, B)``.
+
+    ``A`` maps the source space at s to the one at t, ``B`` does the same for
+    the target spaces.  Each basis element is a tuple of matrices, one per
+    vertex; the basis is the kernel basis of the stacked equations.
+    """
+    shapes, total, rows = _intertwiner_equations(src_dims, tgt_dims, arrows)
+    if total == 0:
+        return []
     if rows:
         kernel = kernel_basis(ExactMatrix._trusted(tuple(rows), total))
     else:
         kernel = _unit_rows(total)
     return [unflatten_blocks(vec, shapes) for vec in kernel]
+
+
+def intertwiner_dim(src_dims: Sequence[int], tgt_dims: Sequence[int], arrows) -> int:
+    """The dimension of the space ``intertwiner_basis`` spans, by one rank
+    of its equations, without building the basis."""
+    _, total, rows = _intertwiner_equations(src_dims, tgt_dims, arrows)
+    return total - rank(ExactMatrix._trusted(tuple(rows), total)) if rows else total
+
+
+def block_diagonal(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
+    """The block-diagonal matrix with the given blocks, in order."""
+    ncols = sum(b.ncols for b in blocks)
+    rows = []
+    left = 0
+    for b in blocks:
+        before, after = (0,) * left, (0,) * (ncols - left - b.ncols)
+        rows.extend(before + row + after for row in b.rows)
+        left += b.ncols
+    return ExactMatrix._trusted(tuple(rows), ncols)
 
 
 class QuotientSpace:

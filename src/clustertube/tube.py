@@ -18,13 +18,13 @@ skew-symmetrizable matrix.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     ExactMatrix,
     QuotientSpace,
     SpanSolver,
+    _frac,
     flatten_blocks,
     independent_units,
     intertwiner_basis,
@@ -124,6 +124,9 @@ class Tube:
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
         # the cluster-tube basis of Hom(x, y) as returned by hom_c_basis
         self._hom_c_cache: Dict[Tuple[Indec, Indec], List["CHom"]] = {}
+        # the structure constants of the cluster tube, as basis_product
+        # returns them, filled on first request
+        self._product_cache: Dict[Tuple[Indec, Indec, Indec, int, int], tuple] = {}
         # the flattened Hom basis, reduced once for hom_coords
         self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
@@ -147,7 +150,7 @@ class Tube:
         return Indec(self.norm_pos(a), b)
 
     def tau(self, x: Indec, k: int = 1) -> Indec:
-        return self.indec(x.a - k, x.b)
+        return Indec((x.a - k - 1) % self.p + 1, x.b)
 
     def indec_dims(self, x: Indec) -> tuple:
         cached = self._dims_cache.get(x)
@@ -337,23 +340,24 @@ class CHom:
             else:
                 d_raw[key] = list(flat)
 
+        # self's blocks by source, each list in key order
+        g_t: Dict[int, list] = {}
+        for (j, k), g_vm in sorted(self.t.items()):
+            g_t.setdefault(j, []).append((k, g_vm))
+        g_d: Dict[int, list] = {}
+        for (j, k), g_coords in sorted(self.d.items()):
+            g_d.setdefault(j, []).append((k, g_coords))
         for (i, j), f_vm in sorted(other.t.items()):
-            for (j2, k), g_vm in sorted(self.t.items()):
-                if j2 != j:
-                    continue
+            for k, g_vm in g_t.get(j, ()):
                 add_t(i, k, tube.compose_vmaps(g_vm, f_vm))
-            for (j2, k), g_coords in sorted(self.d.items()):
-                if j2 != j:
-                    continue
+            for k, g_coords in g_d.get(j, ()):
                 # shift-stratum after tube morphism: pull the class back
                 space = tube.dmor_space(other.src[i], self.tgt[k])
                 lifted = tube.dmor_space(self.src[j], self.tgt[k]).lift(g_coords)
                 pulled = tuple(psi.mul(f_vm[v]) for v, psi in enumerate(lifted))
                 add_d_flat(i, k, space.flatten(pulled))
         for (i, j), f_coords in sorted(other.d.items()):
-            for (j2, k), g_vm in sorted(self.t.items()):
-                if j2 != j:
-                    continue
+            for k, g_vm in g_t.get(j, ()):
                 # tube morphism after shift stratum: push the class forward
                 src_obj = other.src[i]
                 space_new = tube.dmor_space(src_obj, self.tgt[k])
@@ -407,15 +411,31 @@ def hom_c_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
 
 def chom_coords(tube: Tube, f: CHom) -> tuple:
     """Coordinates of a single-block morphism in the hom_c_basis ordering,
-    as ``Fraction``s."""
+    in normal form."""
     if len(f.src) != 1 or len(f.tgt) != 1:
         raise TubeError("coordinates are defined for single-block morphisms")
     x, y = f.src[0], f.tgt[0]
     t_vm = f.t.get((0, 0))
     t_coords = tube.hom_coords(x, y, t_vm) if t_vm is not None else (0,) * tube.hom_tube_dim(x, y)
-    space = tube.dmor_space(x, y)
-    d_coords = f.d.get((0, 0), (0,) * space.dim)
-    return tuple(map(Fraction, t_coords + tuple(d_coords)))
+    d_coords = f.d.get((0, 0))
+    if d_coords is None:
+        return t_coords + (0,) * tube.dmor_space(x, y).dim
+    return t_coords + tuple(map(_frac, d_coords))
+
+
+def basis_product(tube: Tube, x: Indec, y: Indec, z: Indec, i: int, j: int) -> tuple:
+    """The hom_c_basis(x, z) coordinates of u o v, for u the i-th element of
+    hom_c_basis(y, z) and v the j-th of hom_c_basis(x, y).
+
+    One structure constant of the cluster tube: composed once per tube and
+    kept, so every product of two basis morphisms is read from one table."""
+    key = (x, y, z, i, j)
+    coords = tube._product_cache.get(key)
+    if coords is None:
+        u = hom_c_basis(tube, y, z)[i]
+        v = hom_c_basis(tube, x, y)[j]
+        coords = tube._product_cache[key] = chom_coords(tube, u.compose(v))
+    return coords
 
 
 def chom_from_coords(tube: Tube, x: Indec, y: Indec, coords: Sequence) -> CHom:
@@ -619,15 +639,15 @@ class ExchangeData(NamedTuple):
     left_maps: Tuple[CHom, ...]
 
 
-def _radical_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
-    """Basis of the radical of Hom(x, y) inside add(T)."""
+def _radical_indices(tube: Tube, x: Indec, y: Indec) -> List[int]:
+    """Positions in hom_c_basis(x, y) of a basis of its radical inside add(T)."""
     basis = hom_c_basis(tube, x, y)
     if x != y:
-        return basis
+        return list(range(len(basis)))
     # For an indecomposable, the radical is spanned by the non-invertible
     # basis vectors; the tube stratum of End is the scalars, the shift
     # stratum is nilpotent.
-    return [f for f in basis if not f.t]
+    return [k for k, f in enumerate(basis) if not f.t]
 
 
 def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: str) -> ApproxResult:
@@ -654,12 +674,15 @@ def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: s
             continue
         radical_images = []
         for w in others:
-            through = homs(w)
+            through = range(len(homs(w)))
             if not through:
                 continue
-            for r in _radical_basis(tube, u, w) if right else _radical_basis(tube, w, u):
-                for h in through:
-                    radical_images.append(chom_coords(tube, h.compose(r) if right else r.compose(h)))
+            if right:  # h o r for r in rad(u, w), h: w -> z
+                radical_images += [basis_product(tube, u, w, z, h, r)
+                                   for r in _radical_indices(tube, u, w) for h in through]
+            else:  # r o h for r in rad(w, u), h: z -> w
+                radical_images += [basis_product(tube, z, w, u, r, h)
+                                   for r in _radical_indices(tube, w, u) for h in through]
         # deterministic greedy lift of a basis of Hom(u, z) or Hom(z, u)
         # modulo the radical part: keep the basis vectors whose classes are new
         for idx in independent_units(radical_images, range(len(basis)), len(basis)):

@@ -43,10 +43,12 @@ from clustertube.tube import (
     chom_from_coords,
     enumerate_maximal_rigid,
     in_pr_T,
+    mutate_rigid,
     tau_chom,
 )
-from clustertube.verify import tau_orbit_representatives
+from clustertube.verify import _irreducible_maps, _stack_chom, tau_orbit_representatives
 
+from amod_reference import arrow_matrices_by_composition, map_F_by_blocks
 from linalg_reference import coords_in_span
 
 
@@ -165,15 +167,14 @@ def test_direct_sum_bookkeeping(cyclic_algebra):
     )
 
 
-def test_direct_sum_tags_each_vector_with_its_own_summand(cyclic_algebra, tube3):
-    # a tag is the position of its vector's summand in the whole provenance,
-    # so map_F can place a morphism's blocks in a sum of sums
+def test_a_direct_sum_of_sums_is_the_image_of_the_whole_sum(cyclic_algebra, tube3):
+    # each vertex space of a sum is its summands' Hom bases in provenance
+    # order, so map_F can place a morphism's blocks in a sum of sums
     x, y, z = Indec(1, 1), Indec(1, 2), Indec(1, 3)
     whole = apply_F(cyclic_algebra, (x, y, z))
     for parts in (((x,), (y, z)), ((x, y), (z,))):
         s = direct_sum([apply_F(cyclic_algebra, part) for part in parts])
         assert s.provenance == whole.provenance == (x, y, z)
-        assert s.vtags == whole.vtags
         assert s.same_data(whole)
         ident = map_F(cyclic_algebra, CHom.identity(tube3, (x, y, z)), tgt=s)
         assert ident.commutes() and ident.is_injective() and ident.is_surjective()
@@ -527,3 +528,137 @@ def test_injective_copresentation_equals_the_per_socle_vector_reference(n):
                 t, m.provenance)
             compared += 1
     assert compared > len(ts)
+
+
+# -- functor images and maps from the table of structure constants -------------
+
+
+def test_functor_images_equal_the_composition_reference():
+    tube = Tube(3)
+    compared = 0
+    for t in enumerate_maximal_rigid(3, tube):
+        alg = build_endomorphism_algebra(t, check=False)
+        for x in all_rigid_indecs(tube):
+            if in_pr_T(t, x):
+                assert apply_F(alg, x).mats == arrow_matrices_by_composition(alg, x), (t, x)
+                compared += 1
+    assert compared > 100
+
+
+def _triangle_and_ar_maps(t, alg):
+    """Every exchange-triangle approximation of t and every AR map between
+    objects that t presents: the maps whose images ``verify`` reads."""
+    tube = t.tube
+    for k in range(1, tube.n + 1):
+        data = mutate_rigid(t, k)
+        if data.right_middle:
+            yield _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
+        if data.left_middle:
+            yield _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
+    for x in all_rigid_indecs(tube):
+        middle = [tube.indec(x.a - 1, x.b + 1)] + ([tube.indec(x.a, x.b - 1)] if x.b > 1 else [])
+        sigma_x = tube.tau(x)
+        if all(in_pr_T(t, y) for y in middle + [x, sigma_x]):
+            yield _stack_chom(tube, middle, _irreducible_maps(tube, x, middle, True), x, True)
+            yield _stack_chom(tube, middle, _irreducible_maps(tube, sigma_x, middle, False),
+                              sigma_x, False)
+
+
+def test_map_F_equals_the_per_block_reference_on_every_triangle_and_ar_map():
+    tube = Tube(3)
+    compared = 0
+    for t in enumerate_maximal_rigid(3, tube):
+        alg = build_endomorphism_algebra(t, check=False)
+        for g in _triangle_and_ar_maps(t, alg):
+            got, want = map_F(alg, g), map_F_by_blocks(alg, g)
+            assert got.src is want.src and got.tgt is want.tgt
+            assert got.mats == want.mats, (t, g.src, g.tgt)
+            compared += 1
+    assert compared > 200
+
+
+def test_map_F_of_a_translated_element_equals_the_per_block_reference(cyclic_algebra):
+    # the Nakayama blocks of tau_A: maps between injectives with
+    # shift-stratum components and non-unit coordinates
+    alg = cyclic_algebra
+    tube = alg.tube
+    compared = 0
+    for (u, v), dim in alg.block_dim.items():
+        for k in range(dim):
+            coords = tuple(2 if r == k else int(r < k) for r in range(dim))
+            elem = chom_from_coords(tube, alg.t.summands[u], alg.t.summands[v], coords)
+            g = tau_chom(tube, elem, 2)
+            assert map_F(alg, g).mats == map_F_by_blocks(alg, g).mats
+            compared += 1
+    assert compared == alg.dim
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_A_dim_is_the_length_of_the_basis(n):
+    tube = Tube(n)
+    compared = 0
+    for t in enumerate_maximal_rigid(n, tube)[:6]:
+        alg, images = _functor_images(t)
+        mods = images + [simple(alg, i + 1) for i in range(alg.n)]
+        for m in mods:
+            for m2 in mods:
+                assert hom_A_dim(m, m2) == len(hom_A_basis(m, m2))
+                compared += 1
+    assert compared > 100
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_functor_image_is_checked_once(monkeypatch):
+    alg = fresh_cyclic_algebra()
+    checks = _counting(monkeypatch, amod, "in_pr_T")
+    x, y = Indec(2, 2), Indec(1, 2)
+    m = apply_F(alg, x)
+    assert len(checks) == 1
+    assert apply_F(alg, (x,)) is m and apply_F(alg, (2, 2)) is m
+    assert len(checks) == 1
+    both = apply_F(alg, (x, y))
+    assert len(checks) == 2  # y only; the sum is the direct sum of the two images
+    assert both.same_data(direct_sum([m, apply_F(alg, y)]))
+    assert apply_F(alg, (x, y)) is both and len(checks) == 2
+
+
+def test_index_and_coindex_check_a_summand_tuple_once(monkeypatch):
+    alg = fresh_cyclic_algebra()
+    checks = _counting(monkeypatch, amod, "in_pr_T")
+    x = (Indec(2, 2), Indec(1, 2))
+    first = (index(alg, x), coindex(alg, x))
+    made = len(checks)
+    assert made > 0
+    assert (index(alg, x), coindex(alg, x)) == first
+    assert len(checks) == made
+
+
+def test_a_failed_index_or_coindex_is_never_kept():
+    alg = fresh_cyclic_algebra()
+    bad = (Indec(2, 2), Indec(4, 4))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            index(alg, bad)
+        with pytest.raises(DomainError):
+            coindex(alg, bad)
+    assert not [key for key in alg._vectors if key[1] == bad]
+
+
+def test_local_freeness_is_decided_once_per_module(monkeypatch):
+    alg = fresh_cyclic_algebra()
+    ranks = _counting(monkeypatch, amod, "mat_rank")
+    m = apply_F(alg, Indec(2, 2))
+    assert m.dims[0] % 2 == 0  # so the loop's rank decides
+    assert [is_locally_free(m) for _ in range(3)] == [True] * 3
+    assert len(ranks) == 1

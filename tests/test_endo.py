@@ -7,7 +7,13 @@ from clustertube.endo import (
     gabriel_quiver,
     validate_Qn,
 )
-from clustertube.tube import enumerate_maximal_rigid
+from clustertube.tube import (
+    ConsistencyError,
+    MaximalRigid,
+    Tube,
+    chom_coords,
+    enumerate_maximal_rigid,
+)
 from endo_reference import structure_checksum
 
 
@@ -165,3 +171,53 @@ def test_structure_checksum_is_stable(cyclic_t):
     a1 = build_endomorphism_algebra(cyclic_t, check=False)
     a2 = build_endomorphism_algebra(cyclic_t, check=False)
     assert structure_checksum(a1) == structure_checksum(a2)
+
+
+# -- products read from the tube's table of structure constants ----------------
+
+
+def _composite_coords(algebra, path):
+    """Coordinates of the composite of the arrows of ``path``, first arrow
+    first, by composing the morphisms themselves."""
+    value = algebra.arrows[path[0]].rep
+    for idx in path[1:]:
+        value = algebra.arrows[idx].rep.compose(value)
+    return chom_coords(algebra.tube, value)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relations_and_paths_read_from_the_table_equal_composites(n):
+    for t in enumerate_maximal_rigid(n):
+        algebra = build_endomorphism_algebra(t, check=False)
+        for first, second in algebra.relation_pairs():
+            assert algebra.mult[(second.pos, first.pos)] == _composite_coords(
+                algebra, (first.idx, second.idx))
+        for block, (labels, _) in algebra._path_span.items():
+            vectors = algebra._path_vectors[block]
+            for label, vec in zip(labels, vectors):
+                if label is not None:
+                    assert vec == _composite_coords(algebra, label)
+
+
+def test_a_forged_structure_constant_fails_associativity(cyclic_t):
+    # on a new tube, End(T) fills the table with its own products only; find
+    # a nonzero one, then build End(T) again on a tube whose table holds a
+    # wrong value for it
+    def on_new_tube():
+        return MaximalRigid(Tube(cyclic_t.tube.n), cyclic_t.summands)
+
+    clean = build_endomorphism_algebra(on_new_tube())
+    key, right = next((k, v) for k, v in clean.tube._product_cache.items() if any(v))
+    t = on_new_tube()
+    wrong = t.tube._product_cache[key] = tuple(2 * c for c in right)
+    forged = build_endomorphism_algebra(t, check=False)
+    assert wrong in forged.mult.values()
+    with pytest.raises(ConsistencyError, match="multiplication table is wrong"):
+        forged.verify_associativity()
+    with pytest.raises(ConsistencyError, match="multiplication table is wrong"):
+        build_endomorphism_algebra(t)
+
+
+def test_the_loop_is_found_once(cyclic_algebra):
+    assert cyclic_algebra.loop_arrow() is cyclic_algebra.loop_arrow()
+    assert cyclic_algebra.loop_arrow().is_loop

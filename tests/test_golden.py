@@ -6,9 +6,12 @@ multiplicities, and for each mutation the middle terms of both exchange
 triangles with the coordinates of every approximation component.  It was
 taken before the intertwiner solver, the greedy lift and the two
 approximations were merged, so any change in a chosen basis, arrow or
-approximation map shows up here.
+approximation map shows up here.  It was also taken while ``chom_coords``
+returned ``Fraction``s; it now returns normal-form entries (an ``int`` when
+integral), so each coordinate is written as a ``Fraction`` again.
 """
 import hashlib
+from fractions import Fraction
 
 from endo_reference import structure_checksum
 
@@ -16,6 +19,10 @@ from clustertube.endo import build_endomorphism_algebra
 from clustertube.tube import Tube, b_matrix, chom_coords, enumerate_maximal_rigid, mutate_rigid
 
 DIGEST = "a9431235f9c4ba3cecd90fb46d9b4efea837640661e6a4a0a4a9e6b0b48b9d05"
+
+
+def _as_fractions(coords):
+    return tuple(map(Fraction, coords))
 
 
 def _pieces():
@@ -29,8 +36,8 @@ def _pieces():
                 yield repr((
                     data.right_middle,
                     data.left_middle,
-                    [chom_coords(tube, f) for f in data.right_maps],
-                    [chom_coords(tube, f) for f in data.left_maps],
+                    [_as_fractions(chom_coords(tube, f)) for f in data.right_maps],
+                    [_as_fractions(chom_coords(tube, f)) for f in data.left_maps],
                 ))
 
 

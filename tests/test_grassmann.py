@@ -13,6 +13,7 @@ from clustertube.grassmann import (
     chi_table,
     verify_ar_recursion,
     _in_rowspace,
+    _point_data,
     _mod_rank,
     _subspaces,
 )
@@ -333,3 +334,85 @@ def test_the_recursion_checks_its_domain_on_a_filled_memo():
         l_mod, m_mod, n_mod, _ = sequences[0]
         with pytest.raises(DomainError, match="not additive"):
             verify_ar_recursion(l_mod, m_mod, m_mod)
+
+
+def test_the_point_count_reads_integral_rows_checked_once_per_module():
+    from fractions import Fraction
+
+    from clustertube.amod import AModule
+
+    alg, _ = _translated_algebras()
+    m = apply_F(alg, Indec(1, 3))
+    data = _point_data(m)
+    assert _point_data(m) is data
+    assert data[0] == tuple(mat.rows for mat in m.mats)
+    halved = AModule(alg, m.dims, [mat.scale(Fraction(1, 2)) for mat in m.mats], check=False)
+    for _ in range(2):
+        with pytest.raises(OracleError, match="integral"):
+            _point_data(halved)
+    assert halved._points is None
+
+
+def _count_points_over_all_tuples(m, ehat, e_loop, p):
+    """The point count as one loop over every tuple of subspaces, checking
+    each arrow on the whole tuple, kept as the reference."""
+    from itertools import product
+
+    from clustertube.amod import loop_vertex
+
+    alg = m.algebra
+    lv = loop_vertex(alg) - 1
+    loop = alg.loop_arrow()
+    mats = {a.idx: [[int(x) for x in row] for row in m.mats[a.idx].rows] for a in alg.arrows}
+    spaces = [list(_subspaces(ehat[v], m.dims[v], p)) for v in range(alg.n)]
+    count = 0
+    for choice in product(*spaces):
+        ok = True
+        for a in alg.arrows:
+            i, j = a.src - 1, a.tgt - 1
+            mat = mats[a.idx]
+            for w in choice[j]:
+                img = [sum(mat[r][c] * w[c] for c in range(m.dims[j])) % p
+                       for r in range(m.dims[i])]
+                if not _in_rowspace(choice[i], img, p):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        basis = choice[lv]
+        mat = mats[loop.idx]
+        images = [[sum(mat[r][c] * w[c] for c in range(m.dims[lv])) % p
+                   for r in range(m.dims[lv])] for w in basis]
+        if _mod_rank(images, p) == e_loop:
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_point_count_equals_the_loop_over_all_tuples(n):
+    from clustertube import grassmann
+    from clustertube.tube import all_rigid_indecs, enumerate_maximal_rigid, in_pr_T
+
+    tube = Tube(n)
+    compared = nonzero = 0
+    for t in enumerate_maximal_rigid(n, tube)[:4]:
+        alg = build_endomorphism_algebra(t, check=False)
+        for x in all_rigid_indecs(tube):
+            if not in_pr_T(t, x) or apply_F(alg, x).is_zero():
+                continue
+            m = apply_F(alg, x)
+            work = grassmann._canonical_sum(m)
+            rank = rank_vector(m)
+            lv = grassmann.loop_vertex(alg) - 1
+            for e in itertools.product(*[range(r + 1) for r in rank]):
+                ehat = grassmann._hat(alg, e)
+                if any(d > md for d, md in zip(ehat, work.dims)):
+                    continue
+                for p in (2, 3, 5):
+                    got = grassmann._count_points(work, ehat, e[lv], p)
+                    assert got == _count_points_over_all_tuples(work, ehat, e[lv], p), (t, x, e, p)
+                    compared += 1
+                    nonzero += got > 0
+    assert compared > 50 and nonzero > 20

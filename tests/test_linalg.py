@@ -7,10 +7,12 @@ from clustertube.linalg import (
     ExactMatrix,
     QuotientSpace,
     SpanSolver,
+    block_diagonal,
     exact_div,
     flatten_blocks,
     independent_units,
     intertwiner_basis,
+    intertwiner_dim,
     kernel_basis,
     rank,
     rref,
@@ -166,6 +168,35 @@ def test_intertwiner_basis_is_the_commutant():
     assert len(two) == 2
     assert all(phi0 == phi1 for phi0, phi1 in two)
     assert intertwiner_basis((0, 2), (3, 0), []) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_intertwiner_dim_is_the_length_of_the_basis(data):
+    # random arrows between two vertices (loops included), small entries
+    dims = st.integers(0, 3)
+    src = (data.draw(dims), data.draw(dims))
+    tgt = (data.draw(dims), data.draw(dims))
+    arrows = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        s, t = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+        entries = st.integers(-2, 2)
+        a = ExactMatrix([[data.draw(entries) for _ in range(src[s])] for _ in range(src[t])],
+                        ncols=src[s])
+        b = ExactMatrix([[data.draw(entries) for _ in range(tgt[s])] for _ in range(tgt[t])],
+                        ncols=tgt[s])
+        arrows.append((s, t, a, b))
+    assert intertwiner_dim(src, tgt, arrows) == len(intertwiner_basis(src, tgt, arrows))
+
+
+def test_block_diagonal_places_each_block_on_the_diagonal():
+    a = ExactMatrix([[1, 2], [3, 4]])
+    b = ExactMatrix([[Fraction(1, 2)]])
+    empty = ExactMatrix.zero(0, 2)
+    m = block_diagonal([a, empty, b])
+    assert m == ExactMatrix([[1, 2, 0, 0, 0], [3, 4, 0, 0, 0], [0, 0, 0, 0, Fraction(1, 2)]])
+    assert block_diagonal([ExactMatrix.zero(2, 0)]) == ExactMatrix.zero(2, 0)
+    assert block_diagonal([]) == ExactMatrix.zero(0, 0)
 
 
 # -- the int-or-Fraction entry contract, checked against a Fraction reference --

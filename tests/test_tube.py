@@ -1,6 +1,7 @@
 import itertools
 import random
 from functools import lru_cache
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from clustertube.tube import (
     all_rigid_indecs,
     b_matrix,
     b_matrix_multiplicities,
+    basis_product,
     chom_coords,
     enumerate_maximal_rigid,
     hom_c_basis,
@@ -313,3 +315,52 @@ def test_the_cluster_tube_hom_basis_is_built_once_per_pair():
             basis = hom_c_basis(tube, x, y)
             assert hom_c_basis(tube, x, y) is basis
             assert len(basis) == tube.hom_c_dim(x, y)
+
+
+# -- the table of structure constants ------------------------------------------
+
+
+def _products_agree_with_composition(tube, triples):
+    """Every entry of the table on the given (x, y, z) equals the
+    coordinates of the composed basis morphisms, in normal form, and a
+    second request returns the stored entry."""
+    checked = 0
+    for x, y, z in triples:
+        for i, u in enumerate(hom_c_basis(tube, y, z)):
+            for j, v in enumerate(hom_c_basis(tube, x, y)):
+                coords = basis_product(tube, x, y, z, i, j)
+                assert coords == chom_coords(tube, u.compose(v))
+                assert all(type(c) is int or c.denominator > 1 for c in coords)
+                assert basis_product(tube, x, y, z, i, j) is coords
+                checked += 1
+    return checked
+
+
+def test_the_product_table_equals_composition_at_rank_two():
+    # every object up to length n + 1, the AR middle terms included
+    tube = Tube(2)
+    objects = [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, tube.n + 2)]
+    assert _products_agree_with_composition(tube, itertools.product(objects, repeat=3)) > 500
+
+
+def test_the_product_table_equals_composition_at_rank_three():
+    tube = Tube(3)
+    triples = itertools.product(all_rigid_indecs(tube), repeat=3)
+    assert _products_agree_with_composition(tube, triples) > 1000
+
+
+def test_the_product_table_equals_composition_on_a_sample_at_rank_four():
+    tube = Tube(4)
+    objects = [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, tube.n + 2)]
+    rng = random.Random(20)
+    triples = [tuple(rng.choice(objects) for _ in range(3)) for _ in range(300)]
+    assert _products_agree_with_composition(tube, triples) > 100
+
+
+def test_chom_coords_returns_normal_form_entries(tube3):
+    x, y = Indec(1, 2), Indec(1, 3)
+    for f in hom_c_basis(tube3, x, y):
+        for g in (f, f.scale(2), f.add(f).scale(Fraction(1, 2)), f.scale(Fraction(1, 3))):
+            coords = chom_coords(tube3, g)
+            assert all(type(c) is int or c.denominator > 1 for c in coords)
+        assert chom_coords(tube3, f.add(f).scale(Fraction(1, 2))) == chom_coords(tube3, f)

@@ -755,6 +755,23 @@ def _counting_copresentations(monkeypatch, log):
     monkeypatch.setattr(amod, "injective_copresentation", counting)
 
 
+@pytest.mark.parametrize("n, most", [(3, 1300), (4, 2900)])
+def test_products_of_basis_morphisms_come_from_the_table(monkeypatch, n, most):
+    # each product of two basis morphisms is composed once, for the tube's
+    # table of structure constants (554 at n = 3), and the associativity
+    # check composes on its three objects (420 at n = 3)
+    calls = []
+    compose = tube_module.CHom.compose
+
+    def counting(self, other):
+        calls.append(None)
+        return compose(self, other)
+
+    monkeypatch.setattr(tube_module.CHom, "compose", counting)
+    assert verify.run_suite(n, workers=1).ok  # one worker: the counter sees every call
+    assert 0 < len(calls) <= most
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_each_coindex_is_computed_once_per_class(monkeypatch, tmp_path, workers):
     # without the memo the suite makes 220 copresentations; 88 of them have
@@ -786,7 +803,7 @@ def test_a_forged_functor_image_misses_the_memo_and_fails_only_its_object(monkey
             rows[0][0] = 0
             mats[1] = ExactMatrix(rows, ncols=mats[1].ncols)
             algebra._module_cache[(t.summands[0],)] = amod.AModule(
-                algebra, p1.dims, mats, provenance=p1.provenance, vtags=p1.vtags)
+                algebra, p1.dims, mats, provenance=p1.provenance)
         numbers[t.summands] = amod._algebra_class(algebra)
         return algebra
 
