@@ -22,10 +22,10 @@ from .cluster import ClusterAtlas, ExchangeMatrix, enumerate_atlas
 from .laurent import LaurentPoly, lp_denominator_vector, pretty
 from .endo import FinDimAlgebra, build_endomorphism_algebra
 from .tube import (
-    ConsistencyError,
     Indec,
     MaximalRigid,
     Tube,
+    TubeError,
     all_rigid_indecs,
     b_matrix,
 )
@@ -141,18 +141,15 @@ class CCMap:
     def verify_exchange_relations(self) -> List[str]:
         """The boundary collapse X_(i, n+1) = X_(i+1, n-1) for i < n.
 
-        The exchange relations themselves are checked on the tube's recorded
-        exchange graph, by ``verify.check_exchange_pairs``.  Stated for a
-        maximal rigid object whose long summand is (1, n); other objects are
-        handled by translating the whole picture first.
+        Stated for a maximal rigid object whose long summand is (1, n); any
+        other T raises ``TubeError``.  The exchange relations themselves are
+        checked on the tube's recorded exchange graph, by
+        ``verify.check_exchange_relations``.
         """
         n = self.n
         if self.t.long != Indec(1, n):
-            shift = self.t.long.a - 1
-            shifted = CCMap(self.t.shifted(shift))
-            if shifted.b.b != self.b.b:
-                raise ConsistencyError("translation changed the exchange matrix")
-            return shifted.verify_exchange_relations()
+            raise TubeError(f"the boundary collapse is stated for the long summand (1,{n}), "
+                            f"not {self.t.long}")
         failures = []
         for i in range(1, n):
             over, under = self.cc(Indec(i, n + 1)).poly, self.cc(Indec(i + 1, n - 1)).poly

@@ -134,6 +134,9 @@ class Tube:
         self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
+        # per indecomposable, the rigid indecomposables with no extension to
+        # or from it, as compatible returns them
+        self._compatible_cache: Dict[Indec, frozenset] = {}
         # the pure results of the module layer (clustertube.amod), keyed by
         # the exact content of the End(T) and modules they are computed from,
         # so translated T with equal End(T) share them
@@ -228,6 +231,16 @@ class Tube:
 
     def ext1_c_dim(self, x: Indec, y: Indec) -> int:
         return self.hom_c_dim(x, self.tau(y))
+
+    def compatible(self, x: Indec) -> frozenset:
+        """The rigid indecomposables y with Ext^1(x, y) = Ext^1(y, x) = 0,
+        computed on the first request for x."""
+        found = self._compatible_cache.get(x)
+        if found is None:
+            found = self._compatible_cache[x] = frozenset(
+                y for y in all_rigid_indecs(self)
+                if self.ext1_c_dim(x, y) == 0 and self.ext1_c_dim(y, x) == 0)
+        return found
 
     # -- vertex-map utilities ----------------------------------------------
 
@@ -511,11 +524,7 @@ def is_rigid_set(tube: Tube, objs: Sequence[Indec]) -> bool:
     for x in objs:
         if not is_rigid(tube, x):
             return False
-    for i, x in enumerate(objs):
-        for y in objs[i + 1 :]:
-            if tube.ext1_c_dim(x, y) != 0 or tube.ext1_c_dim(y, x) != 0:
-                return False
-    return True
+    return all(y in tube.compatible(x) for i, x in enumerate(objs) for y in objs[i + 1 :])
 
 
 def all_rigid_indecs(tube: Tube) -> List[Indec]:
@@ -693,16 +702,8 @@ def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: s
 
 def completions(tube: Tube, others: Sequence[Indec]) -> List[Indec]:
     """Indecomposables completing the given almost complete object."""
-    others = list(others)
-    found = []
-    for x in all_rigid_indecs(tube):
-        if x in others:
-            continue
-        if all(
-            tube.ext1_c_dim(x, y) == 0 and tube.ext1_c_dim(y, x) == 0 for y in others
-        ):
-            found.append(x)
-    return found
+    return [x for x in all_rigid_indecs(tube)
+            if x not in others and all(x in tube.compatible(y) for y in others)]
 
 
 def mutate_rigid(t: MaximalRigid, k: int) -> ExchangeData:

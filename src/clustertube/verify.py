@@ -15,9 +15,9 @@ from functools import cached_property, reduce
 from itertools import product
 from math import comb
 from operator import mul
-from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cluster import ClusterError, ExchangeMatrix, mutate_matrix
+from .cluster import ClusterError, mutate_matrix
 from .endo import build_endomorphism_algebra, gabriel_quiver, validate_Qn
 from .tube import (
     CHom,
@@ -96,76 +96,66 @@ def _irreducible_maps(tube: Tube, x: Indec, middle: Sequence[Indec], into_x: boo
 # -- the exchange table and the per-object context ---------------------------------
 
 
-def _exchange_triangles(t: MaximalRigid) -> Tuple[ExchangeData, ...]:
-    return tuple(mutate_rigid(t, k) for k in range(1, t.tube.n + 1))
-
-
 # An exchange relation X_old X_new = prod X_right + prod X_left, as
 # (old, new, right middle, left middle)
 Relation = Tuple[Indec, Indec, Tuple[Indec, ...], Tuple[Indec, ...]]
 
 
 class ExchangeTable:
-    """The exchange graph of a list of maximal rigid objects, as recorded.
+    """The exchange graph of a list of maximal rigid objects, built once.
 
     A vertex is an object of ``objects``, found by its set of summands.
-    ``add(t, triangles)`` records, from t's exchange triangles
-    ``mutate_rigid(t, k)``, k = 1..n, where each mutation lands
-    (``neighbours``: a vertex or ``None`` per position), each mutated
-    object's summand order (``orders``), t's multiplicity matrix with t's
-    summand order (``matrices``) and the exchange relation of each triangle
-    (``relations``).  The triangles are not kept.
+    Building the table runs ``mutate_rigid(t, k)``, k = 1..n, once for each
+    object t and keeps the triangles (``triangles``, per vertex).  From them
+    it records where each mutation lands (``neighbours``: a vertex or
+    ``None`` per position), each vertex's multiplicity matrix in its own
+    summand order (``matrices``), and every distinct exchange relation
+    (``relations``, sorted): keyed by its unordered pair and its unordered
+    pair of sorted middle terms, so that an edge and its reverse give one
+    relation.  Nothing is added to a built table.
     """
 
     def __init__(self, objects: Sequence[MaximalRigid]):
         self.objects: Tuple[MaximalRigid, ...] = tuple(objects)
         self._index = {t.as_set(): i for i, t in enumerate(self.objects)}
-        self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {}
-        self.orders: Dict[int, Tuple[Tuple[Indec, ...], ...]] = {}
-        self.matrices: Dict[int, Tuple[Tuple[Indec, ...], tuple]] = {}
-        self.relations: Dict[int, Tuple[Relation, ...]] = {}
+        self.triangles: Tuple[Tuple[ExchangeData, ...], ...] = tuple(
+            tuple(mutate_rigid(t, k) for k in range(1, t.tube.n + 1)) for t in self.objects)
+        self.neighbours: Dict[int, Tuple[Optional[int], ...]] = {
+            i: tuple(self.vertex(data.mutated) for data in around)
+            for i, around in enumerate(self.triangles)}
+        self.matrices = tuple(b_matrix_multiplicities(t, around)
+                              for t, around in zip(self.objects, self.triangles))
+        self.relations: List[Relation] = sorted(
+            {(*sorted((d.old, d.new)), *sorted((tuple(sorted(d.right_middle)),
+                                                 tuple(sorted(d.left_middle)))))
+             for around in self.triangles for d in around})
 
     def vertex(self, t: MaximalRigid) -> Optional[int]:
         """The vertex with t's summands, or ``None``."""
         return self._index.get(t.as_set())
 
-    def add(self, t: MaximalRigid, triangles: Sequence[ExchangeData]) -> None:
-        i = self._index[t.as_set()]
-        self.neighbours[i] = tuple(self.vertex(data.mutated) for data in triangles)
-        self.orders[i] = tuple(data.mutated.summands for data in triangles)
-        self.matrices[i] = (t.summands, b_matrix_multiplicities(t, triangles))
-        self.relations[i] = tuple((data.old, data.new, data.right_middle, data.left_middle)
-                                  for data in triangles)
-
-    def distinct_relations(self) -> List[Relation]:
-        """Every recorded relation once, sorted: keyed by its unordered pair
-        and its unordered pair of sorted middle terms, so that an edge and
-        its reverse give one relation."""
-        return sorted({(*sorted((old, new)), *sorted((tuple(sorted(right)), tuple(sorted(left)))))
-                       for around in self.relations.values()
-                       for old, new, right, left in around})
-
 
 class SuiteContext:
     """What the checks of one maximal rigid object T share.
 
+    T is an object of ``table``, in the table's summand order, and
+    ``triangles`` are its exchange triangles as the table keeps them.
     ``algebra`` is End(T), built once, and with it the functor-image memo
-    of the module layer.  ``triangles`` are T's exchange triangles
-    ``mutate_rigid(t, k)`` for k = 1..n, and ``cc_map`` is the character map
-    on End(T) and B_T; each is computed on first use and kept.
-    ``run_suite`` holds one context at a time and drops it before the next
-    T, so at most one End(T) is alive.
+    of the module layer; ``cc_map``, the character map on End(T) and B_T,
+    is computed on first use and kept.  ``run_suite`` holds one context at
+    a time and drops it before the next T, so at most one End(T) is alive.
     """
 
-    def __init__(self, t: MaximalRigid):
+    def __init__(self, t: MaximalRigid, table: ExchangeTable):
+        self.vertex = table.vertex(t)
+        if self.vertex is None or table.objects[self.vertex] != t:
+            raise TubeError(f"{t} is not an object of the exchange table")
         self.t = t
         self.tube = t.tube
+        self.table = table
+        self.triangles = table.triangles[self.vertex]
         self.algebra = build_endomorphism_algebra(t, check=False)
         self.b_failure: Optional[str] = None
-
-    @cached_property
-    def triangles(self) -> Tuple[ExchangeData, ...]:
-        return _exchange_triangles(self.t)
 
     @cached_property
     def cc_map(self) -> Optional[CCMap]:
@@ -187,35 +177,25 @@ class SuiteContext:
 # -- individual checks -----------------------------------------------------------
 #
 # Each check covers one maximal rigid object, given by its context, except
-# ``check_tube_invariants``, which covers the tube, and the three checks that
-# read an ``ExchangeTable``, which cover the recorded graph.
+# ``check_tube_invariants``, ``check_exchange_graph`` and
+# ``check_exchange_coverage``, which cover the tube and its exchange table.
 
 
 def check_b_matrix_compatibility(ctx: SuiteContext) -> List[str]:
-    """The three formulas for B_T agree.  Their other half, mu_k(B_T) =
-    B_{mu_k T}, is ``check_matrix_mutation`` over the recorded edges."""
-    return [ctx.b_failure] if ctx.cc_map is None else []
-
-
-def check_matrix_mutation(table: ExchangeTable, disagree: Collection[int] = ()) -> List[str]:
-    """mu_k(B_T) = B_{mu_k T} on every recorded edge (T, k) that stays in
-    the table: B_T is T's recorded multiplicity matrix, B_{mu_k T} the
-    neighbour's, relabelled into the order of ``mutate_rigid(t, k).mutated``.
-    A vertex in ``disagree`` (its three formulas disagree) has no B_T and
-    is compared only as a neighbour."""
-    failures = []
-    # in vertex order, whatever order the entries were recorded in
-    for i, around in sorted(table.neighbours.items()):
-        if i in disagree:
+    """The three formulas for B_T agree, and mu_k(B_T) = B_{mu_k T} on each
+    edge (T, k) that stays in the table: B_{mu_k T} is the neighbour's
+    recorded multiplicity matrix, relabelled into the order of
+    ``mutate_rigid(t, k).mutated``."""
+    if ctx.cc_map is None:
+        return [ctx.b_failure]
+    table, failures = ctx.table, []
+    for k, (j, data) in enumerate(zip(table.neighbours[ctx.vertex], ctx.triangles), 1):
+        if j is None:
             continue
-        b = ExchangeMatrix(table.matrices[i][1])
-        for k, (j, order) in enumerate(zip(around, table.orders[i]), 1):
-            if j is None:
-                continue
-            labels, m = table.matrices[j]
-            pos = [labels.index(s) for s in order]
-            if mutate_matrix(b, k).b != tuple(tuple(m[r][c] for c in pos) for r in pos):
-                failures.append(f"{table.objects[i]}: matrix mutation mismatch in direction {k}")
+        labels, m = table.objects[j].summands, table.matrices[j]
+        pos = [labels.index(s) for s in data.mutated.summands]
+        if mutate_matrix(ctx.cc_map.b, k).b != tuple(tuple(m[r][c] for c in pos) for r in pos):
+            failures.append(f"{ctx.t}: matrix mutation mismatch in direction {k}")
     return failures
 
 
@@ -263,33 +243,31 @@ def check_denominators(ctx: SuiteContext) -> List[str]:
 
 
 def check_exchange_relations(ctx: SuiteContext) -> List[str]:
-    """The boundary collapse; the exchange relations themselves are
-    ``check_exchange_pairs`` over the recorded graph."""
-    return _cc_report(ctx, CCMap.verify_exchange_relations)
-
-
-def check_exchange_pairs(table: ExchangeTable,
-                         characters: Dict[int, Dict[Indec, LaurentPoly]]) -> List[str]:
-    """X_old X_new = prod X_right + prod X_left on every distinct recorded
-    relation (``ExchangeTable.distinct_relations``), on the characters of
-    each vertex in ``characters``, in vertex order.  Every rigid
-    indecomposable must be exchanged by some relation, and a vertex with
-    characters fails if no relation is checked on it."""
-    relations = table.distinct_relations()
-    exchanged = {x for old, new, _, _ in relations for x in (old, new)}
-    missing = [x for x in all_rigid_indecs(table.objects[0].tube) if x not in exchanged]
-    failures = ["no recorded exchange relation exchanges " + ", ".join(map(str, missing))
-                ] if missing else []
-    for i, polys in sorted(characters.items()):
-        t = table.objects[i]
-        if not relations:
-            failures.append(f"{t}: no exchange relation checked")
-        one = LaurentPoly.one(t.tube.n)
-        for old, new, right, left in relations:
-            if polys[old] * polys[new] != (reduce(mul, (polys[x] for x in right), one)
-                                           + reduce(mul, (polys[x] for x in left), one)):
-                failures.append(f"{t}: exchange relation fails on the pair {old}, {new}")
+    """The boundary collapse, and X_old X_new = prod X_right + prod X_left
+    on T's characters for every distinct relation the table records
+    (``ExchangeTable.relations``, in order); fails if there is none."""
+    t, cm = ctx.t, ctx.cc_map
+    if cm is None:
+        return ctx.no_b_matrix()
+    failures = [f"{t}: {f}" for f in cm.verify_exchange_relations()]
+    relations = ctx.table.relations
+    if not relations:
+        failures.append(f"{t}: no exchange relation checked")
+    polys = {x: cm.cc(x).poly for x in all_rigid_indecs(ctx.tube)}
+    one = LaurentPoly.one(ctx.tube.n)
+    for old, new, right, left in relations:
+        if polys[old] * polys[new] != (reduce(mul, (polys[x] for x in right), one)
+                                       + reduce(mul, (polys[x] for x in left), one)):
+            failures.append(f"{t}: exchange relation fails on the pair {old}, {new}")
     return failures
+
+
+def check_exchange_coverage(table: ExchangeTable) -> List[str]:
+    """Every rigid indecomposable is exchanged by some recorded relation."""
+    exchanged = {x for old, new, _, _ in table.relations for x in (old, new)}
+    missing = [x for x in all_rigid_indecs(table.objects[0].tube) if x not in exchanged]
+    return ["no recorded exchange relation exchanges " + ", ".join(map(str, missing))
+            ] if missing else []
 
 
 def check_index_coindex(ctx: SuiteContext) -> List[str]:
@@ -728,9 +706,21 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     exhaustive up to relabelling) while matrix and structure checks stay
     exhaustive; n = 5 runs the structure checks only.
 
-    One loop over the maximal rigid objects: each T gets one context,
-    every check whose scope holds T runs on it, and the context is dropped
-    before the next T.  A scheduled check that visits no object fails.
+    First the work every T shares: the enumeration, one ``ExchangeTable``
+    over the enumerated objects (``mutate_rigid`` runs once per directed
+    edge (T, k)), and the tube-level checks.  "tube invariants" checks the
+    morphism calculus and that the table's graph is the type-C_n exchange
+    graph; where the character checks are scheduled, "exchange relations
+    and walk" first checks that every rigid indecomposable is exchanged by
+    some recorded relation.  This work warms the tube's caches.
+
+    Then one loop over the maximal rigid objects: each T gets one context
+    on the table, every check whose scope holds T runs on it, and the
+    context is dropped before the next T.  A scheduled check that visits no
+    object fails.  Every per-object check reads the table and writes
+    nothing to it: "matrix formulas and mutation" checks mu_k(B_T) =
+    B_{mu_k T} on T's own edges, and "exchange relations and walk" checks
+    every distinct recorded relation on a representative's characters.
 
     The objects are grouped by frame (``_frame_groups``): objects with one
     frame have End(T) of equal content, so the tube's module memo computes
@@ -740,37 +730,18 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     threads running; see ``_worker_count``).  The processes claim whole
     groups, the heaviest (most scheduled checks) first, so no process
     repeats another's work (``_map_groups``); with one worker the objects
-    run in enumeration order.  This process takes part after the work
-    every T shares (the enumeration, the table and the tube checks, which
-    warm the tube's caches), and each other process is a forked child.
-    Each process holds at most one End(T) at a time.  The per-object
-    results are merged in enumeration order, so the report and its
-    failure lines do not depend on the worker count.
-
-    The suite owns one ``ExchangeTable`` over the enumerated objects, held
-    only while it runs.  Each context computes its triangles on the
-    enumerated T, so ``mutate_rigid`` runs once per directed edge (T, k), and
-    records them in the table as the per-object part of "tube invariants",
-    at every rank.  After the loop, "tube invariants" certifies the recorded
-    exchange graph.  Where the character checks are scheduled, "matrix
-    formulas and mutation" checks mu_k(B_T) = B_{mu_k T} on every recorded
-    edge, and "exchange relations and walk" checks every distinct recorded
-    exchange relation on the characters of each representative that has a
-    B_T (``check_exchange_pairs``); each such representative sends its
-    characters back with its row.
+    run in enumeration order.  This process takes part after the shared
+    work, and each other process is a forked child that inherits the table.
+    A child sends back, per T, only its index and each scheduled check's
+    failure lines.  Each process holds at most one End(T) at a time.  The
+    per-object results are merged in enumeration order, so the report and
+    its failure lines do not depend on the worker count.
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
     reps = {t.summands for t in tau_orbit_representatives(tube)}
     table = ExchangeTable(ts_all)
-    rigids = all_rigid_indecs(tube)
-    disagree = set()  # the vertices whose three B_T formulas disagree
-    rep_characters = {}  # vertex -> {X: character of X}, for the exchange relations
     associative = {t.summands for t in ts_all[:3]}
-
-    def record(ctx: SuiteContext) -> List[str]:
-        table.add(ctx.t, ctx.triangles)
-        return []
 
     def every(t: MaximalRigid) -> bool:
         return True
@@ -781,7 +752,6 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     characters = every if n <= 3 else is_rep
     # (report line, check on one context, scope), in report order
     schedule = [
-        ("tube invariants", record, every),
         ("quiver shape and relations",
          lambda ctx: check_structure(ctx, associativity=ctx.t.summands in associative), every),
     ]
@@ -798,50 +768,31 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     if n <= 3 and oracle:
         schedule.append(("finite-field chi oracle", check_chi_oracle, every if n == 2 else is_rep))
 
-    def characters_of(ctx: SuiteContext) -> Optional[Dict[Indec, LaurentPoly]]:
-        cm = ctx.cc_map if n <= 4 and is_rep(ctx.t) else None
-        return None if cm is None else {x: cm.cc(x).poly for x in rigids}
-
     def run_objects(objects: Sequence[int]) -> list:
-        """Per object of ``objects``: its index, each scheduled check's
-        failure lines (``None`` out of scope), whether its B_T formulas
-        disagree, its table entry, and its characters if the exchange
-        relations are checked on them."""
+        """Per object of ``objects``: its index and each scheduled check's
+        failure lines (``None`` out of scope)."""
         rows = []
         for i in objects:
-            t = ts_all[i]
-            ctx = SuiteContext(t)
-            found = [check(ctx) if scope(t) else None for _, check, scope in schedule]
-            rows.append((i, found, ctx.b_failure is not None,
-                         (table.neighbours[i], table.orders[i], table.matrices[i],
-                          table.relations[i]),
-                         characters_of(ctx)))
+            ctx = SuiteContext(ts_all[i], table)
+            rows.append((i, [check(ctx) if scope(ctx.t) else None for _, check, scope in schedule]))
             del ctx
         return rows
 
+    report = SuiteReport()
+    report.add("tube invariants", check_tube_invariants(tube) + check_exchange_graph(tube, table))
     failures = {name: [] for name, _, _ in schedule}
     visited = dict.fromkeys(failures, 0)
-    failures["tube invariants"] = check_tube_invariants(tube)
+    if "exchange relations and walk" in failures:
+        failures["exchange relations and walk"] = check_exchange_coverage(table)
     groups = _frame_groups(ts_all, [sum(1 for _, _, scope in schedule if scope(t))
                                     for t in ts_all])
     if workers is None:
         workers = _worker_count(len(groups))
-    rows = sorted(_map_groups(run_objects, groups, workers), key=lambda row: row[0])
-    for i, found, b_failed, entry, polys in rows:
+    for _, found in sorted(_map_groups(run_objects, groups, workers), key=lambda row: row[0]):
         for (name, _, _), lines in zip(schedule, found):
             if lines is not None:
                 visited[name] += 1
                 failures[name].extend(lines)
-        if b_failed:
-            disagree.add(i)
-        if polys is not None:
-            rep_characters[i] = polys
-        table.neighbours[i], table.orders[i], table.matrices[i], table.relations[i] = entry
-    failures["tube invariants"].extend(check_exchange_graph(tube, table))
-    if n <= 4:
-        failures["matrix formulas and mutation"].extend(check_matrix_mutation(table, disagree))
-        failures["exchange relations and walk"].extend(check_exchange_pairs(table, rep_characters))
-    report = SuiteReport()
     for name in failures:
         report.add(name, failures[name] if visited[name] else ["visited no objects"])
     return report

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from clustertube.cli import run as cli_run
-from clustertube.tube import Tube, all_rigid_indecs, enumerate_maximal_rigid
+from clustertube.tube import Tube, enumerate_maximal_rigid
 from clustertube.verify import (
     ExchangeTable,
     SuiteContext,
@@ -21,30 +21,35 @@ from clustertube.verify import (
     check_bijection,
     check_chi_oracle,
     check_denominators,
-    check_exchange_pairs,
+    check_exchange_coverage,
     check_exchange_relations,
     check_index_coindex,
     check_long_summand_lemmas,
-    check_matrix_mutation,
     check_structure,
     tau_orbit_representatives,
 )
 
-_tubes = {}
+_tables = {}
+
+
+def table_for(n: int) -> ExchangeTable:
+    """One exchange table over every maximal rigid object at rank n, shared
+    by every criterion, as ``run_suite`` builds it."""
+    if n not in _tables:
+        _tables[n] = ExchangeTable(enumerate_maximal_rigid(n, Tube(n)))
+    return _tables[n]
 
 
 def tube_for(n: int) -> Tube:
-    if n not in _tubes:
-        _tubes[n] = Tube(n)
-    return _tubes[n]
+    return table_for(n).objects[0].tube
 
 
 def over(ts, check, **kwargs):
     """Run a per-object check on each T in turn, each on its own suite
-    context, as ``run_suite`` does."""
+    context on the shared table, as ``run_suite`` does."""
     failures = []
     for t in ts:
-        failures += check(SuiteContext(t), **kwargs)
+        failures += check(SuiteContext(t, table_for(t.tube.n)), **kwargs)
     return failures
 
 
@@ -89,21 +94,8 @@ def test_criterion_3_denominators(n, exhaustive, capsys):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_criterion_4_exchange_relations(n, capsys):
     start = time.time()
-    tube = tube_for(n)
-    ts = enumerate_maximal_rigid(n, tube)
-    reps = {t.summands for t in tau_orbit_representatives(tube)}
-    # one table over all objects, as run_suite fills it, then the pass over
-    # its relations on each representative's characters
-    table = ExchangeTable(ts)
-    characters = {}
-    failures = []
-    for i, t in enumerate(ts):
-        ctx = SuiteContext(t)
-        table.add(t, ctx.triangles)
-        if t.summands in reps:
-            failures += check_exchange_relations(ctx)
-            characters[i] = {x: ctx.cc_map.cc(x).poly for x in all_rigid_indecs(tube)}
-    failures += check_exchange_pairs(table, characters)
+    failures = check_exchange_coverage(table_for(n))
+    failures += over(tau_orbit_representatives(tube_for(n)), check_exchange_relations)
     with capsys.disabled():
         report(f"4 exchange relations and walk n={n}", failures, time.time() - start)
 
@@ -111,16 +103,8 @@ def test_criterion_4_exchange_relations(n, capsys):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_criterion_5_matrix_mutation_compatibility(n, capsys):
     start = time.time()
-    tube = tube_for(n)
-    ts = enumerate_maximal_rigid(n, tube)
-    # one table over all objects, as run_suite fills it, then the pass over its edges
-    table = ExchangeTable(ts)
-    failures = []
-    for t in ts:
-        ctx = SuiteContext(t)
-        table.add(t, ctx.triangles)
-        failures += check_b_matrix_compatibility(ctx)
-    failures += check_matrix_mutation(table)
+    ts = table_for(n).objects
+    failures = over(ts, check_b_matrix_compatibility)
     with capsys.disabled():
         report(f"5 matrix formulas and mutation n={n} ({len(ts)} objects)", failures, time.time() - start)
 

@@ -2,11 +2,14 @@ import json
 import random
 from importlib import resources
 
+import pytest
+
 from clustertube import ccmap
 from clustertube.ccmap import CCMap, cached_atlas
 from clustertube.amod import apply_F, coindex
 from clustertube.laurent import LaurentPoly, lp_denominator_vector
-from clustertube.tube import Indec, MaximalRigid, Tube, all_rigid_indecs, enumerate_maximal_rigid
+from clustertube.tube import (Indec, MaximalRigid, Tube, TubeError, all_rigid_indecs,
+                              enumerate_maximal_rigid)
 
 
 def load_reference():
@@ -112,11 +115,11 @@ def test_exchange_relations_report(cyclic_cc):
     assert cyclic_cc.verify_exchange_relations() == []
 
 
-def test_exchange_relations_translate_frames(tube3):
-    # an object whose long summand is not at position one goes through the
-    # translation before the boundary collapse is checked
+def test_the_boundary_collapse_needs_the_long_summand_at_one(tube3):
+    # stated for the long summand (1, n); another object is refused, not translated
     t = MaximalRigid(tube3, (Indec(2, 3), Indec(4, 1), Indec(2, 1)))
-    assert CCMap(t).verify_exchange_relations() == []
+    with pytest.raises(TubeError, match=r"long summand \(1,3\), not \(2,3\)"):
+        CCMap(t).verify_exchange_relations()
 
 
 def test_bijection_headroom_one_rank_up():

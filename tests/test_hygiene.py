@@ -269,7 +269,7 @@ def _ambiguous_methods(trees):
 AMBIGUOUS_METHODS = {
     "_trusted": ["cluster.ExchangeMatrix", "cluster.Seed", "laurent.LaurentPoly",
                  "linalg.ExactMatrix"],
-    "add": ["linalg.ExactMatrix", "tube.CHom", "verify.ExchangeTable", "verify.SuiteReport"],
+    "add": ["linalg.ExactMatrix", "tube.CHom", "verify.SuiteReport"],
     "canonical": ["cluster.Seed", "strings.StringWord", "tube.MaximalRigid"],
     "compose": ["amod.ModMap", "tube.CHom"],
     "dim": ["linalg.QuotientSpace", "tube.ExtSpace"],

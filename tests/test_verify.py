@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import pickle
 import threading
 import time
 import weakref
@@ -15,9 +16,10 @@ from clustertube.ccmap import CCMap
 from clustertube.cli import run
 from clustertube.endo import FinDimAlgebra
 from clustertube.grassmann import OracleError
+from clustertube.laurent import LaurentPoly
 from clustertube.linalg import ExactMatrix
 from clustertube.tube import (ApproxResult, ConsistencyError, Indec, MaximalRigid, Tube,
-                              enumerate_maximal_rigid)
+                              TubeError, enumerate_maximal_rigid)
 
 
 def _raise(exc):
@@ -27,16 +29,20 @@ def _raise(exc):
     return broken
 
 
+def _context(t):
+    """T's suite context, on a table over every object of its tube."""
+    return verify.SuiteContext(t, _recorded(t.tube.n))
+
+
 def _run_check(monkeypatch, site, exc):
     """Run the check behind one failure handler of ``verify`` with the
     call it guards replaced by one that raises ``exc``."""
-    tube = Tube(2)
-    t = enumerate_maximal_rigid(2, tube)[0]
+    t = _recorded(2).objects[0]
     if site == "b_matrix":
         monkeypatch.setattr(verify, "b_matrix", _raise(exc))
-        return t, verify.check_b_matrix_compatibility(verify.SuiteContext(t))
+        return t, verify.check_b_matrix_compatibility(_context(t))
     monkeypatch.setattr(FinDimAlgebra, site, _raise(exc))
-    return t, verify.check_structure(verify.SuiteContext(t), associativity=True)
+    return t, verify.check_structure(_context(t), associativity=True)
 
 
 SITES = ["b_matrix", "verify_relations", "verify_associativity"]
@@ -163,8 +169,8 @@ def _zero_map(algebra, g, src=None, tgt=None):
 
 
 def test_a_zero_map_fails_the_index_coindex_claims(monkeypatch):
-    t = _representative(Tube(3))
-    ctx = verify.SuiteContext(t)
+    t = _representative(_recorded(3).objects[0].tube)
+    ctx = _context(t)
     assert verify.check_index_coindex(ctx) == []
     monkeypatch.setattr(verify, "map_F", _zero_map)
     failures = verify.check_index_coindex(ctx)
@@ -175,8 +181,8 @@ def test_a_zero_map_fails_the_index_coindex_claims(monkeypatch):
 def test_a_zero_map_fails_the_long_summand_claims(monkeypatch):
     # the first object whose submodule and factor are both nonzero: onto a
     # zero factor even the zero map is surjective
-    t = verify.tau_orbit_representatives(Tube(3))[1]
-    ctx = verify.SuiteContext(t)
+    t = verify.tau_orbit_representatives(_recorded(3).objects[0].tube)[1]
+    ctx = _context(t)
     assert verify.check_long_summand_lemmas(ctx) == []
     monkeypatch.setattr(verify, "map_F", _zero_map)
     assert verify.check_long_summand_lemmas(ctx) == [
@@ -194,8 +200,8 @@ def test_the_long_summand_approximations_need_two_copies(monkeypatch):
         return ApproxResult(approx.middle[:1], approx.components[:1])
 
     monkeypatch.setattr(verify, "minimal_approximation", one_copy)
-    t = _representative(Tube(3))
-    assert verify.check_long_summand_lemmas(verify.SuiteContext(t)) == [
+    t = _representative(_recorded(3).objects[0].tube)
+    assert verify.check_long_summand_lemmas(_context(t)) == [
         f"{t}: long-summand submodule does not embed: "
         "the approximation by (1,2) has multiplicity 1, not 2",
         f"{t}: long-summand factor is not a quotient: "
@@ -216,59 +222,71 @@ def test_an_irreducible_map_needs_a_one_dimensional_hom_space():
 # -- the suite's exchange table: one mutate_rigid per directed edge ----------------
 
 
+def _triangles(t):
+    """T's exchange triangles, k = 1..n."""
+    return [tube_module.mutate_rigid(t, k) for k in range(1, t.tube.n + 1)]
+
+
 @pytest.mark.parametrize("n, mutations, approximations", [(3, 60, 130), (4, 280, 588)])
-def test_one_mutation_per_directed_edge(monkeypatch, n, mutations, approximations):
-    tables, checked = [], []
+def test_one_mutation_per_directed_edge(monkeypatch, tmp_path, n, mutations, approximations):
+    tables = []
 
     class KeptTable(verify.ExchangeTable):
-        def __init__(self, objects=()):
+        def __init__(self, objects):
             super().__init__(objects)
             tables.append(self)
 
-    calls = []  # (T, k), holding T so that ids stay unique
+    calls = []  # (T, k) in this process, holding T so that ids stay unique
+    log = tmp_path / "calls"  # one line per call in any process: what, pid
     mutate, approximate = tube_module.mutate_rigid, tube_module.minimal_approximation
-    approximated = []
+    check_relations = verify.check_exchange_relations
+
+    def logged(line):
+        with open(log, "a") as fh:
+            fh.write(f"{line} {os.getpid()}\n")
 
     def counting_mutate(t, k):
         calls.append((t, k))
+        logged("mutate")
         return mutate(t, k)
 
     def counting_approximation(*args):
-        approximated.append(args)
+        logged("approximate")
         return approximate(*args)
 
-    def counting_pass(table, characters):
-        checked.append((len(table.distinct_relations()), len(characters)))
-        return check_pairs(table, characters)
+    def counting_relations(ctx):
+        logged(f"relations:{len(ctx.table.relations)}")
+        return check_relations(ctx)
 
-    check_pairs = verify.check_exchange_pairs
     monkeypatch.setattr(verify, "ExchangeTable", KeptTable)
-    monkeypatch.setattr(verify, "check_exchange_pairs", counting_pass)
+    monkeypatch.setattr(verify, "check_exchange_relations", counting_relations)
     for module in (verify, tube_module):
         monkeypatch.setattr(module, "mutate_rigid", counting_mutate)
         monkeypatch.setattr(module, "minimal_approximation", counting_approximation)
-    # one worker: the counters see only this process
-    assert verify.run_suite(n, oracle=False, workers=1).ok
-    (table,) = tables
-    per_edge = Counter((id(t), k) for t, k in calls)
-    # every directed edge once, on the enumerated object, and no other mutation
-    assert [per_edge.get((id(t), k)) for t in table.objects for k in range(1, n + 1)] == \
-        [1] * (n * len(table.objects))
-    assert len(calls) == mutations == n * len(table.objects)
-    # two per directed edge, and two per representative for the long-summand lemmas
-    assert len(approximated) == approximations
-    # every distinct relation, on every representative
-    assert checked == [({3: 22, 4: 60}[n], {3: 5, 4: 14}[n])]
+    for workers in (1, 2):
+        calls.clear()
+        log.write_text("")
+        assert verify.run_suite(n, oracle=False, workers=workers).ok
+        table = tables[-1]
+        per_edge = Counter((id(t), k) for t, k in calls)
+        # every directed edge once, on the enumerated object, in this process
+        # before the fork, and no other mutation
+        assert [per_edge.get((id(t), k)) for t in table.objects for k in range(1, n + 1)] == \
+            [1] * (n * len(table.objects))
+        assert len(calls) == mutations == n * len(table.objects)
+        ran = Counter(line.split()[0] for line in log.read_text().splitlines())
+        # summed over every process: two approximations per directed edge, and
+        # two per representative for the long-summand lemmas
+        assert (ran["mutate"], ran["approximate"]) == (mutations, approximations)
+        # every distinct relation, on every representative
+        assert ran[f"relations:{({3: 22, 4: 60}[n])}"] == {3: 5, 4: 14}[n]
+    _no_child_left()
 
 
 def _filled_table(n):
-    """An exchange table over every maximal rigid object at rank n, filled
-    as ``run_suite`` fills it."""
-    ts = enumerate_maximal_rigid(n, Tube(n))
-    table = verify.ExchangeTable(ts)
-    for t in ts:
-        table.add(t, verify._exchange_triangles(t))
-    return table
+    """An exchange table over every maximal rigid object at rank n, as
+    ``run_suite`` builds it."""
+    return verify.ExchangeTable(enumerate_maximal_rigid(n, Tube(n)))
 
 
 def _forge(monkeypatch, forged):
@@ -285,8 +303,7 @@ def _forge(monkeypatch, forged):
 def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     ts = enumerate_maximal_rigid(3, Tube(3))
     # T' and a direction whose right middle term is not empty; drop one summand of it
-    target, old = next((t, d.old) for t in ts for d in verify._exchange_triangles(t)
-                       if d.right_middle)
+    target, old = next((t, d.old) for t in ts for d in _triangles(t) if d.right_middle)
 
     def drop_one(t, k, data):
         if t.as_set() == target.as_set() and data.old == old:
@@ -302,22 +319,25 @@ def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     expected = {f"{t}: matrix mutation mismatch in direction {k}" for t, k in neighbours}
 
     prefix = "matrix formulas and mutation: "
-    lines = [f[len(prefix):] for f in verify.run_suite(3, oracle=False).failures
-             if f.startswith(prefix)]
-    own = [line for line in lines if line not in expected]
-    assert set(lines) - set(own) == expected
-    assert len(own) == 1 and own[0].startswith(f"{target}: exchange-matrix formulas disagree: ")
+    for workers in (1, 2):
+        lines = [f[len(prefix):] for f in verify.run_suite(3, oracle=False, workers=workers).failures
+                 if f.startswith(prefix)]
+        own = [line for line in lines if line not in expected]
+        assert set(lines) - set(own) == expected
+        assert len(own) == 1 and own[0].startswith(f"{target}: exchange-matrix formulas disagree: ")
+    _no_child_left()
 
-    # the same lines from a table filled by hand, T' having no B_T of its own
-    table = _filled_table(3)
-    lines = verify.check_matrix_mutation(table, {table.vertex(target)})
+    # the same lines from the neighbours' contexts on a table built by hand
+    table = verify.ExchangeTable(ts)
+    lines = [line for t, _ in neighbours
+             for line in verify.check_b_matrix_compatibility(verify.SuiteContext(t, table))]
     assert len(lines) == 3 and set(lines) == expected
 
 
 def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
     ts = enumerate_maximal_rigid(2, Tube(2))
     target = ts[0]
-    real = verify._exchange_triangles(target)[0].mutated
+    real = tube_module.mutate_rigid(target, 1).mutated
     back = next(t for t in ts if t.as_set() == real.as_set())
 
     def loop_back(t, k, data):
@@ -338,7 +358,7 @@ def test_a_mutation_outside_the_enumerated_set_fails_the_exchange_graph(monkeypa
     tube = Tube(2)
     ts = enumerate_maximal_rigid(2, tube)
     target = ts[0]
-    real = verify._exchange_triangles(target)[0].mutated
+    real = tube_module.mutate_rigid(target, 1).mutated
     back = next(t for t in ts if t.as_set() == real.as_set())
     # mu_1 T's long summand with a short one that no maximal rigid object pairs it with
     sets = {t.as_set() for t in ts}
@@ -380,17 +400,13 @@ def test_the_exchange_graph_is_certified():
 
 @lru_cache(maxsize=None)
 def _recorded(n):
-    """``_filled_table(n)``, shared: a test that changes its table makes its own."""
+    """``_filled_table(n)``, shared: a test that changes its table, or
+    forges a mutation, makes its own."""
     return _filled_table(n)
 
 
-def _characters(t):
-    cm = CCMap(t)
-    return {x: cm.cc(x).poly for x in tube_module.all_rigid_indecs(t.tube)}
-
-
 def _relation(old, new, right, left):
-    """A relation keyed as ``ExchangeTable.distinct_relations`` keys it."""
+    """A relation keyed as ``ExchangeTable.relations`` keys it."""
     return (*sorted((old, new)), *sorted((tuple(sorted(right)), tuple(sorted(left)))))
 
 
@@ -410,7 +426,7 @@ def _relation_families(tube):
 @pytest.mark.parametrize("n, relations, families", [(2, 6, 6), (3, 22, 12), (4, 60, 20),
                                                      (5, 135, 30)])
 def test_the_recorded_relations_hold_the_hand_written_families(n, relations, families):
-    recorded = _recorded(n).distinct_relations()
+    recorded = _recorded(n).relations
     assert len(recorded) == len(set(recorded)) == relations
     hand_written = _relation_families(Tube(n))
     assert len(set(hand_written)) == families
@@ -418,15 +434,16 @@ def test_the_recorded_relations_hold_the_hand_written_families(n, relations, fam
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_every_recorded_exchange_relation_holds(n):
+def test_every_recorded_exchange_relation_holds(monkeypatch, n):
     # at rank two on every object, as on every mutation edge before; at rank
     # three on the representatives, as in the suite
     table = _recorded(n)
-    tube = table.objects[0].tube
-    ts = table.objects if n == 2 else verify.tau_orbit_representatives(tube)
-    characters = {table.vertex(t): _characters(t) for t in ts}
-    assert len(characters) == {2: 6, 3: 5}[n]
-    assert verify.check_exchange_pairs(table, characters) == []
+    ts = table.objects if n == 2 else verify.tau_orbit_representatives(table.objects[0].tube)
+    if n == 2:
+        # the boundary collapse is stated for the long summand at (1, n)
+        monkeypatch.setattr(CCMap, "verify_exchange_relations", lambda cm: [])
+    assert len(ts) == {2: 6, 3: 5}[n]
+    assert [line for t in ts for line in verify.check_exchange_relations(_context(t))] == []
 
 
 def test_a_forged_triangle_fails_the_exchange_relations_on_every_representative(monkeypatch):
@@ -436,7 +453,7 @@ def test_a_forged_triangle_fails_the_exchange_relations_on_every_representative(
     # a triangle with a nonempty right middle term, on an object that is not
     # a representative (so every representative keeps its B_T); drop one summand
     target, forged = next((t, data) for t in ts if t.long != Indec(1, 3)
-                          for data in verify._exchange_triangles(t) if data.right_middle)
+                          for data in _triangles(t) if data.right_middle)
 
     def drop_one(t, k, data):
         if t.as_set() == target.as_set() and data.old == forged.old:
@@ -457,24 +474,32 @@ def test_a_forged_triangle_fails_the_exchange_relations_on_every_representative(
 
 def test_a_rigid_object_exchanged_by_no_relation_fails_the_coverage():
     table = _filled_table(2)
-    t = table.objects[0]
-    x = t.summands[-1]
-    table.relations = {i: tuple(r for r in around if x not in r[:2])
-                       for i, around in table.relations.items()}
-    assert verify.check_exchange_pairs(table, {0: _characters(t)}) == [
+    x = table.objects[0].summands[-1]
+    assert verify.check_exchange_coverage(table) == []
+    table.relations = [r for r in table.relations if x not in r[:2]]
+    assert verify.check_exchange_coverage(table) == [
         f"no recorded exchange relation exchanges {x}"]
 
 
 def test_characters_with_no_relation_to_check_fail():
-    tube = Tube(2)
-    ts = enumerate_maximal_rigid(2, tube)
-    table = verify.ExchangeTable(ts)  # nothing recorded
-    failures = verify.check_exchange_pairs(table, {1: _characters(ts[1])})
-    assert failures == [
+    table = _filled_table(2)
+    tube = table.objects[0].tube
+    t = _representative(tube)
+    table.relations = []  # nothing recorded
+    assert verify.check_exchange_coverage(table) == [
         "no recorded exchange relation exchanges "
-        + ", ".join(map(str, tube_module.all_rigid_indecs(tube))),
-        f"{ts[1]}: no exchange relation checked",
-    ]
+        + ", ".join(map(str, tube_module.all_rigid_indecs(tube)))]
+    assert verify.check_exchange_relations(verify.SuiteContext(t, table)) == [
+        f"{t}: no exchange relation checked"]
+
+
+def test_a_context_is_on_an_object_of_its_table():
+    table = _recorded(3)
+    t = table.objects[1]
+    with pytest.raises(TubeError, match="not an object of the exchange table"):
+        verify.SuiteContext(t.reordered(t.summands[:0:-1]), table)
+    with pytest.raises(TubeError, match="not an object of the exchange table"):
+        verify.SuiteContext(t, verify.ExchangeTable(table.objects[:1]))
 
 
 # -- the per-object loop split between this process and forked workers -------------
@@ -507,6 +532,28 @@ def test_split_and_single_process_reports_agree(monkeypatch, n, oracle, workers)
     assert len(forks) == workers - 1
     assert one.ok and split.ok
     assert (split.render(), split.lines, split.failures) == (one.render(), one.lines, one.failures)
+    _no_child_left()
+
+
+def test_a_worker_sends_only_failure_lines(monkeypatch):
+    # no character (nor any other Laurent polynomial) crosses a pipe: the
+    # split suite passes with LaurentPoly unpicklable
+    monkeypatch.setattr(LaurentPoly, "__reduce_ex__", _raise(TypeError("pickled a character")))
+    with pytest.raises(TypeError, match="pickled a character"):
+        pickle.dumps(LaurentPoly.one(2))
+    rows = []
+    map_groups = verify._map_groups
+
+    def keeping(work, groups, workers):
+        out = map_groups(work, groups, workers)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(verify, "_map_groups", keeping)
+    assert verify.run_suite(3, workers=2).ok
+    # per object, its index and each check's failure lines or None
+    assert sorted(i for i, _ in rows) == list(range(20))
+    assert all(lines is None or lines == [] for _, found in rows for lines in found)
     _no_child_left()
 
 
