@@ -54,13 +54,13 @@ class AModule:
     The private slots keep invariants computed on first use: the projective
     cover and its kernel, the module's part of a memo key (``_content``) and
     whether it is locally free here; the string normal form with its profile
-    counts, the profile counts of the whole module, the direct sum of its
-    summands' string normal forms, and the integral arrow matrices and the
-    subspaces the point count reads, in ``clustertube.grassmann``.
+    counts, the direct sum of its summands' string normal forms, and the
+    integral arrow matrices and the subspaces the point count reads, in
+    ``clustertube.grassmann``.
     """
 
     __slots__ = ("algebra", "dims", "mats", "provenance",
-                 "_cover", "_syzygy", "_key", "_free", "_strings", "_profiles",
+                 "_cover", "_syzygy", "_key", "_free", "_strings",
                  "_canonical", "_points")
 
     def __init__(
@@ -89,7 +89,6 @@ class AModule:
         self._key = None
         self._free = None
         self._strings = None
-        self._profiles = None
         self._canonical = None
         self._points = None
         if check:

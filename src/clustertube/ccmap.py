@@ -29,7 +29,7 @@ from .tube import (
     all_rigid_indecs,
     b_matrix,
 )
-from .amod import AModule, apply_F, coindex, rank_vector, _normalize_object
+from .amod import AModule, apply_F, coindex, rank_vector, _normalize_object, _sigma_summand_index
 from .grassmann import chi_table
 
 
@@ -65,7 +65,6 @@ class CCMap:
         self.algebra = algebra or build_endomorphism_algebra(t, check=False)
         self.b = b if b is not None else b_matrix(t, algebra=self.algebra)
         self._cache: Dict[tuple, CCResult] = {}
-        self._sigma = {self.tube.tau(s): i for i, s in enumerate(t.summands)}
 
     # -- the character ---------------------------------------------------------
 
@@ -121,9 +120,10 @@ class CCMap:
         n = self.n
         failures = []
         initial = 0
+        sigma = _sigma_summand_index(self.algebra)
         for x in all_rigid_indecs(self.tube):
             res = self.cc(x)
-            i = self._sigma.get(x)
+            i = sigma.get(x)
             if i is not None:
                 initial += 1
                 if res.denom != tuple(-int(j == i) for j in range(n)):

@@ -2,15 +2,17 @@
 
 The primary count enumerates coordinate subrepresentations of the string
 normal form: subsets of the string basis closed under the arrow actions
-whose loop-vertex part is a union of complete loop pairs.  An independent
+whose loop-vertex part is a union of complete loop pairs.  ``chi_table``
+is the one reading of these counts: the characters sum it, ``chi_lf`` looks
+it up, and the Auslander-Reiten recursion convolves it.  An independent
 finite-field oracle counts actual subspace tuples over several primes,
-interpolates the counting polynomial and evaluates it at one; the two
-routes must agree wherever both run.
+interpolates the counting polynomial and evaluates it at one; the suite
+checks every entry of the table against it.
 """
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .endo import FinDimAlgebra
 from .linalg import exact_div
@@ -20,6 +22,7 @@ from .amod import (
     DomainError,
     _content,
     _memoised,
+    _sigma_summand_index,
     apply_F,
     direct_sum,
     is_locally_free,
@@ -48,7 +51,7 @@ def _string_data(m: AModule) -> Tuple[StringBasis, Dict[RankVec, int]]:
     counts, computed once and kept on the module."""
     if m._strings is None:
         sb = string_normal_form(m)
-        m._strings = (sb, _string_profile_counts(m.algebra, sb))
+        m._strings = (sb, _subset_counts(m.algebra, sb))
     return m._strings
 
 
@@ -69,7 +72,7 @@ def _summands_content(m: AModule) -> tuple:
     return (_content(m), tuple(_content(piece) for piece in _indec_summands(m)))
 
 
-def _string_profile_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int]:
+def _subset_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int]:
     """Number of admissible coordinate subsets per vertex-dimension profile.
 
     Admissible means closed under every action edge and, at the loop vertex,
@@ -122,26 +125,14 @@ def _convolve(a: Dict[RankVec, int], b: Dict[RankVec, int]) -> Dict[RankVec, int
     return out
 
 
-def _profile_counts(m: AModule) -> Dict[RankVec, int]:
-    """The profile counts of m: the convolution of its indecomposable
-    summands' counts, computed once and kept on m; callers must not mutate
-    them."""
-    if m._profiles is None:
-        total: Dict[RankVec, int] = {(0,) * m.algebra.n: 1}
-        for piece in _indec_summands(m):
-            total = _convolve(total, _string_data(piece)[1])
-        m._profiles = total
-    return m._profiles
-
-
 def chi_lf(m: AModule, e: Sequence[int]) -> int:
-    """Euler characteristic of the locally free submodule Grassmannian."""
+    """Euler characteristic of the locally free submodule Grassmannian,
+    read from ``chi_table``."""
     if any(x < 0 for x in e):
         raise DomainError("rank vectors are componentwise nonnegative")
     if not is_locally_free(m):
         raise DomainError("ambient module must be locally free")
-    counts = _profile_counts(m)
-    return counts.get(_hat(m.algebra, e), 0)
+    return chi_table(m).entries.get(tuple(e), 0)
 
 
 class ChiTable:
@@ -162,9 +153,13 @@ def chi_table(m: AModule) -> ChiTable:
 
 
 def _chi_table(m: AModule) -> ChiTable:
+    """The convolution of the profile counts of m's indecomposable
+    summands, each profile halved at the loop vertex to a rank vector."""
     alg = m.algebra
     rank = rank_vector(m)
-    counts = _profile_counts(m)
+    counts: Dict[RankVec, int] = {(0,) * alg.n: 1}
+    for piece in _indec_summands(m):
+        counts = _convolve(counts, _string_data(piece)[1])
     lv = loop_vertex(alg) - 1
     entries: Dict[RankVec, int] = {}
     for profile, c in counts.items():
@@ -337,7 +332,7 @@ def _count_points(m: AModule, ehat: RankVec, e_loop: int, p: int) -> int:
     return extend([])
 
 
-def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]] = None) -> int:
+def chi_lf_oracle_fq(m: AModule, e: Sequence[int]) -> int:
     """Finite-field point-count oracle for chi.
 
     Counts points over each prime, interpolates the counting polynomial and
@@ -348,8 +343,8 @@ def chi_lf_oracle_fq(m: AModule, e: Sequence[int], primes: Optional[Sequence[int
         raise DomainError("rank vectors are componentwise nonnegative")
     if not is_locally_free(m):
         raise DomainError("ambient module must be locally free")
-    key = ("oracle", _summands_content(m), tuple(e), None if primes is None else tuple(primes))
-    return _memoised(m.algebra, key, lambda: _oracle_count(m, e, primes))
+    key = ("oracle", _summands_content(m), tuple(e))
+    return _memoised(m.algebra, key, lambda: _oracle_count(m, e))
 
 
 def _canonical_sum(m: AModule) -> AModule:
@@ -361,7 +356,7 @@ def _canonical_sum(m: AModule) -> AModule:
     return m._canonical
 
 
-def _oracle_count(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]]) -> int:
+def _oracle_count(m: AModule, e: Sequence[int]) -> int:
     alg = m.algebra
     work = _canonical_sum(m)
     ehat = _hat(alg, e)
@@ -369,9 +364,7 @@ def _oracle_count(m: AModule, e: Sequence[int], primes: Optional[Sequence[int]])
     degree_bound = sum(d * (md - d) for d, md in zip(ehat, work.dims))
     if any(d > md for d, md in zip(ehat, work.dims)):
         return 0
-    if primes is None:
-        primes = _first_primes(degree_bound + 2)
-    primes = list(primes)
+    primes = _first_primes(degree_bound + 2)
     if len(primes) <= degree_bound:
         raise OracleError(
             f"oracle inconclusive: need more than {degree_bound} primes"
@@ -430,15 +423,12 @@ def verify_ar_recursion(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
 
 
 def _recursion_holds(l_mod: AModule, m_mod: AModule, n_mod: AModule) -> bool:
-    alg = l_mod.algebra
-    table_l = _profile_counts(l_mod)
-    table_n = _profile_counts(n_mod)
-    table_m = _profile_counts(m_mod)
-    rank_n = _hat(alg, rank_vector(n_mod)) if not n_mod.is_zero() else (0,) * alg.n
-    expected = _convolve(table_l, table_n)
+    """chi table of M = (chi table of L) * (chi table of N) - [rank N]."""
+    expected = _convolve(chi_table(l_mod).entries, chi_table(n_mod).entries)
+    rank_n = rank_vector(n_mod)
     expected[rank_n] = expected.get(rank_n, 0) - 1
     expected = {k: v for k, v in expected.items() if v}
-    return expected == {k: v for k, v in table_m.items() if v}
+    return expected == {k: v for k, v in chi_table(m_mod).entries.items() if v}
 
 
 def ar_sequences_ending_at_tau_rigid(algebra: FinDimAlgebra):
@@ -451,11 +441,10 @@ def ar_sequences_ending_at_tau_rigid(algebra: FinDimAlgebra):
     from .tube import all_rigid_indecs
 
     tube = algebra.tube
-    t = algebra.t
-    sigma_t = {tube.tau(s) for s in t.summands}
-    plain_t = set(t.summands)
+    sigma = _sigma_summand_index(algebra)
     for x in all_rigid_indecs(tube):
-        if x in sigma_t or x in plain_t:
+        # x is a summand of T exactly when tau x is a shifted summand
+        if x in sigma or tube.tau(x) in sigma:
             continue
         n_mod = apply_F(algebra, x)
         l_obj = tube.tau(x)

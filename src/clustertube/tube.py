@@ -129,9 +129,8 @@ class Tube:
         self._product_cache: Dict[Tuple[Indec, Indec, Indec, int, int], tuple] = {}
         # the flattened Hom basis, reduced once for hom_coords
         self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
+        # Ext^1 spaces by (x, y); dmor_space reads them at (x, tau^-1 y)
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
-        # shift-stratum spaces by (x, y), so a hit skips tau(y, -1)
-        self._dmor_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
         self._arrow_cache: Dict[Tuple[Indec, int], ExactMatrix] = {}
         # per indecomposable, the rigid indecomposables with no extension to
@@ -219,11 +218,7 @@ class Tube:
 
     def dmor_space(self, x: Indec, y: Indec) -> ExtSpace:
         """Shift-stratum morphisms x -> y, as Ext^1(x, tau^{-1} y)."""
-        key = (x, y)
-        cached = self._dmor_cache.get(key)
-        if cached is None:
-            cached = self._dmor_cache[key] = self.ext_space(x, self.tau(y, -1))
-        return cached
+        return self.ext_space(x, self.tau(y, -1))
 
     def hom_c_dim(self, x: Indec, y: Indec) -> int:
         """Total morphism dimension in the cluster tube."""
@@ -599,14 +594,6 @@ def enumerate_maximal_rigid(n: int, tube: Optional[Tube] = None) -> List[Maximal
     for a in range(1, tube.p + 1):
         top = Indec(a, n)
         candidates = [x for x in tube.wing(top) if x != top]
-        compatible = {
-            x: {
-                y
-                for y in candidates
-                if y != x and tube.ext1_c_dim(x, y) == 0 and tube.ext1_c_dim(y, x) == 0
-            }
-            for x in candidates
-        }
 
         def extend(chosen: List[Indec], pool: List[Indec]):
             if len(chosen) == n - 1:
@@ -615,7 +602,7 @@ def enumerate_maximal_rigid(n: int, tube: Optional[Tube] = None) -> List[Maximal
                 )
                 return
             for idx, x in enumerate(pool):
-                extend(chosen + [x], [y for y in pool[idx + 1 :] if y in compatible[x]])
+                extend(chosen + [x], [y for y in pool[idx + 1 :] if y in tube.compatible(x)])
 
         extend([], sorted(candidates))
     return out

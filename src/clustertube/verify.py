@@ -46,13 +46,14 @@ from .amod import (
     map_F,
     projective,
     rank_vector,
+    _sigma_summand_index,
 )
 from .ccmap import CCMap
 from .laurent import LaurentPoly
 from .grassmann import (
     ar_sequences_ending_at_tau_rigid,
-    chi_lf,
     chi_lf_oracle_fq,
+    chi_table,
     verify_ar_recursion,
 )
 
@@ -280,12 +281,11 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
     b = ctx.cc_map.b
     failures = []
     n = tube.n
-    sigma_t = {tube.tau(s) for s in t.summands}
+    sigma = _sigma_summand_index(algebra)
     for x in all_rigid_indecs(tube):
         co = coindex(algebra, x)
         ix = index(algebra, x)
-        mod = apply_F(algebra, x)
-        rank = rank_vector(mod) if not mod.is_zero() else (0,) * n
+        rank = rank_vector(apply_F(algebra, x))
         expected = tuple(
             sum(b.b[i][j] * rank[j] for j in range(n)) for i in range(n)
         )
@@ -333,7 +333,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
         if not all(in_pr_T(t, y) and in_pr_sigma_T(t, y) for y in middle_objs):
             continue
         sigma_x = tube.tau(x)
-        if x not in sigma_t and sigma_x not in sigma_t:
+        if x not in sigma and sigma_x not in sigma:
             lhs_i = index(algebra, tuple(middle_objs))
             rhs_i = tuple(
                 a + c for a, c in zip(index(algebra, x), index(algebra, sigma_x))
@@ -344,8 +344,8 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             )
             if lhs_i != rhs_i or lhs_c != rhs_c:
                 failures.append(f"{t}: AR additivity fails at {x}")
-        elif x in sigma_t:
-            k = next(i for i, s in enumerate(t.summands) if tube.tau(s) == x)
+        elif x in sigma:
+            k = sigma[x]
             if k == 0:
                 continue
             mid = apply_F(algebra, tuple(middle_objs))
@@ -366,8 +366,8 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             expected_co = tuple(-b.b[i][k] for i in range(n))
             if coindex(algebra, tuple(middle_objs)) != expected_co:
                 failures.append(f"{t}: factor coindex off at {k+1}")
-        elif sigma_x in sigma_t:
-            k = next(i for i, s in enumerate(t.summands) if s == x)
+        elif sigma_x in sigma:
+            k = sigma[sigma_x]
             if k == 0:
                 continue
             mid = apply_F(algebra, tuple(middle_objs))
@@ -452,15 +452,18 @@ def check_ar_recursion(ctx: SuiteContext) -> List[str]:
 
 
 def check_chi_oracle(ctx: SuiteContext) -> List[str]:
+    """Every entry of the chi table of each functor image, the table the
+    characters sum, against the finite-field oracle; an entry missing from
+    the table counts as 0."""
     t = ctx.t
     failures = []
     for x in all_rigid_indecs(ctx.tube):
         mod = apply_F(ctx.algebra, x)
         if mod.is_zero():
             continue
-        rank = rank_vector(mod)
-        for e in product(*[range(r + 1) for r in rank]):
-            direct = chi_lf(mod, e)
+        entries = chi_table(mod).entries
+        for e in product(*[range(r + 1) for r in rank_vector(mod)]):
+            direct = entries.get(e, 0)
             oracle = chi_lf_oracle_fq(mod, e)
             if direct != oracle:
                 failures.append(f"{t}: chi mismatch at {x}, e={e}: {direct} vs {oracle}")

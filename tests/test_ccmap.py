@@ -6,7 +6,7 @@ import pytest
 
 from clustertube import ccmap
 from clustertube.ccmap import CCMap, cached_atlas
-from clustertube.amod import apply_F, coindex
+from clustertube.amod import _sigma_summand_index, apply_F, coindex
 from clustertube.laurent import LaurentPoly, lp_denominator_vector
 from clustertube.tube import (Indec, MaximalRigid, Tube, TubeError, all_rigid_indecs,
                               enumerate_maximal_rigid)
@@ -86,7 +86,7 @@ def test_bijection_for_every_rank_two_object(tube2):
 def test_denominator_report(cyclic_cc):
     assert cyclic_cc.verify_denominators() == []
     rigid = all_rigid_indecs(cyclic_cc.tube)
-    assert sum(x in cyclic_cc._sigma for x in rigid) == 3
+    assert sum(x in _sigma_summand_index(cyclic_cc.algebra) for x in rigid) == 3
     assert sum(not cyclic_cc.cc(x).module.is_zero() for x in rigid) == 9
 
 
@@ -104,7 +104,7 @@ def test_a_forged_initial_denominator_fails(cyclic_t, tube3):
 
 def test_a_zero_functor_image_outside_the_shifted_summands_fails(cyclic_t, tube3):
     cm = CCMap(cyclic_t)
-    x = next(x for x in all_rigid_indecs(tube3) if x not in cm._sigma)
+    x = next(x for x in all_rigid_indecs(tube3) if x not in _sigma_summand_index(cm.algebra))
     real = cm.cc(x)
     cm._cache[(x,)] = real._replace(module=apply_F(cm.algebra, cm.tube.tau(cyclic_t.summands[0])))
     assert cm.verify_denominators() == [

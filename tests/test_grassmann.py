@@ -94,10 +94,15 @@ def test_oracle_trivial_and_negative_inputs(cyclic_algebra):
         chi_lf(m, (-1, 0, 0))
 
 
-def test_oracle_needs_enough_primes(cyclic_algebra):
-    m = apply_F(cyclic_algebra, Indec(1, 3))
+def test_oracle_needs_enough_primes(monkeypatch):
+    from clustertube import grassmann
+
+    # a new tube, so that no verdict of this module is in its memo yet
+    alg, _ = _translated_algebras()
+    m = apply_F(alg, Indec(1, 3))
+    monkeypatch.setattr(grassmann, "_first_primes", lambda k: [2])
     with pytest.raises(OracleError, match="primes"):
-        chi_lf_oracle_fq(m, (0, 0, 1), primes=[2])
+        chi_lf_oracle_fq(m, (0, 0, 1))
 
 
 def test_oracle_matches_direct_count_on_reference_module(cyclic_algebra):
@@ -245,15 +250,20 @@ def test_a_module_without_provenance_gets_its_own_string_data(cyclic_algebra, mo
         assert m.provenance is None
         assert grassmann._indec_summands(m) == [m]
         assert grassmann._string_data(m)[0].word == word
-        expected = grassmann._string_profile_counts(cyclic_algebra, normal_form(m))
-        assert grassmann._profile_counts(m) == expected
-        assert grassmann._profile_counts(m) == expected
+        expected = grassmann._subset_counts(cyclic_algebra, normal_form(m))
+        assert grassmann._string_data(m)[1] == expected
+        # the chi table of m halves its own profile counts at the loop vertex
+        lv = cyclic_algebra.loop_arrow().src - 1
+        halved = {tuple(d // 2 if v == lv else d for v, d in enumerate(profile)): c
+                  for profile, c in expected.items()}
+        assert chi_table(m).entries == dict(sorted(halved.items()))
+        assert grassmann._string_data(m)[1] == expected
         assert calls == [m]
         del calls[:]
 
 
 def test_chi_table_equals_the_mask_count_over_fresh_forms():
-    from clustertube.grassmann import _convolve, _string_profile_counts
+    from clustertube.grassmann import _convolve, _subset_counts
     from clustertube.strings import string_normal_form
     from clustertube.tube import all_rigid_indecs, enumerate_maximal_rigid, in_pr_T
 
@@ -270,7 +280,7 @@ def test_chi_table_equals_the_mask_count_over_fresh_forms():
             counts = {(0,) * alg.n: 1}
             for y in m.provenance:
                 piece = apply_F(alg, y)
-                counts = _convolve(counts, _string_profile_counts(alg, string_normal_form(piece)))
+                counts = _convolve(counts, _subset_counts(alg, string_normal_form(piece)))
             direct = {}
             for profile, c in counts.items():
                 e = tuple(d // 2 if v == lv else d for v, d in enumerate(profile))
@@ -317,13 +327,19 @@ def test_translated_objects_share_chi_tables_and_oracle_verdicts(monkeypatch):
     assert all(a[0] is b[0] and a[1] == b[1] == 1 for a, b in zip(rows[:half], rows[half:]))
 
 
-def test_an_inconclusive_oracle_is_never_memoised():
+def test_an_inconclusive_oracle_is_never_memoised(monkeypatch):
+    from clustertube import grassmann
+
     alg, _ = _translated_algebras()
     m = apply_F(alg, Indec(1, 3))
+    first_primes = grassmann._first_primes
+    monkeypatch.setattr(grassmann, "_first_primes", lambda k: [2])
     for _ in range(2):
         with pytest.raises(OracleError, match="primes"):
-            chi_lf_oracle_fq(m, (0, 0, 1), primes=[2])
+            chi_lf_oracle_fq(m, (0, 0, 1))
     assert not [key for key in alg.tube._module_memo if "oracle" in key]
+    monkeypatch.setattr(grassmann, "_first_primes", first_primes)
+    assert chi_lf_oracle_fq(m, (0, 0, 1)) == chi_lf(m, (0, 0, 1))
 
 
 def test_the_recursion_checks_its_domain_on_a_filled_memo():

@@ -557,6 +557,38 @@ def test_a_worker_sends_only_failure_lines(monkeypatch):
     _no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_forged_chi_table_fails_the_oracle_and_the_recursion(monkeypatch, workers):
+    # on F(2,3) over (1,3)+(1,2)+(2,1), B_T e is one vector for e = (0, 2, 2)
+    # and (1, 2, 0); moving one count between them keeps every character,
+    # so only the checks that read the table itself can see it
+    from clustertube import grassmann
+
+    frame = (Indec(1, 3), Indec(1, 2), Indec(2, 1))
+    real_table = grassmann._chi_table
+
+    def forged(m):
+        table = real_table(m)
+        if m.algebra.t.summands == frame and m.provenance == (Indec(2, 3),):
+            assert table.entries[(0, 2, 2)] == table.entries[(1, 2, 0)] == 1
+            entries = dict(table.entries)
+            entries[(0, 2, 2)] = 2
+            del entries[(1, 2, 0)]
+            return grassmann.ChiTable(entries)
+        return table
+
+    monkeypatch.setattr(grassmann, "_chi_table", forged)
+    report = verify.run_suite(3, workers=workers)
+    t = MaximalRigid(Tube(3), frame)
+    assert report.failures == [
+        f"AR recursion: {t}: recursion fails on the sequence ending at (2,3)",
+        f"AR recursion: {t}: recursion fails on the sequence ending at (3,3)",
+        f"finite-field chi oracle: {t}: chi mismatch at (2,3), e=(0, 2, 2): 2 vs 1",
+        f"finite-field chi oracle: {t}: chi mismatch at (2,3), e=(1, 2, 0): 0 vs 1",
+    ]
+    _no_child_left()
+
+
 def _made_groups(monkeypatch):
     """The groups of each later ``run_suite``, in queue order, recorded as
     it makes them: worker k runs group k first."""
