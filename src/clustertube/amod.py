@@ -54,14 +54,12 @@ class AModule:
     The private slots keep invariants computed on first use: the projective
     cover and its kernel, the module's part of a memo key (``_content``) and
     whether it is locally free here; the string normal form with its profile
-    counts, the direct sum of its summands' string normal forms, and the
-    integral arrow matrices and the subspaces the point count reads, in
-    ``clustertube.grassmann``.
+    counts, and the arrow matrices and the subspaces the point count reads,
+    in ``clustertube.grassmann``.
     """
 
     __slots__ = ("algebra", "dims", "mats", "provenance",
-                 "_cover", "_syzygy", "_key", "_free", "_strings",
-                 "_canonical", "_points")
+                 "_cover", "_syzygy", "_key", "_free", "_strings", "_points")
 
     def __init__(
         self,
@@ -89,7 +87,6 @@ class AModule:
         self._key = None
         self._free = None
         self._strings = None
-        self._canonical = None
         self._points = None
         if check:
             self._check_relations()

@@ -18,6 +18,7 @@ from .tube import (
     ConsistencyError,
     MaximalRigid,
     Tube,
+    _radical_indices,
     basis_product,
     chom_coords,
     hom_c_basis,
@@ -85,11 +86,6 @@ class FinDimAlgebra:
                 for h in homs:
                     self.basis.append((i, j, h))
         self.dim = len(self.basis)
-        self._t_dim: Dict[Tuple[int, int], int] = {
-            (i, j): self.tube.hom_tube_dim(t.summands[i], t.summands[j])
-            for i in range(self.n)
-            for j in range(self.n)
-        }
         self.mult: Dict[Tuple[int, int], tuple] = {}
         self._build_mult_table()
         self._identity_coords: Dict[int, tuple] = {}
@@ -167,12 +163,8 @@ class FinDimAlgebra:
 
     def radical_indices(self, i: int, j: int) -> List[int]:
         """Basis indices spanning rad(T_i, T_j)."""
-        off = self.block_offset[(i, j)]
-        dim = self.block_dim[(i, j)]
-        if i != j:
-            return list(range(off, off + dim))
-        # the tube stratum of a local endomorphism ring is the scalars
-        return list(range(off + self._t_dim[(i, j)], off + dim))
+        s, off = self.t.summands, self.block_offset[(i, j)]
+        return [off + k for k in _radical_indices(self.tube, s[i], s[j])]
 
     def _rad_square_span(self, i: int, j: int) -> list:
         """Coordinate vectors spanning rad^2(T_i, T_j)."""

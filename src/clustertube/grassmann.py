@@ -7,7 +7,9 @@ is the one reading of these counts: the characters sum it, ``chi_lf`` looks
 it up, and the Auslander-Reiten recursion convolves it.  An independent
 finite-field oracle counts actual subspace tuples over several primes,
 interpolates the counting polynomial and evaluates it at one; the suite
-checks every entry of the table against it.
+checks every entry of the table against it.  The oracle counts on the
+module's own arrow matrices, never on its string normal form, so it does
+not read the sweep whose counts it checks.
 """
 from __future__ import annotations
 
@@ -28,9 +30,8 @@ from .amod import (
     is_locally_free,
     loop_vertex,
     rank_vector,
-    zero_module,
 )
-from .strings import StringBasis, string_normal_form
+from .strings import StringBasis, is_monomial, string_normal_form
 
 
 class OracleError(RuntimeError):
@@ -261,13 +262,22 @@ def _in_rowspace(rows: List[List[int]], vec: List[int], p: int) -> bool:
 
 
 def _point_data(m: AModule) -> Tuple[tuple, dict]:
-    """The rows of each arrow matrix of m, checked once to be integral, and
-    a dict for what the point count enumerates on m, both kept on m; a
-    module with a non-integral entry keeps nothing."""
+    """The rows of each arrow matrix of m, checked once to be monomial with
+    entries 0 and +-1, and a dict for what the point count enumerates on m,
+    both kept on m; any other module keeps nothing.
+
+    The entries 0 and +-1 are zero or units mod every prime, and with at
+    most one nonzero entry per row and per column every arrow sends each
+    basis vector to +-1 times one basis vector or to zero, over every F_p:
+    the count reads a module with the same coefficient quiver at every
+    prime."""
     if m._points is None:
         # entries are in normal form: an int exactly when integral
-        if any(type(x) is not int for mat in m.mats for row in mat.rows for x in row):
-            raise OracleError("oracle needs an integral normal form")
+        if any(type(x) is not int or x not in (0, 1, -1)
+               for mat in m.mats for row in mat.rows for x in row):
+            raise OracleError("oracle needs integral arrow entries 0 or +-1")
+        if not all(is_monomial(mat) for mat in m.mats):
+            raise OracleError("oracle needs monomial arrow matrices")
         m._points = (tuple(mat.rows for mat in m.mats), {})
     return m._points
 
@@ -343,33 +353,23 @@ def chi_lf_oracle_fq(m: AModule, e: Sequence[int]) -> int:
         raise DomainError("rank vectors are componentwise nonnegative")
     if not is_locally_free(m):
         raise DomainError("ambient module must be locally free")
-    key = ("oracle", _summands_content(m), tuple(e))
+    key = ("oracle", _content(m), tuple(e))
     return _memoised(m.algebra, key, lambda: _oracle_count(m, e))
-
-
-def _canonical_sum(m: AModule) -> AModule:
-    """The direct sum of the string normal forms of m's summands, built
-    once and kept on m."""
-    if m._canonical is None:
-        canonical = [_string_data(piece)[0].module for piece in _indec_summands(m)]
-        m._canonical = direct_sum(canonical) if canonical else zero_module(m.algebra)
-    return m._canonical
 
 
 def _oracle_count(m: AModule, e: Sequence[int]) -> int:
     alg = m.algebra
-    work = _canonical_sum(m)
     ehat = _hat(alg, e)
     lv = loop_vertex(alg) - 1
-    degree_bound = sum(d * (md - d) for d, md in zip(ehat, work.dims))
-    if any(d > md for d, md in zip(ehat, work.dims)):
+    degree_bound = sum(d * (md - d) for d, md in zip(ehat, m.dims))
+    if any(d > md for d, md in zip(ehat, m.dims)):
         return 0
     primes = _first_primes(degree_bound + 2)
     if len(primes) <= degree_bound:
         raise OracleError(
             f"oracle inconclusive: need more than {degree_bound} primes"
         )
-    points = [(p, _count_points(work, ehat, e[lv], p)) for p in primes]
+    points = [(p, _count_points(m, ehat, e[lv], p)) for p in primes]
     # Lagrange interpolation through all sample points
     coeffs = _interpolate(points)
     if len(coeffs) - 1 > degree_bound:
@@ -446,13 +446,5 @@ def ar_sequences_ending_at_tau_rigid(algebra: FinDimAlgebra):
         # x is a summand of T exactly when tau x is a shifted summand
         if x in sigma or tube.tau(x) in sigma:
             continue
-        n_mod = apply_F(algebra, x)
-        l_obj = tube.tau(x)
-        l_mod = apply_F(algebra, l_obj)
-        middles = []
-        up = tube.indec(x.a - 1, x.b + 1)
-        middles.append(apply_F(algebra, up))
-        if x.b > 1:
-            middles.append(apply_F(algebra, tube.indec(x.a, x.b - 1)))
-        m_mod = direct_sum(middles)
-        yield l_mod, m_mod, n_mod, x
+        m_mod = direct_sum([apply_F(algebra, y) for y in tube.ar_middle(x)])
+        yield apply_F(algebra, tube.tau(x)), m_mod, apply_F(algebra, x), x

@@ -154,6 +154,12 @@ class Tube:
     def tau(self, x: Indec, k: int = 1) -> Indec:
         return Indec((x.a - k - 1) % self.p + 1, x.b)
 
+    def ar_middle(self, x: Indec) -> Tuple[Indec, ...]:
+        """The middle term of the AR triangle tau x -> E -> x -> tau x[1]:
+        (a-1, b+1), and (a, b-1) unless x is quasi-simple."""
+        up = self.indec(x.a - 1, x.b + 1)
+        return (up, self.indec(x.a, x.b - 1)) if x.b > 1 else (up,)
+
     def indec_dims(self, x: Indec) -> tuple:
         cached = self._dims_cache.get(x)
         if cached is None:

@@ -62,9 +62,9 @@ from .grassmann import (
 CHECK_ERRORS = (ConsistencyError, TubeError, ClusterError)
 
 
-def tau_orbit_representatives(tube: Tube) -> List[MaximalRigid]:
-    """One maximal rigid object per translation orbit: long summand at 1."""
-    return [t for t in enumerate_maximal_rigid(tube.n, tube) if t.long == Indec(1, tube.n)]
+def is_orbit_representative(t: MaximalRigid) -> bool:
+    """Whether t represents its translation orbit: its long summand is at 1."""
+    return t.long == Indec(1, t.tube.n)
 
 
 def _stack_chom(tube: Tube, middle: Sequence[Indec], comps: Sequence[CHom], target: Indec,
@@ -327,18 +327,16 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
     # AR triangles: additivity off the shifted summands, the locally
     # free submodule/factor descriptions at them
     for x in all_rigid_indecs(tube):
-        middle_objs = [tube.indec(x.a - 1, x.b + 1)]
-        if x.b > 1:
-            middle_objs.append(tube.indec(x.a, x.b - 1))
+        middle_objs = tube.ar_middle(x)
         if not all(in_pr_T(t, y) and in_pr_sigma_T(t, y) for y in middle_objs):
             continue
         sigma_x = tube.tau(x)
         if x not in sigma and sigma_x not in sigma:
-            lhs_i = index(algebra, tuple(middle_objs))
+            lhs_i = index(algebra, middle_objs)
             rhs_i = tuple(
                 a + c for a, c in zip(index(algebra, x), index(algebra, sigma_x))
             )
-            lhs_c = coindex(algebra, tuple(middle_objs))
+            lhs_c = coindex(algebra, middle_objs)
             rhs_c = tuple(
                 a + c for a, c in zip(coindex(algebra, x), coindex(algebra, sigma_x))
             )
@@ -348,7 +346,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             k = sigma[x]
             if k == 0:
                 continue
-            mid = apply_F(algebra, tuple(middle_objs))
+            mid = apply_F(algebra, middle_objs)
             inj = injective(algebra, k + 1)
             if not is_locally_free(mid):
                 failures.append(f"{t}: injective factor not locally free at {k+1}")
@@ -364,13 +362,13 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             if not (onto.commutes() and onto.is_surjective()):
                 failures.append(f"{t}: no surjection onto the factor at {k+1}")
             expected_co = tuple(-b.b[i][k] for i in range(n))
-            if coindex(algebra, tuple(middle_objs)) != expected_co:
+            if coindex(algebra, middle_objs) != expected_co:
                 failures.append(f"{t}: factor coindex off at {k+1}")
         elif sigma_x in sigma:
             k = sigma[sigma_x]
             if k == 0:
                 continue
-            mid = apply_F(algebra, tuple(middle_objs))
+            mid = apply_F(algebra, middle_objs)
             proj = projective(algebra, k + 1)
             if not is_locally_free(mid):
                 failures.append(f"{t}: projective submodule not locally free at {k+1}")
@@ -388,7 +386,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             rhs = tuple(
                 a + c
                 for a, c in zip(
-                    coindex(algebra, tuple(middle_objs)),
+                    coindex(algebra, middle_objs),
                     coindex(algebra, tube.tau(t.summands[k], 2)),
                 )
             )
@@ -637,8 +635,9 @@ def _map_groups(work: Callable[[Sequence[int]], list], groups: Sequence[Sequence
     """The rows of ``work(objects)`` over the objects of every group, split
     between ``workers`` processes, in no fixed order.
 
-    With one worker this process runs every object, in index order, and
-    nothing is forked.  Otherwise process k (this one is 0, each other a
+    With one worker this process runs the groups in their order, and
+    opens no pipe and forks nothing, so it needs neither ``os.fork`` nor
+    ``os.set_blocking``.  Otherwise process k (this one is 0, each other a
     forked child) first runs group k, fixed before the fork.  The numbers
     of the other groups go into one pipe, in the order of ``groups``, and
     each process claims its next group from it until it is empty
@@ -652,7 +651,7 @@ def _map_groups(work: Callable[[Sequence[int]], list], groups: Sequence[Sequence
     ``RuntimeError``.  Every child is reaped on every path, and killed
     first if its rows were not read."""
     if workers == 1:
-        return work(sorted(i for group in groups for i in group))
+        return [row for group in groups for row in work(group)]
     import pickle
     import signal
 
@@ -732,8 +731,8 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     and at most one per group (one without ``os.fork`` or with other
     threads running; see ``_worker_count``).  The processes claim whole
     groups, the heaviest (most scheduled checks) first, so no process
-    repeats another's work (``_map_groups``); with one worker the objects
-    run in enumeration order.  This process takes part after the shared
+    repeats another's work (``_map_groups``); one worker runs the groups
+    in that order, without a fork.  This process takes part after the shared
     work, and each other process is a forked child that inherits the table.
     A child sends back, per T, only its index and each scheduled check's
     failure lines.  Each process holds at most one End(T) at a time.  The
@@ -742,17 +741,13 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     """
     tube = Tube(n)
     ts_all = enumerate_maximal_rigid(n, tube)
-    reps = {t.summands for t in tau_orbit_representatives(tube)}
     table = ExchangeTable(ts_all)
     associative = {t.summands for t in ts_all[:3]}
 
     def every(t: MaximalRigid) -> bool:
         return True
 
-    def is_rep(t: MaximalRigid) -> bool:
-        return t.summands in reps
-
-    characters = every if n <= 3 else is_rep
+    characters = every if n <= 3 else is_orbit_representative
     # (report line, check on one context, scope), in report order
     schedule = [
         ("quiver shape and relations",
@@ -763,13 +758,14 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
             ("matrix formulas and mutation", check_b_matrix_compatibility, every),
             ("character bijection", check_bijection, characters),
             ("denominator vectors", check_denominators, characters),
-            ("exchange relations and walk", check_exchange_relations, is_rep),
+            ("exchange relations and walk", check_exchange_relations, is_orbit_representative),
             ("index and coindex laws", check_index_coindex, characters),
-            ("long-summand lemmas", check_long_summand_lemmas, is_rep),
-            ("AR recursion", check_ar_recursion, is_rep),
+            ("long-summand lemmas", check_long_summand_lemmas, is_orbit_representative),
+            ("AR recursion", check_ar_recursion, is_orbit_representative),
         ]
     if n <= 3 and oracle:
-        schedule.append(("finite-field chi oracle", check_chi_oracle, every if n == 2 else is_rep))
+        schedule.append(("finite-field chi oracle", check_chi_oracle,
+                         every if n == 2 else is_orbit_representative))
 
     def run_objects(objects: Sequence[int]) -> list:
         """Per object of ``objects``: its index and each scheduled check's

@@ -26,8 +26,8 @@ from clustertube.verify import (
     check_index_coindex,
     check_long_summand_lemmas,
     check_structure,
-    tau_orbit_representatives,
 )
+from verify_reference import tau_orbit_representatives
 
 _tables = {}
 

@@ -46,10 +46,11 @@ from clustertube.tube import (
     mutate_rigid,
     tau_chom,
 )
-from clustertube.verify import _irreducible_maps, _stack_chom, tau_orbit_representatives
+from clustertube.verify import _irreducible_maps, _stack_chom
 
 from amod_reference import arrow_matrices_by_composition, map_F_by_blocks
 from linalg_reference import coords_in_span
+from verify_reference import tau_orbit_representatives
 
 
 def test_functor_kills_shifted_summands(cyclic_algebra, cyclic_t, tube3):

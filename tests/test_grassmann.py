@@ -17,8 +17,9 @@ from clustertube.grassmann import (
     _mod_rank,
     _subspaces,
 )
-from clustertube.strings import enumerate_strings, string_module
+from clustertube.strings import string_module
 from clustertube.tube import Indec, MaximalRigid, Tube
+from strings_reference import conjugate, enumerate_strings
 
 
 def gaussian_binomial(m, d, q):
@@ -244,7 +245,7 @@ def test_a_module_without_provenance_gets_its_own_string_data(cyclic_algebra, mo
         return normal_form(m)
 
     monkeypatch.setattr(grassmann, "string_normal_form", counting_normal_form)
-    words = [w for w in enumerate_strings(cyclic_algebra) if w.length() >= 2]
+    words = [w for w in enumerate_strings(cyclic_algebra) if len(w.letters) >= 2]
     for word in words[:4]:
         m = string_module(cyclic_algebra, word)
         assert m.provenance is None
@@ -369,6 +370,48 @@ def test_the_point_count_reads_integral_rows_checked_once_per_module():
     assert halved._points is None
 
 
+def test_the_oracle_refuses_a_non_unit_entry_and_keeps_nothing(cyclic_algebra):
+    # the module of the sweep's rescaling test: its entries 1/5 have no
+    # value mod 5, so the point count could not read it there; chi_table
+    # still reads the module through its string normal form
+    from fractions import Fraction
+
+    from clustertube.amod import _content
+    from clustertube.linalg import ExactMatrix
+
+    m = apply_F(cyclic_algebra, Indec(1, 3))
+    d = ExactMatrix([[Fraction(5), 0], [0, 1]])
+    d_inv = ExactMatrix([[Fraction(1, 5), 0], [0, 1]])
+    scaled = conjugate(cyclic_algebra, m, {1: (d, d_inv)})
+    assert any(x == Fraction(1, 5) for mat in scaled.mats for row in mat.rows for x in row)
+    for e in ((0, 0, 1), (1, 0, 2)):
+        with pytest.raises(OracleError, match="0 or"):
+            chi_lf_oracle_fq(scaled, e)
+    assert scaled._points is None
+    assert not [key for key in cyclic_algebra.tube._module_memo
+                if "oracle" in key and _content(scaled) in key]
+    assert chi_table(scaled).entries == chi_table(m).entries
+
+
+def test_the_oracle_refuses_a_non_monomial_module_and_keeps_nothing(cyclic_algebra):
+    # the twisted module of the strings tests: every entry is 0 or +-1, but
+    # a row with two nonzero entries need not keep its rank mod every prime
+    from clustertube.amod import _content
+    from clustertube.linalg import ExactMatrix
+
+    m = apply_F(cyclic_algebra, Indec(1, 3))
+    d = ExactMatrix([[1, 1], [0, 1]])
+    d_inv = ExactMatrix([[1, -1], [0, 1]])
+    twisted = conjugate(cyclic_algebra, m, {1: (d, d_inv)})
+    assert all(x in (0, 1, -1) for mat in twisted.mats for row in mat.rows for x in row)
+    for e in ((0, 0, 1), (1, 0, 2)):
+        with pytest.raises(OracleError, match="monomial"):
+            chi_lf_oracle_fq(twisted, e)
+    assert twisted._points is None
+    assert not [key for key in cyclic_algebra.tube._module_memo
+                if "oracle" in key and _content(twisted) in key]
+
+
 def _count_points_over_all_tuples(m, ehat, e_loop, p):
     """The point count as one loop over every tuple of subspaces, checking
     each arrow on the whole tuple, kept as the reference."""
@@ -419,16 +462,15 @@ def test_the_point_count_equals_the_loop_over_all_tuples(n):
             if not in_pr_T(t, x) or apply_F(alg, x).is_zero():
                 continue
             m = apply_F(alg, x)
-            work = grassmann._canonical_sum(m)
             rank = rank_vector(m)
             lv = grassmann.loop_vertex(alg) - 1
             for e in itertools.product(*[range(r + 1) for r in rank]):
                 ehat = grassmann._hat(alg, e)
-                if any(d > md for d, md in zip(ehat, work.dims)):
+                if any(d > md for d, md in zip(ehat, m.dims)):
                     continue
                 for p in (2, 3, 5):
-                    got = grassmann._count_points(work, ehat, e[lv], p)
-                    assert got == _count_points_over_all_tuples(work, ehat, e[lv], p), (t, x, e, p)
+                    got = grassmann._count_points(m, ehat, e[lv], p)
+                    assert got == _count_points_over_all_tuples(m, ehat, e[lv], p), (t, x, e, p)
                     compared += 1
                     nonzero += got > 0
     assert compared > 50 and nonzero > 20

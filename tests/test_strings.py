@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from clustertube.amod import apply_F, rank_vector, simple, tau_A
+from clustertube.endo import build_endomorphism_algebra
+from clustertube.linalg import ExactMatrix
 from clustertube.strings import (
     Letter,
     NotStringModuleError,
     StringWord,
-    enumerate_strings,
     string_module,
     string_normal_form,
 )
-from clustertube.tube import Indec, all_rigid_indecs
+from clustertube.tube import Indec, Tube, all_rigid_indecs, enumerate_maximal_rigid
+from strings_reference import conjugate, enumerate_strings
 
 
 def _arrow_by_role(algebra):
@@ -52,7 +54,7 @@ def test_string_count_matches_module_count(cyclic_algebra):
 def test_normal_form_of_simples(cyclic_algebra):
     for i in (1, 2, 3):
         sb = string_normal_form(simple(cyclic_algebra, i))
-        assert sb.word.length() == 0
+        assert len(sb.word.letters) == 0
         assert sb.word.trivial_vertex == i
 
 
@@ -102,92 +104,29 @@ def test_boundary_words_differ_by_loop_flip(linear_algebra, tube3):
         assert flip(w_over) == w_under.canonical()
 
 
-def _conjugate(algebra, m, changes):
-    """The module m with its vertex-v basis changed by d, for each entry
-    v: (d, d_inv) of ``changes`` (d_inv the inverse of d)."""
-    from clustertube.amod import AModule
-
-    mats = []
-    for a in algebra.arrows:
-        mat = m.mats[a.idx]
-        if a.src in changes:
-            mat = changes[a.src][0].mul(mat)
-        if a.tgt in changes:
-            mat = mat.mul(changes[a.tgt][1])
-        mats.append(mat)
-    return AModule(algebra, m.dims, mats)
-
-
 def test_sweep_rescales_non_unit_entries(cyclic_algebra):
     # conjugating a basis vector scales the arrow entries; the sweep must
     # still normalize the module and recover the same word
-    from clustertube.linalg import ExactMatrix
-
     m = apply_F(cyclic_algebra, Indec(1, 3))
     d = ExactMatrix([[Fraction(5), 0], [0, 1]])
     d_inv = ExactMatrix([[Fraction(1, 5), 0], [0, 1]])
-    twisted = _conjugate(cyclic_algebra, m, {1: (d, d_inv)})
+    twisted = conjugate(cyclic_algebra, m, {1: (d, d_inv)})
     sb = string_normal_form(twisted)
     assert sb.word == string_normal_form(m).word
     assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
 
 
-def test_matching_fallback_on_abstract_module(cyclic_algebra, monkeypatch):
+def test_a_non_monomial_basis_has_no_string_form(cyclic_algebra):
     # a non-monomial change of basis at a two-dimensional vertex leaves a
-    # row with two nonzero entries, so the rescaling sweep cannot read the
-    # word and the normal form must come from isomorphism matching
-    from clustertube import strings
-    from clustertube.linalg import ExactMatrix
-
+    # row with two nonzero entries; the module is still isomorphic to a
+    # string module, but the sweep reads words off monomial bases only
     m = apply_F(cyclic_algebra, Indec(1, 3))
     assert m.dims[0] == 2
     d = ExactMatrix([[1, 1], [0, 1]])
     d_inv = ExactMatrix([[1, -1], [0, 1]])
-    twisted = _conjugate(cyclic_algebra, m, {1: (d, d_inv)})
-    calls = []
-    matching = strings._string_form_by_matching
-
-    def counted(module):
-        calls.append(module)
-        return matching(module)
-
-    monkeypatch.setattr(strings, "_string_form_by_matching", counted)
-    sb = string_normal_form(twisted)
-    assert calls == [twisted]
-    assert sb.word == string_normal_form(m).word
-    assert sb.iso.src is twisted
-    assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
-
-
-@pytest.mark.parametrize("fixture", ["cyclic_algebra", "linear_algebra"])
-def test_isomorphism_matching_is_exact(request, fixture):
-    # a non-monomial change of basis at every vertex of dimension >= 2;
-    # matching must find the word again, through a basis element of Hom
-    from clustertube import strings
-    from clustertube.amod import hom_A_basis
-    from clustertube.linalg import ExactMatrix
-
-    algebra = request.getfixturevalue(fixture)
-    twisted_somewhere = 0
-    for word in enumerate_strings(algebra):
-        m = string_module(algebra, word)
-        changes = {}
-        for v, d in enumerate(m.dims, 1):
-            if d >= 2:
-                # the identity with its first row all ones, and its inverse
-                changes[v] = (
-                    ExactMatrix([[1] * d] + [[int(r == c) for c in range(d)] for r in range(1, d)]),
-                    ExactMatrix([[1] + [-1] * (d - 1)]
-                                + [[int(r == c) for c in range(d)] for r in range(1, d)]),
-                )
-        twisted_somewhere += bool(changes)
-        twisted = _conjugate(algebra, m, changes)
-        sb = strings._string_form_by_matching(twisted)
-        assert sb.word == word.canonical()
-        assert sb.iso.src is twisted and sb.iso.tgt is sb.module
-        assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
-        assert any(phi.mats == sb.iso.mats for phi in hom_A_basis(twisted, sb.module))
-    assert twisted_somewhere
+    twisted = conjugate(cyclic_algebra, m, {1: (d, d_inv)})
+    with pytest.raises(NotStringModuleError, match="not monomial"):
+        string_normal_form(twisted)
 
 
 def test_normal_form_of_the_ar_translate(cyclic_algebra):
@@ -198,3 +137,27 @@ def test_normal_form_of_the_ar_translate(cyclic_algebra):
     assert not t.is_zero()
     sb = string_normal_form(t)
     assert sb.module.dims == t.dims
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_image_and_its_translate_has_a_string_form(n):
+    # every nonzero functor image of a rigid indecomposable, over every
+    # End(T), and its AR translate are monomial in the basis they are built
+    # in, so the sweep alone reads their words
+    tube = Tube(n)
+    images = translates = 0
+    for t in enumerate_maximal_rigid(n, tube):
+        algebra = build_endomorphism_algebra(t, check=False)
+        for x in all_rigid_indecs(tube):
+            m = apply_F(algebra, x)
+            if m.is_zero():
+                continue
+            for module in (m, tau_A(m)):
+                if module.is_zero():
+                    continue
+                sb = string_normal_form(module)
+                assert sb.module.dims == module.dims, (t, x)
+                assert sb.iso.commutes() and sb.iso.is_injective() and sb.iso.is_surjective()
+                images += module is m
+                translates += module is not m
+    assert (images, translates) == {2: (24, 12), 3: (180, 120)}[n]

@@ -21,6 +21,8 @@ from clustertube.linalg import ExactMatrix
 from clustertube.tube import (ApproxResult, ConsistencyError, Indec, MaximalRigid, Tube,
                               TubeError, enumerate_maximal_rigid)
 
+from verify_reference import tau_orbit_representatives
+
 
 def _raise(exc):
     def broken(*args, **kwargs):
@@ -88,21 +90,30 @@ def test_one_context_per_object_and_one_alive_at_a_time(monkeypatch, n, check_li
         calls[(id(t), k)] = calls.get((id(t), k), 0) + 1
         return mutate(t, k)
 
+    groups = []
+    frame_groups = verify._frame_groups
+
+    def recording_groups(ts, weights):
+        groups.extend(frame_groups(ts, weights))
+        return groups
+
     monkeypatch.setattr(verify, "build_endomorphism_algebra", counting_build)
     monkeypatch.setattr(verify, "mutate_rigid", counting_mutate)
     monkeypatch.setattr(tube_module, "mutate_rigid", counting_mutate)
-    # one worker: the counters see only this process
+    monkeypatch.setattr(verify, "_frame_groups", recording_groups)
+    # one worker: the counters see only this process, which runs the
+    # groups in their order
     report = verify.run_suite(n, oracle=False, workers=1)
     assert report.ok
     ts = enumerate_maximal_rigid(n, Tube(n))
     assert len(built) == len(ts) == {3: 20, 4: 70}[n]
-    assert [t.summands for t, _ in built] == [t.summands for t in ts]
+    assert [t.summands for t, _ in built] == [ts[i].summands for group in groups for i in group]
     own = [calls.get((id(t), k), 0) for t, _ in built for k in range(1, n + 1)]
     assert own == [1] * (n * len(ts))
 
 
 def _representative(tube):
-    return verify.tau_orbit_representatives(tube)[0]
+    return tau_orbit_representatives(tube)[0]
 
 
 def test_failed_matrix_cross_check_is_a_failed_verification(monkeypatch, capsys):
@@ -153,7 +164,7 @@ VACUOUS = {
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_check_that_visits_no_object_fails(monkeypatch, n):
     # without representatives, the checks scoped to them visit nothing
-    monkeypatch.setattr(verify, "tau_orbit_representatives", lambda tube: [])
+    monkeypatch.setattr(verify, "is_orbit_representative", lambda t: False)
     report = verify.run_suite(n)
     assert [name for name, passed, _ in report.lines if not passed] == VACUOUS[n]
     assert report.failures == [f"{name}: visited no objects" for name in VACUOUS[n]]
@@ -181,7 +192,7 @@ def test_a_zero_map_fails_the_index_coindex_claims(monkeypatch):
 def test_a_zero_map_fails_the_long_summand_claims(monkeypatch):
     # the first object whose submodule and factor are both nonzero: onto a
     # zero factor even the zero map is surjective
-    t = verify.tau_orbit_representatives(_recorded(3).objects[0].tube)[1]
+    t = tau_orbit_representatives(_recorded(3).objects[0].tube)[1]
     ctx = _context(t)
     assert verify.check_long_summand_lemmas(ctx) == []
     monkeypatch.setattr(verify, "map_F", _zero_map)
@@ -438,7 +449,7 @@ def test_every_recorded_exchange_relation_holds(monkeypatch, n):
     # at rank two on every object, as on every mutation edge before; at rank
     # three on the representatives, as in the suite
     table = _recorded(n)
-    ts = table.objects if n == 2 else verify.tau_orbit_representatives(table.objects[0].tube)
+    ts = table.objects if n == 2 else tau_orbit_representatives(table.objects[0].tube)
     if n == 2:
         # the boundary collapse is stated for the long summand at (1, n)
         monkeypatch.setattr(CCMap, "verify_exchange_relations", lambda cm: [])
@@ -449,7 +460,7 @@ def test_every_recorded_exchange_relation_holds(monkeypatch, n):
 def test_a_forged_triangle_fails_the_exchange_relations_on_every_representative(monkeypatch):
     tube = Tube(3)
     ts = enumerate_maximal_rigid(3, tube)
-    reps = verify.tau_orbit_representatives(tube)
+    reps = tau_orbit_representatives(tube)
     # a triangle with a nonempty right middle term, on an object that is not
     # a representative (so every representative keeps its B_T); drop one summand
     target, forged = next((t, data) for t in ts if t.long != Indec(1, 3)
@@ -744,6 +755,25 @@ def test_the_worker_count(monkeypatch):
     monkeypatch.undo()
     monkeypatch.delattr(os, "fork")
     assert verify._worker_count(20) == 1
+
+
+def test_one_worker_needs_no_fork_and_no_pipe(monkeypatch):
+    # where the worker count is 1 for want of os.fork, os.set_blocking may be
+    # missing too (on Windows before Python 3.12): one worker uses neither,
+    # and runs the groups in their order
+    one = verify.run_suite(2, oracle=False, workers=1)
+    for name in ("fork", "pipe", "set_blocking"):
+        monkeypatch.delattr(os, name, raising=False)
+    ran = []
+
+    def work(group):
+        ran.append(list(group))
+        return [i * 10 for i in group]
+
+    assert verify._map_groups(work, [[2, 3], [0], [1]], 1) == [20, 30, 0, 10]
+    assert ran == [[2, 3], [0], [1]]
+    report = verify.run_suite(2, oracle=False)
+    assert (report.render(), report.failures) == (one.render(), one.failures)
 
 
 def test_groups_are_frames_heaviest_first():
