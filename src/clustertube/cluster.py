@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
-from operator import mul, sub
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import product
+from operator import itemgetter, mul, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly, lp_div_exact, LaurentError
 
@@ -28,27 +29,33 @@ def _freeze(b: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(int(x) for x in row) for row in b)
 
 
-def _check_sign_skew(b: IntMatrix) -> None:
-    n = len(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = b[i][j], b[j][i]
-            if (x > 0) - (x < 0) != (y < 0) - (y > 0):
-                raise ClusterError("matrix is not sign-skew-symmetric")
+def _check_sign_skew(b: IntMatrix, pairs: Optional[Iterable[Tuple[int, int]]] = None) -> None:
+    """ClusterError unless b_ij and b_ji have opposite signs (or are both
+    zero) on each pair (i, j) of ``pairs``; on every pair by default."""
+    if pairs is None:
+        n = len(b)
+        pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for i, j in pairs:
+        x, y = b[i][j], b[j][i]
+        if (x > 0) - (x < 0) != (y < 0) - (y > 0):
+            raise ClusterError("matrix is not sign-skew-symmetric")
 
 
 class ExchangeMatrix:
     """A sign-skew-symmetric integer matrix with zero diagonal.
 
     The public constructor is the checked boundary: it converts every entry
-    with ``int()`` and checks the shape, the diagonal and sign-skew-symmetry.
-    ``_trusted`` checks nothing.  ``Seed`` uses it for a simultaneous
-    permutation of rows and columns, which preserves all three properties.
-    :func:`mutate_matrix` keeps a zero diagonal and the shape, but it
-    preserves sign-skew-symmetry only for skew-symmetrizable matrices:
-    ``[[0, -2, 1], [1, 0, -2], [-2, 1, 0]]`` is sign-skew-symmetric, its
-    mutation in direction 1 is not.  So mutation checks sign-skew-symmetry
-    on every result before it goes through ``_trusted``.
+    with ``int()`` and checks the shape, the diagonal and sign-skew-symmetry
+    on every pair of entries b_ij, b_ji.  ``_trusted`` checks nothing.
+    ``Seed`` uses it for a simultaneous permutation of rows and columns,
+    which preserves all three properties.  :func:`mutate_matrix` keeps a
+    zero diagonal and the shape, but it preserves sign-skew-symmetry only
+    for skew-symmetrizable matrices: ``[[0, -2, 1], [1, 0, -2], [-2, 1,
+    0]]`` is sign-skew-symmetric, its mutation in direction 1 is not.  So
+    mutation checks the pairs it changed before the result goes through
+    ``_trusted``.  Every matrix reaches ``_trusted`` only from the checked
+    constructor, a permutation or a checked mutation, so every
+    ``ExchangeMatrix`` is sign-skew-symmetric.
     """
 
     __slots__ = ("n", "b")
@@ -88,6 +95,12 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     The result keeps a zero diagonal, but not always sign-skew-symmetry (see
     :class:`ExchangeMatrix`), so that is checked; ClusterError when it fails.
+    Off row and column k, b_ij changes only where b_ik b_kj > 0, and since B
+    is sign-skew-symmetric b_kj has the sign opposite to b_jk.  So the
+    changed pairs are exactly i with b_ik > 0 against j with b_jk < 0;
+    row and column k are negated together, and every other pair keeps the
+    entries B checked.  The check reads only the changed pairs, which is
+    therefore the whole check.
     """
     n = B.n
     if not 1 <= k <= n:
@@ -96,21 +109,25 @@ def mutate_matrix(B: ExchangeMatrix, k: int) -> ExchangeMatrix:
     b = B.b
     bk = b[k0]
     new = []
+    pos, neg = [], []
     for i, row in enumerate(b):
         # b'_ij = b_ij + sgn(b_ik) max(b_ik b_kj, 0) off row and column k
         c = row[k0]
         if i == k0:
             r = [-x for x in row]
         elif c > 0:
+            pos.append(i)
             r = [x + c * y if y > 0 else x for x, y in zip(row, bk)]
         elif c < 0:
+            neg.append(i)
             r = [x - c * y if y < 0 else x for x, y in zip(row, bk)]
         else:
-            r = list(row)
+            new.append(row)
+            continue
         r[k0] = -c
         new.append(tuple(r))
     new = tuple(new)
-    _check_sign_skew(new)
+    _check_sign_skew(new, product(pos, neg))
     return ExchangeMatrix._trusted(new)
 
 
@@ -145,7 +162,8 @@ class Seed:
 
     @classmethod
     def _trusted(cls, matrix: ExchangeMatrix, cluster: tuple, texts: tuple) -> "Seed":
-        """A seed over a permutation of a checked seed; nothing is checked."""
+        """A seed over a permutation or a checked mutation of a checked seed;
+        nothing is checked."""
         s = object.__new__(cls)
         s.matrix = matrix
         s.cluster = cluster
@@ -163,8 +181,10 @@ class Seed:
         texts = self.texts
         order = sorted(range(len(texts)), key=texts.__getitem__)
         b = self.matrix.b
-        new_b = tuple(tuple(b[i][j] for j in order) for i in order)
-        return order, (new_b, tuple(texts[i] for i in order))
+        if len(order) == 1:  # itemgetter of one index returns the bare item
+            return order, (b, texts)
+        pick = itemgetter(*order)
+        return order, (tuple(map(pick, pick(b))), pick(texts))
 
     def _permuted(self, order: List[int], key: tuple) -> "Seed":
         """This seed in the given order, from the key ``_canonical_order``
@@ -278,6 +298,11 @@ def mutate_seed(
     ClusterError and stores nothing.  Through :func:`enumerate_atlas` a
     rank-n atlas makes one product check per exchange relation and one
     division per new variable.
+
+    The mutated seed keeps the parent's texts with the one new text in
+    position k, and ClusterError is raised unless that text differs from
+    the other entries', so it is built with the check the constructor would
+    make on the whole cluster.
     """
     n = seed.matrix.n
     if not 1 <= k <= n:
@@ -290,12 +315,15 @@ def mutate_seed(
     proved = new_var is None
     if proved:
         new_var = _exchanged_variable(seed, k0, known)
-    cluster = list(seed.cluster)
-    cluster[k0] = new_var
-    mutated = Seed(mutate_matrix(seed.matrix, k), cluster)
+    new_text = new_var.canonical_text()
+    texts = seed.texts[:k0] + (new_text,) + seed.texts[k0 + 1:]
+    if texts.count(new_text) > 1:
+        raise ClusterError("cluster entries must be pairwise distinct")
+    cluster = seed.cluster[:k0] + (new_var,) + seed.cluster[k0 + 1:]
+    mutated = Seed._trusted(mutate_matrix(seed.matrix, k), cluster, texts)
     if proved:
         relations[relation] = new_var
-        relations[(mutated.texts[k0], relation[1])] = seed.cluster[k0]
+        relations[(new_text, relation[1])] = seed.cluster[k0]
     return mutated
 
 
@@ -343,8 +371,10 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
     to :func:`mutate_seed`: the exchange relations proved so far, so the
     atlas checks one product per exchange relation, and the variables found
     so far, so it divides once per new variable and its seeds share one
-    object per variable.  Raises NotFiniteTypeError when more than ``cap``
-    seeds appear, which guards against non-finite input.
+    object per variable.  A new seed shares all but its new variable with
+    the seed it was mutated from, so only that variable is added to
+    ``variables``.  Raises NotFiniteTypeError when more than ``cap`` seeds
+    appear, which guards against non-finite input.
     """
     initial = Seed.initial(B).canonical()
     index: Dict[tuple, int] = {initial.key(): 0}
@@ -371,7 +401,7 @@ def enumerate_atlas(B: ExchangeMatrix, cap: int = 10000) -> ClusterAtlas:
                     index[key] = j
                     new = mutated._permuted(order, key)
                     seeds.append(new)
-                    variables.update(new.cluster)
+                    variables.add(mutated.cluster[k - 1])
                     queue.append(j)
                 # seed j lists the cluster in this order, so the new
                 # variable sits where position k - 1 of mutated went

@@ -199,15 +199,26 @@ class Tube:
     # -- tube morphisms ------------------------------------------------------
 
     def hom_basis(self, x: Indec, y: Indec) -> List[VertexMaps]:
+        """Basis of the intertwiners x -> y, solved once per translation
+        class: for x.a != 1 it is the basis of the frame pair
+        (tau^s x, tau^s y), s = x.a - 1, rotated back with ``tau_vmaps``.
+        That is the basis a direct solve gives, since
+        arrow_matrix(tau^s x, v) = arrow_matrix(x, v + s)."""
         key = (x, y)
         cached = self._hom_cache.get(key)
         if cached is None:
-            # phi_{v-1} X_v = Y_v phi_v along every arrow v -> v - 1
-            arrows = [
-                (v, (v - 1) % self.p, self.arrow_matrix(x, v), self.arrow_matrix(y, v))
-                for v in range(self.p)
-            ]
-            cached = intertwiner_basis(self.indec_dims(x), self.indec_dims(y), arrows)
+            s = x.a - 1
+            fx, fy = self.tau(x, s), self.tau(y, s)
+            frame = self._hom_cache.get((fx, fy))
+            if frame is None:
+                # phi_{v-1} X_v = Y_v phi_v along every arrow v -> v - 1
+                arrows = [
+                    (v, (v - 1) % self.p, self.arrow_matrix(fx, v), self.arrow_matrix(fy, v))
+                    for v in range(self.p)
+                ]
+                frame = intertwiner_basis(self.indec_dims(fx), self.indec_dims(fy), arrows)
+                self._hom_cache[(fx, fy)] = frame
+            cached = [self.tau_vmaps(f, -s) for f in frame] if s else frame
             self._hom_cache[key] = cached
         return cached
 

@@ -3,7 +3,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clustertube import cluster
 from clustertube.cluster import (
@@ -87,6 +87,36 @@ def test_mutation_keeps_its_sign_skew_check():
         assert m == ExchangeMatrix(m.b)
 
 
+@st.composite
+def sign_skew_matrices(draw):
+    """Sign-skew-symmetric integer matrices of rank at most 5, entries in -3..3."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.integers(min_value=-3, max_value=3))
+            y = draw(st.integers(min_value=1, max_value=3)) if x else 0
+            b[i][j], b[j][i] = x, -y if x > 0 else y
+    return b
+
+
+@given(sign_skew_matrices())
+@example([[0, -2, 1], [1, 0, -2], [-2, 1, 0]])
+@settings(max_examples=200, deadline=None)
+def test_mutation_checks_sign_skew_exactly_when_the_full_check_fails(b):
+    # mutate_matrix reads only the pairs it changed
+    B = ExchangeMatrix(b)
+    for k in range(1, B.n + 1):
+        full = reference_mutation(B.b, k - 1)
+        try:
+            cluster._check_sign_skew(full)
+        except ClusterError:
+            with pytest.raises(ClusterError, match="sign-skew"):
+                mutate_matrix(B, k)
+        else:
+            assert mutate_matrix(B, k).b == full
+
+
 def test_seed_mutation_known_directions():
     seed = Seed.initial(B_CYCLIC)
     x1, x2, x3 = seed.cluster
@@ -113,6 +143,55 @@ def test_atlas_rank_two_type_c():
     atlas = enumerate_atlas(B_RANK_TWO)
     assert len(atlas.variables) == 6
     assert len(atlas.seeds) == 6
+
+
+def reference_key(seed):
+    """The seed's key with the permuted matrix built entry by entry."""
+    texts, b = seed.texts, seed.matrix.b
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    return (tuple(tuple(b[i][j] for j in order) for i in order),
+            tuple(texts[i] for i in order))
+
+
+SMALL_RANK_ATLASES = {
+    "rank1": (lambda: ExchangeMatrix([[0]]), 2, 2),
+    "rank2_type_a": (lambda: ExchangeMatrix([[0, 1], [-1, 0]]), 5, 5),
+    "rank2_type_c": (lambda: B_RANK_TWO, 6, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_RANK_ATLASES))
+def test_small_rank_atlases(name):
+    make, n_seeds, n_variables = SMALL_RANK_ATLASES[name]
+    B = make()
+    atlas = enumerate_atlas(B)
+    assert (len(atlas.seeds), len(atlas.variables)) == (n_seeds, n_variables)
+    keys, edges, texts = reference_atlas(B)
+    assert [s.key() for s in atlas.seeds] == keys
+    assert atlas.edges == edges and atlas.variable_texts() == texts
+    for seed in atlas.seeds:
+        for k in range(1, B.n + 1):
+            mutated = mutate_seed(seed, k)
+            assert mutated.key() == reference_key(mutated)
+            assert mutated.canonical().key() == mutated.key()
+
+
+def test_a_rank_one_seed_is_its_own_canonical_form():
+    seed = Seed.initial(ExchangeMatrix([[0]]))
+    assert seed.canonical() is seed
+    assert seed.key() == (((0,),), seed.texts)
+    mutated = mutate_seed(seed, 1)
+    assert mutated.canonical() is mutated
+    assert mutated.key() == (((0,),), mutated.texts) != seed.key()
+
+
+def test_seed_mutation_keeps_the_distinctness_check():
+    # x_2' = (1 + 1) / x_2 = 2/x_2 coincides with x_1 = 2/x_2 here
+    x2 = LaurentPoly.variable(2, 2)
+    x1 = lp_div_exact(LaurentPoly.one(2) + LaurentPoly.one(2), x2)
+    seed = Seed(ExchangeMatrix([[0, 0], [0, 0]]), [x1, x2])
+    with pytest.raises(ClusterError, match="pairwise distinct"):
+        mutate_seed(seed, 2)
 
 
 def test_atlas_cyclic_seed_counts(tube3):

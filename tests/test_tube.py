@@ -7,9 +7,10 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clustertube import tube as tube_module
 from clustertube.amod import apply_F
 from clustertube.endo import build_endomorphism_algebra
-from clustertube.linalg import ExactMatrix, flatten_blocks
+from clustertube.linalg import ExactMatrix, flatten_blocks, intertwiner_basis
 from clustertube.tube import (
     CHom,
     ConsistencyError,
@@ -305,6 +306,28 @@ def test_dmor_space_is_the_ext_space_at_the_inverse_translate():
             space = tube.dmor_space(x, y)
             assert space is tube.ext_space(x, tube.tau(y, -1))
             assert tube.dmor_space(x, y) is space
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_rotated_hom_basis_equals_a_direct_solve(n, monkeypatch):
+    solved = []
+
+    def counting_solve(src_dims, tgt_dims, arrows):
+        solved.append(src_dims)
+        return intertwiner_basis(src_dims, tgt_dims, arrows)
+
+    monkeypatch.setattr(tube_module, "intertwiner_basis", counting_solve)
+    tube = Tube(n)
+    objects = [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, 2 * n + 2)]
+    for x in objects:
+        for y in objects:
+            arrows = [(v, (v - 1) % tube.p, tube.arrow_matrix(x, v), tube.arrow_matrix(y, v))
+                      for v in range(tube.p)]
+            direct = intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y), arrows)
+            assert tube.hom_basis(x, y) == direct
+    assert len(tube._hom_cache) == len(objects) ** 2
+    # one solve per translation class of pairs
+    assert len(solved) == len(objects) ** 2 // tube.p
 
 
 def test_the_cluster_tube_hom_basis_is_built_once_per_pair():
