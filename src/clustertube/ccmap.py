@@ -77,13 +77,12 @@ class CCMap:
         n = self.n
         module = apply_F(self.algebra, key)
         coind = coindex(self.algebra, key)
-        poly = LaurentPoly.zero(n)
+        # B_T is singular for odd n, so distinct e can share an exponent
+        terms: Dict[tuple, int] = {}
         for e, chi in chi_table(module).entries.items():
-            exp = tuple(
-                sum(self.b.b[i][j] * e[j] for j in range(n)) - coind[i]
-                for i in range(n)
-            )
-            poly = poly + LaurentPoly.monomial(n, exp, chi)
+            exp = tuple(sum(self.b.b[i][j] * e[j] for j in range(n)) for i in range(n))
+            terms[exp] = terms.get(exp, 0) + chi
+        poly = LaurentPoly(n, terms).shift([-c for c in coind])
         result = CCResult(module, coind, poly, lp_denominator_vector(poly))
         self._cache[key] = result
         return result

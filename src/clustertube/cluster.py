@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import deque
 from functools import reduce
 from itertools import product
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly, lp_div_exact, LaurentError
@@ -217,13 +217,13 @@ def _product(factors: List[LaurentPoly], nvars: int) -> LaurentPoly:
     return reduce(mul, factors) if factors else LaurentPoly.one(nvars)
 
 
-def _ends(p: LaurentPoly) -> Tuple[tuple, tuple]:
-    """The lowest and highest exponents of a nonzero p in lexicographic order,
-    which is the order ``p.terms`` is kept in."""
-    return next(iter(p.terms)), next(reversed(p.terms))
+def _ends(p: LaurentPoly) -> Tuple[int, int]:
+    """The packed keys of the lowest and highest exponents of a nonzero p in
+    lexicographic order, which is the integer order of the keys."""
+    return min(p.terms), max(p.terms)
 
 
-VariableTable = Dict[Tuple[tuple, tuple], LaurentPoly]
+VariableTable = Dict[Tuple[int, int], LaurentPoly]
 RelationTable = Dict[Tuple[str, tuple], LaurentPoly]
 
 
@@ -239,7 +239,7 @@ def _exchanged_variable(seed: Seed, k0: int, known: VariableTable) -> LaurentPol
     key = None
     if binomial.terms and x_k.terms:  # _ends needs a nonzero polynomial
         (b_lo, b_hi), (x_lo, x_hi) = _ends(binomial), _ends(x_k)
-        key = (tuple(map(sub, b_lo, x_lo)), tuple(map(sub, b_hi, x_hi)))
+        key = (b_lo - x_lo, b_hi - x_hi)
         cand = known.get(key)
         if cand is not None and cand * x_k == binomial:
             return cand
@@ -281,11 +281,11 @@ def mutate_seed(
 
     Two tables are read and filled; each is a fresh empty one when not
     given.  ``known`` holds variables keyed by ``_ends``.  Lex order is
-    translation-invariant, so the quotient's ends are the binomial's minus
-    x_k's; the variable under that key is taken when it passes the product
-    check.  Otherwise, on a miss or a failed check, the binomial is divided
-    and the quotient registered in the table.  A key collision thus costs
-    one more division, never a wrong variable.
+    translation-invariant, so the keys of the quotient's ends are the
+    binomial's minus x_k's; the variable under that key is taken when it
+    passes the product check.  Otherwise, on a miss or a failed check, the
+    binomial is divided and the quotient registered in the table.  A key
+    collision thus costs one more division, never a wrong variable.
 
     ``relations`` maps each exchange relation already proved to its new
     variable.  The key (see ``_relation_key``) is the canonical text

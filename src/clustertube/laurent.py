@@ -1,57 +1,112 @@
 """Integer-coefficient Laurent polynomials in n commuting variables.
 
-Terms are keyed by exponent vectors in Z^n.  The canonical text form sorts
-terms lexicographically by exponent vector, so equality, hashing and
-serialization are all deterministic.
+Each exponent vector e in Z^n is packed into one int, its key
+(Kronecker substitution with packed exponent vectors, as in Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Every variable has a fixed-width field of
+W = 16 bits, x_1 the most significant: the field of x_i holds
+e_i + 2^(W - 1), and the key subtracts that bias packed into every field,
+so the zero vector is key 0 and the key equals sum_i e_i * 2^(W * (n - i)).
+While every |e_i| is at most ``MAX_EXPONENT`` = 2^(W - 1) - 1,
+
+* integer order of keys is lexicographic order of exponent vectors, and
+* the key of a product of monomials is the sum of their keys.
+
+Every polynomial carries a bound on the absolute value of its exponents.
+The bound is computed where outside data comes in (the public constructor,
+and with it ``monomial`` and ``variable``, and ``shift``), carried through
+``+`` and ``-`` as the larger bound and through ``*`` and ``**`` as the sum
+of the factors' bounds, and checked before any key is built, so an
+exponent beyond ``MAX_EXPONENT`` raises LaurentError instead of wrapping
+into the next field.  An exact quotient reads its bound from the extreme
+exponents of its dividend and divisor (``lp_div_exact``).
+
+Terms are stored unordered.  Order is imposed only where it is read: the
+canonical text and ``pretty`` sort the keys; equality compares the term
+dicts, and the hash reads them as a set.
 """
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
+
+_FIELD_BITS = 16
+_BIAS = 1 << (_FIELD_BITS - 1)
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_EXPONENT = _BIAS - 1
 
 
 class LaurentError(ValueError):
     pass
 
 
+def _bounded(bound: int) -> int:
+    if bound > MAX_EXPONENT:
+        raise LaurentError(f"exponent beyond the packing bound {MAX_EXPONENT}")
+    return bound
+
+
+def _pack(exponent: Sequence[int]) -> int:
+    key = 0
+    for x in exponent:
+        key = (key << _FIELD_BITS) + x
+    return key
+
+
+def _unpack(key: int, nvars: int) -> Exponent:
+    out = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        x = ((key + _BIAS) & _FIELD_MASK) - _BIAS
+        out[i] = x
+        key = (key - x) >> _FIELD_BITS
+    return tuple(out)
+
+
 class LaurentPoly:
     """A Laurent polynomial sum_e c_e * x^e with integer coefficients c_e.
 
-    Instances are immutable; zero coefficients are never stored and the terms
-    are kept in lexicographic order of their exponent vectors, which is what
-    ``__hash__`` and ``canonical_text`` read.  The canonical text is built on
+    Instances are immutable; zero coefficients are never stored.  ``terms``
+    maps each packed exponent key (see the module docstring) to its
+    coefficient, in no particular order; ``ordered_terms`` gives the
+    exponent vectors in lexicographic order.  The canonical text is built on
     first use and kept.
 
     The public constructor is the checked boundary for outside data: it
     checks every exponent length, converts every coordinate and coefficient
-    with ``int()``, drops zeros and sorts.  Arithmetic builds its results from
-    terms that are already clean through ``_trusted``, which checks and
-    converts nothing; each caller drops the zeros it creates and passes the
-    terms in order.
+    with ``int()``, drops zeros, bounds the exponents and packs them.
+    Arithmetic builds its results from terms that are already clean through
+    ``_trusted``, which checks and converts nothing; each caller drops the
+    zeros it creates and passes a bound on the result's exponents that it
+    has checked.
     """
 
-    __slots__ = ("nvars", "terms", "_text")
+    __slots__ = ("nvars", "terms", "_bound", "_text")
 
     def __init__(self, nvars: int, terms: Dict[Exponent, int]):
         clean = {}
+        bound = 0
         for e, c in terms.items():
             if len(e) != nvars:
                 raise LaurentError("exponent vector length mismatch")
             if c:
-                clean[tuple(map(int, e))] = int(c)
+                e = tuple(map(int, e))
+                bound = max(bound, max(map(abs, e), default=0))
+                clean[_pack(e)] = int(c)
         self.nvars = nvars
-        self.terms = dict(sorted(clean.items()))
+        self.terms = clean
+        self._bound = _bounded(bound)
         self._text = None
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: Dict[Exponent, int]) -> "LaurentPoly":
-        """A polynomial over terms with int exponent tuples of length nvars and
-        nonzero int coefficients, already in lexicographic order."""
+    def _trusted(cls, nvars: int, terms: Dict[int, int], bound: int) -> "LaurentPoly":
+        """A polynomial over packed keys of nvars fields and nonzero int
+        coefficients, every |exponent| at most ``bound <= MAX_EXPONENT``."""
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
+        p._bound = bound
         p._text = None
         return p
 
@@ -59,11 +114,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls._trusted(nvars, {})
+        return cls._trusted(nvars, {}, 0)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls._trusted(nvars, {(0,) * nvars: 1})
+        return cls._trusted(nvars, {0: 1}, 0)
 
     @classmethod
     def monomial(cls, nvars: int, exponent: Sequence[int], coeff: int = 1) -> "LaurentPoly":
@@ -93,22 +148,28 @@ class LaurentPoly:
                 terms[e] = c
             else:
                 del terms[e]
-        return LaurentPoly._trusted(self.nvars, dict(sorted(terms.items())))
+        return LaurentPoly._trusted(self.nvars, terms, max(self._bound, other._bound))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(
+            self.nvars, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        terms: Dict[Exponent, int] = {}
+        bound = _bounded(self._bound + other._bound)
+        terms: Dict[int, int] = {}
+        get = terms.get
+        right = tuple(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return LaurentPoly._trusted(self.nvars, dict(sorted(t for t in terms.items() if t[1])))
+            for e2, c2 in right:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {e: c for e, c in terms.items() if c}
+        return LaurentPoly._trusted(self.nvars, terms, bound)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -126,14 +187,17 @@ class LaurentPoly:
             base = base * base
 
     def shift(self, exponent: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial x^exponent.  A shift keeps the order of
-        the terms."""
+        """Multiply by the monomial x^exponent.  The result's bound is exact:
+        it is read from the shifted extreme exponents."""
         d = tuple(int(x) for x in exponent)
         if len(d) != self.nvars:
             raise LaurentError("exponent vector length mismatch")
-        return LaurentPoly._trusted(
-            self.nvars, {tuple(map(add, e, d)): c for e, c in self.terms.items()}
-        )
+        if not self.terms:
+            return self
+        lo, hi = _box(self)
+        bound = _bounded(max(map(abs, map(add, lo + hi, d + d)), default=0))
+        s = _pack(d)
+        return LaurentPoly._trusted(self.nvars, {e + s: c for e, c in self.terms.items()}, bound)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,12 +212,18 @@ class LaurentPoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, tuple(self.terms.items())))
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def ordered_terms(self) -> List[Tuple[Exponent, int]]:
+        """The terms as (exponent vector, coefficient) pairs, in
+        lexicographic order of the exponent vectors."""
+        n, terms = self.nvars, self.terms
+        return [(_unpack(e, n), terms[e]) for e in sorted(terms)]
 
     def canonical_text(self) -> str:
         if self._text is None:
             parts = []
-            for e, c in self.terms.items():
+            for e, c in self.ordered_terms():
                 sign = "+" if c > 0 else "-"
                 parts.append(f"{sign}{abs(c)}*x^({','.join(str(k) for k in e)})")
             self._text = "".join(parts) or "0"
@@ -163,6 +233,13 @@ class LaurentPoly:
         return f"LaurentPoly({self.canonical_text()})"
 
 
+def _box(p: LaurentPoly) -> Tuple[Exponent, Exponent]:
+    """The least and the greatest exponent of each variable over the terms
+    of a nonzero p."""
+    columns = list(zip(*(_unpack(e, p.nvars) for e in p.terms)))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
 def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:
     """The vector d with p = f(x)/prod x_i^{d_i}, f divisible by no x_i.
 
@@ -170,7 +247,7 @@ def lp_denominator_vector(p: LaurentPoly) -> Tuple[int, ...]:
     """
     if p.is_zero():
         raise LaurentError("undefined denominator")
-    return tuple(-min(column) for column in zip(*p.terms))
+    return tuple(-x for x in _box(p)[0])
 
 
 def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -178,46 +255,51 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
     Raises LaurentError when q does not divide p exactly or the quotient is
     not integral.  Implemented as leading-term division in lexicographic
-    order after clearing the monomial denominators of both arguments.  The
-    leading exponent of the remainder strictly decreases, so each quotient
-    coefficient is set once, as one remainder coefficient over the leading
-    coefficient of q; an integral quotient therefore needs only exact integer
-    division, and the first inexact step proves the quotient non-integral.
+    order.  The Laurent ring is an integral domain, so the least (greatest)
+    exponent of x_i in a product is the sum of the factors' least
+    (greatest): an exact quotient's exponents of x_i lie between
+    min_i p - min_i q and max_i p - max_i q.  A quotient term outside that
+    box proves that q does not divide p, and inside it every key stays
+    within the packing bound.  The leading exponent of the remainder
+    strictly decreases, so each quotient coefficient is set once, as one
+    remainder coefficient over the leading coefficient of q; an integral
+    quotient therefore needs only exact integer division, and the first
+    inexact step proves the quotient non-integral.
     """
     if q.is_zero():
         raise LaurentError("division by zero")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
     p._check(q)
-    dp = lp_denominator_vector(p)
-    dq = lp_denominator_vector(q)
-    # x^dp * p and x^dq * q are honest polynomials; divide those.
-    pp = {tuple(map(add, e, dp)): c for e, c in p.terms.items()}
-    qq = {tuple(map(add, e, dq)): c for e, c in q.terms.items()}
-    q_lead = max(qq)
-    q_coeff = qq[q_lead]
-    quotient: Dict[Exponent, int] = {}
-    while pp:
-        p_lead = max(pp)
-        t = tuple(map(sub, p_lead, q_lead))
-        if any(x < 0 for x in t):
+    n = p.nvars
+    (p_lo, p_hi), (q_lo, q_hi) = _box(p), _box(q)
+    lo, hi = tuple(map(sub, p_lo, q_lo)), tuple(map(sub, p_hi, q_hi))
+    bound = _bounded(max(map(abs, lo + hi), default=0))
+    q_terms = q.terms
+    q_lead = max(q_terms)
+    q_coeff = q_terms[q_lead]
+    q_lead_exp = _unpack(q_lead, n)
+    rem = dict(p.terms)
+    quotient: Dict[int, int] = {}
+    while rem:
+        p_lead = max(rem)
+        t = tuple(map(sub, _unpack(p_lead, n), q_lead_exp))
+        if not all(a <= x <= b for a, x, b in zip(lo, t, hi)):
             raise LaurentError("not divisible")
-        coeff, rem = divmod(pp[p_lead], q_coeff)
-        if rem:
+        coeff, r = divmod(rem[p_lead], q_coeff)
+        if r:
             raise LaurentError("quotient has non-integer coefficients")
-        quotient[t] = coeff
-        for e, c in qq.items():
-            key = tuple(map(add, t, e))
-            val = pp.get(key, 0) - coeff * c
+        # t lies in the box, so its key is the difference of the keys
+        t_key = p_lead - q_lead
+        quotient[t_key] = coeff
+        for e, c in q_terms.items():
+            key = t_key + e
+            val = rem.get(key, 0) - coeff * c
             if val:
-                pp[key] = val
+                rem[key] = val
             else:
-                pp.pop(key, None)
-    # the quotient exponents were found in strictly decreasing order
-    shift_back = tuple(map(sub, dq, dp))
-    return LaurentPoly._trusted(
-        p.nvars, {tuple(map(add, e, shift_back)): c for e, c in reversed(quotient.items())}
-    )
+                del rem[key]
+    return LaurentPoly._trusted(n, quotient, bound)
 
 
 def _monomial_str(exponent: Sequence[int], var: str = "x") -> str:
@@ -233,13 +315,10 @@ def pretty(p: LaurentPoly, var: str = "x") -> str:
     """Numerator-over-monomial display, e.g. (x1^2+x2^2)/(x1*x3^2)."""
     if p.is_zero():
         return "0"
-    d = lp_denominator_vector(p)
-    num = p.shift(d)
-    extra = tuple(max(-k, 0) for k in d)
-    if any(extra):
-        num = num.shift(extra)
-    den = tuple(max(k, 0) for k in d)
-    terms = sorted(num.terms.items(), reverse=True)
+    den = tuple(max(k, 0) for k in lp_denominator_vector(p))
+    # the numerator's exponents are read as tuples, never packed: they may
+    # span twice the packing bound
+    terms = [(tuple(map(add, e, den)), c) for e, c in reversed(p.ordered_terms())]
     chunks = []
     for e, c in terms:
         mono = _monomial_str(e, var)

@@ -211,16 +211,19 @@ class Tube:
             fx, fy = self.tau(x, s), self.tau(y, s)
             frame = self._hom_cache.get((fx, fy))
             if frame is None:
-                # phi_{v-1} X_v = Y_v phi_v along every arrow v -> v - 1
-                arrows = [
-                    (v, (v - 1) % self.p, self.arrow_matrix(fx, v), self.arrow_matrix(fy, v))
-                    for v in range(self.p)
-                ]
-                frame = intertwiner_basis(self.indec_dims(fx), self.indec_dims(fy), arrows)
+                frame = intertwiner_basis(
+                    self.indec_dims(fx), self.indec_dims(fy), self.hom_equations(fx, fy))
                 self._hom_cache[(fx, fy)] = frame
             cached = [self.tau_vmaps(f, -s) for f in frame] if s else frame
             self._hom_cache[key] = cached
         return cached
+
+    def hom_equations(self, x: Indec, y: Indec) -> list:
+        """The arrows of ``linalg.intertwiner_basis`` whose solutions are the
+        intertwiners x -> y: phi_{v-1} X_v = Y_v phi_v along every arrow
+        v -> v - 1."""
+        return [(v, (v - 1) % self.p, self.arrow_matrix(x, v), self.arrow_matrix(y, v))
+                for v in range(self.p)]
 
     def hom_tube_dim(self, x: Indec, y: Indec) -> int:
         return len(self.hom_basis(x, y))

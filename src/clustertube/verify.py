@@ -50,6 +50,7 @@ from .amod import (
 )
 from .ccmap import CCMap
 from .laurent import LaurentPoly
+from .linalg import intertwiner_basis
 from .grassmann import (
     ar_sequences_ending_at_tau_rigid,
     chi_lf_oracle_fq,
@@ -468,14 +469,28 @@ def check_chi_oracle(ctx: SuiteContext) -> List[str]:
     return failures
 
 
+def _direct_hom_dim(tube: Tube, x: Indec, y: Indec) -> int:
+    """dim Hom(x, y) from its own intertwiner solve, never from the frame
+    basis that ``Tube.hom_basis`` solves once per translation class and
+    rotates."""
+    return len(intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y),
+                                 tube.hom_equations(x, y)))
+
+
 def check_tube_invariants(tube: Tube) -> List[str]:
-    """Cheap structural invariants of the morphism calculus."""
+    """Cheap structural invariants of the morphism calculus.  The
+    translation clause compares hom_c_dim(x, y), read from the tube's
+    rotated frame bases, with dim Hom_C(tau x, tau y) from direct solves of
+    the translated pairs, so a wrong frame solve shows."""
     failures = []
     n = tube.n
     rigids = all_rigid_indecs(tube)
     for x in rigids[: 2 * n]:
+        tx = tube.tau(x)
         for y in rigids[: 2 * n]:
-            if tube.hom_c_dim(x, y) != tube.hom_c_dim(tube.tau(x), tube.tau(y)):
+            ty = tube.tau(y)
+            direct = _direct_hom_dim(tube, tx, ty) + _direct_hom_dim(tube, ty, tube.tau(tx, 2))
+            if tube.hom_c_dim(x, y) != direct:
                 failures.append(f"hom dimension not translation invariant at {x},{y}")
             if tube.ext1_c_dim(x, y) != tube.ext1_c_dim(y, x):
                 failures.append(f"symmetry of extensions fails at {x},{y}")
@@ -483,11 +498,13 @@ def check_tube_invariants(tube: Tube) -> List[str]:
 
 
 def check_exchange_graph(tube: Tube, table: ExchangeTable) -> List[str]:
-    """The exchange graph of the maximal rigid objects, as the table
-    recorded it, is the type-C_n exchange graph (Buan-Marsh-Vatne, Math. Z.
-    265, 2010): C(2n, n) vertices; every mutation lands on one of them, and
-    each vertex has n distinct neighbours; mutating mu_k T at the new
-    summand gives T back; and it is connected."""
+    """Necessary conditions for the exchange graph of the maximal rigid
+    objects, as the table recorded it, to be the type-C_n exchange graph
+    (Buan-Marsh-Vatne, Math. Z. 265, 2010): it has C(2n, n) vertices;
+    every mutation lands on one of them, and each vertex has n distinct
+    neighbours; mutating mu_k T at the new summand gives T back, so
+    mutation is an involution; and it is connected.  They do not prove
+    that the graph is isomorphic to the type-C_n one."""
     n, ts, edges = tube.n, table.objects, table.neighbours
     failures = []
     if len(ts) != comb(2 * n, n):
@@ -711,10 +728,10 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
     First the work every T shares: the enumeration, one ``ExchangeTable``
     over the enumerated objects (``mutate_rigid`` runs once per directed
     edge (T, k)), and the tube-level checks.  "tube invariants" checks the
-    morphism calculus and that the table's graph is the type-C_n exchange
-    graph; where the character checks are scheduled, "exchange relations
-    and walk" first checks that every rigid indecomposable is exchanged by
-    some recorded relation.  This work warms the tube's caches.
+    morphism calculus and necessary conditions for the table's graph to be
+    the type-C_n exchange graph; where the character checks are scheduled,
+    "exchange relations and walk" first checks that every rigid
+    indecomposable is exchanged by some recorded relation.  This work warms the tube's caches.
 
     Then one loop over the maximal rigid objects: each T gets one context
     on the table, every check whose scope holds T runs on it, and the

@@ -101,6 +101,8 @@ def test_atlas_golden_output(capsys, argv, digest):
          "726c439e1fb7e4c3185be62a7954b040a877bba66aa7b59a7fa8dd7226057814"),
         (["verify", "--n", "5", "--format", "json"],
          "64462601c20c2ac4a8372b18d7c476eaab7f062fd3808daf24fff9a12accd0da"),
+        (["cc-table", "--n", "8", "--format", "json"],
+         "6c69adfa72b3bcf36389b7dc90037596d9474bb7baf4116fad248877c2801517"),
     ],
 )
 def test_character_golden_output(capsys, argv, digest):

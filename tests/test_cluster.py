@@ -321,8 +321,10 @@ def test_a_forged_table_entry_is_checked_not_trusted(monkeypatch):
     expected = mutate_seed(seed, 2)
     true_var = expected.cluster[1]
     lo, hi = cluster._ends(true_var)
-    between = lo[:-1] + (lo[-1] + 1,)
-    assert lo < between < hi
+    terms = true_var.ordered_terms()
+    low_exp = terms[0][0]
+    between = low_exp[:-1] + (low_exp[-1] + 1,)
+    assert low_exp < between < terms[-1][0]
     forged = true_var + LaurentPoly.monomial(3, between)
     assert forged != true_var and cluster._ends(forged) == (lo, hi)
     known = {(lo, hi): forged}

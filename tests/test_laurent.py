@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustertube.laurent import (
+    MAX_EXPONENT,
     LaurentError,
     LaurentPoly,
     lp_denominator_vector,
     lp_div_exact,
     pretty,
 )
+
+import laurent_reference as ref
 
 
 def mono(exp, c=1):
@@ -134,7 +137,7 @@ def test_canonical_text_is_kept_and_matches_a_fresh_build(p, q):
     for r in (p, q, p * q, p + q, p ** 2):
         text = r.canonical_text()
         assert r.canonical_text() is text
-        assert text == LaurentPoly(r.nvars, r.terms).canonical_text()
+        assert text == LaurentPoly(r.nvars, dict(r.ordered_terms())).canonical_text()
 
 
 @given(polys, polys, exps, st.integers(min_value=0, max_value=3))
@@ -144,10 +147,92 @@ def test_public_constructor_equals_the_trusted_one(p, q, alpha, k):
     if not q.is_zero():
         results.append(lp_div_exact(p * q, q))
     for r in results:
-        public = LaurentPoly(r.nvars, r.terms)
+        public = LaurentPoly(r.nvars, dict(r.ordered_terms()))
         assert r == public
         assert hash(r) == hash(public)
-        assert list(r.terms.items()) == list(public.terms.items())
+        assert r.terms == public.terms
+        assert r.ordered_terms() == public.ordered_terms()
         assert r.canonical_text() == public.canonical_text()
         assert all(type(c) is int and c for c in r.terms.values())
-        assert all(type(x) is int for e in r.terms for x in e)
+        assert all(type(key) is int for key in r.terms)
+        assert all(type(x) is int for e, _ in r.ordered_terms() for x in e)
+        # the carried bound covers every exponent, so no key can have wrapped
+        assert all(abs(x) <= r._bound <= MAX_EXPONENT for e, _ in r.ordered_terms() for x in e)
+
+
+# exponents near half the bound make sums reach the bound itself, where a
+# wrapped or carried field would show
+def _exponent_lists(nvars):
+    wide = st.integers(min_value=-(MAX_EXPONENT // 2), max_value=MAX_EXPONENT // 2)
+    narrow = st.integers(min_value=-4, max_value=4)
+    return st.tuples(*(st.one_of(narrow, wide) for _ in range(nvars)))
+
+
+def _ref_polys(nvars):
+    return st.dictionaries(_exponent_lists(nvars), st.integers(min_value=-4, max_value=4),
+                           max_size=4).map(lambda terms: {e: c for e, c in terms.items() if c})
+
+
+ref_cases = st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.just(n), _ref_polys(n), _ref_polys(n),
+    st.tuples(*(st.integers(min_value=-4, max_value=4) for _ in range(n))),
+    st.integers(min_value=0, max_value=2)))
+
+
+@given(ref_cases)
+@settings(max_examples=150, deadline=None)
+def test_packed_arithmetic_matches_the_tuple_reference(case):
+    n, a, b, alpha, k = case
+    p, q = LaurentPoly(n, a), LaurentPoly(n, b)
+    checks = [
+        (p + q, ref.plus(a, b)), (p - q, ref.minus(a, b)), (-p, ref.neg(a)),
+        (p * q, ref.times(a, b)), (p.shift(alpha), ref.shift(a, alpha)),
+    ]
+    if all(abs(x) <= 4 for e in a for x in e):
+        checks.append((p ** (k + 1), ref.power(a, k + 1, n)))
+    if b:
+        checks.append((lp_div_exact(p * q, q), a))
+        quotient = ref.div_exact(a, b)
+        if quotient is None:
+            with pytest.raises(LaurentError):
+                lp_div_exact(p, q)
+        else:
+            checks.append((lp_div_exact(p, q), quotient))
+    for r, expected in checks:
+        assert r.ordered_terms() == sorted(expected.items())
+        rebuilt = LaurentPoly(n, expected)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        assert r.canonical_text() == ref.canonical_text(expected)
+        assert pretty(r) == ref.pretty(expected)
+        if expected:
+            assert lp_denominator_vector(r) == ref.denominator_vector(expected)
+    # equal polynomials whose terms were inserted in other orders
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert p * q == q * p and hash(p * q) == hash(q * p)
+    assert (p == q) == (a == b)
+
+
+def test_exponents_beyond_the_packing_bound_raise():
+    top = MAX_EXPONENT
+    corner = LaurentPoly(2, {(top, -top): 1})
+    assert corner.ordered_terms() == [((top, -top), 1)]
+    with pytest.raises(LaurentError, match="packing bound"):
+        LaurentPoly(2, {(top + 1, 0): 1})
+    with pytest.raises(LaurentError, match="packing bound"):
+        LaurentPoly.monomial(2, (0, -top - 1))
+    with pytest.raises(LaurentError, match="packing bound"):
+        corner.shift((1, 0))
+    with pytest.raises(LaurentError, match="packing bound"):
+        corner * LaurentPoly.variable(2, 1)
+    half = LaurentPoly.monomial(1, (top // 2 + 1,))
+    with pytest.raises(LaurentError, match="packing bound"):
+        half ** 2
+    with pytest.raises(LaurentError, match="packing bound"):
+        lp_div_exact(LaurentPoly.monomial(1, (-top,)), LaurentPoly.monomial(1, (top,)))
+    # up to the bound itself, products and shifts are exact
+    low = LaurentPoly.monomial(2, (top // 2, -(top // 2)))
+    high = LaurentPoly.monomial(2, (top - top // 2, -(top - top // 2)))
+    assert low * high == corner
+    assert LaurentPoly.one(2).shift((top, -top)) == corner
+    assert corner.shift((-top, top)) == LaurentPoly.one(2)
+    assert lp_div_exact(corner, high) == low

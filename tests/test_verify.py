@@ -345,6 +345,16 @@ def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     assert len(lines) == 3 and set(lines) == expected
 
 
+def test_a_frame_solve_that_drops_a_vector_fails_the_tube_invariants(monkeypatch):
+    assert verify.check_tube_invariants(Tube(3)) == []
+    real = tube_module.intertwiner_basis
+    # every frame basis that Tube.hom_basis solves and rotates loses a vector
+    monkeypatch.setattr(tube_module, "intertwiner_basis", lambda *args: real(*args)[1:])
+    failures = verify.check_tube_invariants(Tube(3))
+    assert failures
+    assert all(f.startswith("hom dimension not translation invariant at ") for f in failures)
+
+
 def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
     ts = enumerate_maximal_rigid(2, Tube(2))
     target = ts[0]
