@@ -231,7 +231,9 @@ def direct_sum(modules: Sequence[AModule]) -> AModule:
 # content class of End(T) (``_algebra_class``), the content of each module it
 # reads (``_content``), and for the coindex that of the injectives
 # (``_injectives_class``).  Translation is an autoequivalence of the tube, so
-# End(tau T) has the same content as End(T) and shares its results.
+# End(tau T) has the same content as End(T) and shares its results.  ``verify``
+# gives the tube a new memo after each frame group; the class numbers restart
+# there, so each End(T) keeps the memo it was numbered in (``_memo``).
 
 
 def _content(m: AModule) -> tuple:
@@ -242,10 +244,18 @@ def _content(m: AModule) -> tuple:
     return m._key
 
 
+def _memo(algebra: FinDimAlgebra) -> dict:
+    """The tube's memo when the algebra first asks, kept on the algebra: its
+    numbers hold in that memo only (``verify`` renews the tube's per group)."""
+    if algebra._memo is None:
+        algebra._memo = algebra.tube._module_memo
+    return algebra._memo
+
+
 def _number(algebra: FinDimAlgebra, content: tuple) -> int:
-    """The number of ``content`` in the tube's memo: equal contents get
+    """The number of ``content`` in the algebra's memo: equal contents get
     one number, and no two contents share one."""
-    memo = algebra.tube._module_memo
+    memo = _memo(algebra)
     return memo.setdefault(content, len(memo))
 
 
@@ -274,11 +284,11 @@ def _injectives_class(algebra: FinDimAlgebra) -> int:
 
 
 def _memoised(algebra: FinDimAlgebra, key: tuple, compute: Callable[[], object]):
-    """``compute()``, kept in the tube's memo under the algebra's content
-    class and ``key``: the result's name and the ``_content`` of every
-    module it reads.  A result is stored only when ``compute`` returns, so
-    no failure is ever kept; callers must not mutate it."""
-    memo = algebra.tube._module_memo
+    """``compute()``, kept in the algebra's memo (``_memo``) under its
+    content class and ``key``: the result's name and the ``_content`` of
+    every module it reads.  A result is stored only when ``compute``
+    returns, so no failure is ever kept; callers must not mutate it."""
+    memo = _memo(algebra)
     full = (_algebra_class(algebra),) + key
     value = memo.get(full)
     if value is None:

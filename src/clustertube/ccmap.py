@@ -62,7 +62,7 @@ class CCMap:
         self.t = t
         self.tube: Tube = t.tube
         self.n = self.tube.n
-        self.algebra = algebra or build_endomorphism_algebra(t, check=False)
+        self.algebra = algebra or build_endomorphism_algebra(t)
         self.b = b if b is not None else b_matrix(t, algebra=self.algebra)
         self._cache: Dict[tuple, CCResult] = {}
 

@@ -108,14 +108,15 @@ class FinDimAlgebra:
         # as long as it lives: functor images Hom(T, X) by summand tuple of
         # X, index and coindex vectors by name and summand tuple of X, the
         # positions of the shifted summands tau T_i, the socle data of the
-        # injectives, the simples by vertex, and the numbers of this
-        # algebra's content and of its injectives' content in the tube's
-        # module memo.
+        # injectives, the simples by vertex, the tube's module memo this
+        # algebra is numbered in, and the numbers of this algebra's content
+        # and of its injectives' content in it.
         self._module_cache: Dict[tuple, object] = {}
         self._vectors: Dict[tuple, tuple] = {}
         self._sigma_index: Optional[dict] = None
         self._socle_data: Optional[list] = None
         self._simples: Dict[int, object] = {}
+        self._memo: Optional[dict] = None
         self._memo_class: Optional[int] = None
         self._memo_injectives: Optional[int] = None
 
@@ -330,13 +331,10 @@ class FinDimAlgebra:
         )
 
 
-def build_endomorphism_algebra(t: MaximalRigid, check: bool = True) -> FinDimAlgebra:
-    """Construct End(T); optionally verify associativity and the relations."""
-    algebra = FinDimAlgebra(t)
-    if check:
-        algebra.verify_associativity()
-        algebra.verify_relations()
-    return algebra
+def build_endomorphism_algebra(t: MaximalRigid) -> FinDimAlgebra:
+    """Construct End(T), unchecked: ``verify.check_structure`` calls its
+    ``verify_relations`` and ``verify_associativity``."""
+    return FinDimAlgebra(t)
 
 
 def gabriel_quiver(algebra: FinDimAlgebra) -> Quiver:

@@ -1,15 +1,15 @@
 """Euler characteristics of locally free submodule Grassmannians.
 
-The primary count enumerates coordinate subrepresentations of the string
-normal form: subsets of the string basis closed under the arrow actions
-whose loop-vertex part is a union of complete loop pairs.  ``chi_table``
-is the one reading of these counts: the characters sum it, ``chi_lf`` looks
-it up, and the Auslander-Reiten recursion convolves it.  An independent
-finite-field oracle counts actual subspace tuples over several primes,
-interpolates the counting polynomial and evaluates it at one; the suite
-checks every entry of the table against it.  The oracle counts on the
-module's own arrow matrices, never on its string normal form, so it does
-not read the sweep whose counts it checks.
+The primary count is of the coordinate subrepresentations of the string
+normal form (subsets of the string basis closed under the arrow actions
+whose loop-vertex part is a union of complete loop pairs), in one pass
+along the word.  ``chi_table`` is the one reading of these counts: the
+characters sum it, ``chi_lf`` looks it up, the AR recursion convolves it.
+An independent finite-field oracle counts actual subspace tuples over
+several primes, interpolates the counting polynomial and evaluates it at
+one; the suite checks every entry of the table against it.  The oracle
+counts on the module's own arrow matrices, never on its string normal
+form, so it does not read the sweep whose counts it checks.
 """
 from __future__ import annotations
 
@@ -77,44 +77,42 @@ def _subset_counts(algebra: FinDimAlgebra, sb: StringBasis) -> Dict[RankVec, int
     """Number of admissible coordinate subsets per vertex-dimension profile.
 
     Admissible means closed under every action edge and, at the loop vertex,
-    a union of complete loop pairs; that is exactly the locally free
-    condition for a coordinate subspace.
+    a union of complete loop pairs: the locally free condition for a
+    coordinate subspace.  Edge i - 1 links positions i - 1 and i, so one
+    pass along the word counts the admissible prefixes by packed profile
+    (a field per vertex, too wide for any count to carry), in two tables:
+    last position out of the subset, and last position in it.
     """
     lv = loop_vertex(algebra)
-    npos = len(sb.nodes)
-    loop_edges = [
-        (u, w) for (u, w, aidx) in sb.edges if algebra.arrows[aidx].is_loop
-    ]
-    counts: Dict[RankVec, int] = {}
-    for mask in range(1 << npos):
-        ok = True
-        for (u, w, aidx) in sb.edges:
-            if mask >> u & 1 and not mask >> w & 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        for (u, w) in loop_edges:
-            if (mask >> u & 1) != (mask >> w & 1):
-                ok = False
-                break
-        if not ok:
-            continue
-        # nodes at the loop vertex must all sit on loop pairs
-        paired = {u for e in loop_edges for u in e}
-        for pos, v in enumerate(sb.nodes):
-            if v == lv and mask >> pos & 1 and pos not in paired:
-                ok = False
-                break
-        if not ok:
-            continue
-        profile = [0] * algebra.n
-        for pos, v in enumerate(sb.nodes):
-            if mask >> pos & 1:
-                profile[v - 1] += 1
-        key = tuple(profile)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    width = len(sb.nodes).bit_length()
+    loops = [algebra.arrows[aidx].is_loop for _, _, aidx in sb.edges]
+    paired = {pos + side for pos, loop in enumerate(loops) if loop for side in (0, 1)}
+    # a loop-vertex position on no loop pair stays out
+    bits = [0 if v == lv and pos not in paired else 1 << width * (v - 1)
+            for pos, v in enumerate(sb.nodes)]
+    out, inside = {0: 1}, ({bits[0]: 1} if bits[0] else {})
+    for pos, (u, w, _) in enumerate(sb.edges, start=1):
+        # an action edge u -> w forbids u in with w out, a loop pair its two
+        # positions differing; this position out extends the prefixes of out
+        if loops[pos - 1]:
+            to_in = (inside,)
+        elif u < w:  # the previous position in puts this one in
+            to_in = (out, inside)
+        else:  # this position in puts the previous one in
+            out, to_in = _shifted_sum((out, inside), 0), (inside,)
+        inside = _shifted_sum(to_in, bits[pos]) if bits[pos] else {}
+    field = (1 << width) - 1
+    return {tuple(packed >> width * v & field for v in range(algebra.n)): c
+            for packed, c in _shifted_sum((out, inside), 0).items()}
+
+
+def _shifted_sum(tables: Sequence[Dict[int, int]], bit: int) -> Dict[int, int]:
+    """The sum of the count tables, each packed profile raised by ``bit``."""
+    out: Dict[int, int] = {}
+    for table in tables:
+        for packed, c in table.items():
+            out[packed + bit] = out.get(packed + bit, 0) + c
+    return out
 
 
 def _convolve(a: Dict[RankVec, int], b: Dict[RankVec, int]) -> Dict[RankVec, int]:

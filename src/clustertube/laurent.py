@@ -302,16 +302,16 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._trusted(n, quotient, bound)
 
 
-def _monomial_str(exponent: Sequence[int], var: str = "x") -> str:
+def _monomial_str(exponent: Sequence[int]) -> str:
     parts = []
     for i, k in enumerate(exponent, start=1):
         if k == 0:
             continue
-        parts.append(f"{var}{i}" if k == 1 else f"{var}{i}^{k}")
+        parts.append(f"x{i}" if k == 1 else f"x{i}^{k}")
     return "*".join(parts) if parts else "1"
 
 
-def pretty(p: LaurentPoly, var: str = "x") -> str:
+def pretty(p: LaurentPoly) -> str:
     """Numerator-over-monomial display, e.g. (x1^2+x2^2)/(x1*x3^2)."""
     if p.is_zero():
         return "0"
@@ -321,7 +321,7 @@ def pretty(p: LaurentPoly, var: str = "x") -> str:
     terms = [(tuple(map(add, e, den)), c) for e, c in reversed(p.ordered_terms())]
     chunks = []
     for e, c in terms:
-        mono = _monomial_str(e, var)
+        mono = _monomial_str(e)
         if abs(c) == 1 and mono != "1":
             body = mono
         elif mono == "1":
@@ -332,7 +332,7 @@ def pretty(p: LaurentPoly, var: str = "x") -> str:
     num_str = "".join(chunks).lstrip("+")
     if not any(den):
         return num_str
-    den_str = _monomial_str(den, var)
+    den_str = _monomial_str(den)
     if len(terms) > 1:
         return f"({num_str})/({den_str})"
     return f"{num_str}/({den_str})"

@@ -138,7 +138,8 @@ class Tube:
         self._compatible_cache: Dict[Indec, frozenset] = {}
         # the pure results of the module layer (clustertube.amod), keyed by
         # the exact content of the End(T) and modules they are computed from,
-        # so translated T with equal End(T) share them
+        # so translated T with equal End(T) share them; verify renews it per
+        # frame group
         self._module_memo: dict = {}
 
     # -- objects -----------------------------------------------------------
@@ -781,7 +782,7 @@ def b_matrix(t: MaximalRigid, cross_validate: bool = True, algebra=None,
         from .amod import b_matrix_from_euler_form
 
         if algebra is None:
-            algebra = build_endomorphism_algebra(t, check=False)
+            algebra = build_endomorphism_algebra(t)
         arrows = b_matrix_from_quiver(algebra)
         euler = b_matrix_from_euler_form(algebra)
         if mult != arrows or mult != euler:

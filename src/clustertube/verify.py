@@ -156,7 +156,7 @@ class SuiteContext:
         self.tube = t.tube
         self.table = table
         self.triangles = table.triangles[self.vertex]
-        self.algebra = build_endomorphism_algebra(t, check=False)
+        self.algebra = build_endomorphism_algebra(t)
         self.b_failure: Optional[str] = None
 
     @cached_property
@@ -743,10 +743,10 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
 
     The objects are grouped by frame (``_frame_groups``): objects with one
     frame have End(T) of equal content, so the tube's module memo computes
-    each module-layer result once per group.  The loop is split between
-    ``workers`` processes, by default one per CPU this process may run on
-    and at most one per group (one without ``os.fork`` or with other
-    threads running; see ``_worker_count``).  The processes claim whole
+    each module-layer result once per group, and lives for one group.  The
+    loop is split between ``workers`` processes, by default one per CPU this
+    process may run on and at most one per group (one without ``os.fork`` or
+    with other threads running; see ``_worker_count``).  The processes claim whole
     groups, the heaviest (most scheduled checks) first, so no process
     repeats another's work (``_map_groups``); one worker runs the groups
     in that order, without a fork.  This process takes part after the shared
@@ -785,13 +785,15 @@ def run_suite(n: int, oracle: bool = True, workers: Optional[int] = None) -> Sui
                          every if n == 2 else is_orbit_representative))
 
     def run_objects(objects: Sequence[int]) -> list:
-        """Per object of ``objects``: its index and each scheduled check's
-        failure lines (``None`` out of scope)."""
+        """Per object of ``objects``, one frame group: its index and each
+        scheduled check's failure lines (``None`` out of scope).  The tube
+        then gets a new module memo, since no later group reads this one's."""
         rows = []
         for i in objects:
             ctx = SuiteContext(ts_all[i], table)
             rows.append((i, [check(ctx) if scope(ctx.t) else None for _, check, scope in schedule]))
             del ctx
+        tube._module_memo = {}
         return rows
 
     report = SuiteReport()

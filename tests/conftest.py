@@ -27,14 +27,22 @@ def cyclic_t(tube3):
     return MaximalRigid(tube3, (Indec(1, 3), Indec(3, 1), Indec(1, 1)))
 
 
+def checked_algebra(t):
+    """End(T) with its associativity and relations verified."""
+    algebra = build_endomorphism_algebra(t)
+    algebra.verify_associativity()
+    algebra.verify_relations()
+    return algebra
+
+
 @pytest.fixture(scope="session")
 def cyclic_algebra(cyclic_t):
-    return build_endomorphism_algebra(cyclic_t)
+    return checked_algebra(cyclic_t)
 
 
 @pytest.fixture(scope="session")
 def linear_algebra(linear_t):
-    return build_endomorphism_algebra(linear_t)
+    return checked_algebra(linear_t)
 
 
 @pytest.fixture(scope="session")

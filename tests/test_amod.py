@@ -29,7 +29,7 @@ from clustertube.amod import (
     tau_A,
     zero_module,
 )
-from clustertube.endo import build_endomorphism_algebra
+from clustertube.endo import b_matrix_from_quiver, build_endomorphism_algebra
 from clustertube.linalg import ExactMatrix, SpanSolver
 from clustertube.tube import (
     CHom,
@@ -212,9 +212,12 @@ def test_functor_images_satisfy_relations(cyclic_algebra, tube3):
 
 def fresh_cyclic_algebra():
     tube = Tube(3)
-    return build_endomorphism_algebra(
+    algebra = build_endomorphism_algebra(
         MaximalRigid(tube, (Indec(1, 3), Indec(3, 1), Indec(1, 1)))
     )
+    algebra.verify_associativity()
+    algebra.verify_relations()
+    return algebra
 
 
 def memo_entries(alg, kind, x=None):
@@ -271,6 +274,27 @@ def test_memoised_index_and_coindex_match_a_new_tube():
     for x in xs:
         assert coindex(alg, x) == coindex(cold, x)
         assert index(alg, x) == index(cold, x)
+
+
+def test_an_algebra_that_outlives_its_memo_recomputes(monkeypatch):
+    # verify gives the tube a new memo after each frame group, and the class
+    # numbers restart there: the stale algebra's number 0 names the other
+    # algebra's content in the new memo
+    tube = Tube(3)
+    ts = enumerate_maximal_rigid(3, tube)
+    stale, other = build_endomorphism_algebra(ts[0]), build_endomorphism_algebra(ts[1])
+    assert amod._algebra_class(stale) == 0
+    tube._module_memo = {}
+    assert amod._algebra_class(other) == 0
+    read_other = b_matrix_from_euler_form(other)
+    assert read_other != b_matrix_from_quiver(stale)
+    forms = []
+    euler = amod.euler_leq1
+    monkeypatch.setattr(amod, "euler_leq1", lambda m, n: forms.append(m) or euler(m, n))
+    assert b_matrix_from_euler_form(stale) == b_matrix_from_quiver(stale)
+    assert len(forms) == 9
+    assert len(tube._module_memo) == 2  # the other algebra's number and form only
+    assert b_matrix_from_euler_form(other) == read_other and len(forms) == 9
 
 
 def _path_coords(alg, path):
@@ -351,7 +375,7 @@ def _tau_A_entrywise(m):
 
 def _functor_images(t):
     """End(T) and the nonzero images of the rigid indecomposables it presents."""
-    alg = build_endomorphism_algebra(t, check=False)
+    alg = build_endomorphism_algebra(t)
     images = [apply_F(alg, x) for x in all_rigid_indecs(t.tube) if in_pr_T(t, x)]
     return alg, [m for m in images if not m.is_zero()]
 
@@ -538,7 +562,7 @@ def test_functor_images_equal_the_composition_reference():
     tube = Tube(3)
     compared = 0
     for t in enumerate_maximal_rigid(3, tube):
-        alg = build_endomorphism_algebra(t, check=False)
+        alg = build_endomorphism_algebra(t)
         for x in all_rigid_indecs(tube):
             if in_pr_T(t, x):
                 assert apply_F(alg, x).mats == arrow_matrices_by_composition(alg, x), (t, x)
@@ -569,7 +593,7 @@ def test_map_F_equals_the_per_block_reference_on_every_triangle_and_ar_map():
     tube = Tube(3)
     compared = 0
     for t in enumerate_maximal_rigid(3, tube):
-        alg = build_endomorphism_algebra(t, check=False)
+        alg = build_endomorphism_algebra(t)
         for g in _triangle_and_ar_maps(t, alg):
             got, want = map_F(alg, g), map_F_by_blocks(alg, g)
             assert got.src is want.src and got.tgt is want.tgt

@@ -103,6 +103,10 @@ def test_atlas_golden_output(capsys, argv, digest):
          "64462601c20c2ac4a8372b18d7c476eaab7f062fd3808daf24fff9a12accd0da"),
         (["cc-table", "--n", "8", "--format", "json"],
          "6c69adfa72b3bcf36389b7dc90037596d9474bb7baf4116fad248877c2801517"),
+        (["cc-table", "--n", "10", "--format", "json"],
+         "9034c3ca705b755ecc2dac71c18234d9ef71a07c54951124475e66668af6c66d"),
+        (["cc-table", "--n", "12", "--format", "json"],
+         "f266e89b04d7507d63f671ec81c83c7502695f4b0d6e965897e8c35c230c269f"),
     ],
 )
 def test_character_golden_output(capsys, argv, digest):

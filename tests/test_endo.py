@@ -67,7 +67,7 @@ def _reference_three_cycles(algebra):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stored_relations_equal_the_triple_loop(n):
     for t in enumerate_maximal_rigid(n):
-        algebra = build_endomorphism_algebra(t, check=False)
+        algebra = build_endomorphism_algebra(t)
         cycles = _reference_three_cycles(algebra)
         assert algebra._three_cycles == cycles
         loop = algebra.loop_arrow()
@@ -120,7 +120,7 @@ def test_radical_is_an_ideal(cyclic_algebra):
 def test_unique_loop_across_small_ranks():
     for n in (2, 3):
         for t in enumerate_maximal_rigid(n):
-            algebra = build_endomorphism_algebra(t, check=False)
+            algebra = build_endomorphism_algebra(t)
             q = gabriel_quiver(algebra)
             assert len(q.loops()) == 1
             assert q.loops()[0] == (1, 1)
@@ -136,7 +136,7 @@ def test_double_cycle_shape_is_fully_consistent():
     t = MaximalRigid(
         tube, (Indec(1, 5), Indec(1, 1), Indec(1, 3), Indec(3, 1), Indec(5, 1))
     )
-    algebra = build_endomorphism_algebra(t, check=False)
+    algebra = build_endomorphism_algebra(t)
     q = gabriel_quiver(algebra)
     assert any(len(q.neighbors(v)) == 4 for v in range(1, 6))
     assert validate_Qn(q)
@@ -168,8 +168,8 @@ def test_b_matrix_from_quiver_doubles_loop_column(cyclic_algebra):
 
 
 def test_structure_checksum_is_stable(cyclic_t):
-    a1 = build_endomorphism_algebra(cyclic_t, check=False)
-    a2 = build_endomorphism_algebra(cyclic_t, check=False)
+    a1 = build_endomorphism_algebra(cyclic_t)
+    a2 = build_endomorphism_algebra(cyclic_t)
     assert structure_checksum(a1) == structure_checksum(a2)
 
 
@@ -188,7 +188,7 @@ def _composite_coords(algebra, path):
 @pytest.mark.parametrize("n", [2, 3])
 def test_relations_and_paths_read_from_the_table_equal_composites(n):
     for t in enumerate_maximal_rigid(n):
-        algebra = build_endomorphism_algebra(t, check=False)
+        algebra = build_endomorphism_algebra(t)
         for first, second in algebra.relation_pairs():
             assert algebra.mult[(second.pos, first.pos)] == _composite_coords(
                 algebra, (first.idx, second.idx))
@@ -207,15 +207,15 @@ def test_a_forged_structure_constant_fails_associativity(cyclic_t):
         return MaximalRigid(Tube(cyclic_t.tube.n), cyclic_t.summands)
 
     clean = build_endomorphism_algebra(on_new_tube())
+    clean.verify_associativity()
+    clean.verify_relations()
     key, right = next((k, v) for k, v in clean.tube._product_cache.items() if any(v))
     t = on_new_tube()
     wrong = t.tube._product_cache[key] = tuple(2 * c for c in right)
-    forged = build_endomorphism_algebra(t, check=False)
+    forged = build_endomorphism_algebra(t)
     assert wrong in forged.mult.values()
     with pytest.raises(ConsistencyError, match="multiplication table is wrong"):
         forged.verify_associativity()
-    with pytest.raises(ConsistencyError, match="multiplication table is wrong"):
-        build_endomorphism_algebra(t)
 
 
 def test_the_loop_is_found_once(cyclic_algebra):

@@ -29,7 +29,7 @@ def _pieces():
     for n in (2, 3, 4):
         tube = Tube(n)
         for t in enumerate_maximal_rigid(n, tube):
-            yield structure_checksum(build_endomorphism_algebra(t, check=False))
+            yield structure_checksum(build_endomorphism_algebra(t))
             yield repr(b_matrix(t, cross_validate=False).b)
             for k in range(1, n + 1):
                 data = mutate_rigid(t, k)

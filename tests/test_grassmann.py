@@ -1,7 +1,9 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from clustertube.amod import DomainError, apply_F, direct_sum, is_tau_rigid, rank_vector
 from clustertube.endo import build_endomorphism_algebra
@@ -15,10 +17,22 @@ from clustertube.grassmann import (
     _in_rowspace,
     _point_data,
     _mod_rank,
+    _subset_counts,
     _subspaces,
 )
-from clustertube.strings import string_module
-from clustertube.tube import Indec, MaximalRigid, Tube
+from clustertube.strings import (
+    Letter,
+    StringBasis,
+    StringWord,
+    _letter_source,
+    _word_action_edges,
+    is_valid_string,
+    string_module,
+    string_normal_form,
+    word_vertices,
+)
+from clustertube.tube import Indec, MaximalRigid, Tube, all_rigid_indecs, enumerate_maximal_rigid
+from grassmann_reference import subset_counts_by_masks
 from strings_reference import conjugate, enumerate_strings
 
 
@@ -115,7 +129,7 @@ def test_oracle_matches_direct_count_on_reference_module(cyclic_algebra):
 
 def test_multiplicativity_on_direct_sums(tube2):
     t = MaximalRigid(tube2, (Indec(1, 2), Indec(1, 1)))
-    algebra = build_endomorphism_algebra(t, check=False)
+    algebra = build_endomorphism_algebra(t)
     a = apply_F(algebra, Indec(2, 2))
     b = apply_F(algebra, Indec(1, 1))
     s = direct_sum([a, b])
@@ -168,7 +182,7 @@ def test_ar_recursion_along_the_long_row():
     for n in (3, 4):
         tube = Tube(n)
         t = MaximalRigid(tube, tuple(Indec(1, b) for b in range(n, 0, -1)))
-        algebra = build_endomorphism_algebra(t, check=False)
+        algebra = build_endomorphism_algebra(t)
         for c in range(2, n):
             l_mod = apply_F(algebra, Indec(c, n))
             m_mod = direct_sum(
@@ -251,7 +265,7 @@ def test_a_module_without_provenance_gets_its_own_string_data(cyclic_algebra, mo
         assert m.provenance is None
         assert grassmann._indec_summands(m) == [m]
         assert grassmann._string_data(m)[0].word == word
-        expected = grassmann._subset_counts(cyclic_algebra, normal_form(m))
+        expected = subset_counts_by_masks(cyclic_algebra, normal_form(m))
         assert grassmann._string_data(m)[1] == expected
         # the chi table of m halves its own profile counts at the loop vertex
         lv = cyclic_algebra.loop_arrow().src - 1
@@ -264,14 +278,14 @@ def test_a_module_without_provenance_gets_its_own_string_data(cyclic_algebra, mo
 
 
 def test_chi_table_equals_the_mask_count_over_fresh_forms():
-    from clustertube.grassmann import _convolve, _subset_counts
+    from clustertube.grassmann import _convolve
     from clustertube.strings import string_normal_form
     from clustertube.tube import all_rigid_indecs, enumerate_maximal_rigid, in_pr_T
 
     tube = Tube(3)
     compared = 0
     for t in enumerate_maximal_rigid(3, tube):
-        alg = build_endomorphism_algebra(t, check=False)
+        alg = build_endomorphism_algebra(t)
         lv = alg.loop_arrow().src - 1
         for x in all_rigid_indecs(tube):
             if not in_pr_T(t, x) or apply_F(alg, x).is_zero():
@@ -281,7 +295,7 @@ def test_chi_table_equals_the_mask_count_over_fresh_forms():
             counts = {(0,) * alg.n: 1}
             for y in m.provenance:
                 piece = apply_F(alg, y)
-                counts = _convolve(counts, _subset_counts(alg, string_normal_form(piece)))
+                counts = _convolve(counts, subset_counts_by_masks(alg, string_normal_form(piece)))
             direct = {}
             for profile, c in counts.items():
                 e = tuple(d // 2 if v == lv else d for v, d in enumerate(profile))
@@ -291,6 +305,93 @@ def test_chi_table_equals_the_mask_count_over_fresh_forms():
     assert compared > 100
 
 
+# -- the one-pass count against the masks -------------------------------------------
+
+
+def _word_basis(algebra, word):
+    """The string basis of a word as ``_subset_counts`` reads it: the
+    vertices and action edges of its positions, in the word's own order."""
+    return StringBasis(word, tuple(word_vertices(algebra, word)), _word_action_edges(word),
+                       None, None)
+
+
+@pytest.mark.parametrize("name", ["cyclic_algebra", "linear_algebra"])
+def test_the_pass_equals_the_masks_on_every_string(name, request):
+    algebra = request.getfixturevalue(name)
+    words = enumerate_strings(algebra)
+    for word in words:
+        sb = string_normal_form(string_module(algebra, word))
+        assert _subset_counts(algebra, sb) == subset_counts_by_masks(algebra, sb), word.key()
+    assert len(words) >= 15
+
+
+@pytest.mark.parametrize("n, step", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 7)])
+def test_the_pass_equals_the_masks_on_every_functor_image(n, step):
+    tube = Tube(n)
+    compared = 0
+    for t in enumerate_maximal_rigid(n, tube)[::step]:
+        alg = build_endomorphism_algebra(t)
+        for x in all_rigid_indecs(tube):
+            m = apply_F(alg, x)
+            if m.is_zero():
+                continue
+            sb = string_normal_form(m)
+            assert _subset_counts(alg, sb) == subset_counts_by_masks(alg, sb), (t, x)
+            compared += 1
+    assert compared > 0
+
+
+@lru_cache(maxsize=None)
+def _objects(n):
+    return enumerate_maximal_rigid(n, Tube(n))
+
+
+@lru_cache(maxsize=None)
+def _algebra(n, i):
+    return build_endomorphism_algebra(_objects(n)[i])
+
+
+@st.composite
+def word_recipes(draw):
+    """(n, object index, start vertex, start at the loop, choices): see
+    ``_grown_word``."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    return (n, draw(st.integers(0, len(_objects(n)) - 1)), draw(st.integers(1, n)),
+            draw(st.booleans()), draw(st.lists(st.integers(0, 7), max_size=15)))
+
+
+def _grown_word(algebra, vertex, from_loop, choices):
+    """A valid word of at most 16 positions: the trivial word at ``vertex``,
+    or the loop letter if ``from_loop``, extended by one letter per choice
+    (the choice-th valid one, cyclically) until none is valid."""
+    loop = algebra.loop_arrow()
+    letters = [Letter(loop.idx, False)] if from_loop else []
+    every = [Letter(a.idx, inverse) for a in algebra.arrows for inverse in (False, True)]
+    for choice in choices:
+        valid = [l for l in every if is_valid_string(algebra, StringWord(letters + [l]))
+                 and (letters or _letter_source(algebra, l) == vertex)]
+        if not valid:
+            break
+        letters.append(valid[choice % len(valid)])
+    return StringWord(letters) if letters else StringWord((), trivial_vertex=vertex)
+
+
+@given(word_recipes())
+@settings(max_examples=60, deadline=None)
+@example((2, 0, 1, False, []))
+@example((5, 0, 1, True, [0] * 15))
+@example((8, 0, 2, False, [3] * 15))
+def test_the_pass_equals_the_masks_on_sampled_words(recipe):
+    n, i, vertex, from_loop, choices = recipe
+    algebra = _algebra(n, i)
+    word = _grown_word(algebra, vertex, from_loop, choices)
+    assert is_valid_string(algebra, word) and len(word.letters) <= 15
+    # the inverse word starts where this one ends, at a loop pair if it does
+    for w in (word, word.inverse()):
+        sb = _word_basis(algebra, w)
+        assert _subset_counts(algebra, sb) == subset_counts_by_masks(algebra, sb)
+
+
 # -- the tube's module memo --------------------------------------------------------
 
 
@@ -298,7 +399,11 @@ def _translated_algebras():
     """End(T) and End(tau T) on a new tube: one content class."""
     tube = Tube(3)
     t = MaximalRigid(tube, (Indec(1, 3), Indec(3, 1), Indec(1, 1)))
-    return build_endomorphism_algebra(t), build_endomorphism_algebra(t.shifted(1))
+    algebras = build_endomorphism_algebra(t), build_endomorphism_algebra(t.shifted(1))
+    for algebra in algebras:
+        algebra.verify_associativity()
+        algebra.verify_relations()
+    return algebras
 
 
 def test_translated_objects_share_chi_tables_and_oracle_verdicts(monkeypatch):
@@ -457,7 +562,7 @@ def test_the_point_count_equals_the_loop_over_all_tuples(n):
     tube = Tube(n)
     compared = nonzero = 0
     for t in enumerate_maximal_rigid(n, tube)[:4]:
-        alg = build_endomorphism_algebra(t, check=False)
+        alg = build_endomorphism_algebra(t)
         for x in all_rigid_indecs(tube):
             if not in_pr_T(t, x) or apply_F(alg, x).is_zero():
                 continue

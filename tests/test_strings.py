@@ -147,7 +147,7 @@ def test_every_image_and_its_translate_has_a_string_form(n):
     tube = Tube(n)
     images = translates = 0
     for t in enumerate_maximal_rigid(n, tube):
-        algebra = build_endomorphism_algebra(t, check=False)
+        algebra = build_endomorphism_algebra(t)
         for x in all_rigid_indecs(tube):
             m = apply_F(algebra, x)
             if m.is_zero():

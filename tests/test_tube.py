@@ -213,6 +213,8 @@ def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
     tube = Tube(3)
     for t in enumerate_maximal_rigid(3, tube):
         algebra = build_endomorphism_algebra(t)
+        algebra.verify_associativity()
+        algebra.verify_relations()
         for k in range(1, 4):
             mutate_rigid(t, k)
         for x in all_rigid_indecs(tube):

@@ -74,12 +74,12 @@ def test_one_context_per_object_and_one_alive_at_a_time(monkeypatch, n, check_li
     built = []  # (T, weak reference to its End(T))
     build = verify.build_endomorphism_algebra
 
-    def counting_build(t, check=True):
+    def counting_build(t):
         if check_liveness:
             gc.collect()
             alive = [str(s) for s, ref in built if ref() is not None]
             assert alive == [], f"End(T) still alive when the next one is built: {alive}"
-        algebra = build(t, check=check)
+        algebra = build(t)
         built.append((t, weakref.ref(algebra)))
         return algebra
 
@@ -800,7 +800,7 @@ def test_groups_are_frames_heaviest_first():
 @pytest.mark.parametrize("n, classes", [(2, 2), (3, 8), (4, 30), (5, 112)])
 def test_the_frames_are_the_content_classes_of_the_algebras(n, classes):
     ts = enumerate_maximal_rigid(n, Tube(n))
-    algebras = (verify.build_endomorphism_algebra(t, check=False) for t in ts)
+    algebras = (verify.build_endomorphism_algebra(t) for t in ts)
     numbers = [(amod._algebra_class(a), amod._injectives_class(a)) for a in algebras]
     groups = verify._frame_groups(ts, [1] * len(ts))
     assert len(groups) == classes
@@ -912,8 +912,8 @@ def test_a_forged_functor_image_misses_the_memo_and_fails_only_its_object(monkey
     build = verify.build_endomorphism_algebra
     numbers = {}
 
-    def forging(t, check=True):
-        algebra = build(t, check=check)
+    def forging(t):
+        algebra = build(t)
         if t == target:
             p1 = apply_F(algebra, t.summands[0])
             mats = list(p1.mats)
