@@ -23,11 +23,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .linalg import (
     ExactMatrix,
     QuotientSpace,
-    SpanSolver,
     _frac,
     flatten_blocks,
     independent_units,
-    intertwiner_basis,
     kernel_basis,  # unused here; perfbench/selftest.py traces a call through this module copy
     unflatten_blocks,
 )
@@ -121,14 +119,13 @@ class Tube:
             raise TubeError("tube rank must be at least 3 (n >= 2)")
         self.n = n
         self.p = n + 1
+        # the shift-map basis of Hom(x, y) as hom_basis returns it
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
         # the cluster-tube basis of Hom(x, y) as returned by hom_c_basis
         self._hom_c_cache: Dict[Tuple[Indec, Indec], List["CHom"]] = {}
         # the structure constants of the cluster tube, as basis_product
         # returns them, filled on first request
         self._product_cache: Dict[Tuple[Indec, Indec, Indec, int, int], tuple] = {}
-        # the flattened Hom basis, reduced once for hom_coords
-        self._hom_solver_cache: Dict[Tuple[Indec, Indec], SpanSolver] = {}
         # Ext^1 spaces by (x, y); dmor_space reads them at (x, tau^-1 y)
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
@@ -164,16 +161,12 @@ class Tube:
     def indec_dims(self, x: Indec) -> tuple:
         cached = self._dims_cache.get(x)
         if cached is None:
-            dims = [0] * self.p
-            for j in range(x.b):
-                dims[(x.a - 1 + j) % self.p] += 1
-            cached = tuple(dims)
-            self._dims_cache[x] = cached
+            cached = self._dims_cache[x] = tuple(map(len, self.basis_positions(x)))
         return cached
 
-    def basis_positions(self, x: Indec, v: int) -> List[int]:
-        """Socle-to-top indices j of the basis vectors of x sitting at vertex v (0-based)."""
-        return [j for j in range(x.b) if (x.a - 1 + j) % self.p == v]
+    def basis_positions(self, x: Indec) -> tuple:
+        """Per vertex v (0-based), the socle-to-top indices j of the basis vectors of x at v."""
+        return tuple(range((v + 1 - x.a) % self.p, x.b, self.p) for v in range(self.p))
 
     def arrow_matrix(self, x: Indec, v: int) -> ExactMatrix:
         """The arrow map X_v -> X_{v-1}: basis vector j goes to j - 1.
@@ -182,41 +175,45 @@ class Tube:
         key = (x, v)
         cached = self._arrow_cache.get(key)
         if cached is None:
-            src = self.basis_positions(x, v)
-            tgt = self.basis_positions(x, (v - 1) % self.p)
+            positions = self.basis_positions(x)
+            src, tgt = positions[v], positions[v - 1]
             rows = [[int(js == jt + 1) for js in src] for jt in tgt]
-            cached = ExactMatrix(rows, ncols=len(src))
-            self._arrow_cache[key] = cached
+            cached = self._arrow_cache[key] = ExactMatrix(rows, ncols=len(src))
         return cached
 
     def wing(self, top: Indec) -> List[Indec]:
         """All indecomposables in the triangle below ``top`` in the AR quiver."""
-        out = []
-        for i in range(top.b):
-            for d in range(1, top.b - i + 1):
-                out.append(self.indec(top.a + i, d))
-        return out
+        return [self.indec(top.a + i, d) for i in range(top.b) for d in range(1, top.b - i + 1)]
 
     # -- tube morphisms ------------------------------------------------------
 
+    def _hom_shifts(self, x: Indec, y: Indec) -> range:
+        """The delta, ascending, for which the shift map f_delta: e_j ->
+        e_{j+delta} (0 when j + delta < 0) is an intertwiner x -> y: those
+        with 1 - x.b <= delta <= min(0, y.b - x.b) and delta = x.a - y.a
+        (mod p).  These maps are a basis of Hom(x, y) (Ringel, LNM 1099,
+        1984; Simson-Skowronski, Elements vol. 2, 2007)."""
+        low = 1 - x.b
+        return range(low + (x.a - y.a - low) % self.p, min(0, y.b - x.b) + 1, self.p)
+
+    def _entry_shifts(self, x: Indec, y: Indec) -> tuple:
+        """The (rows, cols) shape of each vertex block of a map x -> y, and
+        for each entry, in ``flatten_blocks`` order, the delta whose shift
+        map has its support there: position in y minus position in x."""
+        px, py = self.basis_positions(x), self.basis_positions(y)
+        return (tuple(zip(map(len, py), map(len, px))),
+                [i - j for rows, cols in zip(py, px) for i in rows for j in cols])
+
     def hom_basis(self, x: Indec, y: Indec) -> List[VertexMaps]:
-        """Basis of the intertwiners x -> y, solved once per translation
-        class: for x.a != 1 it is the basis of the frame pair
-        (tau^s x, tau^s y), s = x.a - 1, rotated back with ``tau_vmaps``.
-        That is the basis a direct solve gives, since
-        arrow_matrix(tau^s x, v) = arrow_matrix(x, v + s)."""
+        """Basis of the intertwiners x -> y: the shift maps f_delta, ascending
+        in delta, which have disjoint supports.  Built once per (x, y) and
+        kept; "tube invariants" in ``verify`` compares it with direct solves."""
         key = (x, y)
         cached = self._hom_cache.get(key)
         if cached is None:
-            s = x.a - 1
-            fx, fy = self.tau(x, s), self.tau(y, s)
-            frame = self._hom_cache.get((fx, fy))
-            if frame is None:
-                frame = intertwiner_basis(
-                    self.indec_dims(fx), self.indec_dims(fy), self.hom_equations(fx, fy))
-                self._hom_cache[(fx, fy)] = frame
-            cached = [self.tau_vmaps(f, -s) for f in frame] if s else frame
-            self._hom_cache[key] = cached
+            shapes, on = self._entry_shifts(x, y)
+            cached = self._hom_cache[key] = [unflatten_blocks([int(d == delta) for d in on], shapes)
+                                             for delta in self._hom_shifts(x, y)]
         return cached
 
     def hom_equations(self, x: Indec, y: Indec) -> list:
@@ -227,7 +224,7 @@ class Tube:
                 for v in range(self.p)]
 
     def hom_tube_dim(self, x: Indec, y: Indec) -> int:
-        return len(self.hom_basis(x, y))
+        return len(self._hom_shifts(x, y))
 
     def ext_space(self, x: Indec, y: Indec) -> ExtSpace:
         key = (x, y)
@@ -281,17 +278,20 @@ class Tube:
         return all(m.is_zero() for m in f)
 
     def hom_coords(self, x: Indec, y: Indec, f: VertexMaps) -> tuple:
-        """Coordinates of a tube morphism in the cached basis of Hom(x, y)."""
-        key = (x, y)
-        solver = self._hom_solver_cache.get(key)
-        if solver is None:
-            dim = sum(a * b for a, b in zip(self.indec_dims(x), self.indec_dims(y)))
-            solver = SpanSolver([flatten_blocks(b) for b in self.hom_basis(x, y)], dim)
-            self._hom_solver_cache[key] = solver
-        coords = solver.coords(flatten_blocks(f))
-        if coords is None:
+        """Coordinates of a tube morphism in ``hom_basis(x, y)``, read off
+        the disjoint supports; raises ``TubeError`` for a block of the wrong
+        shape and ``ConsistencyError`` for a map outside the span."""
+        shapes, on = self._entry_shifts(x, y)
+        if tuple((m.nrows, m.ncols) for m in f) != shapes:
+            raise TubeError("vertex maps do not match the dimension vectors")
+        flat = flatten_blocks(f)
+        coords = dict.fromkeys(self._hom_shifts(x, y), 0)
+        for delta, entry in zip(on, flat):
+            if delta in coords:
+                coords[delta] = entry
+        if any(entry != coords.get(delta, 0) for delta, entry in zip(on, flat)):
             raise ConsistencyError("intertwiner does not lie in the morphism space")
-        return coords
+        return tuple(coords.values())
 
 
 class CHom:

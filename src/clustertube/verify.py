@@ -469,19 +469,18 @@ def check_chi_oracle(ctx: SuiteContext) -> List[str]:
     return failures
 
 
-def _direct_hom_dim(tube: Tube, x: Indec, y: Indec) -> int:
-    """dim Hom(x, y) from its own intertwiner solve, never from the frame
-    basis that ``Tube.hom_basis`` solves once per translation class and
-    rotates."""
-    return len(intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y),
-                                 tube.hom_equations(x, y)))
+def _direct_hom_basis(tube: Tube, x: Indec, y: Indec) -> list:
+    """The basis of Hom(x, y) from its own intertwiner solve, never from the
+    shift maps that ``Tube.hom_basis`` builds in closed form."""
+    return intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y), tube.hom_equations(x, y))
 
 
 def check_tube_invariants(tube: Tube) -> List[str]:
-    """Cheap structural invariants of the morphism calculus.  The
-    translation clause compares hom_c_dim(x, y), read from the tube's
-    rotated frame bases, with dim Hom_C(tau x, tau y) from direct solves of
-    the translated pairs, so a wrong frame solve shows."""
+    """Cheap structural invariants of the morphism calculus.  For each pair
+    (x, y), the closed-form bases of Hom(tau x, tau y) and
+    Hom(tau y, tau^3 x) must equal direct solves map by map, so a missing
+    shift or one wrong entry shows; and hom_c_dim(x, y), read from the
+    shifts alone, must equal dim Hom_C(tau x, tau y) from those solves."""
     failures = []
     n = tube.n
     rigids = all_rigid_indecs(tube)
@@ -489,7 +488,12 @@ def check_tube_invariants(tube: Tube) -> List[str]:
         tx = tube.tau(x)
         for y in rigids[: 2 * n]:
             ty = tube.tau(y)
-            direct = _direct_hom_dim(tube, tx, ty) + _direct_hom_dim(tube, ty, tube.tau(tx, 2))
+            direct = 0
+            for src, tgt in ((tx, ty), (ty, tube.tau(tx, 2))):
+                basis = _direct_hom_basis(tube, src, tgt)
+                if tube.hom_basis(src, tgt) != basis:
+                    failures.append(f"hom basis differs from a direct solve at {src},{tgt}")
+                direct += len(basis)
             if tube.hom_c_dim(x, y) != direct:
                 failures.append(f"hom dimension not translation invariant at {x},{y}")
             if tube.ext1_c_dim(x, y) != tube.ext1_c_dim(y, x):

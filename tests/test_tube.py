@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustertube import tube as tube_module
+from clustertube import linalg, tube as tube_module
 from clustertube.amod import apply_F
 from clustertube.endo import build_endomorphism_algebra
 from clustertube.linalg import ExactMatrix, flatten_blocks, intertwiner_basis
@@ -195,7 +195,7 @@ def test_maximal_rigid_requires_long_summand(tube3):
         MaximalRigid(tube3, (Indec(1, 2), Indec(1, 1), Indec(2, 1)))
 
 
-# -- one stored echelon form per Hom basis ---------------------------------------
+# -- coordinates in the shift-map basis ------------------------------------------
 
 
 def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
@@ -239,6 +239,18 @@ def test_hom_coords_rejects_a_map_outside_the_hom_space(tube3):
     assert tube3.hom_coords(x, y, (zero, ExactMatrix.zero(0, 1), empty, empty)) == ()
     with pytest.raises(ConsistencyError):
         tube3.hom_coords(x, y, (one, ExactMatrix.zero(0, 1), empty, empty))
+
+
+def test_hom_coords_rejects_a_block_of_the_wrong_shape(tube3):
+    x = Indec(1, 5)  # basis positions 0 and 4 at vertex 0, one at each other vertex
+    ident = tube3.identity_vmaps(x)
+    assert tube3.hom_coords(x, x, ident) == (0, 1)
+    # the 2 x 2 identity at vertex 0 as a 4 x 1 block flattens to the same entries
+    tall = ExactMatrix([[1], [0], [0], [1]])
+    with pytest.raises(TubeError):
+        tube3.hom_coords(x, x, (tall,) + ident[1:])
+    with pytest.raises(TubeError):
+        tube3.hom_coords(x, x, ident[:-1])
 
 
 # -- invariants beyond the exhaustive scope ----------------------------------------
@@ -310,26 +322,96 @@ def test_dmor_space_is_the_ext_space_at_the_inverse_translate():
             assert tube.dmor_space(x, y) is space
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def _direct_hom_basis(tube, x, y):
+    return intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y), tube.hom_equations(x, y))
+
+
+def _no_solve(*args):
+    raise AssertionError("Tube solved a linear system for a Hom space")
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_a_rotated_hom_basis_equals_a_direct_solve(n, monkeypatch):
-    solved = []
-
-    def counting_solve(src_dims, tgt_dims, arrows):
-        solved.append(src_dims)
-        return intertwiner_basis(src_dims, tgt_dims, arrows)
-
-    monkeypatch.setattr(tube_module, "intertwiner_basis", counting_solve)
     tube = Tube(n)
     objects = [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, 2 * n + 2)]
-    for x in objects:
-        for y in objects:
-            arrows = [(v, (v - 1) % tube.p, tube.arrow_matrix(x, v), tube.arrow_matrix(y, v))
-                      for v in range(tube.p)]
-            direct = intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y), arrows)
-            assert tube.hom_basis(x, y) == direct
+    direct = {(x, y): _direct_hom_basis(tube, x, y) for x in objects for y in objects}
+    # Tube makes no solve: every row reduction in linalg runs through
+    # rref or _reduce
+    monkeypatch.setattr(linalg, "rref", _no_solve)
+    monkeypatch.setattr(linalg, "_reduce", _no_solve)
+    for (x, y), basis in direct.items():
+        assert tube.hom_basis(x, y) == basis
+        assert tube.hom_tube_dim(x, y) == len(basis)
+        # the basis of the frame pair, rotated back, is the same list
+        s = x.a - 1
+        frame = tube.hom_basis(tube.tau(x, s), tube.tau(y, s))
+        assert [tube.tau_vmaps(f, -s) for f in frame] == basis
+        for i, f in enumerate(basis):
+            assert tube.hom_coords(x, y, f) == tuple(int(j == i) for j in range(len(basis)))
     assert len(tube._hom_cache) == len(objects) ** 2
-    # one solve per translation class of pairs
-    assert len(solved) == len(objects) ** 2 // tube.p
+
+
+def test_validating_and_enumerating_maximal_rigid_objects_builds_no_hom_basis():
+    tube = Tube(5)
+    for t in enumerate_maximal_rigid(5):
+        assert MaximalRigid(tube, t.summands) == t
+    assert tube._compatible_cache and not tube._hom_cache
+    tube = Tube(4)
+    assert len(enumerate_maximal_rigid(4, tube)) == comb(8, 4)
+    assert tube._compatible_cache and not tube._hom_cache
+
+
+def _vmaps(flat, shapes):
+    """Vertex maps of the given (rows, cols) shapes, read block by block,
+    row by row from ``flat``."""
+    out, pos = [], 0
+    for r, c in shapes:
+        out.append(ExactMatrix([flat[pos + i * c : pos + (i + 1) * c] for i in range(r)], ncols=c))
+        pos += r * c
+    return tuple(out)
+
+
+@st.composite
+def long_pairs(draw):
+    """Two objects of length up to 3(n + 1), n <= 12, int or Fraction
+    coefficients for the basis of Hom between them, an entry to perturb and
+    a translation."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    tube = _TUBES.get(n) or Tube(n)
+    x, y = (tube.indec(draw(st.integers(1, tube.p)), draw(st.integers(1, 3 * tube.p)))
+            for _ in range(2))
+    dim = tube.hom_tube_dim(x, y)
+    coeffs = draw(st.lists(st.integers(-5, 5) | st.fractions(max_denominator=7),
+                           min_size=dim, max_size=dim))
+    return tube, x, y, coeffs, draw(st.integers(0, 10 ** 6)), draw(st.integers(1, tube.p))
+
+
+@given(long_pairs())
+@settings(max_examples=200, deadline=None)
+def test_the_closed_form_hom_calculus_beyond_the_exhaustive_scope(case):
+    tube, x, y, coeffs, pick, k = case
+    basis = tube.hom_basis(x, y)
+    assert basis == _direct_hom_basis(tube, x, y)
+    # tau^k of the i-th basis map is the i-th basis map of the translated pair
+    assert [tube.tau_vmaps(f, k) for f in basis] == tube.hom_basis(tube.tau(x, k), tube.tau(y, k))
+    # the coordinates of a combination are its coefficients, in normal form
+    shapes = list(zip(tube.indec_dims(y), tube.indec_dims(x)))
+    flat = [0] * sum(r * c for r, c in shapes)
+    for c, f in zip(coeffs, basis):
+        flat = [a + c * b for a, b in zip(flat, flatten_blocks(f))]
+    coords = tube.hom_coords(x, y, _vmaps(flat, shapes))
+    assert coords == tuple(coeffs)
+    assert all(type(c) is int or c.denominator > 1 for c in coords)
+    if not flat:
+        return
+    # one perturbed entry leaves the span, unless it is alone on its support
+    flat[pick % len(flat)] += 1
+    reference = coords_in_span([flatten_blocks(f) for f in basis], flat)
+    if reference is None:
+        with pytest.raises(ConsistencyError):
+            tube.hom_coords(x, y, _vmaps(flat, shapes))
+    else:
+        assert tube.hom_coords(x, y, _vmaps(flat, shapes)) == reference
 
 
 def test_the_cluster_tube_hom_basis_is_built_once_per_pair():

@@ -345,14 +345,36 @@ def test_the_matrix_check_reads_each_neighbours_own_triangles(monkeypatch):
     assert len(lines) == 3 and set(lines) == expected
 
 
-def test_a_frame_solve_that_drops_a_vector_fails_the_tube_invariants(monkeypatch):
+def test_a_closed_form_hom_basis_that_drops_a_shift_fails_the_tube_invariants(monkeypatch):
     assert verify.check_tube_invariants(Tube(3)) == []
-    real = tube_module.intertwiner_basis
-    # every frame basis that Tube.hom_basis solves and rotates loses a vector
-    monkeypatch.setattr(tube_module, "intertwiner_basis", lambda *args: real(*args)[1:])
+    real = Tube._hom_shifts
+    # every Hom basis, and every dimension read from the shifts, loses its first shift
+    monkeypatch.setattr(Tube, "_hom_shifts", lambda self, x, y: real(self, x, y)[1:])
     failures = verify.check_tube_invariants(Tube(3))
-    assert failures
-    assert all(f.startswith("hom dimension not translation invariant at ") for f in failures)
+    dims = [f for f in failures if f.startswith("hom dimension not translation invariant at ")]
+    bases = [f for f in failures if f.startswith("hom basis differs from a direct solve at ")]
+    assert dims and bases and len(dims) + len(bases) == len(failures)
+
+
+def test_a_closed_form_hom_basis_with_one_wrong_entry_fails_the_tube_invariants(monkeypatch):
+    tube = Tube(3)
+    x = y = tube.tau(Indec(1, 3))
+    real = Tube.hom_basis
+
+    def one_wrong_entry(self, src, tgt):
+        basis = real(self, src, tgt)
+        if (src, tgt) != (x, y):
+            return basis
+        first = basis[0]
+        v = next(v for v, m in enumerate(first) if m.nrows and m.ncols)
+        rows = [list(r) for r in first[v].rows]
+        rows[0][0] += 1
+        return [first[:v] + (ExactMatrix(rows),) + first[v + 1:]] + basis[1:]
+
+    # the dimensions come from the shifts, so only the map-by-map comparison sees it
+    monkeypatch.setattr(Tube, "hom_basis", one_wrong_entry)
+    failures = verify.check_tube_invariants(tube)
+    assert failures and set(failures) == {f"hom basis differs from a direct solve at {x},{y}"}
 
 
 def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
