@@ -18,8 +18,8 @@ and with it ``monomial`` and ``variable``, and ``shift``), carried through
 ``+`` and ``-`` as the larger bound and through ``*`` and ``**`` as the sum
 of the factors' bounds, and checked before any key is built, so an
 exponent beyond ``MAX_EXPONENT`` raises LaurentError instead of wrapping
-into the next field.  An exact quotient reads its bound from the extreme
-exponents of its dividend and divisor (``lp_div_exact``).
+into the next field.  An exact quotient reads its bound from its own
+terms, each checked before its key is built (``lp_div_exact``).
 
 Terms are stored unordered.  Order is imposed only where it is read: the
 canonical text and ``pretty`` sort the keys; equality compares the term
@@ -27,14 +27,15 @@ dicts, and the hash reads them as a set.
 """
 from __future__ import annotations
 
-from operator import add, sub
-from typing import Dict, List, Sequence, Tuple
+import struct
+from operator import add, le, sub
+from typing import Callable, Dict, List, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
 _FIELD_BITS = 16
 _BIAS = 1 << (_FIELD_BITS - 1)
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_BYTES = _FIELD_BITS // 8  # one struct "h" per field
 MAX_EXPONENT = _BIAS - 1
 
 
@@ -55,13 +56,15 @@ def _pack(exponent: Sequence[int]) -> int:
     return key
 
 
-def _unpack(key: int, nvars: int) -> Exponent:
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        x = ((key + _BIAS) & _FIELD_MASK) - _BIAS
-        out[i] = x
-        key = (key - x) >> _FIELD_BITS
-    return tuple(out)
+def _unpacker(nvars: int) -> Callable[[int], Exponent]:
+    """The exponent vector of a key of nvars fields.  Adding the packed
+    bias makes every field the unsigned digit e_i + 2^(W - 1); flipping the
+    top bit of each digit (xor with the same packed bias) makes it the
+    W-bit two's complement of e_i, which ``struct`` reads in one call."""
+    bias = int.from_bytes(_BIAS.to_bytes(_FIELD_BYTES, "big") * nvars, "big")
+    read = struct.Struct(f">{nvars}h").unpack
+    width = _FIELD_BYTES * nvars
+    return lambda key: read(((key + bias) ^ bias).to_bytes(width, "big"))
 
 
 class LaurentPoly:
@@ -217,8 +220,8 @@ class LaurentPoly:
     def ordered_terms(self) -> List[Tuple[Exponent, int]]:
         """The terms as (exponent vector, coefficient) pairs, in
         lexicographic order of the exponent vectors."""
-        n, terms = self.nvars, self.terms
-        return [(_unpack(e, n), terms[e]) for e in sorted(terms)]
+        terms, unpack = self.terms, _unpacker(self.nvars)
+        return [(unpack(e), terms[e]) for e in sorted(terms)]
 
     def canonical_text(self) -> str:
         if self._text is None:
@@ -236,7 +239,7 @@ class LaurentPoly:
 def _box(p: LaurentPoly) -> Tuple[Exponent, Exponent]:
     """The least and the greatest exponent of each variable over the terms
     of a nonzero p."""
-    columns = list(zip(*(_unpack(e, p.nvars) for e in p.terms)))
+    columns = list(zip(*map(_unpacker(p.nvars), p.terms)))
     return tuple(map(min, columns)), tuple(map(max, columns))
 
 
@@ -257,42 +260,48 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     not integral.  Implemented as leading-term division in lexicographic
     order.  The Laurent ring is an integral domain, so the least (greatest)
     exponent of x_i in a product is the sum of the factors' least
-    (greatest): an exact quotient's exponents of x_i lie between
-    min_i p - min_i q and max_i p - max_i q.  A quotient term outside that
-    box proves that q does not divide p, and inside it every key stays
-    within the packing bound.  The leading exponent of the remainder
-    strictly decreases, so each quotient coefficient is set once, as one
-    remainder coefficient over the leading coefficient of q; an integral
-    quotient therefore needs only exact integer division, and the first
-    inexact step proves the quotient non-integral.
+    (greatest): with B the bound p carries, an exact quotient's exponents
+    of x_i lie between -B - min_i q and B - max_i q.  A quotient term
+    outside that box proves that q does not divide p; for a term t inside
+    it, every remainder key t + e (e a term of q) has its exponents within
+    B, and t's own key is built only once its exponents are checked against
+    the packing bound.  So only the terms of q and of the quotient are
+    unpacked, and the quotient's bound is read from its terms.  The leading
+    exponent of the remainder strictly decreases, so each quotient
+    coefficient is set once, as one remainder coefficient over the leading
+    coefficient of q; an integral quotient therefore needs only exact
+    integer division, and the first inexact step proves the quotient
+    non-integral.
     """
     if q.is_zero():
         raise LaurentError("division by zero")
     if p.is_zero():
         return LaurentPoly.zero(p.nvars)
     p._check(q)
-    n = p.nvars
-    (p_lo, p_hi), (q_lo, q_hi) = _box(p), _box(q)
-    lo, hi = tuple(map(sub, p_lo, q_lo)), tuple(map(sub, p_hi, q_hi))
-    bound = _bounded(max(map(abs, lo + hi), default=0))
-    q_terms = q.terms
-    q_lead = max(q_terms)
-    q_coeff = q_terms[q_lead]
-    q_lead_exp = _unpack(q_lead, n)
+    n, b, unpack = p.nvars, p._bound, _unpacker(p.nvars)
+    q_lead = max(q.terms)
+    q_coeff = q.terms[q_lead]
+    q_lead_exp = unpack(q_lead)
+    q_rest = [(e, c) for e, c in q.terms.items() if e != q_lead]
+    columns = list(zip(*map(unpack, q.terms)))
+    lo = [-b - min(column) for column in columns]
+    hi = [b - max(column) for column in columns]
     rem = dict(p.terms)
     quotient: Dict[int, int] = {}
+    bound = 0
     while rem:
         p_lead = max(rem)
-        t = tuple(map(sub, _unpack(p_lead, n), q_lead_exp))
-        if not all(a <= x <= b for a, x, b in zip(lo, t, hi)):
+        t = tuple(map(sub, unpack(p_lead), q_lead_exp))
+        if not (all(map(le, lo, t)) and all(map(le, t, hi))):
             raise LaurentError("not divisible")
-        coeff, r = divmod(rem[p_lead], q_coeff)
+        bound = _bounded(max(bound, max(map(abs, t), default=0)))
+        coeff, r = divmod(rem.pop(p_lead), q_coeff)
         if r:
             raise LaurentError("quotient has non-integer coefficients")
-        # t lies in the box, so its key is the difference of the keys
+        # t is within the packing bound, so its key is the difference of the keys
         t_key = p_lead - q_lead
         quotient[t_key] = coeff
-        for e, c in q_terms.items():
+        for e, c in q_rest:
             key = t_key + e
             val = rem.get(key, 0) - coeff * c
             if val:

@@ -212,6 +212,72 @@ def test_packed_arithmetic_matches_the_tuple_reference(case):
     assert (p == q) == (a == b)
 
 
+def _narrow_polys(nvars, min_size=0):
+    return st.dictionaries(st.tuples(*(st.integers(min_value=-3, max_value=3) for _ in range(nvars))),
+                           st.integers(min_value=-4, max_value=4).filter(bool),
+                           min_size=min_size, max_size=4)
+
+
+remainder_cases = st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.just(n), _narrow_polys(n), _narrow_polys(n, min_size=1), _narrow_polys(n)))
+
+
+@given(remainder_cases)
+@settings(max_examples=150, deadline=None)
+def test_a_product_plus_a_remainder_divides_exactly_when_the_reference_does(case):
+    # a*b + r is divisible by b only for some r: mostly the quotient is not
+    # a Laurent polynomial, or it has a non-integer coefficient
+    n, a, b, r = case
+    dividend = ref.plus(ref.times(a, b), r)
+    expected = ref.div_exact(dividend, b)
+    p, q = LaurentPoly(n, dividend), LaurentPoly(n, b)
+    if expected is None:
+        with pytest.raises(LaurentError):
+            lp_div_exact(p, q)
+    else:
+        assert lp_div_exact(p, q) == LaurentPoly(n, expected)
+
+
+def _near_bound_polys(nvars, max_size):
+    # exponents at the packing bound, at half of it and small, so that
+    # quotients and products reach or pass the bound in every field
+    edge = st.sampled_from([MAX_EXPONENT, MAX_EXPONENT // 2 + 1, MAX_EXPONENT // 2])
+    near = st.one_of(edge, edge.map(lambda x: -x), st.integers(min_value=-2, max_value=2))
+    return st.dictionaries(st.tuples(*(near for _ in range(nvars))),
+                           st.integers(min_value=-3, max_value=3).filter(bool),
+                           min_size=1, max_size=max_size)
+
+
+near_bound_cases = st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+    st.just(n), _near_bound_polys(n, 3), _near_bound_polys(n, 3), _near_bound_polys(n, 1)))
+
+
+@given(near_bound_cases)
+@settings(max_examples=200, deadline=None)
+def test_exact_division_near_the_packing_bound_matches_the_tuple_reference(case):
+    # a*b / b, when a*b fits, and a over a monomial m, whose quotient is
+    # exact unless a coefficient does not divide, and may pass the bound
+    n, a, b, m = case
+    product = ref.times(a, b)
+    pairs = [(a, m)]
+    if all(abs(x) <= MAX_EXPONENT for e in product for x in e):
+        pairs.append((product, b))
+    for dividend, divisor in pairs:
+        expected = ref.div_exact(dividend, divisor)
+        p, q = LaurentPoly(n, dividend), LaurentPoly(n, divisor)
+        if expected is None:
+            with pytest.raises(LaurentError):
+                lp_div_exact(p, q)
+        elif any(abs(x) > MAX_EXPONENT for e in expected for x in e):
+            with pytest.raises(LaurentError, match="packing bound"):
+                lp_div_exact(p, q)
+        else:
+            quotient = lp_div_exact(p, q)
+            assert quotient.ordered_terms() == sorted(expected.items())
+            assert all(abs(x) <= quotient._bound <= MAX_EXPONENT
+                       for e, _ in quotient.ordered_terms() for x in e)
+
+
 def test_exponents_beyond_the_packing_bound_raise():
     top = MAX_EXPONENT
     corner = LaurentPoly(2, {(top, -top): 1})
