@@ -261,17 +261,18 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     order.  The Laurent ring is an integral domain, so the least (greatest)
     exponent of x_i in a product is the sum of the factors' least
     (greatest): with B the bound p carries, an exact quotient's exponents
-    of x_i lie between -B - min_i q and B - max_i q.  A quotient term
-    outside that box proves that q does not divide p; for a term t inside
-    it, every remainder key t + e (e a term of q) has its exponents within
-    B, and t's own key is built only once its exponents are checked against
-    the packing bound.  So only the terms of q and of the quotient are
-    unpacked, and the quotient's bound is read from its terms.  The leading
-    exponent of the remainder strictly decreases, so each quotient
-    coefficient is set once, as one remainder coefficient over the leading
-    coefficient of q; an integral quotient therefore needs only exact
-    integer division, and the first inexact step proves the quotient
-    non-integral.
+    of x_i lie between -B - min_i q and B - max_i q, and its least term in
+    lexicographic order is the least of p over the least of q.  A quotient
+    term outside that box or below that term proves that q does not divide
+    p; for a term t inside the box, every remainder key t + e (e a term of
+    q) has its exponents within B, and t's own key is built only once its
+    exponents are checked against the packing bound.  So only the terms of
+    q and of the quotient are unpacked, and the quotient's bound is read
+    from its terms.  The leading exponent of the remainder strictly
+    decreases, so each quotient coefficient is set once, as one remainder
+    coefficient over the leading coefficient of q; an integral quotient
+    therefore needs only exact integer division, and the first inexact step
+    proves the quotient non-integral.
     """
     if q.is_zero():
         raise LaurentError("division by zero")
@@ -283,16 +284,16 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     q_coeff = q.terms[q_lead]
     q_lead_exp = unpack(q_lead)
     q_rest = [(e, c) for e, c in q.terms.items() if e != q_lead]
-    columns = list(zip(*map(unpack, q.terms)))
-    lo = [-b - min(column) for column in columns]
-    hi = [b - max(column) for column in columns]
+    q_lo, q_hi = _box(q)
+    lo, hi = [-b - x for x in q_lo], [b - x for x in q_hi]
+    floor = tuple(map(sub, unpack(min(p.terms)), unpack(min(q.terms))))
     rem = dict(p.terms)
     quotient: Dict[int, int] = {}
     bound = 0
     while rem:
         p_lead = max(rem)
         t = tuple(map(sub, unpack(p_lead), q_lead_exp))
-        if not (all(map(le, lo, t)) and all(map(le, t, hi))):
+        if t < floor or not (all(map(le, lo, t)) and all(map(le, t, hi))):
             raise LaurentError("not divisible")
         bound = _bounded(max(bound, max(map(abs, t), default=0)))
         coeff, r = divmod(rem.pop(p_lead), q_coeff)

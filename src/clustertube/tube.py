@@ -119,8 +119,10 @@ class Tube:
             raise TubeError("tube rank must be at least 3 (n >= 2)")
         self.n = n
         self.p = n + 1
-        # the shift-map basis of Hom(x, y) as hom_basis returns it
+        # the shift-map basis of Hom(x, y) as hom_basis returns it, and the
+        # layout of its supports that hom_basis and hom_coords read
         self._hom_cache: Dict[Tuple[Indec, Indec], List[VertexMaps]] = {}
+        self._layout_cache: Dict[Tuple[Indec, Indec], tuple] = {}
         # the cluster-tube basis of Hom(x, y) as returned by hom_c_basis
         self._hom_c_cache: Dict[Tuple[Indec, Indec], List["CHom"]] = {}
         # the structure constants of the cluster tube, as basis_product
@@ -188,32 +190,37 @@ class Tube:
     # -- tube morphisms ------------------------------------------------------
 
     def _hom_shifts(self, x: Indec, y: Indec) -> range:
-        """The delta, ascending, for which the shift map f_delta: e_j ->
-        e_{j+delta} (0 when j + delta < 0) is an intertwiner x -> y: those
-        with 1 - x.b <= delta <= min(0, y.b - x.b) and delta = x.a - y.a
-        (mod p).  These maps are a basis of Hom(x, y) (Ringel, LNM 1099,
-        1984; Simson-Skowronski, Elements vol. 2, 2007)."""
-        low = 1 - x.b
-        return range(low + (x.a - y.a - low) % self.p, min(0, y.b - x.b) + 1, self.p)
+        """The delta, ascending, for which f_delta: e_j -> e_{j+delta} (0 when
+        j + delta < 0) is an intertwiner x -> y: 1 - x.b <= delta <= min(0,
+        y.b - x.b) and delta = x.a - y.a (mod p).  The f_delta are a basis of
+        Hom(x, y) (Ringel, LNM 1099, 1984; Simson-Skowronski vol. 2, 2007)."""
+        return range(1 - x.b + (x.a - y.a + x.b - 1) % self.p, min(0, y.b - x.b) + 1, self.p)
 
-    def _entry_shifts(self, x: Indec, y: Indec) -> tuple:
-        """The (rows, cols) shape of each vertex block of a map x -> y, and
-        for each entry, in ``flatten_blocks`` order, the delta whose shift
-        map has its support there: position in y minus position in x."""
-        px, py = self.basis_positions(x), self.basis_positions(y)
-        return (tuple(zip(map(len, py), map(len, px))),
-                [i - j for rows, cols in zip(py, px) for i in rows for j in cols])
+    def _hom_layout(self, x: Indec, y: Indec) -> tuple:
+        """For maps x -> y: the (rows, cols) shape of each vertex block; per
+        entry, in ``flatten_blocks`` order, the index of the shift whose map
+        has it in its support (position in y minus position in x), or the
+        number of shifts; and the first entry of each support."""
+        key = (x, y)
+        cached = self._layout_cache.get(key)
+        if cached is None:
+            px, py = self.basis_positions(x), self.basis_positions(y)
+            shifts = self._hom_shifts(x, y)
+            on = [shifts.index(i - j) if i - j in shifts else len(shifts)
+                  for rows, cols in zip(py, px) for i in rows for j in cols]
+            cached = self._layout_cache[key] = (tuple(zip(map(len, py), map(len, px))), on,
+                                                [on.index(k) for k in range(len(shifts))])
+        return cached
 
     def hom_basis(self, x: Indec, y: Indec) -> List[VertexMaps]:
-        """Basis of the intertwiners x -> y: the shift maps f_delta, ascending
-        in delta, which have disjoint supports.  Built once per (x, y) and
-        kept; "tube invariants" in ``verify`` compares it with direct solves."""
+        """The shift maps f_delta of ``_hom_shifts``, ascending: a basis of the
+        intertwiners x -> y with disjoint supports, built once and kept."""
         key = (x, y)
         cached = self._hom_cache.get(key)
         if cached is None:
-            shapes, on = self._entry_shifts(x, y)
-            cached = self._hom_cache[key] = [unflatten_blocks([int(d == delta) for d in on], shapes)
-                                             for delta in self._hom_shifts(x, y)]
+            shapes, on, firsts = self._hom_layout(x, y)
+            cached = self._hom_cache[key] = [unflatten_blocks([int(i == k) for i in on], shapes)
+                                             for k in range(len(firsts))]
         return cached
 
     def hom_equations(self, x: Indec, y: Indec) -> list:
@@ -278,20 +285,16 @@ class Tube:
         return all(m.is_zero() for m in f)
 
     def hom_coords(self, x: Indec, y: Indec, f: VertexMaps) -> tuple:
-        """Coordinates of a tube morphism in ``hom_basis(x, y)``, read off
-        the disjoint supports; raises ``TubeError`` for a block of the wrong
-        shape and ``ConsistencyError`` for a map outside the span."""
-        shapes, on = self._entry_shifts(x, y)
+        """Coordinates in ``hom_basis(x, y)``, read off the supports after every
+        entry is checked (``TubeError``: a misshapen block; ``ConsistencyError``: off the span)."""
+        shapes, on, firsts = self._hom_layout(x, y)
         if tuple((m.nrows, m.ncols) for m in f) != shapes:
             raise TubeError("vertex maps do not match the dimension vectors")
         flat = flatten_blocks(f)
-        coords = dict.fromkeys(self._hom_shifts(x, y), 0)
-        for delta, entry in zip(on, flat):
-            if delta in coords:
-                coords[delta] = entry
-        if any(entry != coords.get(delta, 0) for delta, entry in zip(on, flat)):
+        coords = tuple(map(flat.__getitem__, firsts))
+        if tuple(map((coords + (0,)).__getitem__, on)) != flat:
             raise ConsistencyError("intertwiner does not lie in the morphism space")
-        return tuple(coords.values())
+        return coords
 
 
 class CHom:
