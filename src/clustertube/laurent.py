@@ -28,6 +28,8 @@ dicts, and the hash reads them as a set.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import chain, cycle
 from operator import add, le, sub
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -56,6 +58,7 @@ def _pack(exponent: Sequence[int]) -> int:
     return key
 
 
+@lru_cache(maxsize=None)
 def _unpacker(nvars: int) -> Callable[[int], Exponent]:
     """The exponent vector of a key of nvars fields.  Adding the packed
     bias makes every field the unsigned digit e_i + 2^(W - 1); flipping the
@@ -264,15 +267,18 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     of x_i lie between -B - min_i q and B - max_i q, and its least term in
     lexicographic order is the least of p over the least of q.  A quotient
     term outside that box or below that term proves that q does not divide
-    p; for a term t inside the box, every remainder key t + e (e a term of
-    q) has its exponents within B, and t's own key is built only once its
-    exponents are checked against the packing bound.  So only the terms of
-    q and of the quotient are unpacked, and the quotient's bound is read
-    from its terms.  The leading exponent of the remainder strictly
-    decreases, so each quotient coefficient is set once, as one remainder
-    coefficient over the leading coefficient of q; an integral quotient
-    therefore needs only exact integer division, and the first inexact step
-    proves the quotient non-integral.
+    p, and a term beyond the packing bound has no key; either raises before
+    the term's key is built, naming the packing bound when the term is
+    beyond it.  For a term t inside the box, every remainder key t + e (e a
+    term of q) has its exponents within B.  The term t is the remainder's
+    leading exponent minus q's, so the box and the least term are moved by
+    q's leading exponent once and each step unpacks one key, the
+    remainder's leading one; the quotient's bound is read from those
+    leading exponents at the end.  The leading exponent of the remainder
+    strictly decreases, so each quotient coefficient is set once, as one
+    remainder coefficient over the leading coefficient of q; an integral
+    quotient therefore needs only exact integer division, and the first
+    inexact step proves the quotient non-integral.
     """
     if q.is_zero():
         raise LaurentError("division by zero")
@@ -282,23 +288,27 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     n, b, unpack = p.nvars, p._bound, _unpacker(p.nvars)
     q_lead = max(q.terms)
     q_coeff = q.terms[q_lead]
-    q_lead_exp = unpack(q_lead)
+    shift = unpack(q_lead)
     q_rest = [(e, c) for e, c in q.terms.items() if e != q_lead]
     q_lo, q_hi = _box(q)
-    lo, hi = [-b - x for x in q_lo], [b - x for x in q_hi]
-    floor = tuple(map(sub, unpack(min(p.terms)), unpack(min(q.terms))))
+    # the box, clipped to the packing bound, and the least term, all moved
+    # from the quotient term t to the leading exponent t + shift
+    lo = [max(-b - x, -MAX_EXPONENT) + s for x, s in zip(q_lo, shift)]
+    hi = [min(b - x, MAX_EXPONENT) + s for x, s in zip(q_hi, shift)]
+    floor = tuple(map(add, map(sub, unpack(min(p.terms)), unpack(min(q.terms))), shift))
     rem = dict(p.terms)
     quotient: Dict[int, int] = {}
-    bound = 0
+    leads = []
     while rem:
         p_lead = max(rem)
-        t = tuple(map(sub, unpack(p_lead), q_lead_exp))
-        if t < floor or not (all(map(le, lo, t)) and all(map(le, t, hi))):
+        lead = unpack(p_lead)
+        if lead < floor or not (all(map(le, lo, lead)) and all(map(le, lead, hi))):
+            _bounded(max(map(abs, map(sub, lead, shift)), default=0))
             raise LaurentError("not divisible")
-        bound = _bounded(max(bound, max(map(abs, t), default=0)))
         coeff, r = divmod(rem.pop(p_lead), q_coeff)
         if r:
             raise LaurentError("quotient has non-integer coefficients")
+        leads.append(lead)
         # t is within the packing bound, so its key is the difference of the keys
         t_key = p_lead - q_lead
         quotient[t_key] = coeff
@@ -309,6 +319,8 @@ def lp_div_exact(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 rem[key] = val
             else:
                 del rem[key]
+    # the largest |t_i| over the quotient terms t = lead - shift
+    bound = max(map(abs, map(sub, chain.from_iterable(leads), cycle(shift))), default=0)
     return LaurentPoly._trusted(n, quotient, bound)
 
 
