@@ -10,8 +10,14 @@ length.  Morphisms in the orbit category split into two strata:
   source object and the inverse translate of the target, in the fixed
   cokernel basis of the standard two-term complex.
 
-Composition pushes and pulls extension classes along intertwiners, so the
-whole calculus is exact rational linear algebra.  On top of it this module
+Both strata are read in closed form: Hom(x, y) has the basis of shift maps
+f_delta, and Ext^1 one class per surviving diagonal of the complex's ambient
+space, so no Hom or Ext space is solved or row reduced.  The products of
+basis morphisms, the structure constants behind End(T) and the functor
+images, are read from the shifts and diagonals too (``basis_product``).
+``CHom.compose`` still composes any two morphisms by pushing and pulling
+extension classes along intertwiners; it is the reference the structure
+constants are checked against.  On top of this calculus the module
 enumerates rigid and maximal rigid objects, mutates them through exchange
 triangles computed as minimal approximations, and assembles the associated
 skew-symmetrizable matrix.
@@ -22,7 +28,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     ExactMatrix,
-    QuotientSpace,
     _frac,
     flatten_blocks,
     independent_units,
@@ -53,50 +58,48 @@ VertexMaps = Tuple[ExactMatrix, ...]  # one matrix per vertex, phi_v: X_v -> Y_v
 
 
 class ExtSpace:
-    """Ext^1 between two tube objects via the standard two-term complex.
+    """Ext^1 between two tube objects, in closed form.
 
-    The ambient space is the arrow-indexed block sum of Hom(X_v, Y_{v-1});
-    the space itself is the quotient by the image of the differential, with
-    the canonical representatives supplied by :class:`QuotientSpace`.
+    The ambient space is the arrow-indexed block sum of Hom(X_v, Y_{v-1}),
+    flattened block by block, row by row; its unit e(i, j) sends position j
+    of x to position i of y (positions count from the socle).  Ext^1 is the
+    cokernel of the differential of the standard two-term complex
+    (``Tube.ext_differential``), which identifies e(i, j + 1) with
+    e(i - 1, j) and kills e(0, j) for j >= 1 and e(i, x.b - 1) for
+    i <= y.b - 2.  So each diagonal d = j - i is one class, and the
+    diagonals that survive are 1 - y.b <= d <= min(0, x.b - y.b) with
+    d = y.a - x.a + 1 (mod p): the shifts of Hom(y, tau x), as AR duality
+    Ext^1(x, y) = D Hom(y, tau x) says (Ringel, LNM 1099, 1984).
+
+    Coordinate k is the class of ``diagonals[k]``; its representative
+    ``reps[k]`` is the diagonal's largest flattened entry, and the
+    coordinates are ordered by it.  These are the basis and representatives
+    that row reducing the differential from the left leaves, so ``project``
+    (the sum of the entries along each surviving diagonal) and ``lift``
+    (each coordinate at its representative) are the cokernel's maps.
     """
 
-    __slots__ = ("tube", "src", "tgt", "block_shapes", "total", "quotient")
+    __slots__ = ("block_shapes", "total", "diagonals", "reps", "members")
 
     def __init__(self, tube: "Tube", src: Indec, tgt: Indec):
-        self.tube = tube
-        self.src = src
-        self.tgt = tgt
-        p = tube.p
-        xd = tube.indec_dims(src)
-        yd = tube.indec_dims(tgt)
-        self.block_shapes = tuple((yd[(v - 1) % p], xd[v]) for v in range(p))
-        offsets = []
-        total = 0
-        for r, c in self.block_shapes:
-            offsets.append(total)
-            total += r * c
-        self.total = total
-        # The differential sends the unit E_rc of Hom(X_v, Y_v) to E_rc X_{v+1}
-        # in block v+1 (row r is row c of the arrow X_{v+1} -> X_v) and to
-        # -Y_v E_rc in block v (column c is minus column r of Y_v -> Y_{v-1}).
-        spanning = []
-        for v in range(p):
-            w = (v + 1) % p
-            xarr = tube.arrow_matrix(src, w).rows
-            yarr = tube.arrow_matrix(tgt, v).rows
-            for r in range(yd[v]):
-                for c in range(xd[v]):
-                    vec = [0] * total
-                    start = offsets[w] + r * xd[w]
-                    vec[start : start + xd[w]] = xarr[c]
-                    for i, row in enumerate(yarr):
-                        vec[offsets[v] + i * xd[v] + c] = -row[r]
-                    spanning.append(vec)
-        self.quotient = QuotientSpace(total, spanning)
+        px, py = tube.basis_positions(src), tube.basis_positions(tgt)
+        self.block_shapes = tuple((len(py[v - 1]), len(px[v])) for v in range(tube.p))
+        on = [j - i for v in range(tube.p) for i in py[v - 1] for j in px[v]]
+        self.total = len(on)
+        alive = range(1 - tgt.b + (tgt.a - src.a + tgt.b) % tube.p, min(0, src.b - tgt.b) + 1,
+                      tube.p)
+        # each surviving diagonal's entries, in flattened order
+        members = {d: [] for d in alive}
+        for e, d in enumerate(on):
+            if d in alive:
+                members[d].append(e)
+        self.members = tuple(sorted(members.values(), key=lambda m: m[-1]))
+        self.reps = tuple(m[-1] for m in self.members)
+        self.diagonals = tuple(on[e] for e in self.reps)
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
+        return len(self.reps)
 
     def flatten(self, blocks: Sequence[ExactMatrix]) -> tuple:
         flat = flatten_blocks(blocks)
@@ -105,10 +108,20 @@ class ExtSpace:
         return flat
 
     def project(self, flat: Sequence) -> tuple:
-        return self.quotient.project(flat)
+        """Coordinates of the class of an ambient vector, in normal form."""
+        if len(flat) != self.total:
+            raise TubeError("ambient vector length mismatch")
+        return tuple(_frac(sum(map(flat.__getitem__, m))) for m in self.members)
 
     def lift(self, coords: Sequence) -> Tuple[ExactMatrix, ...]:
-        return unflatten_blocks(self.quotient.lift(coords), self.block_shapes)
+        """The representative of a class: each coordinate at its diagonal's
+        representative entry, zero elsewhere."""
+        if len(coords) != self.dim:
+            raise TubeError("coordinate length mismatch")
+        flat = [0] * self.total
+        for e, c in zip(self.reps, coords):
+            flat[e] = _frac(c)
+        return unflatten_blocks(flat, self.block_shapes)
 
 
 class Tube:
@@ -229,6 +242,35 @@ class Tube:
         v -> v - 1."""
         return [(v, (v - 1) % self.p, self.arrow_matrix(x, v), self.arrow_matrix(y, v))
                 for v in range(self.p)]
+
+    def ext_differential(self, x: Indec, y: Indec) -> Tuple[int, list]:
+        """The ambient dimension of ``ExtSpace(x, y)`` and the image of the
+        differential of the two-term complex, one flat vector per unit of
+        Hom(X_v, Y_v): the cokernel of these vectors is Ext^1(x, y)."""
+        p = self.p
+        xd, yd = self.indec_dims(x), self.indec_dims(y)
+        offsets = []
+        total = 0
+        for v in range(p):
+            offsets.append(total)
+            total += yd[v - 1] * xd[v]
+        # The differential sends the unit E_rc of Hom(X_v, Y_v) to E_rc X_{v+1}
+        # in block v+1 (row r is row c of the arrow X_{v+1} -> X_v) and to
+        # -Y_v E_rc in block v (column c is minus column r of Y_v -> Y_{v-1}).
+        spanning = []
+        for v in range(p):
+            w = (v + 1) % p
+            xarr = self.arrow_matrix(x, w).rows
+            yarr = self.arrow_matrix(y, v).rows
+            for r in range(yd[v]):
+                for c in range(xd[v]):
+                    vec = [0] * total
+                    start = offsets[w] + r * xd[w]
+                    vec[start : start + xd[w]] = xarr[c]
+                    for i, row in enumerate(yarr):
+                        vec[offsets[v] + i * xd[v] + c] = -row[r]
+                    spanning.append(vec)
+        return total, spanning
 
     def hom_tube_dim(self, x: Indec, y: Indec) -> int:
         return len(self._hom_shifts(x, y))
@@ -354,7 +396,14 @@ class CHom:
         return CHom(self.tube, self.src, self.tgt, t=t, d=d)
 
     def compose(self, other: "CHom") -> "CHom":
-        """self o other (apply ``other`` first)."""
+        """self o other (apply ``other`` first).
+
+        Blockwise, on lifted representatives: tube maps multiply vertex by
+        vertex, and a shift-stratum class is pulled back along a tube map
+        before it or pushed forward along one after it, then projected.  On
+        basis morphisms this is the diagonal rule of ``basis_product``
+        (Ringel, LNM 1099, 1984), which reads the same coordinates without
+        composing; this route is its reference."""
         if other.tgt != self.src:
             raise TubeError("morphisms are not composable")
         tube = self.tube
@@ -459,14 +508,32 @@ def basis_product(tube: Tube, x: Indec, y: Indec, z: Indec, i: int, j: int) -> t
     """The hom_c_basis(x, z) coordinates of u o v, for u the i-th element of
     hom_c_basis(y, z) and v the j-th of hom_c_basis(x, y).
 
-    One structure constant of the cluster tube: composed once per tube and
-    kept, so every product of two basis morphisms is read from one table."""
+    One structure constant of the cluster tube, read from the shifts and the
+    diagonals alone, so it is a unit vector or zero: the shift maps compose
+    as f_delta' o f_delta = f_(delta + delta'), which is zero below
+    1 - x.b; a shift-stratum class on diagonal d (``ExtSpace``) composed
+    with f_delta on either side is the class on diagonal d - delta, or zero
+    if that diagonal dies; and two shift-stratum classes compose to zero
+    (Ringel, LNM 1099, 1984).  ``CHom.compose`` is the reference that
+    ``FinDimAlgebra.verify_associativity`` and "tube invariants" check these
+    against.  Kept on the tube per triple and pair of indices."""
     key = (x, y, z, i, j)
     coords = tube._product_cache.get(key)
     if coords is None:
-        u = hom_c_basis(tube, y, z)[i]
-        v = hom_c_basis(tube, x, y)[j]
-        coords = tube._product_cache[key] = chom_coords(tube, u.compose(v))
+        in_yz, in_xy = tube._hom_shifts(y, z), tube._hom_shifts(x, y)
+        out_t, out_d = tube._hom_shifts(x, z), tube.dmor_space(x, z).diagonals
+        pos = None
+        if i < len(in_yz) and j < len(in_xy):
+            shift = in_yz[i] + in_xy[j]
+            pos = out_t.index(shift) if shift in out_t else None
+        elif i < len(in_yz) or j < len(in_xy):
+            if i < len(in_yz):
+                d = tube.dmor_space(x, y).diagonals[j - len(in_xy)] - in_yz[i]
+            else:
+                d = tube.dmor_space(y, z).diagonals[i - len(in_yz)] - in_xy[j]
+            pos = len(out_t) + out_d.index(d) if d in out_d else None
+        coords = tube._product_cache[key] = tuple(
+            int(k == pos) for k in range(len(out_t) + len(out_d)))
     return coords
 
 
@@ -660,14 +727,16 @@ class ExchangeData(NamedTuple):
 
 
 def _radical_indices(tube: Tube, x: Indec, y: Indec) -> List[int]:
-    """Positions in hom_c_basis(x, y) of a basis of its radical inside add(T)."""
-    basis = hom_c_basis(tube, x, y)
+    """Positions in hom_c_basis(x, y) of a basis of its radical inside add(T).
+
+    Between distinct indecomposables that is every position.  In End(x) it
+    is every basis element but the identity f_0: the other shift maps
+    f_delta, delta < 0, and the shift stratum are nilpotent."""
+    positions = range(len(hom_c_basis(tube, x, y)))
     if x != y:
-        return list(range(len(basis)))
-    # For an indecomposable, the radical is spanned by the non-invertible
-    # basis vectors; the tube stratum of End is the scalars, the shift
-    # stratum is nilpotent.
-    return [k for k, f in enumerate(basis) if not f.t]
+        return list(positions)
+    identity = tube._hom_shifts(x, x).index(0)
+    return [k for k in positions if k != identity]
 
 
 def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: str) -> ApproxResult:

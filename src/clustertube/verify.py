@@ -30,7 +30,10 @@ from .tube import (
     all_rigid_indecs,
     b_matrix,
     b_matrix_multiplicities,
+    basis_product,
+    chom_coords,
     enumerate_maximal_rigid,
+    hom_c_basis,
     in_pr_T,
     in_pr_sigma_T,
     minimal_approximation,
@@ -50,7 +53,7 @@ from .amod import (
 )
 from .ccmap import CCMap
 from .laurent import LaurentPoly
-from .linalg import intertwiner_basis
+from .linalg import QuotientSpace, intertwiner_basis
 from .grassmann import (
     ar_sequences_ending_at_tau_rigid,
     chi_lf_oracle_fq,
@@ -475,18 +478,35 @@ def _direct_hom_basis(tube: Tube, x: Indec, y: Indec) -> list:
     return intertwiner_basis(tube.indec_dims(x), tube.indec_dims(y), tube.hom_equations(x, y))
 
 
+def _ext_differs(tube: Tube, x: Indec, y: Indec) -> bool:
+    """Whether the closed-form ``tube.ext_space(x, y)`` differs from the
+    row-reduced cokernel of the differential, in its dimension, its
+    representatives or the projection of one ambient unit."""
+    space = tube.ext_space(x, y)
+    total, spanning = tube.ext_differential(x, y)
+    direct = QuotientSpace(total, spanning)
+    if (space.total, space.dim, space.reps) != (total, direct.dim, direct.nonpivots):
+        return True
+    units = ([int(k == e) for k in range(total)] for e in range(total))
+    return any(space.project(u) != direct.project(u) for u in units)
+
+
 def check_tube_invariants(tube: Tube) -> List[str]:
     """Cheap structural invariants of the morphism calculus.  For each pair
     (x, y), the closed-form bases of Hom(tau x, tau y) and
     Hom(tau y, tau^3 x) must equal direct solves map by map, so a missing
-    shift or one wrong entry shows; and hom_c_dim(x, y), read from the
-    shifts alone, must equal dim Hom_C(tau x, tau y) from those solves."""
+    shift or one wrong entry shows; hom_c_dim(x, y), read from the shifts
+    alone, must equal dim Hom_C(tau x, tau y) from those solves; and the
+    closed-form Ext^1(x, y) and shift stratum of Hom_C(x, y) must equal the
+    row-reduced cokernels of their differentials.  On each triple of those
+    objects, every structure constant read by ``basis_product`` must equal
+    the coordinates of the composed basis morphisms."""
     failures = []
     n = tube.n
-    rigids = all_rigid_indecs(tube)
-    for x in rigids[: 2 * n]:
+    rigids = all_rigid_indecs(tube)[: 2 * n]
+    for x in rigids:
         tx = tube.tau(x)
-        for y in rigids[: 2 * n]:
+        for y in rigids:
             ty = tube.tau(y)
             direct = 0
             for src, tgt in ((tx, ty), (ty, tube.tau(tx, 2))):
@@ -498,6 +518,15 @@ def check_tube_invariants(tube: Tube) -> List[str]:
                 failures.append(f"hom dimension not translation invariant at {x},{y}")
             if tube.ext1_c_dim(x, y) != tube.ext1_c_dim(y, x):
                 failures.append(f"symmetry of extensions fails at {x},{y}")
+            for tgt in (y, tube.tau(y, -1)):
+                if _ext_differs(tube, x, tgt):
+                    failures.append(f"ext space differs from the cokernel at {x},{tgt}")
+    for x, y, z in product(rigids, repeat=3):
+        for i, u in enumerate(hom_c_basis(tube, y, z)):
+            for j, v in enumerate(hom_c_basis(tube, x, y)):
+                if basis_product(tube, x, y, z, i, j) != chom_coords(tube, u.compose(v)):
+                    failures.append(f"structure constant differs from composition "
+                                    f"at {x},{y},{z}, {i},{j}")
     return failures
 
 

@@ -18,6 +18,7 @@ from clustertube.tube import (
     MaximalRigid,
     Tube,
     TubeError,
+    _radical_indices,
     all_rigid_indecs,
     b_matrix,
     b_matrix_multiplicities,
@@ -33,6 +34,7 @@ from clustertube.tube import (
 )
 
 from linalg_reference import coords_in_span
+import tube_reference
 
 
 def test_hom_dimensions_small_cases(tube3):
@@ -211,6 +213,9 @@ def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
 
     monkeypatch.setattr(Tube, "hom_coords", checked)
     tube = Tube(3)
+    # the structure constants are read without composing, so compose the
+    # basis morphisms of every triple of rigid objects
+    _products_agree_with_composition(tube, itertools.product(all_rigid_indecs(tube), repeat=3))
     for t in enumerate_maximal_rigid(3, tube):
         algebra = build_endomorphism_algebra(t)
         algebra.verify_associativity()
@@ -220,7 +225,7 @@ def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
         for x in all_rigid_indecs(tube):
             if in_pr_T(t, x):
                 apply_F(algebra, x)
-    # 864 calls on 56 distinct (x, y) when this was written
+    # 840 calls on 56 distinct (x, y) when this was written
     assert len(calls) > 500 and len(set(calls)) > 40
 
 
@@ -443,17 +448,28 @@ def _products_agree_with_composition(tube, triples):
     return checked
 
 
+def _objects(tube, longest):
+    return [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, longest + 1)]
+
+
 def test_the_product_table_equals_composition_at_rank_two():
-    # every object up to length n + 1, the AR middle terms included
+    # every object up to length 2n + 1, so shift maps f_delta with delta < 0
+    # and classes on several diagonals compose
     tube = Tube(2)
-    objects = [Indec(a, b) for a in range(1, tube.p + 1) for b in range(1, tube.n + 2)]
-    assert _products_agree_with_composition(tube, itertools.product(objects, repeat=3)) > 500
+    objects = _objects(tube, 2 * tube.n + 1)
+    assert _products_agree_with_composition(tube, itertools.product(objects, repeat=3)) == 8052
 
 
 def test_the_product_table_equals_composition_at_rank_three():
     tube = Tube(3)
     triples = itertools.product(all_rigid_indecs(tube), repeat=3)
     assert _products_agree_with_composition(tube, triples) > 1000
+
+
+def test_the_product_table_equals_composition_on_rigid_triples_at_rank_four():
+    tube = Tube(4)
+    triples = itertools.product(all_rigid_indecs(tube), repeat=3)
+    assert _products_agree_with_composition(tube, triples) == 4920
 
 
 def test_the_product_table_equals_composition_on_a_sample_at_rank_four():
@@ -471,3 +487,120 @@ def test_chom_coords_returns_normal_form_entries(tube3):
             coords = chom_coords(tube3, g)
             assert all(type(c) is int or c.denominator > 1 for c in coords)
         assert chom_coords(tube3, f.add(f).scale(Fraction(1, 2))) == chom_coords(tube3, f)
+
+
+# -- Ext^1 and the structure constants in closed form ----------------------------
+
+
+def _unit(k, dim):
+    return [int(i == k) for i in range(dim)]
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_the_closed_form_ext_space_equals_the_row_reduced_cokernel(n):
+    tube = Tube(n)
+    objects = _objects(tube, 2 * n + 1)
+    for x in objects:
+        for y in objects:
+            space, reference = tube.ext_space(x, y), tube_reference.ExtSpace(tube, x, y)
+            assert (space.block_shapes, space.total) == (reference.block_shapes, reference.total)
+            assert (space.dim, space.reps) == (reference.dim, reference.reps)
+            for e in range(space.total):
+                assert space.project(_unit(e, space.total)) == reference.project(_unit(e, space.total))
+            for k in range(space.dim):
+                assert space.lift(_unit(k, space.dim)) == reference.lift(_unit(k, space.dim))
+            # AR duality: one class per shift of Hom(y, tau x)
+            assert space.dim == tube.hom_tube_dim(y, tube.tau(x))
+
+
+def test_ext_coordinates_are_in_normal_form():
+    tube = Tube(3)
+    x, y = Indec(1, 5), Indec(4, 5)  # y = tau x: diagonals -4 and 0
+    space, reference = tube.ext_space(x, y), tube_reference.ExtSpace(tube, x, y)
+    assert space.dim == 2
+    flat = [Fraction(k, 2) for k in range(space.total)]
+    assert space.project(flat) == reference.project(flat)
+    assert all(type(c) is int or c.denominator > 1 for c in space.project(flat))
+    for coords in ((Fraction(4, 2), Fraction(1, 3)), (1, -2)):
+        assert space.lift(coords) == reference.lift(coords)
+
+
+def test_ext_maps_reject_a_vector_of_the_wrong_length(tube3):
+    space = tube3.ext_space(Indec(1, 5), Indec(4, 5))
+    assert space.total > 0 and space.dim > 0
+    for wrong in (space.total - 1, space.total + 1):
+        with pytest.raises(TubeError):
+            space.project([0] * wrong)
+    for wrong in (space.dim - 1, space.dim + 1):
+        with pytest.raises(TubeError):
+            space.lift([0] * wrong)
+    with pytest.raises(TubeError):
+        space.flatten(space.lift([1] * space.dim)[:-1])
+
+
+def test_the_radical_of_an_endomorphism_ring_drops_only_the_identity():
+    tube = Tube(3)
+    # f_-4 is nilpotent on (1, 5) though it lies in the tube stratum
+    assert _radical_indices(tube, Indec(1, 5), Indec(1, 5)) == [0, 2]
+    for x in _objects(tube, 3 * tube.p):
+        basis = hom_c_basis(tube, x, x)
+        radical = _radical_indices(tube, x, x)
+        (identity,) = set(range(len(basis))) - set(radical)
+        assert chom_coords(tube, CHom.identity(tube, (x,))) == tuple(_unit(identity, len(basis)))
+        for k in radical:
+            power = basis[k]
+            for _ in range(len(basis)):
+                power = power.compose(basis[k])
+            assert power.is_zero()
+    x, y = Indec(1, 2), Indec(1, 3)
+    assert _radical_indices(tube, x, y) == list(range(tube.hom_c_dim(x, y)))
+
+
+def _no_rref(*args):
+    raise AssertionError("Tube row reduced")
+
+
+def test_the_tube_makes_no_rref_for_an_ext_space_or_a_product(monkeypatch):
+    monkeypatch.setattr(linalg, "rref", _no_rref)
+    monkeypatch.setattr(linalg, "_reduce", _no_rref)
+    tube = Tube(4)
+    objects = _objects(tube, 2 * tube.n + 1)
+    for x in objects:
+        for y in objects:
+            space = tube.ext_space(x, y)
+            for k in range(space.dim):
+                assert space.project(space.flatten(space.lift(_unit(k, space.dim)))) == tuple(
+                    _unit(k, space.dim))
+    products = 0
+    for x, y, z in itertools.product(_objects(tube, tube.n + 1), repeat=3):
+        for i in range(tube.hom_c_dim(y, z)):
+            for j in range(tube.hom_c_dim(x, y)):
+                basis_product(tube, x, y, z, i, j)
+                products += 1
+    assert products > 10000
+
+
+@st.composite
+def long_triples(draw):
+    """Three objects of length up to 3(n + 1), n <= 12, and a translation."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    tube = _TUBES.get(n) or Tube(n)
+    x, y, z = (tube.indec(draw(st.integers(1, tube.p)), draw(st.integers(1, 3 * tube.p)))
+               for _ in range(3))
+    return tube, x, y, z, draw(st.integers(1, tube.p))
+
+
+@given(long_triples())
+@settings(max_examples=100, deadline=None)
+def test_the_closed_form_products_beyond_the_exhaustive_scope(case):
+    tube, x, y, z, k = case
+    tx, ty, tz = (tube.tau(o, k) for o in (x, y, z))
+    for i, u in enumerate(hom_c_basis(tube, y, z)):
+        for j, v in enumerate(hom_c_basis(tube, x, y)):
+            coords = basis_product(tube, x, y, z, i, j)
+            # a unit vector or zero
+            assert set(coords) <= {0, 1} and sum(coords) <= 1
+            assert all(type(c) is int for c in coords)
+            assert coords == chom_coords(tube, u.compose(v))
+            # translation-equivariant
+            assert basis_product(tube, tx, ty, tz, i, j) == coords

@@ -377,6 +377,38 @@ def test_a_closed_form_hom_basis_with_one_wrong_entry_fails_the_tube_invariants(
     assert failures and set(failures) == {f"hom basis differs from a direct solve at {x},{y}"}
 
 
+def test_a_closed_form_ext_space_that_drops_a_diagonal_fails_the_tube_invariants(monkeypatch):
+    tube = Tube(3)
+    x, y = Indec(2, 1), Indec(1, 1)  # Ext^1((2,1), tau (2,1)) has the one diagonal 0
+    assert tube.ext_space(x, y).dim == 1
+    real = tube_module.ExtSpace.__init__
+
+    def dropping(self, tube, src, tgt):
+        real(self, tube, src, tgt)
+        if (src, tgt) == (x, y):
+            self.members, self.reps, self.diagonals = (), (), ()
+
+    monkeypatch.setattr(tube_module.ExtSpace, "__init__", dropping)
+    # the dimension is read nowhere else on these objects, so only the
+    # comparison with the cokernel sees it
+    assert verify.check_tube_invariants(Tube(3)) == [
+        f"ext space differs from the cokernel at {x},{y}"]
+
+
+def test_a_moved_structure_constant_fails_the_tube_invariants(monkeypatch):
+    assert verify.check_tube_invariants(Tube(3)) == []
+    real = verify.basis_product
+
+    def moved(tube, x, y, z, i, j):
+        coords = real(tube, x, y, z, i, j)
+        return coords[-1:] + coords[:-1]
+
+    monkeypatch.setattr(verify, "basis_product", moved)
+    failures = verify.check_tube_invariants(Tube(3))
+    assert failures and all(f.startswith("structure constant differs from composition at ")
+                            for f in failures)
+
+
 def test_a_forged_mutation_fails_the_exchange_graph(monkeypatch):
     ts = enumerate_maximal_rigid(2, Tube(2))
     target = ts[0]
