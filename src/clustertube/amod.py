@@ -6,7 +6,11 @@ to the vertex-i space (preimage of precomposition under the functor
 ``Hom(T, -)``).  On top of the plain representation calculus the module
 implements projective covers and injective envelopes, the Auslander-Reiten
 translate through the Nakayama functor, the locally free structure at the
-loop vertex, and the index/coindex of tube objects.
+loop vertex, and the index/coindex of tube objects.  An algebra element acts
+through basis positions: each position of End(T) has one path of arrows
+(``FinDimAlgebra.paths``), and each product of basis morphisms is one
+position or zero (``tube.basis_product``), so no action or induced map
+solves a linear system or composes morphisms.
 """
 from __future__ import annotations
 
@@ -24,18 +28,15 @@ from .linalg import (
 )
 from .endo import FinDimAlgebra, b_matrix_from_form
 from .tube import (
-    CHom,
     ConsistencyError,
     Indec,
     Tube,
     TubeError,
     basis_product,
-    chom_coords,
-    chom_from_coords,
     hom_c_basis,
     in_pr_T,
     in_pr_sigma_T,
-    tau_chom,
+    unit_coords,
 )
 
 
@@ -346,40 +347,38 @@ def apply_F(algebra: FinDimAlgebra, x) -> AModule:
             local = a.pos - algebra.block_offset[(i, j)]
             ti, tj = t.summands[i], t.summands[j]
             mats.append(ExactMatrix.from_columns(
-                [basis_product(tube, ti, tj, s, m, local) for m in range(dims[j])], dims[i]))
+                [unit_coords(basis_product(tube, ti, tj, s, m, local), dims[i])
+                 for m in range(dims[j])], dims[i]))
         module = AModule(algebra, dims, mats, provenance=summands)
     algebra._module_cache[summands] = module
     return module
 
 
-def map_F(algebra: FinDimAlgebra, g: CHom, src: Optional[AModule] = None,
-          tgt: Optional[AModule] = None) -> ModMap:
-    """The induced map Hom(T, src) -> Hom(T, tgt) of a tube morphism.
+def map_F(algebra: FinDimAlgebra, src_objs: Sequence[Indec], tgt_objs: Sequence[Indec],
+          blocks: Dict[Tuple[int, int], tuple]) -> ModMap:
+    """The induced map Hom(T, X) -> Hom(T, Y) of the morphism g: X -> Y
+    whose block g_st: X_s -> Y_t has the hom_c_basis coordinates
+    ``blocks[s, t]`` (a missing block is zero), for X and Y the sums of
+    ``src_objs`` and ``tgt_objs``.
 
-    Each block g_st: X_s -> Y_t is taken in coordinates once; its image of
-    a basis morphism h: T_i -> X_s is the sum of the structure constants
-    (u o h) weighted by those coordinates, as composition is bilinear."""
+    The image of a basis morphism h: T_i -> X_s is the sum of the
+    positions of the products u o h (``basis_product``) weighted by the
+    coordinates of each block, as composition is bilinear."""
     tube = algebra.tube
-    src = src if src is not None else apply_F(algebra, g.src)
-    tgt = tgt if tgt is not None else apply_F(algebra, g.tgt)
-    if src.provenance != g.src or tgt.provenance != g.tgt:
-        raise DomainError("module provenance does not match the morphism")
-    blocks = {(s_idx, t_idx): chom_coords(tube, g.block(s_idx, t_idx))
-              for s_idx in range(len(g.src)) for t_idx in range(len(g.tgt))}
+    src, tgt = apply_F(algebra, tuple(src_objs)), apply_F(algebra, tuple(tgt_objs))
     mats = []
     for i, ti in enumerate(algebra.t.summands):
-        heights = [len(hom_c_basis(tube, ti, y)) for y in g.tgt]
+        heights = [len(hom_c_basis(tube, ti, y)) for y in tgt.provenance]
         cols = []
-        for s_idx, x in enumerate(g.src):
+        for s_idx, x in enumerate(src.provenance):
             for h in range(len(hom_c_basis(tube, ti, x))):
                 col = []
-                for t_idx, y in enumerate(g.tgt):
+                for t_idx, y in enumerate(tgt.provenance):
                     part = [0] * heights[t_idx]
-                    for u, c in enumerate(blocks[s_idx, t_idx]):
-                        if c:
-                            for r, p in enumerate(basis_product(tube, ti, x, y, u, h)):
-                                if p:
-                                    part[r] += c * p
+                    for u, c in enumerate(blocks.get((s_idx, t_idx), ())):
+                        r = basis_product(tube, ti, x, y, u, h) if c else None
+                        if r is not None:
+                            part[r] += c
                     col += part
                 cols.append(col)
         mats.append(ExactMatrix.from_columns(cols, tgt.dims[i]))
@@ -460,30 +459,14 @@ def socle_basis(m: AModule) -> List[List[tuple]]:
     return out
 
 
-def act_element(m: AModule, src_vertex: int, tgt_vertex: int, coords, vec) -> tuple:
-    """Act with an algebra element of Hom(T_src, T_tgt) on vec in M_tgt.
-
-    ``coords`` are the element's coordinates in the morphism-space basis;
-    the action is evaluated by writing the element as identity-plus-paths
-    and composing the arrow matrices along each path.
-    """
-    i, j = src_vertex, tgt_vertex  # 0-based
-    labels, solver = m.algebra.path_span(i, j)
-    combo = solver.coords(coords)
-    if combo is None:
-        raise ConsistencyError("element is not in the path span")
-    result = [0] * m.dims[i]
-    for cf, label in zip(combo, labels):
-        if not cf:
-            continue
-        if label is None:
-            vec2 = tuple(vec)
-        else:
-            vec2 = tuple(vec)
-            for arrow_idx in reversed(label):
-                vec2 = m.mats[arrow_idx].apply(vec2)
-        result = [x + cf * y for x, y in zip(result, vec2)]
-    return tuple(result)
+def act_element(m: AModule, src_vertex: int, tgt_vertex: int, pos: int, vec) -> tuple:
+    """Act with the basis element at position ``pos`` of Hom(T_src, T_tgt)
+    (0-based vertices) on vec in M_tgt: along the arrow matrices of its
+    path, last arrow first, or as the identity."""
+    vec = tuple(vec)
+    for arrow_idx in reversed(m.algebra.paths[(src_vertex, tgt_vertex)][pos] or ()):
+        vec = m.mats[arrow_idx].apply(vec)
+    return vec
 
 
 class CoverData(NamedTuple):
@@ -507,12 +490,8 @@ def projective_cover(m: AModule) -> CoverData:
         cols = []
         for (v, gen), proj_mod in zip(gens, summands):
             # basis of (P_v)_u is the morphism-space basis of Hom(T_u, T_v)
-            dim_block = proj_mod.dims[u]
-            for r in range(dim_block):
-                coords = tuple(
-                    int(s == r) for s in range(dim_block)
-                )
-                cols.append(act_element(m, u, v, coords, gen))
+            for r in range(proj_mod.dims[u]):
+                cols.append(act_element(m, u, v, r, gen))
         mats.append(ExactMatrix.from_columns(cols, m.dims[u]))
     cover = ModMap(p0, m, mats)
     if not cover.commutes():
@@ -562,10 +541,8 @@ def minimal_projective_presentation(m: AModule) -> PresentationData:
             u0 = ut - 1
             # generator of the t-th block sits at vertex ut
             gen_offset = sum(pm.dims[u0] for pm in p1_mods[:t_idx])
-            gen_local = alg.identity_coords(u0)
             gen_vec = [0] * sum(pm.dims[u0] for pm in p1_mods)
-            for r, x in enumerate(gen_local):
-                gen_vec[gen_offset + r] = x
+            gen_vec[gen_offset + alg.identity_pos[u0]] = 1
             img = psi.mats[u0].apply(gen_vec)
             block_offset = sum(pm.dims[u0] for pm in p0_mods[:s])
             block_dim = p0_mods[s].dims[u0]
@@ -580,28 +557,25 @@ def tau_A(m: AModule) -> AModule:
 
     Each nonzero entry of the presentation P1 -> P0, an algebra element
     P_{u_t} -> P_{v_s}, gives one block map I_{u_t} -> I_{v_s}: one
-    ``map_F`` of the element's tau^2-translate.  nu(psi) at vertex u is the
-    block matrix of those maps' vertex-u matrices, zero at zero entries."""
+    ``map_F`` of the element's tau^2-translate tau^2 T_{u_t} -> tau^2 T_{v_s},
+    which has the element's coordinates, as translation relabels the bases.
+    nu(psi) at vertex u is the block matrix of those maps' vertex-u
+    matrices, zero at zero entries."""
     alg = m.algebra
     if m.is_zero():
         return zero_module(alg)
     pres = minimal_projective_presentation(m)
     if not pres.p1_vertices:
         return zero_module(alg)
-    tube = alg.tube
     i0_mods = [injective(alg, v) for v in pres.p0_vertices]
     i1_mods = [injective(alg, v) for v in pres.p1_vertices]
     blocks = {}
-    for s_idx, vs in enumerate(pres.p0_vertices):
-        for t_idx, ut in enumerate(pres.p1_vertices):
+    for s_idx, i0m in enumerate(i0_mods):
+        for t_idx, i1m in enumerate(i1_mods):
             coords = pres.entries[s_idx][t_idx]
             if any(coords):
-                a_elem = chom_from_coords(
-                    tube, alg.t.summands[ut - 1], alg.t.summands[vs - 1], coords
-                )
                 blocks[s_idx, t_idx] = map_F(
-                    alg, tau_chom(tube, a_elem, 2), src=i1_mods[t_idx], tgt=i0_mods[s_idx]
-                ).mats
+                    alg, i1m.provenance, i0m.provenance, {(0, 0): coords}).mats
     nu_i1 = direct_sum(i1_mods)
     nu_i0 = direct_sum(i0_mods)
     mats = []

@@ -64,9 +64,14 @@ def _object_or_stack(tube: Tube, text: Optional[str]) -> MaximalRigid:
 
 
 def _emit(config: RunConfig, text: str) -> None:
+    """Print the output, or write it to ``--out``; a path that cannot be
+    written is a usage error."""
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {config.out!r}: {exc.strerror}") from exc
     else:
         print(text)
 

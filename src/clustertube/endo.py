@@ -3,7 +3,10 @@
 The algebra is stored concretely: an ordered basis of cluster-tube
 morphisms between the summands, a structure-constant table read from the
 tube's table of products of basis morphisms (``tube.basis_product``), and a
-chosen set of radical generators (the arrows).  The
+chosen set of radical generators (the arrows).  End(T) is gentle, hence
+monomial: the product of two basis elements is one basis element or zero,
+so the table holds positions, the arrows are the radical positions outside
+rad^2, and every basis position has one path of arrows that reaches it.  The
 quiver-shape conditions satisfied by these algebras, together with the
 defining relations (square of the loop, length-two paths inside oriented
 three-cycles), are validated rather than assumed.
@@ -12,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .linalg import SpanSolver, independent_units
 from .tube import (
     CHom,
     ConsistencyError,
@@ -22,6 +24,8 @@ from .tube import (
     basis_product,
     chom_coords,
     hom_c_basis,
+    identity_index,
+    unit_coords,
 )
 
 
@@ -86,23 +90,19 @@ class FinDimAlgebra:
                 for h in homs:
                     self.basis.append((i, j, h))
         self.dim = len(self.basis)
-        self.mult: Dict[Tuple[int, int], tuple] = {}
+        # mult[(u, v)]: the position of u o v in its block, or None
+        self.mult: Dict[Tuple[int, int], Optional[int]] = {}
         self._build_mult_table()
-        self._identity_coords: Dict[int, tuple] = {}
-        for i in range(self.n):
-            ident = CHom.identity(self.tube, (t.summands[i],))
-            self._identity_coords[i] = chom_coords(self.tube, ident)
+        # per vertex, the position of the identity in its block
+        self.identity_pos = tuple(identity_index(self.tube, s) for s in t.summands)
         self.arrows: List[Arrow] = []
         self._loop: Optional[Arrow] = None
-        self._rad2_span: Dict[Tuple[int, int], list] = {}
         self._choose_arrows()
         # the arrows never change, so the relations are found once
         self._three_cycles = self._find_three_cycles()
         self._relation_pairs: Optional[List[Tuple[Arrow, Arrow]]] = None
-        # per block: the path labels (None for the identity) and the solver
-        # for coordinates in their span
-        self._path_span: Dict[Tuple[int, int], Tuple[list, SpanSolver]] = {}
-        self._path_vectors: Dict[Tuple[int, int], tuple] = {}
+        # per block, the path of each basis position (None for the identity)
+        self.paths: Dict[Tuple[int, int], tuple] = {}
         self._build_paths()
         # What the module layer (clustertube.amod) keeps on this algebra, for
         # as long as it lives: functor images Hom(T, X) by summand tuple of
@@ -123,8 +123,9 @@ class FinDimAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def _build_mult_table(self):
-        """mult[(u, v)] = coordinates of f o g, for basis elements f at u and
-        g at v, read from the tube's table of structure constants."""
+        """mult[(u, v)] = the position of f o g in its block, or None, for
+        basis elements f at u and g at v, read from the tube's table of
+        structure constants."""
         s = self.t.summands
         for (i, j), off_u in self.block_offset.items():
             for a in range(self.block_dim[(i, j)]):
@@ -145,7 +146,8 @@ class FinDimAlgebra:
             for v, (k, l, g) in enumerate(self.basis):
                 if l == i:
                     fg = composed[(u, v)] = f.compose(g)
-                    if chom_coords(self.tube, fg) != self.mult[(u, v)]:
+                    expected = unit_coords(self.mult[(u, v)], self.block_dim[(k, j)])
+                    if chom_coords(self.tube, fg) != expected:
                         raise ConsistencyError(f"multiplication table is wrong on basis pair {u},{v}")
         for (u, v), fg in composed.items():
             f = self.basis[u][2]
@@ -167,32 +169,18 @@ class FinDimAlgebra:
         s, off = self.t.summands, self.block_offset[(i, j)]
         return [off + k for k in _radical_indices(self.tube, s[i], s[j])]
 
-    def _rad_square_span(self, i: int, j: int) -> list:
-        """Coordinate vectors spanning rad^2(T_i, T_j)."""
-        key = (i, j)
-        if key in self._rad2_span:
-            return self._rad2_span[key]
-        dim = self.block_dim[key]
-        vectors = []
-        for m in range(self.n):
-            for u in self.radical_indices(m, j):
-                for v in self.radical_indices(i, m):
-                    coords = self.mult[(u, v)]
-                    if any(coords):
-                        vectors.append(list(coords))
-        self._rad2_span[key] = vectors
-        return vectors
-
     def _choose_arrows(self):
-        """Lift a basis of rad/rad^2: one arrow per new class, preferring
-        tube-stratum basis vectors (they come first in the block order)."""
-        for i in range(self.n):
-            for j in range(self.n):
-                off = self.block_offset[(i, j)]
-                local = [u - off for u in self.radical_indices(i, j)]
-                for k in independent_units(self._rad_square_span(i, j), local, self.block_dim[(i, j)]):
-                    self.arrows.append(
-                        Arrow(len(self.arrows), i + 1, j + 1, self.basis[off + k][2], off + k))
+        """One arrow per radical position outside rad^2, in block order:
+        rad^2 is spanned by the products of radical basis elements, each a
+        position or zero, so those positions span rad/rad^2."""
+        radical = {(i, j): self.radical_indices(i, j) for i in range(self.n) for j in range(self.n)}
+        for (i, j), positions in radical.items():
+            off = self.block_offset[(i, j)]
+            square = {self.mult[(u, v)]
+                      for m in range(self.n) for u in radical[(m, j)] for v in radical[(i, m)]}
+            for p in positions:
+                if p - off not in square:
+                    self.arrows.append(Arrow(len(self.arrows), i + 1, j + 1, self.basis[p][2], p))
 
     def quiver(self) -> Quiver:
         return Quiver(self.n, [(a.src, a.tgt) for a in self.arrows])
@@ -240,7 +228,7 @@ class FinDimAlgebra:
     def verify_relations(self):
         """Square of the loop and all length-two paths in three-cycles vanish."""
         for first, second in self.relation_pairs():
-            if any(self.mult[(second.pos, first.pos)]):
+            if self.mult[(second.pos, first.pos)] is not None:
                 raise ConsistencyError(
                     f"relation fails: path {first.src}->{first.tgt}->{second.tgt}"
                 )
@@ -248,86 +236,51 @@ class FinDimAlgebra:
     # -- paths (for module actions) ---------------------------------------------
 
     def _build_paths(self):
-        """Spanning paths of every block, used to act on abstract modules.
+        """The path of every basis position, used to act on modules.
 
-        Each entry is (arrow index sequence, coordinate vector); the identity
-        is handled separately.  Together with the idempotents these span the
-        whole algebra because the arrows generate the radical.
+        A breadth-first search over positions: each position records the
+        first path of arrows (first arrow first) that reaches it, arrows
+        first, then by length, each length in frontier order times arrow
+        order; the identity of a diagonal block gets None.  A position left
+        unreached means the arrows do not generate the radical.
         """
-        paths: Dict[Tuple[int, int], List[Tuple[tuple, tuple]]] = {}
-        frontier: List[Tuple[tuple, int, int, tuple]] = []
+        found = {block: {} for block in self.block_dim}
+        frontier = []
         for a in self.arrows:
-            coords = self._unit(a.src - 1, a.tgt - 1, a.pos)
-            paths.setdefault((a.src - 1, a.tgt - 1), []).append(((a.idx,), coords))
-            frontier.append(((a.idx,), a.src - 1, a.tgt - 1, coords))
-        max_len = self.dim + 1
-        length = 1
-        while frontier and length < max_len:
+            found[(a.src - 1, a.tgt - 1)][a.pos] = (a.idx,)
+            frontier.append(((a.idx,), a.src - 1, a.tgt - 1, a.pos))
+        while frontier:
             new_frontier = []
-            for path, i, j, val in frontier:
-                off = self.block_offset[(i, j)]
+            for path, i, j, pos in frontier:
                 for a in self.arrows:
-                    if a.src - 1 != j:
+                    if a.src - 1 != j or self.mult[(a.pos, pos)] is None:
                         continue
-                    # a o val, by the structure constants
-                    coords = [0] * self.block_dim[(i, a.tgt - 1)]
-                    for b, c in enumerate(val):
-                        if c:
-                            for r, x in enumerate(self.mult[(a.pos, off + b)]):
-                                if x:
-                                    coords[r] += c * x
-                    if not any(coords):
-                        continue
-                    coords = tuple(coords)
-                    npath = path + (a.idx,)
-                    paths.setdefault((i, a.tgt - 1), []).append((npath, coords))
-                    new_frontier.append((npath, i, a.tgt - 1, coords))
+                    block = (i, a.tgt - 1)
+                    k = self.block_offset[block] + self.mult[(a.pos, pos)]
+                    if k not in found[block]:
+                        found[block][k] = path + (a.idx,)
+                        new_frontier.append((found[block][k], i, a.tgt - 1, k))
             frontier = new_frontier
-            length += 1
-        # sanity: identity + paths span the algebra blockwise
-        for i in range(self.n):
-            for j in range(self.n):
-                dim = self.block_dim[(i, j)]
-                labels = [p for p, _ in paths.get((i, j), [])]
-                vecs = [c for _, c in paths.get((i, j), [])]
-                if i == j:
-                    labels.append(None)
-                    vecs.append(self._identity_coords[i])
-                solver = SpanSolver(vecs, dim)
-                if solver.rank != dim:
-                    raise ConsistencyError(
-                        f"paths do not span Hom(T_{i+1}, T_{j+1})"
-                    )
-                self._path_span[(i, j)] = (labels, solver)
-                self._path_vectors[(i, j)] = tuple(vecs)
-
-    def path_span(self, i: int, j: int) -> Tuple[list, SpanSolver]:
-        """The labels of the spanning paths from vertex i to vertex j
-        (0-based), then ``None`` for the identity when i == j, with the
-        solver for coordinates in their span."""
-        return self._path_span[(i, j)]
-
-    def _unit(self, i: int, j: int, pos: int) -> tuple:
-        """The coordinates in Hom(T_i, T_j) of the basis element at ``pos``."""
-        off = self.block_offset[(i, j)]
-        return tuple(int(off + k == pos) for k in range(self.block_dim[(i, j)]))
-
-    def identity_coords(self, i: int) -> tuple:
-        return self._identity_coords[i]
+        for (i, j), labels in found.items():
+            off = self.block_offset[(i, j)]
+            if i == j:
+                labels[off + self.identity_pos[i]] = None
+            if len(labels) != self.block_dim[(i, j)]:
+                raise ConsistencyError(f"paths do not span Hom(T_{i+1}, T_{j+1})")
+            self.paths[(i, j)] = tuple(labels[off + k] for k in range(self.block_dim[(i, j)]))
 
     def structure_content(self) -> tuple:
         """Everything the module layer reads off this algebra itself: the
         block dimensions, the multiplication table, the arrows with their
-        coordinates, the identities and the spanning paths of each block.
-        Equal for End(T) and End(tau T), whose bases correspond."""
+        positions, the identities and the path of each position.  Equal for
+        End(T) and End(tau T), whose bases correspond."""
         return (
             self.dim,
             tuple(self.block_dim.items()),
             tuple(self.mult.items()),
-            tuple((a.src, a.tgt, self._unit(a.src - 1, a.tgt - 1, a.pos)) for a in self.arrows),
-            tuple(self._identity_coords.items()),
-            tuple((block, tuple(labels), self._path_vectors[block])
-                  for block, (labels, _) in self._path_span.items()),
+            tuple((a.src, a.tgt, a.pos) for a in self.arrows),
+            self.identity_pos,
+            tuple(self.paths.items()),
         )
 
 
@@ -435,9 +388,6 @@ def validate_Qn(q: Quiver) -> bool:
                 return False
     for cycle in _undirected_cycles(q):
         if len(cycle) == 3:
-            verts = set()
-            for idx in cycle:
-                verts.update(q.arrows[idx])
             if frozenset(q.arrows[idx] for idx in cycle) not in three_cycles:
                 return False
         else:

@@ -82,10 +82,6 @@ class ExactMatrix:
         return cls._trusted(((0,) * ncols,) * nrows, ncols)
 
     @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls._trusted(_unit_rows(n), n)
-
-    @classmethod
     def from_columns(cls, cols: Sequence[Sequence], nrows: int) -> "ExactMatrix":
         cols = [tuple(map(_frac, c)) for c in cols]
         for c in cols:
@@ -294,16 +290,15 @@ class SpanSolver:
         for vec in vectors:
             self.insert(vec)
 
-    def insert(self, vec: Sequence) -> bool:
-        """Append a vector to the family; True when it is independent of
-        the vectors before it."""
+    def insert(self, vec: Sequence) -> None:
+        """Append a vector to the family."""
         v = self._vector(vec)
         k = self.size
         self.size += 1
         factors = _reduce(v, self.echelon)
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
-            return False
+            return
         combo = {k: 1}
         for f, entries in zip(factors, self.combos):
             if f:
@@ -312,11 +307,6 @@ class SpanSolver:
         lead = v[pc]
         self.echelon.append((pc, _echelon_row(v, pc)))
         self.combos.append([(j, exact_div(c, lead)) for j, c in combo.items() if c])
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.echelon)
 
     def _vector(self, vec: Sequence) -> list:
         v = list(map(_frac, vec))
@@ -336,18 +326,6 @@ class SpanSolver:
                     x = out[j] + f * y
                     out[j] = x if type(x) is int else _normal(x)
         return tuple(out)
-
-
-def independent_units(span: Iterable[Sequence], positions: Iterable[int], dim: int) -> List[int]:
-    """Greedy lift of a basis modulo a span.
-
-    Returns the positions p, in the given order, whose unit vector e_p of
-    length ``dim`` is independent of ``span`` and of the units kept before
-    it.  Every vector is reduced once, as it is appended to a
-    :class:`SpanSolver`.
-    """
-    family = SpanSolver(span, dim)
-    return [p for p in positions if family.insert([int(j == p) for j in range(dim)])]
 
 
 def flatten_blocks(blocks: Iterable[ExactMatrix]) -> Vector:

@@ -14,7 +14,9 @@ Both strata are read in closed form: Hom(x, y) has the basis of shift maps
 f_delta, and Ext^1 one class per surviving diagonal of the complex's ambient
 space, so no Hom or Ext space is solved or row reduced.  The products of
 basis morphisms, the structure constants behind End(T) and the functor
-images, are read from the shifts and diagonals too (``basis_product``).
+images, are read from the shifts and diagonals too (``basis_product``): each
+is one basis position or nothing, as End(T) is gentle and so monomial.
+Translation relabels the bases and keeps every coordinate.
 ``CHom.compose`` still composes any two morphisms by pushing and pulling
 extension classes along intertwiners; it is the reference the structure
 constants are checked against.  On top of this calculus the module
@@ -30,7 +32,6 @@ from .linalg import (
     ExactMatrix,
     _frac,
     flatten_blocks,
-    independent_units,
     kernel_basis,  # unused here; perfbench/selftest.py traces a call through this module copy
     unflatten_blocks,
 )
@@ -139,8 +140,8 @@ class Tube:
         # the cluster-tube basis of Hom(x, y) as returned by hom_c_basis
         self._hom_c_cache: Dict[Tuple[Indec, Indec], List["CHom"]] = {}
         # the structure constants of the cluster tube, as basis_product
-        # returns them, filled on first request
-        self._product_cache: Dict[Tuple[Indec, Indec, Indec, int, int], tuple] = {}
+        # returns them (a position or None), filled on first request
+        self._product_cache: Dict[Tuple[Indec, Indec, Indec, int, int], Optional[int]] = {}
         # Ext^1 spaces by (x, y); dmor_space reads them at (x, tau^-1 y)
         self._ext_cache: Dict[Tuple[Indec, Indec], ExtSpace] = {}
         self._dims_cache: Dict[Indec, tuple] = {}
@@ -306,17 +307,11 @@ class Tube:
 
     # -- vertex-map utilities ----------------------------------------------
 
-    def identity_vmaps(self, x: Indec) -> VertexMaps:
-        return tuple(ExactMatrix.identity(d) for d in self.indec_dims(x))
-
     def compose_vmaps(self, g: VertexMaps, f: VertexMaps) -> VertexMaps:
         return tuple(gm.mul(fm) for gm, fm in zip(g, f))
 
     def add_vmaps(self, a: VertexMaps, b: VertexMaps) -> VertexMaps:
         return tuple(am.add(bm) for am, bm in zip(a, b))
-
-    def scale_vmaps(self, a: VertexMaps, c) -> VertexMaps:
-        return tuple(am.scale(c) for am in a)
 
     def tau_vmaps(self, f: VertexMaps, k: int) -> VertexMaps:
         """Relabel an intertwiner along the rotation (tau^k f)_v = f_{v+k}."""
@@ -360,40 +355,12 @@ class CHom:
         self.d = dict(d or {})
 
     @classmethod
-    def zero(cls, tube: Tube, src: Sequence[Indec], tgt: Sequence[Indec]) -> "CHom":
-        return cls(tube, src, tgt)
-
-    @classmethod
-    def identity(cls, tube: Tube, obj: Sequence[Indec]) -> "CHom":
-        t = {(i, i): tube.identity_vmaps(x) for i, x in enumerate(obj)}
-        return cls(tube, obj, obj, t=t)
-
-    @classmethod
     def t_single(cls, tube: Tube, src: Indec, tgt: Indec, vmaps: VertexMaps) -> "CHom":
         return cls(tube, (src,), (tgt,), t={(0, 0): vmaps})
 
     @classmethod
     def d_single(cls, tube: Tube, src: Indec, tgt: Indec, coords) -> "CHom":
         return cls(tube, (src,), (tgt,), d={(0, 0): tuple(coords)})
-
-    def add(self, other: "CHom") -> "CHom":
-        if self.src != other.src or self.tgt != other.tgt:
-            raise TubeError("cannot add morphisms with different endpoints")
-        t = dict(self.t)
-        for key, vm in other.t.items():
-            t[key] = self.tube.add_vmaps(t[key], vm) if key in t else vm
-        d = dict(self.d)
-        for key, coords in other.d.items():
-            if key in d:
-                d[key] = tuple(a + b for a, b in zip(d[key], coords))
-            else:
-                d[key] = coords
-        return CHom(self.tube, self.src, self.tgt, t=t, d=d)
-
-    def scale(self, c) -> "CHom":
-        t = {k: self.tube.scale_vmaps(vm, c) for k, vm in self.t.items()}
-        d = {k: tuple(c * x for x in coords) for k, coords in self.d.items()}
-        return CHom(self.tube, self.src, self.tgt, t=t, d=d)
 
     def compose(self, other: "CHom") -> "CHom":
         """self o other (apply ``other`` first).
@@ -463,15 +430,6 @@ class CHom:
             return False
         return all(not any(c) for c in self.d.values())
 
-    def block(self, i: int, k: int) -> "CHom":
-        t = {}
-        d = {}
-        if (i, k) in self.t:
-            t[(0, 0)] = self.t[(i, k)]
-        if (i, k) in self.d:
-            d[(0, 0)] = self.d[(i, k)]
-        return CHom(self.tube, (self.src[i],), (self.tgt[k],), t=t, d=d)
-
 
 def hom_c_basis(tube: Tube, x: Indec, y: Indec) -> List[CHom]:
     """Basis of the cluster-tube morphism space: tube stratum first.
@@ -504,22 +462,25 @@ def chom_coords(tube: Tube, f: CHom) -> tuple:
     return t_coords + tuple(map(_frac, d_coords))
 
 
-def basis_product(tube: Tube, x: Indec, y: Indec, z: Indec, i: int, j: int) -> tuple:
-    """The hom_c_basis(x, z) coordinates of u o v, for u the i-th element of
-    hom_c_basis(y, z) and v the j-th of hom_c_basis(x, y).
+def basis_product(tube: Tube, x: Indec, y: Indec, z: Indec, i: int, j: int) -> Optional[int]:
+    """The position of u o v in hom_c_basis(x, z), or None when u o v = 0,
+    for u the i-th element of hom_c_basis(y, z) and v the j-th of
+    hom_c_basis(x, y).
 
     One structure constant of the cluster tube, read from the shifts and the
-    diagonals alone, so it is a unit vector or zero: the shift maps compose
-    as f_delta' o f_delta = f_(delta + delta'), which is zero below
-    1 - x.b; a shift-stratum class on diagonal d (``ExtSpace``) composed
-    with f_delta on either side is the class on diagonal d - delta, or zero
-    if that diagonal dies; and two shift-stratum classes compose to zero
-    (Ringel, LNM 1099, 1984).  ``CHom.compose`` is the reference that
+    diagonals alone: a product of basis morphisms is a basis morphism with
+    coefficient 1, or zero, as End(T) is gentle and so monomial
+    (Assem-Skowronski, Math. Z. 195, 1987).  The shift maps compose as
+    f_delta' o f_delta = f_(delta + delta'), which is zero below 1 - x.b; a
+    shift-stratum class on diagonal d (``ExtSpace``) composed with f_delta
+    on either side is the class on diagonal d - delta, or zero if that
+    diagonal dies; and two shift-stratum classes compose to zero (Ringel,
+    LNM 1099, 1984).  ``CHom.compose`` is the reference that
     ``FinDimAlgebra.verify_associativity`` and "tube invariants" check these
     against.  Kept on the tube per triple and pair of indices."""
     key = (x, y, z, i, j)
-    coords = tube._product_cache.get(key)
-    if coords is None:
+    pos = tube._product_cache.get(key, -1)  # -1: not read yet
+    if pos == -1:
         in_yz, in_xy = tube._hom_shifts(y, z), tube._hom_shifts(x, y)
         out_t, out_d = tube._hom_shifts(x, z), tube.dmor_space(x, z).diagonals
         pos = None
@@ -532,44 +493,14 @@ def basis_product(tube: Tube, x: Indec, y: Indec, z: Indec, i: int, j: int) -> t
             else:
                 d = tube.dmor_space(y, z).diagonals[i - len(in_yz)] - in_xy[j]
             pos = len(out_t) + out_d.index(d) if d in out_d else None
-        coords = tube._product_cache[key] = tuple(
-            int(k == pos) for k in range(len(out_t) + len(out_d)))
-    return coords
+        tube._product_cache[key] = pos
+    return pos
 
 
-def chom_from_coords(tube: Tube, x: Indec, y: Indec, coords: Sequence) -> CHom:
-    """Rebuild a single-block morphism from hom_c_basis coordinates."""
-    basis = hom_c_basis(tube, x, y)
-    if len(coords) != len(basis):
-        raise TubeError("coordinate length mismatch")
-    out = CHom.zero(tube, (x,), (y,))
-    for c, f in zip(coords, basis):
-        if c:
-            out = out.add(f.scale(c))
-    return out
-
-
-def tau_chom(tube: Tube, f: CHom, k: int) -> CHom:
-    """Apply the rotation tau^k to a morphism.
-
-    Tube-stratum intertwiners are relabelled; shift-stratum classes are
-    lifted to representatives, cyclically relabelled block-wise and projected
-    into the cokernel basis of the shifted extension space.
-    """
-    src = tuple(tube.tau(x, k) for x in f.src)
-    tgt = tuple(tube.tau(y, k) for y in f.tgt)
-    t = {key: tube.tau_vmaps(vm, k) for key, vm in f.t.items()}
-    d = {}
-    p = tube.p
-    for (i, j), coords in f.d.items():
-        old_space = tube.dmor_space(f.src[i], f.tgt[j])
-        new_space = tube.dmor_space(src[i], tgt[j])
-        blocks = old_space.lift(coords)
-        shifted = tuple(blocks[(v + k) % p] for v in range(p))
-        new_coords = new_space.project(new_space.flatten(shifted))
-        if any(new_coords):
-            d[(i, j)] = new_coords
-    return CHom(tube, src, tgt, t=t, d=d)
+def unit_coords(pos: Optional[int], dim: int) -> tuple:
+    """The coordinates of the basis element at ``pos`` among ``dim``, or
+    zero for None: a structure constant as a vector."""
+    return tuple(int(k == pos) for k in range(dim))
 
 
 def in_region_F(tube: Tube, x: Indec) -> bool:
@@ -726,6 +657,11 @@ class ExchangeData(NamedTuple):
     left_maps: Tuple[CHom, ...]
 
 
+def identity_index(tube: Tube, x: Indec) -> int:
+    """The position of the identity f_0 in hom_c_basis(x, x)."""
+    return tube._hom_shifts(x, x).index(0)
+
+
 def _radical_indices(tube: Tube, x: Indec, y: Indec) -> List[int]:
     """Positions in hom_c_basis(x, y) of a basis of its radical inside add(T).
 
@@ -735,7 +671,7 @@ def _radical_indices(tube: Tube, x: Indec, y: Indec) -> List[int]:
     positions = range(len(hom_c_basis(tube, x, y)))
     if x != y:
         return list(positions)
-    identity = tube._hom_shifts(x, x).index(0)
+    identity = identity_index(tube, x)
     return [k for k in positions if k != identity]
 
 
@@ -745,8 +681,10 @@ def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: s
 
     The multiplicity of each summand u equals the dimension of its slot in
     the top of Hom(others, z), or of Hom(z, others), as a module over the
-    endomorphism algebra of the sum of the others; the component maps lift
-    a basis of that top modulo the compositions through radical maps.
+    endomorphism algebra of the sum of the others.  Products of basis
+    morphisms are basis positions (``basis_product``), so that top has the
+    basis elements at the positions that no composite through a radical map
+    hits, and they are the component maps.
     """
     if side not in ("right", "left"):
         raise TubeError(f"unknown approximation side {side!r}")
@@ -761,22 +699,17 @@ def minimal_approximation(tube: Tube, z: Indec, others: Sequence[Indec], side: s
         basis = homs(u)
         if not basis:
             continue
-        radical_images = []
-        for w in others:
-            through = range(len(homs(w)))
-            if not through:
-                continue
-            if right:  # h o r for r in rad(u, w), h: w -> z
-                radical_images += [basis_product(tube, u, w, z, h, r)
-                                   for r in _radical_indices(tube, u, w) for h in through]
-            else:  # r o h for r in rad(w, u), h: z -> w
-                radical_images += [basis_product(tube, z, w, u, r, h)
-                                   for r in _radical_indices(tube, w, u) for h in through]
-        # deterministic greedy lift of a basis of Hom(u, z) or Hom(z, u)
-        # modulo the radical part: keep the basis vectors whose classes are new
-        for idx in independent_units(radical_images, range(len(basis)), len(basis)):
-            middle.append(u)
-            comps.append(basis[idx])
+        # each pair's radical positions are read once, for the w that z sees
+        if right:  # h o r for r in rad(u, w), h: w -> z
+            hit = {basis_product(tube, u, w, z, h, r) for w in others if homs(w)
+                   for r in _radical_indices(tube, u, w) for h in range(len(homs(w)))}
+        else:  # r o h for r in rad(w, u), h: z -> w
+            hit = {basis_product(tube, z, w, u, r, h) for w in others if homs(w)
+                   for r in _radical_indices(tube, w, u) for h in range(len(homs(w)))}
+        for idx, f in enumerate(basis):
+            if idx not in hit:
+                middle.append(u)
+                comps.append(f)
     return ApproxResult(tuple(middle), tuple(comps))
 
 

@@ -38,6 +38,7 @@ from .tube import (
     in_pr_sigma_T,
     minimal_approximation,
     mutate_rigid,
+    unit_coords,
 )
 from .amod import (
     apply_F,
@@ -71,18 +72,15 @@ def is_orbit_representative(t: MaximalRigid) -> bool:
     return t.long == Indec(1, t.tube.n)
 
 
-def _stack_chom(tube: Tube, middle: Sequence[Indec], comps: Sequence[CHom], target: Indec,
-                into_target: bool) -> CHom:
-    """Assemble component morphisms into one block morphism."""
+def _induced(algebra, middle: Sequence[Indec], comps: Sequence[CHom], target: Indec,
+             into_target: bool):
+    """``map_F`` of the morphism with the components middle_i -> target
+    (``into_target``) or target -> middle_i, each block taken in
+    hom_c_basis coordinates."""
+    tube = algebra.tube
     src, tgt = (tuple(middle), (target,)) if into_target else ((target,), tuple(middle))
-    out = CHom.zero(tube, src, tgt)
-    for i, comp in enumerate(comps):
-        key = (i, 0) if into_target else (0, i)
-        if (0, 0) in comp.t:
-            out.t[key] = comp.t[(0, 0)]
-        if (0, 0) in comp.d:
-            out.d[key] = comp.d[(0, 0)]
-    return out
+    return map_F(algebra, src, tgt, {((i, 0) if into_target else (0, i)): chom_coords(tube, comp)
+                                     for i, comp in enumerate(comps)})
 
 
 def _irreducible_maps(tube: Tube, x: Indec, middle: Sequence[Indec], into_x: bool) -> List[CHom]:
@@ -305,8 +303,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
     injective_fired = 0
     for k, data in enumerate(ctx.triangles, 1):
         if data.right_middle:
-            g = _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
-            f_right = map_F(algebra, g)
+            f_right = _induced(algebra, data.right_middle, data.right_maps, data.old, True)
             if f_right.is_surjective():
                 lhs = index(algebra, data.right_middle)
                 rhs = tuple(
@@ -315,8 +312,7 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
                 if lhs != rhs:
                     failures.append(f"{t}: index additivity fails at direction {k}")
         if data.left_middle:
-            g = _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
-            f_left = map_F(algebra, g)
+            f_left = _induced(algebra, data.left_middle, data.left_maps, data.old, False)
             if f_left.is_injective():
                 injective_fired += 1
                 lhs = coindex(algebra, data.left_middle)
@@ -360,9 +356,8 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             )
             if mid.dims != expected_dims:
                 failures.append(f"{t}: injective factor dimensions off at {k+1}")
-            g = _stack_chom(tube, middle_objs, _irreducible_maps(tube, sigma_x, middle_objs, False),
-                            sigma_x, False)
-            onto = map_F(algebra, g)
+            onto = _induced(algebra, middle_objs,
+                            _irreducible_maps(tube, sigma_x, middle_objs, False), sigma_x, False)
             if not (onto.commutes() and onto.is_surjective()):
                 failures.append(f"{t}: no surjection onto the factor at {k+1}")
             expected_co = tuple(-b.b[i][k] for i in range(n))
@@ -382,8 +377,8 @@ def check_index_coindex(ctx: SuiteContext) -> List[str]:
             )
             if mid.dims != expected_dims:
                 failures.append(f"{t}: projective submodule dimensions off at {k+1}")
-            g = _stack_chom(tube, middle_objs, _irreducible_maps(tube, x, middle_objs, True), x, True)
-            into = map_F(algebra, g)
+            into = _induced(algebra, middle_objs,
+                            _irreducible_maps(tube, x, middle_objs, True), x, True)
             if not (into.commutes() and into.is_injective()):
                 failures.append(f"{t}: no embedding of the submodule at {k+1}")
             lhs = coindex(algebra, t.summands[k])
@@ -431,7 +426,7 @@ def check_long_summand_lemmas(ctx: SuiteContext) -> List[str]:
             failures.append(f"{t}: long-summand {failure}: "
                             f"the approximation by {u} has multiplicity {len(approx.middle)}, not 2")
             continue
-        f = map_F(algebra, _stack_chom(tube, approx.middle, approx.components, z, right))
+        f = _induced(algebra, approx.middle, approx.components, z, right)
         if not (f.commutes() and (f.is_injective() if right else f.is_surjective())):
             failures.append(f"{t}: long-summand {failure}")
     return failures
@@ -499,8 +494,9 @@ def check_tube_invariants(tube: Tube) -> List[str]:
     alone, must equal dim Hom_C(tau x, tau y) from those solves; and the
     closed-form Ext^1(x, y) and shift stratum of Hom_C(x, y) must equal the
     row-reduced cokernels of their differentials.  On each triple of those
-    objects, every structure constant read by ``basis_product`` must equal
-    the coordinates of the composed basis morphisms."""
+    objects, every structure constant read by ``basis_product``, as the unit
+    vector at its position, must equal the coordinates of the composed
+    basis morphisms."""
     failures = []
     n = tube.n
     rigids = all_rigid_indecs(tube)[: 2 * n]
@@ -522,9 +518,11 @@ def check_tube_invariants(tube: Tube) -> List[str]:
                 if _ext_differs(tube, x, tgt):
                     failures.append(f"ext space differs from the cokernel at {x},{tgt}")
     for x, y, z in product(rigids, repeat=3):
+        dim = len(hom_c_basis(tube, x, z))
         for i, u in enumerate(hom_c_basis(tube, y, z)):
             for j, v in enumerate(hom_c_basis(tube, x, y)):
-                if basis_product(tube, x, y, z, i, j) != chom_coords(tube, u.compose(v)):
+                expected = unit_coords(basis_product(tube, x, y, z, i, j), dim)
+                if chom_coords(tube, u.compose(v)) != expected:
                     failures.append(f"structure constant differs from composition "
                                     f"at {x},{y},{z}, {i},{j}")
     return failures

@@ -2,7 +2,7 @@
 
 ``clustertube.linalg.SpanSolver`` reduces a family once and then answers
 every target; the tests compare it, and the package code built on it,
-against these.
+against these.  ``identity_matrix`` builds the identity the tests need.
 """
 from clustertube.linalg import ExactMatrix, rref
 
@@ -26,3 +26,8 @@ def coords_in_span(vectors, target):
     n = len(target)
     mat = ExactMatrix.from_columns(list(vectors), n) if vectors else ExactMatrix.zero(n, 0)
     return solve(mat, target)
+
+
+def identity_matrix(n):
+    """The n x n identity."""
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)], ncols=n)

@@ -30,9 +30,8 @@ from clustertube.amod import (
     zero_module,
 )
 from clustertube.endo import b_matrix_from_quiver, build_endomorphism_algebra
-from clustertube.linalg import ExactMatrix, SpanSolver
+from clustertube.linalg import ExactMatrix
 from clustertube.tube import (
-    CHom,
     ConsistencyError,
     Indec,
     MaximalRigid,
@@ -40,16 +39,16 @@ from clustertube.tube import (
     all_rigid_indecs,
     b_matrix_multiplicities,
     chom_coords,
-    chom_from_coords,
     enumerate_maximal_rigid,
+    hom_c_basis,
     in_pr_T,
     mutate_rigid,
-    tau_chom,
 )
-from clustertube.verify import _irreducible_maps, _stack_chom
+from clustertube.verify import _irreducible_maps
 
-from amod_reference import arrow_matrices_by_composition, map_F_by_blocks
+from amod_reference import arrow_matrices_by_composition, map_F_args, map_F_by_blocks, stack_chom
 from linalg_reference import coords_in_span
+from tube_reference import chom_from_coords, identity_chom, tau_chom
 from verify_reference import tau_orbit_representatives
 
 
@@ -170,14 +169,15 @@ def test_direct_sum_bookkeeping(cyclic_algebra):
 
 def test_a_direct_sum_of_sums_is_the_image_of_the_whole_sum(cyclic_algebra, tube3):
     # each vertex space of a sum is its summands' Hom bases in provenance
-    # order, so map_F can place a morphism's blocks in a sum of sums
+    # order, so a sum of sums has the data of the image map_F maps into
     x, y, z = Indec(1, 1), Indec(1, 2), Indec(1, 3)
     whole = apply_F(cyclic_algebra, (x, y, z))
     for parts in (((x,), (y, z)), ((x, y), (z,))):
         s = direct_sum([apply_F(cyclic_algebra, part) for part in parts])
         assert s.provenance == whole.provenance == (x, y, z)
         assert s.same_data(whole)
-        ident = map_F(cyclic_algebra, CHom.identity(tube3, (x, y, z)), tgt=s)
+        ident = map_F(cyclic_algebra, *map_F_args(identity_chom(tube3, (x, y, z))))
+        assert ident.tgt.same_data(s)
         assert ident.commutes() and ident.is_injective() and ident.is_surjective()
 
 
@@ -297,38 +297,32 @@ def test_an_algebra_that_outlives_its_memo_recomputes(monkeypatch):
     assert b_matrix_from_euler_form(other) == read_other and len(forms) == 9
 
 
-def _path_coords(alg, path):
-    """Coordinates of the composite of the arrows of ``path``, first arrow
-    first."""
-    value = alg.arrows[path[0]].rep
-    for idx in path[1:]:
-        value = alg.arrows[idx].rep.compose(value)
-    return chom_coords(alg.tube, value)
-
-
-def test_path_span_solver_equals_coords_in_span(cyclic_algebra, linear_algebra):
+def test_act_element_on_a_projective_is_precomposition(cyclic_algebra, linear_algebra):
+    # P_v = Hom(T, T_v): the basis element b at a position of Hom(T_i, T_j)
+    # sends h in Hom(T_j, T_v) to h o b, composed here as morphisms
     for alg in (cyclic_algebra, linear_algebra):
-        for (i, j), dim in alg.block_dim.items():
-            labels, solver = alg.path_span(i, j)
-            assert labels.count(None) == int(i == j)  # the identity
-            span = [alg.identity_coords(i) if p is None else _path_coords(alg, p) for p in labels]
-            for k in range(dim):
-                unit = tuple(int(r == k) for r in range(dim))
-                assert solver.coords(unit) == coords_in_span(span, unit)
+        tube, summands = alg.tube, alg.t.summands
+        acted = 0  # each position at least once, on the identity of its target
+        for v in range(alg.n):
+            p = projective(alg, v + 1)
+            for (i, j), dim in alg.block_dim.items():
+                for k in range(dim):
+                    b = alg.basis[alg.block_offset[(i, j)] + k][2]
+                    for r, h in enumerate(hom_c_basis(tube, summands[j], summands[v])):
+                        unit = tuple(int(q == r) for q in range(p.dims[j]))
+                        assert act_element(p, i, j, k, unit) == chom_coords(tube, h.compose(b))
+                        acted += 1
+        assert acted >= alg.dim
 
 
-def test_act_element_rejects_an_element_outside_the_path_span(cyclic_algebra, monkeypatch):
+def test_act_element_with_the_identity_returns_the_vector(cyclic_algebra):
     alg = cyclic_algebra
-    m = projective(alg, 1)
-    labels, _ = alg.path_span(0, 0)
-    coords = alg.identity_coords(0)
-    vec = tuple(int(r == 0) for r in range(m.dims[0]))
-    assert act_element(m, 0, 0, coords, vec) == vec
-    # a solver over the paths alone, without the identity, cannot reach it
-    paths_only = SpanSolver([_path_coords(alg, p) for p in labels[:-1]], len(coords))
-    monkeypatch.setattr(alg, "path_span", lambda i, j: (labels[:-1], paths_only))
-    with pytest.raises(ConsistencyError):
-        act_element(m, 0, 0, coords, vec)
+    m = apply_F(alg, (Indec(1, 2), Indec(2, 3)))
+    for i in range(alg.n):
+        assert alg.paths[(i, i)][alg.identity_pos[i]] is None
+        for r in range(m.dims[i]):
+            vec = tuple(2 if q == r else q for q in range(m.dims[i]))
+            assert act_element(m, i, i, alg.identity_pos[i], vec) == vec
 
 
 # -- tau_A assembles nu(psi) from one block map per presentation entry ------------
@@ -363,7 +357,9 @@ def _tau_A_entrywise(m):
                     a_elem = chom_from_coords(
                         tube, alg.t.summands[ut - 1], alg.t.summands[vs - 1], coords
                     )
-                    block = map_F(alg, tau_chom(tube, a_elem, 2), src=src_mod, tgt=i0_mods[s_idx])
+                    g = tau_chom(tube, a_elem, 2)
+                    block = map_F(alg, *map_F_args(g))
+                    assert block.src is src_mod and block.tgt is i0_mods[s_idx]
                     off = sum(i0m.dims[u] for i0m in i0_mods[:s_idx])
                     for k, x in enumerate(block.mats[u].apply(unit)):
                         col[off + k] += x
@@ -577,15 +573,15 @@ def _triangle_and_ar_maps(t, alg):
     for k in range(1, tube.n + 1):
         data = mutate_rigid(t, k)
         if data.right_middle:
-            yield _stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
+            yield stack_chom(tube, data.right_middle, data.right_maps, data.old, True)
         if data.left_middle:
-            yield _stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
+            yield stack_chom(tube, data.left_middle, data.left_maps, data.old, False)
     for x in all_rigid_indecs(tube):
         middle = [tube.indec(x.a - 1, x.b + 1)] + ([tube.indec(x.a, x.b - 1)] if x.b > 1 else [])
         sigma_x = tube.tau(x)
         if all(in_pr_T(t, y) for y in middle + [x, sigma_x]):
-            yield _stack_chom(tube, middle, _irreducible_maps(tube, x, middle, True), x, True)
-            yield _stack_chom(tube, middle, _irreducible_maps(tube, sigma_x, middle, False),
+            yield stack_chom(tube, middle, _irreducible_maps(tube, x, middle, True), x, True)
+            yield stack_chom(tube, middle, _irreducible_maps(tube, sigma_x, middle, False),
                               sigma_x, False)
 
 
@@ -595,7 +591,7 @@ def test_map_F_equals_the_per_block_reference_on_every_triangle_and_ar_map():
     for t in enumerate_maximal_rigid(3, tube):
         alg = build_endomorphism_algebra(t)
         for g in _triangle_and_ar_maps(t, alg):
-            got, want = map_F(alg, g), map_F_by_blocks(alg, g)
+            got, want = map_F(alg, *map_F_args(g)), map_F_by_blocks(alg, g)
             assert got.src is want.src and got.tgt is want.tgt
             assert got.mats == want.mats, (t, g.src, g.tgt)
             compared += 1
@@ -613,7 +609,10 @@ def test_map_F_of_a_translated_element_equals_the_per_block_reference(cyclic_alg
             coords = tuple(2 if r == k else int(r < k) for r in range(dim))
             elem = chom_from_coords(tube, alg.t.summands[u], alg.t.summands[v], coords)
             g = tau_chom(tube, elem, 2)
-            assert map_F(alg, g).mats == map_F_by_blocks(alg, g).mats
+            want = map_F_by_blocks(alg, g).mats
+            assert map_F(alg, *map_F_args(g)).mats == want
+            # tau_A's form: the element's own coordinates at the translates
+            assert map_F(alg, g.src, g.tgt, {(0, 0): coords}).mats == want
             compared += 1
     assert compared == alg.dim
 

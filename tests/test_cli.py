@@ -205,6 +205,16 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().strip()
 
 
+def test_an_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "x.txt", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["enumerate-rigid", "--n", "2", "--out", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write --out {str(path)!r}" in captured.err
+
+
 def test_seed_cap_exits_one(capsys):
     assert run(["atlas", "--n", "2", "--cap", "3"]) == 1
     assert capsys.readouterr().err == "error: not finite type within cap\n"

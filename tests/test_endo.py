@@ -1,6 +1,7 @@
 import pytest
 
 from clustertube.endo import (
+    FinDimAlgebra,
     Quiver,
     b_matrix_from_quiver,
     build_endomorphism_algebra,
@@ -13,6 +14,7 @@ from clustertube.tube import (
     Tube,
     chom_coords,
     enumerate_maximal_rigid,
+    unit_coords,
 )
 from endo_reference import structure_checksum
 
@@ -105,16 +107,14 @@ def test_radical_is_an_ideal(cyclic_algebra):
             for k in range(n):
                 for off in range(alg.block_dim[(k, i)]):
                     v = alg.block_offset[(k, i)] + off
-                    coords = alg.mult[(u, v)]
-                    # a composite with a radical factor stays radical: no
-                    # component along the identity of a local block
-                    if k == j and any(coords):
-                        assert coords[0] == 0
+                    # a composite with a radical factor stays radical: it is
+                    # never the identity of a local block
+                    if k == j:
+                        assert alg.mult[(u, v)] != alg.identity_pos[k]
                 for off in range(alg.block_dim[(j, k)]):
                     w = alg.block_offset[(j, k)] + off
-                    coords = alg.mult[(w, u)]
-                    if k == i and any(coords):
-                        assert coords[0] == 0
+                    if k == i:
+                        assert alg.mult[(w, u)] != alg.identity_pos[k]
 
 
 def test_unique_loop_across_small_ranks():
@@ -190,13 +190,32 @@ def test_relations_and_paths_read_from_the_table_equal_composites(n):
     for t in enumerate_maximal_rigid(n):
         algebra = build_endomorphism_algebra(t)
         for first, second in algebra.relation_pairs():
-            assert algebra.mult[(second.pos, first.pos)] == _composite_coords(
-                algebra, (first.idx, second.idx))
-        for block, (labels, _) in algebra._path_span.items():
-            vectors = algebra._path_vectors[block]
-            for label, vec in zip(labels, vectors):
-                if label is not None:
-                    assert vec == _composite_coords(algebra, label)
+            assert algebra.mult[(second.pos, first.pos)] is None
+            assert not any(_composite_coords(algebra, (first.idx, second.idx)))
+        # each recorded path, composed as morphisms, lands on its position;
+        # only the identity of a diagonal block has no path
+        for (i, j), labels in algebra.paths.items():
+            assert len(labels) == algebra.block_dim[(i, j)]
+            for k, label in enumerate(labels):
+                if label is None:
+                    assert i == j and k == algebra.identity_pos[i]
+                else:
+                    assert _composite_coords(algebra, label) == unit_coords(k, len(labels))
+
+
+def test_a_position_that_no_path_reaches_fails_the_build(cyclic_t, monkeypatch):
+    # without its last arrow the algebra has a radical position outside
+    # rad^2 that no path of the remaining arrows reaches
+    real = FinDimAlgebra._choose_arrows
+
+    def dropping_the_last_arrow(self):
+        real(self)
+        self.arrows.pop()
+
+    build_endomorphism_algebra(cyclic_t)
+    monkeypatch.setattr(FinDimAlgebra, "_choose_arrows", dropping_the_last_arrow)
+    with pytest.raises(ConsistencyError, match="paths do not span"):
+        build_endomorphism_algebra(cyclic_t)
 
 
 def test_a_forged_structure_constant_fails_associativity(cyclic_t):
@@ -209,11 +228,15 @@ def test_a_forged_structure_constant_fails_associativity(cyclic_t):
     clean = build_endomorphism_algebra(on_new_tube())
     clean.verify_associativity()
     clean.verify_relations()
-    key, right = next((k, v) for k, v in clean.tube._product_cache.items() if any(v))
+    # a product that lands in a block of dimension two or more, moved to
+    # another position of that block
+    tube = clean.tube
+    key, right = next((k, v) for k, v in tube._product_cache.items()
+                      if v is not None and tube.hom_c_dim(k[0], k[2]) > 1)
     t = on_new_tube()
-    wrong = t.tube._product_cache[key] = tuple(2 * c for c in right)
+    t.tube._product_cache[key] = (right + 1) % tube.hom_c_dim(key[0], key[2])
     forged = build_endomorphism_algebra(t)
-    assert wrong in forged.mult.values()
+    assert forged.mult != clean.mult
     with pytest.raises(ConsistencyError, match="multiplication table is wrong"):
         forged.verify_associativity()
 

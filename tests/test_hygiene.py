@@ -269,18 +269,16 @@ def _ambiguous_methods(trees):
 AMBIGUOUS_METHODS = {
     "_trusted": ["cluster.ExchangeMatrix", "cluster.Seed", "laurent.LaurentPoly",
                  "linalg.ExactMatrix"],
-    "add": ["linalg.ExactMatrix", "tube.CHom", "verify.SuiteReport"],
+    "add": ["linalg.ExactMatrix", "verify.SuiteReport"],
     "canonical": ["cluster.Seed", "strings.StringWord", "tube.MaximalRigid"],
     "compose": ["amod.ModMap", "tube.CHom"],
     "dim": ["linalg.QuotientSpace", "tube.ExtSpace"],
-    "identity": ["linalg.ExactMatrix", "tube.CHom"],
     "is_zero": ["amod.AModule", "laurent.LaurentPoly", "linalg.ExactMatrix", "tube.CHom"],
     "key": ["cluster.Seed", "strings.Letter", "strings.StringWord"],
     "lift": ["linalg.QuotientSpace", "tube.ExtSpace"],
     "project": ["linalg.QuotientSpace", "tube.ExtSpace"],
-    "scale": ["linalg.ExactMatrix", "tube.CHom"],
     "to_json": ["cluster.ClusterAtlas", "tube.MaximalRigid"],
-    "zero": ["laurent.LaurentPoly", "linalg.ExactMatrix", "tube.CHom"],
+    "zero": ["laurent.LaurentPoly", "linalg.ExactMatrix"],
 }
 
 

@@ -12,7 +12,6 @@ from clustertube.amod import apply_F
 from clustertube.endo import build_endomorphism_algebra
 from clustertube.linalg import ExactMatrix, flatten_blocks, intertwiner_basis
 from clustertube.tube import (
-    CHom,
     ConsistencyError,
     Indec,
     MaximalRigid,
@@ -26,15 +25,17 @@ from clustertube.tube import (
     chom_coords,
     enumerate_maximal_rigid,
     hom_c_basis,
+    identity_index,
     in_pr_T,
     is_rigid,
     is_rigid_set,
     mutate_rigid,
-    tau_chom,
+    unit_coords,
 )
 
-from linalg_reference import coords_in_span
+from linalg_reference import coords_in_span, identity_matrix
 import tube_reference
+from tube_reference import chom_from_coords, identity_chom, identity_vmaps, tau_chom
 
 
 def test_hom_dimensions_small_cases(tube3):
@@ -128,8 +129,8 @@ def test_tau_of_morphism_respects_coordinates(tube3):
 
 def test_identity_composes_neutrally(tube3):
     x, y = Indec(2, 3), Indec(3, 2)
-    idx = CHom.identity(tube3, (x,))
-    idy = CHom.identity(tube3, (y,))
+    idx = identity_chom(tube3, (x,))
+    idy = identity_chom(tube3, (y,))
     for f in hom_c_basis(tube3, x, y):
         assert chom_coords(tube3, idy.compose(f)) == chom_coords(tube3, f)
         assert chom_coords(tube3, f.compose(idx)) == chom_coords(tube3, f)
@@ -231,10 +232,10 @@ def test_hom_coords_equals_coords_in_span_on_every_call(monkeypatch):
 
 def test_hom_coords_rejects_a_map_outside_the_hom_space(tube3):
     x = Indec(1, 2)  # one basis vector at each of the vertices 0 and 1
-    assert tube3.hom_coords(x, x, tube3.identity_vmaps(x)) == (1,)
+    assert tube3.hom_coords(x, x, identity_vmaps(tube3, x)) == (1,)
     # the identity at vertex 0 and zero at vertex 1 does not commute with
     # the arrow 1 -> 0
-    one, zero = ExactMatrix.identity(1), ExactMatrix.zero(1, 1)
+    one, zero = identity_matrix(1), ExactMatrix.zero(1, 1)
     empty = ExactMatrix.zero(0, 0)
     with pytest.raises(ConsistencyError):
         tube3.hom_coords(x, x, (one, zero, empty, empty))
@@ -248,7 +249,7 @@ def test_hom_coords_rejects_a_map_outside_the_hom_space(tube3):
 
 def test_hom_coords_rejects_a_block_of_the_wrong_shape(tube3):
     x = Indec(1, 5)  # basis positions 0 and 4 at vertex 0, one at each other vertex
-    ident = tube3.identity_vmaps(x)
+    ident = identity_vmaps(tube3, x)
     assert tube3.hom_coords(x, x, ident) == (0, 1)
     # the 2 x 2 identity at vertex 0 as a 4 x 1 block flattens to the same entries
     tall = ExactMatrix([[1], [0], [0], [1]])
@@ -433,17 +434,18 @@ def test_the_cluster_tube_hom_basis_is_built_once_per_pair():
 
 
 def _products_agree_with_composition(tube, triples):
-    """Every entry of the table on the given (x, y, z) equals the
-    coordinates of the composed basis morphisms, in normal form, and a
-    second request returns the stored entry."""
+    """Every entry of the table on the given (x, y, z) is a position of
+    hom_c_basis(x, z) or None, its unit vector equals the coordinates of the
+    composed basis morphisms, and the table keeps it."""
     checked = 0
     for x, y, z in triples:
+        dim = tube.hom_c_dim(x, z)
         for i, u in enumerate(hom_c_basis(tube, y, z)):
             for j, v in enumerate(hom_c_basis(tube, x, y)):
-                coords = basis_product(tube, x, y, z, i, j)
-                assert coords == chom_coords(tube, u.compose(v))
-                assert all(type(c) is int or c.denominator > 1 for c in coords)
-                assert basis_product(tube, x, y, z, i, j) is coords
+                pos = basis_product(tube, x, y, z, i, j)
+                assert pos is None or type(pos) is int and 0 <= pos < dim
+                assert unit_coords(pos, dim) == chom_coords(tube, u.compose(v))
+                assert tube._product_cache[(x, y, z, i, j)] == pos
                 checked += 1
     return checked
 
@@ -481,19 +483,21 @@ def test_the_product_table_equals_composition_on_a_sample_at_rank_four():
 
 
 def test_chom_coords_returns_normal_form_entries(tube3):
-    x, y = Indec(1, 2), Indec(1, 3)
-    for f in hom_c_basis(tube3, x, y):
-        for g in (f, f.scale(2), f.add(f).scale(Fraction(1, 2)), f.scale(Fraction(1, 3))):
-            coords = chom_coords(tube3, g)
-            assert all(type(c) is int or c.denominator > 1 for c in coords)
-        assert chom_coords(tube3, f.add(f).scale(Fraction(1, 2))) == chom_coords(tube3, f)
+    for x, y in ((Indec(1, 2), Indec(1, 3)), (Indec(1, 5), Indec(4, 5))):
+        dim = tube3.hom_c_dim(x, y)
+        assert dim > 0
+        for k in range(dim):
+            for c in (1, 2, Fraction(4, 2), Fraction(1, 3)):
+                coords = chom_coords(tube3, chom_from_coords(tube3, x, y, _unit(k, dim, c)))
+                assert all(type(c) is int or c.denominator > 1 for c in coords)
+                assert coords == tuple(_unit(k, dim, c))
 
 
 # -- Ext^1 and the structure constants in closed form ----------------------------
 
 
-def _unit(k, dim):
-    return [int(i == k) for i in range(dim)]
+def _unit(k, dim, c=1):
+    return [c if i == k else 0 for i in range(dim)]
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -546,7 +550,8 @@ def test_the_radical_of_an_endomorphism_ring_drops_only_the_identity():
         basis = hom_c_basis(tube, x, x)
         radical = _radical_indices(tube, x, x)
         (identity,) = set(range(len(basis))) - set(radical)
-        assert chom_coords(tube, CHom.identity(tube, (x,))) == tuple(_unit(identity, len(basis)))
+        assert identity_index(tube, x) == identity
+        assert chom_coords(tube, identity_chom(tube, (x,))) == tuple(_unit(identity, len(basis)))
         for k in radical:
             power = basis[k]
             for _ in range(len(basis)):
@@ -595,12 +600,31 @@ def long_triples(draw):
 def test_the_closed_form_products_beyond_the_exhaustive_scope(case):
     tube, x, y, z, k = case
     tx, ty, tz = (tube.tau(o, k) for o in (x, y, z))
+    dim = tube.hom_c_dim(x, z)
     for i, u in enumerate(hom_c_basis(tube, y, z)):
         for j, v in enumerate(hom_c_basis(tube, x, y)):
-            coords = basis_product(tube, x, y, z, i, j)
-            # a unit vector or zero
-            assert set(coords) <= {0, 1} and sum(coords) <= 1
-            assert all(type(c) is int for c in coords)
-            assert coords == chom_coords(tube, u.compose(v))
+            pos = basis_product(tube, x, y, z, i, j)
+            # one basis position or zero
+            assert pos is None or type(pos) is int and 0 <= pos < dim
+            assert unit_coords(pos, dim) == chom_coords(tube, u.compose(v))
             # translation-equivariant
-            assert basis_product(tube, tx, ty, tz, i, j) == coords
+            assert basis_product(tube, tx, ty, tz, i, j) == pos
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_translation_keeps_every_hom_c_basis_coordinate(n):
+    # tau_A hands each presentation entry's coordinates to map_F at tau^2 T
+    # unchanged; the translated morphism, moved intertwiner by intertwiner
+    # and class by class, must have them
+    tube = Tube(n)
+    objects = _objects(tube, 2 * n + 1)
+    translated = 0
+    for x, y in itertools.product(objects, repeat=2):
+        basis = hom_c_basis(tube, x, y)
+        for i, f in enumerate(basis):
+            for k in (1, 2, -1):
+                g = tau_chom(tube, f, k)
+                assert (g.src, g.tgt) == ((tube.tau(x, k),), (tube.tau(y, k),))
+                assert chom_coords(tube, g) == unit_coords(i, len(basis))
+                translated += 1
+    assert translated == {2: 990, 3: 3360, 4: 8550, 5: 18216}[n]

@@ -173,9 +173,8 @@ def test_a_check_that_visits_no_object_fails(monkeypatch, n):
 # -- each existence claim builds a map, and the map can fail ----------------------
 
 
-def _zero_map(algebra, g, src=None, tgt=None):
-    src = apply_F(algebra, g.src) if src is None else src
-    tgt = apply_F(algebra, g.tgt) if tgt is None else tgt
+def _zero_map(algebra, src_objs, tgt_objs, blocks):
+    src, tgt = apply_F(algebra, src_objs), apply_F(algebra, tgt_objs)
     return ModMap(src, tgt, [ExactMatrix.zero(tgt.dims[v], src.dims[v]) for v in range(algebra.n)])
 
 
@@ -400,8 +399,8 @@ def test_a_moved_structure_constant_fails_the_tube_invariants(monkeypatch):
     real = verify.basis_product
 
     def moved(tube, x, y, z, i, j):
-        coords = real(tube, x, y, z, i, j)
-        return coords[-1:] + coords[:-1]
+        pos = real(tube, x, y, z, i, j)
+        return None if pos is None else (pos + 1) % tube.hom_c_dim(x, z)
 
     monkeypatch.setattr(verify, "basis_product", moved)
     failures = verify.check_tube_invariants(Tube(3))
